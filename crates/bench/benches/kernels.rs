@@ -35,53 +35,98 @@ fn time_per_call<R>(reps: usize, batch: usize, mut f: impl FnMut() -> R) -> f64 
     samples[samples.len() / 2]
 }
 
-fn lists(n: usize, stride_a: u64, stride_b: u64) -> (Vec<u64>, Vec<u64>) {
-    (
-        (0..n as u64).map(|i| i * stride_a).collect(),
-        (0..n as u64).map(|i| i * stride_b).collect(),
-    )
+/// Times `f` and `g` in alternation, `reps` samples each, and returns the
+/// median seconds per call of each.
+fn time_alternating<R>(
+    reps: usize,
+    mut f: impl FnMut() -> R,
+    mut g: impl FnMut() -> R,
+) -> (f64, f64) {
+    let (mut fs, mut gs) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        black_box(f());
+        fs.push(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        black_box(g());
+        gs.push(t0.elapsed().as_secs_f64());
+    }
+    fs.sort_by(f64::total_cmp);
+    gs.sort_by(f64::total_cmp);
+    (fs[reps / 2], gs[reps / 2])
 }
 
-/// One intersection micro-benchmark: label plus the kernel to time.
-type Kernel<'a> = Box<dyn Fn() -> u64 + 'a>;
+/// `len` sorted, distinct ids below `span` from a seeded SplitMix64 walk
+/// (the fixture source of `adversarial_shapes_all_kernels_agree`).
+fn random_list(rng: &mut u64, len: usize, span: u64) -> Vec<u64> {
+    let mut v: Vec<u64> = Vec::with_capacity(len);
+    while v.len() < len {
+        v.extend((v.len()..len).map(|_| cetric::gen::rng::splitmix64(rng) % span));
+        v.sort_unstable();
+        v.dedup();
+    }
+    v
+}
+
+/// A slice intersection kernel: `(count, ops)` of two sorted lists.
+type Kernel = fn(&[u64], &[u64]) -> (u64, u64);
+
+/// Pairs per `intersect/*` row. One pair timed over and over is a fixed
+/// comparison sequence that the branch predictor learns — strided lists
+/// (`2i` against `3i`, period 6) at once, one random 1024 × 1024 pair
+/// within a few calls — which hides exactly the cost adjacency lists pay
+/// in a real sweep. 32 different pairs per call are ~65 k outcomes, more
+/// than it holds; rows report the time of one intersection.
+const PAIRS: usize = 32;
 
 fn bench_intersections(reps: usize, rows: &mut Vec<Row>, report: &mut BenchReport) {
-    let (a, b) = lists(1024, 2, 3);
-    let (small, _) = lists(16, 97, 1);
-    let large: Vec<u64> = (0..65536u64).collect();
-    let cases: [(&str, Kernel); 6] = [
+    let mut rng = 0x6b65_726e_u64; // "kern"
+    let balanced: Vec<(Vec<u64>, Vec<u64>)> = (0..PAIRS)
+        .map(|_| {
+            (
+                random_list(&mut rng, 1024, 3072),
+                random_list(&mut rng, 1024, 3072),
+            )
+        })
+        .collect();
+    // the short lists end early in the long one, so a merge stops after
+    // ~1.5 k of its 65 k elements
+    let smalls: Vec<Vec<u64>> = (0..PAIRS)
+        .map(|_| random_list(&mut rng, 16, 3072))
+        .collect();
+    let large = random_list(&mut rng, 1 << 16, 1 << 17);
+    let kernels: [(&str, Kernel); 3] = [
+        ("merge", merge_count),
+        ("bsearch", binary_search_count),
+        ("gallop", gallop_count),
+    ];
+    let shapes = [
         (
-            "intersect/merge/balanced",
-            Box::new(|| merge_count(&a, &b).0),
+            "balanced",
+            balanced
+                .iter()
+                .map(|(a, b)| (&a[..], &b[..]))
+                .collect::<Vec<_>>(),
         ),
         (
-            "intersect/bsearch/balanced",
-            Box::new(|| binary_search_count(&a, &b).0),
-        ),
-        (
-            "intersect/gallop/balanced",
-            Box::new(|| gallop_count(&a, &b).0),
-        ),
-        (
-            "intersect/merge/skewed",
-            Box::new(|| merge_count(&small, &large).0),
-        ),
-        (
-            "intersect/bsearch/skewed",
-            Box::new(|| binary_search_count(&small, &large).0),
-        ),
-        (
-            "intersect/gallop/skewed",
-            Box::new(|| gallop_count(&small, &large).0),
+            "skewed",
+            smalls
+                .iter()
+                .map(|small| (&small[..], &large[..]))
+                .collect(),
         ),
     ];
-    for (name, f) in cases {
-        let t = time_per_call(reps, 64, &*f);
-        report.push_seconds(name, t);
-        rows.push(Row {
-            label: name.to_string(),
-            cells: vec![fmt_time(t)],
-        });
+    for (shape, pairs) in &shapes {
+        for (kernel, f) in kernels {
+            let sweep = || pairs.iter().map(|(a, b)| f(a, b).0).sum::<u64>();
+            let t = time_per_call(reps, 8, sweep) / PAIRS as f64;
+            let name = format!("intersect/{kernel}/{shape}");
+            report.push_seconds(&name, t);
+            rows.push(Row {
+                label: name,
+                cells: vec![fmt_time(t)],
+            });
+        }
     }
 }
 
@@ -136,33 +181,39 @@ fn bench_kernel_ablation(scale: Scale, reps: usize, rows: &mut Vec<Row>, report:
         // lists than the default.
         for threshold in [64u64, 256] {
             let hubs = HubIndex::build(o.vertices().map(|v| (v, o.neighbors(v))), threshold);
-            let mut merge_seconds = 0.0f64;
-            let mut merge_count_total = 0u64;
+            let merge_policy = KernelPolicy {
+                kernel: KernelChoice::Merge,
+                hub_threshold: threshold,
+                ..KernelPolicy::default()
+            };
+            let merge_count_total = dispatch_sweep(&o, merge_policy, &hubs);
             for kernel in kernels {
                 let policy = KernelPolicy {
                     kernel,
-                    hub_threshold: threshold,
-                    ..KernelPolicy::default()
+                    ..merge_policy
                 };
                 let count = dispatch_sweep(&o, policy, &hubs); // warm + verify
-                if kernel == KernelChoice::Merge {
-                    merge_count_total = count;
-                } else {
-                    assert_eq!(
-                        count,
-                        merge_count_total,
-                        "{fixture}/t{threshold}/{}: count mismatch vs merge",
-                        kernel.name()
-                    );
-                }
-                let t = time_per_call(reps, 1, || dispatch_sweep(&o, policy, &hubs));
+                assert_eq!(
+                    count,
+                    merge_count_total,
+                    "{fixture}/t{threshold}/{}: count mismatch vs merge",
+                    kernel.name()
+                );
+                // The ratio is gated to a few percent, and this host's speed
+                // drifts by ±10 % over the seconds a matrix row takes: time
+                // the merge baseline again beside every kernel, sample by
+                // sample, so both sides of a ratio see the same machine.
+                let (merge_t, t) = time_alternating(
+                    reps.max(15),
+                    || dispatch_sweep(&o, merge_policy, &hubs),
+                    || dispatch_sweep(&o, policy, &hubs),
+                );
                 let label = format!("kernel_matrix/{fixture}/t{threshold}/{}", kernel.name());
                 report.push_seconds(&label, t);
                 let speedup = if kernel == KernelChoice::Merge {
-                    merge_seconds = t;
                     1.0
                 } else {
-                    merge_seconds / t
+                    merge_t / t
                 };
                 report.push_raw(
                     &format!("speedup_vs_merge/{fixture}/t{threshold}/{}", kernel.name()),

@@ -126,17 +126,18 @@ pub fn run_rank_cached(
     // Local pass: directed edges (v, u) with u local are intersected
     // in place (lines 2–4 of Algorithm 2).
     let policy = cfg.kernels;
-    let owned: Vec<VertexId> = o.owned_range().collect();
+    let owned = o.owned_range();
     let (local_count, local_dispatch) =
         if policy.chunking && policy.pool_workers > 1 && !owned.is_empty() {
-            let weights: Vec<u64> = owned.iter().map(|&v| o.a_owned(v).len() as u64).collect();
+            let weights: Vec<u64> = owned.clone().map(|v| o.a_owned(v).len() as u64).collect();
             let ranges = balanced_chunks(&weights, policy.pool_workers.saturating_mul(4));
             let pool = Pool::new(policy.pool_workers);
             let results = pool.run_tasks(ranges, |_, (s, e)| {
                 let mut d = Dispatcher::new(policy);
                 let mut count = 0u64;
                 let mut work = 0u64;
-                for &v in &owned[s..e] {
+                // chunk bounds index the owned range, which is contiguous
+                for v in owned.start + s as VertexId..owned.start + e as VertexId {
                     let (c, w) = count_local_vertex(&o, v, &mut d);
                     count += c;
                     work += w;
@@ -156,7 +157,7 @@ pub fn run_rank_cached(
         } else {
             let mut d = Dispatcher::new(policy);
             let mut count = 0u64;
-            for &v in &owned {
+            for v in owned {
                 let (c, w) = count_local_vertex(&o, v, &mut d);
                 count += c;
                 ctx.add_work(w);

@@ -187,6 +187,39 @@ mod tests {
         assert_eq!(compact_forward(&g).triangles, brute_force_count(&g));
     }
 
+    /// The same check where the merge kernels leave their short-list tier:
+    /// K₈₀ planted in an R-MAT graph gives oriented lists up to 79 long
+    /// under either order (R-MAT 9 alone stays under 32 in degree order),
+    /// so many intersections run as two chains, for both the counting and
+    /// the collecting kernel.
+    #[test]
+    fn matches_brute_force_on_long_oriented_lists() {
+        let noise = tricount_gen::rmat_default(9, 3);
+        let mut edges: Vec<(u64, u64)> = noise
+            .vertices()
+            .flat_map(|v| noise.neighbors(v).iter().map(move |&u| (v, u)))
+            .collect();
+        edges.extend((100..180u64).flat_map(|v| (v + 1..180).map(move |u| (v, u))));
+        let g = graph(&edges, noise.num_vertices());
+        let truth = brute_force_count(&g);
+        assert!(truth >= 80 * 79 * 78 / 6);
+        for kind in [OrderingKind::Degree, OrderingKind::Id] {
+            let o = orient(&g, kind);
+            let long_pairs = o
+                .vertices()
+                .flat_map(|v| o.neighbors(v).iter().map(move |&u| (v, u)))
+                .filter(|&(v, u)| o.neighbors(v).len() + o.neighbors(u).len() >= 64)
+                .count();
+            assert!(long_pairs > 100, "{kind:?}: only {long_pairs} long pairs");
+            assert_eq!(edge_iterator(&g, kind).triangles, truth, "{kind:?}");
+            assert_eq!(
+                enumerate_triangles(&g, kind).len() as u64,
+                truth,
+                "{kind:?} enumeration"
+            );
+        }
+    }
+
     #[test]
     fn enumeration_is_unique_and_complete() {
         let g = k4();

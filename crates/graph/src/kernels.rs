@@ -685,19 +685,7 @@ mod tests {
     /// drawn from a seeded SplitMix64 walk so failures reproduce exactly.
     #[test]
     fn adversarial_shapes_all_kernels_agree() {
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        fn sorted_unique(rng: &mut u64, len: usize, span: u64) -> Vec<VertexId> {
-            let mut v: Vec<VertexId> = (0..len).map(|_| splitmix(rng) % span.max(1)).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        }
+        use crate::intersect::tests::sorted_unique;
 
         let mut rng = 0x6b65_726e_u64; // "kern"
 
