@@ -63,8 +63,6 @@ pub enum Command {
         /// Probe calibration JSON (`tricount-pingpong` /
         /// `tricount-allgather` output) replacing the model's α/β.
         calibration: Option<String>,
-        /// Remote-adjacency cache budget in words (`None` = cache off).
-        cache_budget: Option<u64>,
     },
     /// Compute per-vertex counts / LCC and print the top-k.
     Lcc {
@@ -76,8 +74,6 @@ pub enum Command {
         top: usize,
         /// Data plane carrying the run.
         transport: TransportKind,
-        /// Remote-adjacency cache budget in words (`None` = cache off).
-        cache_budget: Option<u64>,
     },
     /// Enumerate triangles.
     Enumerate {
@@ -112,8 +108,6 @@ pub enum Command {
         metrics_out: Option<String>,
         /// Data plane carrying the engine's runs.
         transport: TransportKind,
-        /// Remote-adjacency cache budget in words (`None` = cache off).
-        cache_budget: Option<u64>,
         /// Serve this many tenants behind one `EngineHost` (1 = plain
         /// single-engine serving).
         tenants: usize,
@@ -137,8 +131,6 @@ pub enum Command {
         json: bool,
         /// Data plane carrying the engine's runs.
         transport: TransportKind,
-        /// Remote-adjacency cache budget in words (`None` = cache off).
-        cache_budget: Option<u64>,
     },
     /// Run the concurrency checking suite: happens-before analysis and
     /// protocol conformance of a traced run, exhaustive pool-interleaving
@@ -338,11 +330,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             v.parse().map_err(|e| format!("bad --{k} {v:?}: {e}"))
         })
     };
-    let parse_opt_u64 = |k: &str| -> Result<Option<u64>, String> {
-        get(k)
-            .map(|v| v.parse().map_err(|e| format!("bad --{k} {v:?}: {e}")))
-            .transpose()
-    };
 
     let source = if let Some(path) = get("input") {
         Source::File(path.to_string())
@@ -418,7 +405,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 config,
                 timed: get("timed").is_some_and(|v| v == "true" || v == "1"),
                 calibration: get("calibration").map(|v| v.to_string()),
-                cache_budget: parse_opt_u64("cache-budget")?,
             })
         }
         "lcc" => Ok(Command::Lcc {
@@ -426,7 +412,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             p,
             top: parse_u64("top", 10)? as usize,
             transport: parse_transport(get("transport"))?,
-            cache_budget: parse_opt_u64("cache-budget")?,
         }),
         "enumerate" => Ok(Command::Enumerate {
             source,
@@ -443,7 +428,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             json: get("json").is_some_and(|v| v == "true" || v == "1"),
             metrics_out: get("metrics-out").map(|v| v.to_string()),
             transport: parse_transport(get("transport"))?,
-            cache_budget: parse_opt_u64("cache-budget")?,
             tenants: (parse_u64("tenants", 1)? as usize).max(1),
             updates: parse_u64("updates", 0)? as usize,
             host_workers: (parse_u64("host-workers", 2)? as usize).max(1),
@@ -456,7 +440,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .to_string(),
             json: get("json").is_some_and(|v| v == "true" || v == "1"),
             transport: parse_transport(get("transport"))?,
-            cache_budget: parse_opt_u64("cache-budget")?,
         }),
         "check" => {
             let algorithm = parse_algorithm(get("alg").unwrap_or("cetric"))?
@@ -520,7 +503,7 @@ fn usage() -> String {
      [--tenants N] [--updates U] [--host-workers W] \
      [--lint-root DIR] \
      [-o OUT] [--chrome-trace OUT.json] [--phase-report 1] \
-     [--metrics-out OUT.prom] [--calibration PROBE.json] [--cache-budget WORDS]\n\
+     [--metrics-out OUT.prom] [--calibration PROBE.json]\n\
      calibration is auto-applied from $TRICOUNT_CALIBRATION or a \
      calibration.json next to --input"
         .to_string()
@@ -558,10 +541,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             algorithm,
             p,
             model,
-            mut config,
+            config,
             timed,
             calibration,
-            cache_budget,
         } => {
             let model = match resolve_calibration(calibration, &source) {
                 Some(path) => apply_calibration(model, &path)?,
@@ -574,39 +556,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     println!("triangles: {} (sequential, {} ops)", s.triangles, s.ops);
                 }
                 Some(alg) => {
-                    let r = if let Some(budget) = cache_budget {
-                        use tricount_core::{CacheConfig, RankCache};
-                        config.cache = CacheConfig::with_budget(budget);
-                        let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
-                        let caches: Vec<std::sync::Mutex<RankCache>> = (0..p)
-                            .map(|_| {
-                                std::sync::Mutex::new(RankCache::new(
-                                    config.cache,
-                                    p,
-                                    config.memory_limit_words,
-                                ))
-                            })
-                            .collect();
-                        let opts = tricount_comm::SimOptions {
-                            timing: timed.then_some(model),
-                            ..tricount_comm::SimOptions::default()
-                        };
-                        let (r, _, cache) =
-                            tricount_core::run_on_cached(dg, alg, &config, &opts, &caches)
-                                .map_err(|e| e.to_string())?;
-                        println!(
-                            "adjacency cache: {} lookups ({} hits, {} misses) | \
-                             {} words shipped, {} saved | {} staged, {} evicted",
-                            cache.lookups,
-                            cache.hits,
-                            cache.misses,
-                            cache.words_shipped,
-                            cache.words_saved,
-                            cache.staged,
-                            cache.evictions,
-                        );
-                        r
-                    } else if timed {
+                    let r = if timed {
                         let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
                         tricount_core::dist::run_on_timed(dg, alg, &config, model)
                             .map_err(|e| e.to_string())?
@@ -637,39 +587,13 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             p,
             top,
             transport,
-            cache_budget,
         } => {
             let g = load_source(&source)?;
-            let mut cfg = DistConfig {
+            let cfg = DistConfig {
                 transport,
                 ..DistConfig::default()
             };
-            let r = if let Some(budget) = cache_budget {
-                use tricount_core::{CacheConfig, RankCache};
-                cfg.cache = CacheConfig::with_budget(budget);
-                let caches: Vec<std::sync::Mutex<RankCache>> = (0..p)
-                    .map(|_| {
-                        std::sync::Mutex::new(RankCache::new(cfg.cache, p, cfg.memory_limit_words))
-                    })
-                    .collect();
-                let degrees = g.degrees();
-                let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
-                let (r, cache) = lcc::lcc_on_cached(dg, &cfg, &degrees, &caches);
-                println!(
-                    "adjacency cache: {} lookups ({} hits, {} misses) | \
-                     {} words shipped, {} saved | {} staged, {} evicted",
-                    cache.lookups,
-                    cache.hits,
-                    cache.misses,
-                    cache.words_shipped,
-                    cache.words_saved,
-                    cache.staged,
-                    cache.evictions,
-                );
-                r
-            } else {
-                lcc::lcc(&g, p, &cfg)
-            };
+            let r = lcc::lcc(&g, p, &cfg);
             println!("triangles: {}", r.triangles);
             let mut by_degree: Vec<u64> = g.vertices().collect();
             by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
@@ -731,7 +655,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             batch,
             json,
             transport,
-            cache_budget,
         } => {
             use tricount_delta::parse_batches;
             use tricount_engine::{Engine, EngineConfig};
@@ -742,9 +665,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 return Err(format!("{batch}: no update operations found"));
             }
             let mut ecfg = EngineConfig::new(p);
-            if let Some(budget) = cache_budget {
-                ecfg = ecfg.with_cache_budget(budget);
-            }
             ecfg.dist.transport = transport;
             let engine = Engine::build(&g, ecfg);
             println!(
@@ -782,18 +702,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     engine.resident_triangles(),
                     engine.epoch()
                 );
-                if s.adj_cache_enabled {
-                    println!(
-                        "adjacency cache: {} update-path hits / {} misses | \
-                         {} patches, {} invalidations | {} resident entries ({} words)",
-                        s.update_adjacency.hits,
-                        s.update_adjacency.misses,
-                        s.update_adjacency.patches,
-                        s.update_adjacency.invalidations,
-                        s.adj_cache_entries,
-                        s.adj_cache_resident_words,
-                    );
-                }
             }
         }
         Command::Check {
@@ -929,7 +837,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             json,
             metrics_out,
             transport,
-            cache_budget,
             tenants,
             updates,
             host_workers,
@@ -937,9 +844,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             use tricount_engine::{scripted_workload, Engine, EngineConfig};
             let g = load_source(&source)?;
             let mut ecfg = EngineConfig::new(p);
-            if let Some(budget) = cache_budget {
-                ecfg = ecfg.with_cache_budget(budget);
-            }
             ecfg.dist.transport = transport;
             if tenants > 1 || updates > 0 {
                 return serve_host(
@@ -997,19 +901,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     "setup ran {} time(s); queries moved {} msgs / {} words",
                     s.setup_runs, s.query_comm.sent_messages, s.query_comm.sent_words
                 );
-                if s.adj_cache_enabled {
-                    println!(
-                        "adjacency cache: {} hits / {} misses ({:.1}% hit rate) | \
-                         {} words shipped, {} saved | {} resident entries ({} words)",
-                        s.query_adjacency.hits,
-                        s.query_adjacency.misses,
-                        s.adj_cache_hit_rate() * 100.0,
-                        s.query_adjacency.words_shipped,
-                        s.query_adjacency.words_saved,
-                        s.adj_cache_entries,
-                        s.adj_cache_resident_words,
-                    );
-                }
                 println!(
                     "modeled query time {:.3} ms | wall {:.3} ms",
                     s.modeled_seconds_total * 1e3,
@@ -1037,7 +928,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
 #[allow(clippy::too_many_arguments)]
 fn serve_host(
     g: &Csr,
-    ecfg: tricount_engine::EngineConfig,
+    mut ecfg: tricount_engine::EngineConfig,
     queries: usize,
     seed: u64,
     json: bool,
@@ -1047,14 +938,17 @@ fn serve_host(
     host_workers: usize,
 ) -> Result<(), String> {
     use tricount_delta::random_batch;
-    use tricount_engine::{
-        scripted_workload, EngineHost, HostConfig, HostError, HostReply, HostRequest,
-    };
+    use tricount_engine::{scripted_workload, EngineHost, HostConfig, HostReply, HostRequest};
+    // Every admission bound is sized to hold the whole workload (queries go
+    // round-robin, so a tenant receives at most ⌈queries / tenants⌉; updates
+    // are not budgeted), so no submission is ever refused for load and any
+    // submit error is a real error.
     let mut hcfg = HostConfig::new();
     hcfg.pool_workers = ecfg.workers;
     hcfg.serve_workers = host_workers;
     hcfg.tenant_quota = hcfg.tenant_quota.max(queries / tenants.max(1) + 1);
     hcfg.global_inflight = hcfg.global_inflight.max(queries + tenants);
+    ecfg.queue_capacity = ecfg.queue_capacity.max(queries);
     let host = EngineHost::new(hcfg);
     let names: Vec<String> = (0..tenants).map(|i| format!("t{i}")).collect();
     for name in &names {
@@ -1074,24 +968,11 @@ fn serve_host(
             .map_err(|e| e.to_string())?;
             sent_updates += 1;
         }
-        loop {
-            match host.submit(HostRequest::Query {
-                tenant: names[i % tenants].clone(),
-                query: q.clone(),
-            }) {
-                Ok(_) => break,
-                // closed loop: drain under backpressure, resubmit. When
-                // every job is already on a serve worker the queue is
-                // empty and drain() is a no-op — back off instead of
-                // spinning hot until a worker frees budget.
-                Err(HostError::Overloaded { .. }) => {
-                    if host.drain() == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                }
-                Err(e) => return Err(e.to_string()),
-            }
-        }
+        host.submit(HostRequest::Query {
+            tenant: names[i % tenants].clone(),
+            query: q,
+        })
+        .map_err(|e| e.to_string())?;
     }
     handle.stop();
     host.drain();
@@ -1472,59 +1353,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_execute_cache_budget() {
-        // the flag parses on every verb that takes it
-        let cmd = parse(&args(
-            "count --family rgg2d --n 256 --p 4 --cache-budget 65536",
-        ))
-        .unwrap();
+    fn parse_and_execute_lcc() {
+        let cmd = parse(&args("lcc --family rgg2d --n 256 --p 4 --top 3")).unwrap();
         match &cmd {
-            Command::Count { cache_budget, .. } => assert_eq!(*cache_budget, Some(65536)),
+            Command::Lcc { p, top, .. } => {
+                assert_eq!(*p, 4);
+                assert_eq!(*top, 3);
+            }
             _ => panic!("wrong command"),
         }
         execute(cmd).unwrap();
-        let cmd = parse(&args(
-            "lcc --family rgg2d --n 256 --p 4 --cache-budget 65536",
-        ))
-        .unwrap();
-        match &cmd {
-            Command::Lcc { cache_budget, .. } => assert_eq!(*cache_budget, Some(65536)),
-            _ => panic!("wrong command"),
-        }
-        execute(cmd).unwrap();
-        let cmd = parse(&args(
-            "serve --family rgg2d --n 128 --p 2 --queries 10 --cache-budget 65536",
-        ))
-        .unwrap();
-        match &cmd {
-            Command::Serve { cache_budget, .. } => assert_eq!(*cache_budget, Some(65536)),
-            _ => panic!("wrong command"),
-        }
-        execute(cmd).unwrap();
-        // absent = cache off; garbage is rejected
-        match parse(&args("count --family gnm")).unwrap() {
-            Command::Count { cache_budget, .. } => assert_eq!(cache_budget, None),
-            _ => panic!("wrong command"),
-        }
-        assert!(parse(&args("count --family gnm --cache-budget lots")).is_err());
-    }
-
-    #[test]
-    fn execute_update_with_cache_budget() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("tricount_cli_cached_updates.txt");
-        std::fs::write(&path, "+ 0 1\n+ 1 2\n+ 0 2\n").unwrap();
-        let cmd = parse(&args(&format!(
-            "update --family rgg2d --n 128 --p 2 --cache-budget 65536 --batch {}",
-            path.display()
-        )))
-        .unwrap();
-        match &cmd {
-            Command::Update { cache_budget, .. } => assert_eq!(*cache_budget, Some(65536)),
-            _ => panic!("wrong command"),
-        }
-        execute(cmd).unwrap();
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

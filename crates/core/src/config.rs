@@ -4,7 +4,6 @@
 //! are expressible as settings of [`DistConfig`] (plus the contraction that
 //! distinguishes CETRIC from DITRIC, selected via [`Algorithm`]).
 
-use tricount_cache::CacheConfig;
 use tricount_comm::{Routing, TransportKind};
 use tricount_graph::kernels::KernelPolicy;
 use tricount_graph::OrderingKind;
@@ -77,12 +76,6 @@ pub struct DistConfig {
     /// both; the threads backend additionally yields honest per-phase wall
     /// clock. Explicit `SimOptions.transport` overrides this field.
     pub transport: TransportKind,
-    /// Remote-adjacency caching (`tricount-cache`): bounded per-PE caching
-    /// of shipped lists, consulted by the count/LCC/support/delta
-    /// request–response paths and kept coherent by `update_route`.
-    /// Disabled by default; when disabled, runs are bit-identical to a
-    /// build without the cache subsystem.
-    pub cache: CacheConfig,
 }
 
 impl Default for DistConfig {
@@ -97,7 +90,6 @@ impl Default for DistConfig {
             memory_limit_words: None,
             kernels: KernelPolicy::default(),
             transport: TransportKind::Sim,
-            cache: CacheConfig::default(),
         }
     }
 }

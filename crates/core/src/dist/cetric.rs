@@ -21,11 +21,9 @@
 //! per-item function and reduce partial sums in canonical chunk order, so
 //! counts and `ops` totals are bit-identical either way.
 
-use tricount_cache::{CacheSession, ListKind};
 use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig};
 use tricount_graph::dist::{ContractedGraph, LocalGraph, OrientedLocalGraph};
 use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
-use tricount_graph::Partition;
 use tricount_graph::VertexId;
 use tricount_par::Pool;
 
@@ -44,18 +42,6 @@ pub fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> u64 {
 pub fn run_rank_stats(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> (u64, DispatchReport) {
     let prep = prepare_rank(ctx, lg, cfg);
     count_prepared_stats(ctx, &prep, cfg)
-}
-
-/// [`run_rank_stats`] with a live adjacency-cache session (one-shot prepare
-/// followed by [`count_prepared_cached`]).
-pub fn run_rank_cached(
-    ctx: &mut Ctx,
-    lg: LocalGraph,
-    cfg: &DistConfig,
-    session: &mut CacheSession<'_>,
-) -> (u64, DispatchReport) {
-    let prep = prepare_rank(ctx, lg, cfg);
-    count_prepared_cached(ctx, &prep, cfg, session)
 }
 
 /// The local phase's canonical work list: owned vertices in id order, then
@@ -157,49 +143,18 @@ pub fn count_prepared(ctx: &mut Ctx, prep: &PreparedRank, cfg: &DistConfig) -> u
     count_prepared_stats(ctx, prep, cfg).0
 }
 
-/// [`count_prepared`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn count_prepared_stats(
-    ctx: &mut Ctx,
-    prep: &PreparedRank,
-    cfg: &DistConfig,
-) -> (u64, DispatchReport) {
-    count_prepared_cached(ctx, prep, cfg, &mut CacheSession::off())
-}
-
-/// Receive side of the global phase. Wire formats:
-///
-/// * session inactive — `[v, A(v)...]` (the original format, bit-identical
-///   to a build without the cache);
-/// * session active   — `[v, 0, A(v)...]` full send (staged for caching) or
-///   `[v, 1]` reference resolved against the held entry from `v`'s owner.
-#[allow(clippy::too_many_arguments)]
+/// Receive side of the global phase: `[v, A(v)...]` carries a contracted
+/// list, intersected with the contracted neighborhoods of local heads
+/// (Algorithm 3 lines 15–16).
 fn global_handler(
     c: &ContractedGraph,
     owned: &std::ops::Range<u64>,
-    part: &Partition,
     ctx: &mut Ctx,
     env: Envelope<'_>,
     acc: &mut u64,
     d: &mut Dispatcher<'_>,
-    session: &mut CacheSession<'_>,
 ) {
-    let resolved: Vec<u64>;
-    let a: &[u64] = if session.active() {
-        let v = env.payload[0];
-        let owner = part.rank_of(v);
-        if env.payload[1] == 1 {
-            resolved = session.recv_ref(owner, ListKind::Contracted, v);
-            &resolved
-        } else {
-            let a = &env.payload[2..];
-            session.recv_full(owner, ListKind::Contracted, v, a);
-            a
-        }
-    } else {
-        &env.payload[1..]
-    };
-    // Intersect with the contracted neighborhoods of local heads
-    // (Algorithm 3 lines 15–16).
+    let a = &env.payload[1..];
     for &u in a {
         if owned.contains(&u) {
             let (cnt, ops) = d.count(a, None, c.a_of(u), Some(u));
@@ -209,15 +164,11 @@ fn global_handler(
     }
 }
 
-/// [`count_prepared_stats`] with a live adjacency-cache session: the owner
-/// consults its mirror before posting a contracted list and sends a
-/// two-word reference on a hit. With an off session this *is* the original
-/// protocol, wire format and meters included.
-pub fn count_prepared_cached(
+/// [`count_prepared`] plus this rank's per-phase kernel-dispatch tallies.
+pub fn count_prepared_stats(
     ctx: &mut Ctx,
     prep: &PreparedRank,
     cfg: &DistConfig,
-    session: &mut CacheSession<'_>,
 ) -> (u64, DispatchReport) {
     // Local phase (Algorithm 3 lines 5–7).
     let (local_count, local_dispatch) = local_phase(ctx, prep, cfg);
@@ -253,43 +204,15 @@ pub fn count_prepared_cached(
             last_rank = Some(j);
             scratch.clear();
             scratch.push(v);
-            if session.active() {
-                if session.sender_check(j, ListKind::Contracted, v, a.len() as u64) {
-                    scratch.push(1);
-                } else {
-                    scratch.push(0);
-                    scratch.extend_from_slice(a);
-                }
-            } else {
-                session.sender_check(j, ListKind::Contracted, v, a.len() as u64);
-                scratch.extend_from_slice(a);
-            }
+            scratch.extend_from_slice(a);
             q.post(ctx, j, &scratch);
             while q.poll(ctx, &mut |ctx, env| {
-                global_handler(
-                    contracted,
-                    &owned,
-                    &part,
-                    ctx,
-                    env,
-                    &mut remote_count,
-                    &mut gd,
-                    session,
-                )
+                global_handler(contracted, &owned, ctx, env, &mut remote_count, &mut gd)
             }) {}
         }
     }
     q.finish(ctx, &mut |ctx, env| {
-        global_handler(
-            contracted,
-            &owned,
-            &part,
-            ctx,
-            env,
-            &mut remote_count,
-            &mut gd,
-            session,
-        )
+        global_handler(contracted, &owned, ctx, env, &mut remote_count, &mut gd)
     });
 
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];

@@ -47,7 +47,6 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use tricount_cache::{CachePass, CacheSession, ListKind};
 use tricount_comm::{
     run_sim, Ctx, Envelope, MessageQueue, QueueConfig, RunStats, SimOptions, Trace,
 };
@@ -98,29 +97,6 @@ pub fn apply_batch_rank(
     ov: &mut Overlay,
     batch: &CanonicalBatch,
     cfg: &DistConfig,
-) -> DeltaOutcome {
-    apply_batch_rank_cached(ctx, lg, ov, batch, cfg, &mut CacheSession::off())
-}
-
-/// [`apply_batch_rank`] with a live adjacency-cache session. The update
-/// protocol is the cache's single *writer*: after the effectiveness filter
-/// of `update_route`, each owner looks its touched vertices up in its
-/// mirror partitions and sends every holder of a `(Full, v)` entry either a
-/// targeted invalidation or an in-place patch (the inserted/deleted
-/// neighbor ids) through one extra `alltoallv` inside the `update_route`
-/// phase — a patched entry equals the post-state merged list, so later
-/// reference sends stay bit-exact. The deletion count pass streams
-/// *pre-state* lists, so it runs with lookups and staging disabled
-/// ([`CachePass::Pre`]); the insertion pass runs post-state and
-/// participates fully. With an off session this *is* the original
-/// protocol — no extra collective, identical meters.
-pub fn apply_batch_rank_cached(
-    ctx: &mut Ctx,
-    lg: &LocalGraph,
-    ov: &mut Overlay,
-    batch: &CanonicalBatch,
-    cfg: &DistConfig,
-    session: &mut CacheSession<'_>,
 ) -> DeltaOutcome {
     let p = ctx.num_ranks();
     let part = lg.partition().clone();
@@ -203,47 +179,6 @@ pub fn apply_batch_rank_cached(
     }
     ctx.add_work(my_ops.len() as u64 + 1);
 
-    // Coherence: the owners of the touched vertices tell every PE holding
-    // a cached `(Full, v)` list to invalidate or patch it, before any
-    // counting consumes cache state. Runs only with an active session, so
-    // cache-off meters are untouched.
-    if session.active() && cfg.cache.coherence {
-        ctx.with_span("cache_coherence", |ctx| {
-            let mut out: Vec<Vec<u64>> = vec![Vec::new(); p];
-            let patch = cfg.cache.patch;
-            let empty: &[VertexId] = &[];
-            let keys: std::collections::BTreeSet<VertexId> =
-                ins_nbrs.keys().chain(del_nbrs.keys()).copied().collect();
-            for &v in &keys {
-                let holders = session.holders_of_full(v);
-                if holders.is_empty() {
-                    continue;
-                }
-                let ins = ins_nbrs.get(&v).map(|l| l.as_slice()).unwrap_or(empty);
-                let del = del_nbrs.get(&v).map(|l| l.as_slice()).unwrap_or(empty);
-                for j in holders {
-                    if patch {
-                        for &w in ins {
-                            out[j].extend_from_slice(&[v, 1, w]);
-                        }
-                        for &w in del {
-                            out[j].extend_from_slice(&[v, 2, w]);
-                        }
-                        session.mirror_patch(j, v, ins.len() as u64, del.len() as u64);
-                    } else {
-                        out[j].extend_from_slice(&[v, 0, 0]);
-                        session.mirror_invalidate(j, v);
-                    }
-                }
-            }
-            let incoming = ctx.alltoallv(out);
-            for (owner, recs) in incoming.iter().enumerate() {
-                for r in recs.chunks_exact(3) {
-                    session.apply_coherence(owner, r[0], r[1], r[2]);
-                }
-            }
-        });
-    }
     ctx.end_phase(phases::UPDATE_ROUTE);
 
     // Phase 2: count the triangle delta. Deletions intersect the
@@ -265,13 +200,9 @@ pub fn apply_batch_rank_cached(
         .collect();
 
     let mut disp = Dispatcher::new(cfg.kernels);
-    session.set_pass(CachePass::Pre);
     let removed_partial = ctx.with_span("count_deletions", |ctx| {
-        count_pass(
-            ctx, lg, ov, &del_edges, &del_nbrs, queue_cfg, &mut disp, session,
-        )
+        count_pass(ctx, lg, ov, &del_edges, &del_nbrs, queue_cfg, &mut disp)
     });
-    session.set_pass(CachePass::Post);
     ctx.with_span("apply_overlay", |ctx| {
         let mut applied = 0u64;
         for op in &effective {
@@ -289,9 +220,7 @@ pub fn apply_batch_rank_cached(
         ctx.add_work(applied + 1);
     });
     let added_partial = ctx.with_span("count_insertions", |ctx| {
-        count_pass(
-            ctx, lg, ov, &ins_edges, &ins_nbrs, queue_cfg, &mut disp, session,
-        )
+        count_pass(ctx, lg, ov, &ins_edges, &ins_nbrs, queue_cfg, &mut disp)
     });
     let global = ctx.allreduce_sum(&[
         removed_partial,
@@ -346,7 +275,6 @@ pub fn apply_batch_rank_cached(
 /// view equals the base CSR slice, so probe kernels have a random-access
 /// table); dirty sides stream through the merge kernel. The clean/dirty
 /// verdict is overlay state — deterministic, schedule-independent.
-#[allow(clippy::too_many_arguments)]
 fn count_pass(
     ctx: &mut Ctx,
     lg: &LocalGraph,
@@ -355,40 +283,18 @@ fn count_pass(
     batch_nbrs: &BTreeMap<VertexId, Vec<VertexId>>,
     queue_cfg: QueueConfig,
     disp: &mut Dispatcher<'_>,
-    session: &mut CacheSession<'_>,
 ) -> u64 {
     let part = lg.partition().clone();
     let mut count = 0u64;
     let mut q = MessageQueue::new(ctx, queue_cfg);
 
-    // Remote request — answered against the receiver's merged N(v) and
-    // local B(v). Wire formats: `[u, v, |B(u)|, B(u)…, N(u)…]` with an off
-    // session; with an active one, `[u, v, 0, |B(u)|, B(u)…, N(u)…]` full
-    // sends or `[u, v, 1, |B(u)|, B(u)…]` references resolving the cached
-    // `(Full, u)` merged list (patched to the post-state by coherence).
-    let handler = |ctx: &mut Ctx,
-                   env: Envelope<'_>,
-                   acc: &mut u64,
-                   d: &mut Dispatcher<'_>,
-                   session: &mut CacheSession<'_>| {
+    // Remote request `[u, v, |B(u)|, B(u)…, N(u)…]` — answered against the
+    // receiver's merged N(v) and local B(v).
+    let handler = |ctx: &mut Ctx, env: Envelope<'_>, acc: &mut u64, d: &mut Dispatcher<'_>| {
         let u = env.payload[0];
         let v = env.payload[1];
-        let resolved: Vec<u64>;
-        let (bu, nu): (&[u64], &[u64]) = if session.active() {
-            let blen = env.payload[3] as usize;
-            let bu = &env.payload[4..4 + blen];
-            if env.payload[2] == 1 {
-                resolved = session.recv_ref(part.rank_of(u), ListKind::Full, u);
-                (bu, &resolved)
-            } else {
-                let nu = &env.payload[4 + blen..];
-                session.recv_full(part.rank_of(u), ListKind::Full, u, nu);
-                (bu, nu)
-            }
-        } else {
-            let blen = env.payload[2] as usize;
-            (&env.payload[3..3 + blen], &env.payload[3 + blen..])
-        };
+        let blen = env.payload[2] as usize;
+        let (bu, nu) = (&env.payload[3..3 + blen], &env.payload[3 + blen..]);
         let bv = batch_nbrs.get(&v).map(|l| l.as_slice()).unwrap_or(&[]);
         let mut common = Vec::new();
         let ops = if ov.is_clean_at(v) {
@@ -455,32 +361,14 @@ fn count_pass(
             scratch.clear();
             scratch.push(u);
             scratch.push(v);
-            if session.active() {
-                if session.sender_check(j, ListKind::Full, u, ov.degree_after(lg, u)) {
-                    scratch.push(1);
-                    scratch.push(bu.len() as u64);
-                    scratch.extend_from_slice(bu);
-                } else {
-                    scratch.push(0);
-                    scratch.push(bu.len() as u64);
-                    scratch.extend_from_slice(bu);
-                    scratch.extend(ov.merged_neighbors(lg, u));
-                }
-            } else {
-                session.sender_check(j, ListKind::Full, u, ov.degree_after(lg, u));
-                scratch.push(bu.len() as u64);
-                scratch.extend_from_slice(bu);
-                scratch.extend(ov.merged_neighbors(lg, u));
-            }
+            scratch.push(bu.len() as u64);
+            scratch.extend_from_slice(bu);
+            scratch.extend(ov.merged_neighbors(lg, u));
             q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                handler(ctx, env, &mut count, disp, session)
-            }) {}
+            while q.poll(ctx, &mut |ctx, env| handler(ctx, env, &mut count, disp)) {}
         }
     }
-    q.finish(ctx, &mut |ctx, env| {
-        handler(ctx, env, &mut count, disp, session)
-    });
+    q.finish(ctx, &mut |ctx, env| handler(ctx, env, &mut count, disp));
     count
 }
 
@@ -541,7 +429,6 @@ pub fn compact_rank(
         contracted,
         hubs_oriented,
         hubs_contracted,
-        generation: prep.generation + 1,
     }
 }
 

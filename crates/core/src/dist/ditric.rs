@@ -14,11 +14,9 @@
 //! the local pass optionally runs degree-aware chunked on the `par` pool
 //! with a canonical-order reduction, exactly like CETRIC's.
 
-use tricount_cache::{CacheSession, ListKind};
 use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig};
 use tricount_graph::dist::{LocalGraph, OrientedLocalGraph};
 use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
-use tricount_graph::Partition;
 use tricount_graph::VertexId;
 use tricount_par::Pool;
 
@@ -51,48 +49,20 @@ fn count_local_vertex(o: &OrientedLocalGraph, v: VertexId, d: &mut Dispatcher<'_
     (count, work)
 }
 
-/// [`run_rank`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn run_rank_stats(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> (u64, DispatchReport) {
-    run_rank_cached(ctx, lg, cfg, &mut CacheSession::off())
-}
-
-/// Receive side of the global pass. Wire formats:
-///
-/// * inactive, dedup      — `[v, A(v)...]` (original);
-/// * inactive, non-dedup  — `[v, u, A(v)...]` (original);
-/// * active, dedup        — `[v, 0, A(v)...]` or reference `[v, 1]`;
-/// * active, non-dedup    — `[v, u, 0, A(v)...]` or reference `[v, u, 1]`.
-///
-/// References resolve the oriented list cached from `v`'s owner.
-#[allow(clippy::too_many_arguments)]
+/// Receive side of the global pass. Wire formats: `[v, A(v)...]` with
+/// dedup, `[v, u, A(v)...]` without (the named head `u` is the only one
+/// intersected).
 fn global_handler(
     o: &OrientedLocalGraph,
-    part: &Partition,
     dedup: bool,
     ctx: &mut Ctx,
     env: Envelope<'_>,
     acc: &mut u64,
     d: &mut Dispatcher<'_>,
-    session: &mut CacheSession<'_>,
 ) {
-    let head_words = if dedup { 1 } else { 2 };
-    let resolved: Vec<u64>;
-    let a: &[u64] = if session.active() {
-        let v = env.payload[0];
-        let owner = part.rank_of(v);
-        if env.payload[head_words] == 1 {
-            resolved = session.recv_ref(owner, ListKind::Oriented, v);
-            &resolved
-        } else {
-            let a = &env.payload[head_words + 1..];
-            session.recv_full(owner, ListKind::Oriented, v, a);
-            a
-        }
-    } else {
-        &env.payload[head_words..]
-    };
     if dedup {
         // Intersect with every local head u ∈ A(v).
+        let a = &env.payload[1..];
         for &u in a {
             if o.is_owned(u) {
                 let (c, ops) = d.count(a, None, o.a_owned(u), Some(u));
@@ -104,20 +74,17 @@ fn global_handler(
         // Intersect with the named edge head only.
         let u = env.payload[1];
         debug_assert!(o.is_owned(u));
-        let (c, ops) = d.count(a, None, o.a_owned(u), Some(u));
+        let (c, ops) = d.count(&env.payload[2..], None, o.a_owned(u), Some(u));
         *acc += c;
         ctx.add_work(ops + 1);
     }
 }
 
-/// [`run_rank_stats`] with a live adjacency-cache session over the oriented
-/// lists the global pass ships. With an off session this *is* the original
-/// protocol, wire format and meters included.
-pub fn run_rank_cached(
+/// [`run_rank`] plus this rank's per-phase kernel-dispatch tallies.
+pub fn run_rank_stats(
     ctx: &mut Ctx,
     mut lg: LocalGraph,
     cfg: &DistConfig,
-    session: &mut CacheSession<'_>,
 ) -> (u64, DispatchReport) {
     preprocess(ctx, &mut lg, cfg);
     let o = lg.orient(cfg.ordering, false);
@@ -199,45 +166,17 @@ pub fn run_rank_cached(
             if !dedup {
                 scratch.push(u);
             }
-            if session.active() {
-                if session.sender_check(j, ListKind::Oriented, v, av.len() as u64) {
-                    scratch.push(1);
-                } else {
-                    scratch.push(0);
-                    scratch.extend_from_slice(av);
-                }
-            } else {
-                session.sender_check(j, ListKind::Oriented, v, av.len() as u64);
-                scratch.extend_from_slice(av);
-            }
+            scratch.extend_from_slice(av);
             q.post(ctx, j, &scratch);
             // interleaved polling keeps receive buffers drained (the paper:
             // "each PE continuously polls for incoming messages")
             while q.poll(ctx, &mut |ctx, env| {
-                global_handler(
-                    &o,
-                    &part,
-                    dedup,
-                    ctx,
-                    env,
-                    &mut remote_count,
-                    &mut gd,
-                    session,
-                )
+                global_handler(&o, dedup, ctx, env, &mut remote_count, &mut gd)
             }) {}
         }
     }
     q.finish(ctx, &mut |ctx, env| {
-        global_handler(
-            &o,
-            &part,
-            dedup,
-            ctx,
-            env,
-            &mut remote_count,
-            &mut gd,
-            session,
-        )
+        global_handler(&o, dedup, ctx, env, &mut remote_count, &mut gd)
     });
 
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];

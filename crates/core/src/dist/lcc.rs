@@ -16,7 +16,6 @@
 //! accumulating its own `Δ` vectors which are summed element-wise in
 //! canonical chunk order (u64 addition — bit-identical to sequential).
 
-use tricount_cache::{CacheSession, ListKind};
 use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph, OrientedLocalGraph};
 use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
@@ -120,19 +119,6 @@ pub fn lcc_prepared_stats(
     prep: &PreparedRank,
     cfg: &DistConfig,
 ) -> (Vec<u64>, DispatchReport) {
-    lcc_prepared_cached(ctx, prep, cfg, &mut CacheSession::off())
-}
-
-/// [`lcc_prepared_stats`] with a live adjacency-cache session. The global
-/// phase ships the same contracted lists as CETRIC's, so LCC and count
-/// queries share [`ListKind::Contracted`] cache entries. With an off
-/// session this *is* the original protocol.
-pub fn lcc_prepared_cached(
-    ctx: &mut Ctx,
-    prep: &PreparedRank,
-    cfg: &DistConfig,
-    session: &mut CacheSession<'_>,
-) -> (Vec<u64>, DispatchReport) {
     let o = &prep.oriented;
     let owned_range = o.owned_range();
     let mut acc = DeltaAcc::for_oriented(o);
@@ -197,36 +183,19 @@ pub fn lcc_prepared_cached(
     );
     let part = o.partition().clone();
     let mut gd = Dispatcher::with_hubs(policy, &prep.hubs_contracted);
-    // Same wire formats as CETRIC's global phase ([`crate::dist::cetric`]):
-    // `[v, A(v)...]` when the session is off, `[v, 0, A(v)...]` /
-    // reference `[v, 1]` when active.
-    #[allow(clippy::too_many_arguments)]
+    // Same wire format as CETRIC's global phase ([`crate::dist::cetric`]):
+    // `[v, A(v)...]`.
     fn handler(
         acc: &mut DeltaAcc,
         contracted: &tricount_graph::dist::ContractedGraph,
         owned: &std::ops::Range<u64>,
-        part: &tricount_graph::Partition,
         ctx: &mut Ctx,
         env: Envelope<'_>,
         commons: &mut Vec<VertexId>,
         d: &mut Dispatcher<'_>,
-        session: &mut CacheSession<'_>,
     ) {
         let v = env.payload[0];
-        let resolved: Vec<u64>;
-        let a: &[u64] = if session.active() {
-            let owner = part.rank_of(v);
-            if env.payload[1] == 1 {
-                resolved = session.recv_ref(owner, ListKind::Contracted, v);
-                &resolved
-            } else {
-                let a = &env.payload[2..];
-                session.recv_full(owner, ListKind::Contracted, v, a);
-                a
-            }
-        } else {
-            &env.payload[1..]
-        };
+        let a = &env.payload[1..];
         for &u in a {
             if owned.contains(&u) {
                 commons.clear();
@@ -252,29 +221,17 @@ pub fn lcc_prepared_cached(
             last_rank = Some(j);
             scratch.clear();
             scratch.push(v);
-            if session.active() {
-                if session.sender_check(j, ListKind::Contracted, v, a.len() as u64) {
-                    scratch.push(1);
-                } else {
-                    scratch.push(0);
-                    scratch.extend_from_slice(a);
-                }
-            } else {
-                session.sender_check(j, ListKind::Contracted, v, a.len() as u64);
-                scratch.extend_from_slice(a);
-            }
+            scratch.extend_from_slice(a);
             q.post(ctx, j, &scratch);
             while q.poll(ctx, &mut |ctx, env| {
                 handler(
                     &mut acc,
                     contracted,
                     &owned_range,
-                    &part,
                     ctx,
                     env,
                     &mut commons2,
                     &mut gd,
-                    session,
                 )
             }) {}
         }
@@ -284,12 +241,10 @@ pub fn lcc_prepared_cached(
             &mut acc,
             contracted,
             &owned_range,
-            &part,
             ctx,
             env,
             &mut commons2,
             &mut gd,
-            session,
         )
     });
     ctx.end_phase(phases::GLOBAL);
@@ -364,53 +319,6 @@ pub fn lcc_on(dg: DistGraph, cfg: &DistConfig, degrees: &[u64]) -> LccResult {
         lcc,
         stats: out.output.stats,
     }
-}
-
-/// [`lcc_on`] against live adjacency-cache cells, one per rank: warm cells
-/// resolve contracted lists from the cache instead of re-shipping them, and
-/// staged entries survive into the next run over the same cells. The
-/// per-vertex counts are bit-identical to the uncached driver; the folded
-/// [`tricount_cache::CacheReport`] is returned alongside.
-pub fn lcc_on_cached(
-    dg: DistGraph,
-    cfg: &DistConfig,
-    degrees: &[u64],
-    caches: &[std::sync::Mutex<tricount_cache::RankCache>],
-) -> (LccResult, tricount_cache::CacheReport) {
-    let p = dg.num_ranks();
-    assert_eq!(caches.len(), p, "one cache cell per rank");
-    let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        let mut cache = caches[ctx.rank()].lock().expect("cache cell");
-        let generation = cache.generation();
-        let mut session = CacheSession::write(&mut cache, generation);
-        let prep = prepare_rank(ctx, lg, cfg);
-        let (owned, _) = lcc_prepared_cached(ctx, &prep, cfg, &mut session);
-        (owned, session.finish().report)
-    });
-    let mut per_vertex = Vec::with_capacity(degrees.len());
-    let mut report = tricount_cache::CacheReport::default();
-    for (owned, r) in out.output.results {
-        per_vertex.extend(owned);
-        report.absorb(&r);
-    }
-    assert_eq!(per_vertex.len(), degrees.len());
-    let triangles = per_vertex.iter().sum::<u64>() / 3;
-    let lcc = normalize_lcc(&per_vertex, degrees);
-    (
-        LccResult {
-            triangles,
-            per_vertex,
-            lcc,
-            stats: out.output.stats,
-        },
-        report,
-    )
 }
 
 /// Convenience driver: partitions `g` over `p` PEs and computes per-vertex

@@ -335,82 +335,6 @@ pub fn run_on_profiled(
     ))
 }
 
-/// Like [`run_on_stats`], threading a persistent per-rank adjacency cache
-/// through the run: rank `i` opens a [`CacheSession`] over `caches[i]`
-/// (exclusive writer — entries admitted this run become visible to the
-/// *next* run over the same cells, so repeated counts on a warm graph turn
-/// shipped adjacency lists into two-word references). The folded
-/// [`CacheReport`] of all ranks rides along. `caches` must hold exactly one
-/// cell per rank of `dg`; baselines ([`Algorithm::TricLike`] /
-/// [`Algorithm::HavoqgtLike`]) have no cached protocol and run with the
-/// session off.
-pub fn run_on_cached(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-    opts: &SimOptions,
-    caches: &[Mutex<tricount_cache::RankCache>],
-) -> Result<
-    (
-        CountResult,
-        dispatch::DispatchReport,
-        tricount_cache::CacheReport,
-    ),
-    DistError,
-> {
-    use tricount_cache::CacheSession;
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    assert_eq!(caches.len(), p, "one cache cell per rank");
-    let cells = into_cells(dg);
-    let body = |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        let mut cache = caches[ctx.rank()].lock().unwrap();
-        let generation = cache.generation();
-        let mut session = CacheSession::write(&mut cache, generation);
-        let counted = match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank_cached(ctx, lg, cfg, &mut session))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => {
-                Ok(cetric::run_rank_cached(ctx, lg, cfg, &mut session))
-            }
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg)
-                .map(|c| (c, dispatch::DispatchReport::new())),
-            Algorithm::HavoqgtLike => Ok((
-                baselines::havoqgt_like_rank(ctx, lg, cfg),
-                dispatch::DispatchReport::new(),
-            )),
-        };
-        let outcome = session.finish();
-        counted.map(|(c, d)| (c, d, outcome.report))
-    };
-    let sim = run_sim(p, &opts, body);
-    let mut triangles = 0u64;
-    let mut report = dispatch::DispatchReport::new();
-    let mut cache_report = tricount_cache::CacheReport::default();
-    for (i, r) in sim.output.results.into_iter().enumerate() {
-        let (c, d, cr) = r?;
-        if i == 0 {
-            triangles = c;
-        }
-        report.absorb(&d);
-        cache_report.absorb(&cr);
-    }
-    Ok((
-        CountResult {
-            triangles,
-            stats: sim.output.stats,
-        },
-        report,
-        cache_report,
-    ))
-}
-
 /// Like [`run_on`], but under the deadlock watchdog
 /// ([`tricount_comm::run_guarded`]): if no PE makes progress for `timeout`,
 /// the run is abandoned and the watchdog's wait-for-graph diagnosis comes

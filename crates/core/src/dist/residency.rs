@@ -45,11 +45,6 @@ pub struct PreparedRank {
     /// Same index over the contracted cut graph's neighborhoods (used by
     /// the global-phase intersection handler).
     pub hubs_contracted: HubIndex,
-    /// Generation tag, bumped by every delta compaction. The adjacency
-    /// cache (`tricount-cache`) keys its derived-list validity on it:
-    /// oriented/contracted entries are flushed when the generation moves,
-    /// full merged lists survive (compaction preserves merged content).
-    pub generation: u64,
 }
 
 /// Builds the hub indexes for a prepared rank's oriented and contracted
@@ -89,7 +84,6 @@ pub fn prepare_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> Prep
         contracted,
         hubs_oriented,
         hubs_contracted,
-        generation: 0,
     }
 }
 

@@ -15,7 +15,6 @@
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
-use tricount_cache::{CacheSession, ListKind};
 use tricount_comm::Ctx;
 use tricount_graph::dist::LocalGraph;
 use tricount_graph::kernels::Dispatcher;
@@ -48,22 +47,6 @@ pub fn edge_support_rank_stats(
     queries: &[(VertexId, VertexId)],
     cfg: &DistConfig,
 ) -> (Vec<u64>, DispatchReport) {
-    edge_support_rank_cached(ctx, lg, queries, cfg, &mut CacheSession::off())
-}
-
-/// [`edge_support_rank_stats`] with a live adjacency-cache session over the
-/// shipped `N(a)` lists ([`ListKind::Full`] — kept coherent across updates
-/// by `update_route` patches). Wire formats: the original
-/// `[idx, b, |N(a)|, N(a)…]` record with an off session; with an active one,
-/// `[idx, b, a, 0, |N(a)|, N(a)…]` full sends (the extra `a` keys the cache
-/// on the answering rank) or `[idx, b, a, 1]` references.
-pub fn edge_support_rank_cached(
-    ctx: &mut Ctx,
-    lg: &LocalGraph,
-    queries: &[(VertexId, VertexId)],
-    cfg: &DistConfig,
-    session: &mut CacheSession<'_>,
-) -> (Vec<u64>, DispatchReport) {
     let p = ctx.num_ranks();
     let part = lg.partition().clone();
     let mut d = Dispatcher::new(cfg.kernels);
@@ -86,49 +69,20 @@ pub fn edge_support_rank_cached(
             let dst = part.rank_of(b);
             outgoing[dst].push(idx as u64);
             outgoing[dst].push(b);
-            if session.active() {
-                outgoing[dst].push(a);
-                if session.sender_check(dst, ListKind::Full, a, na.len() as u64) {
-                    outgoing[dst].push(1);
-                } else {
-                    outgoing[dst].push(0);
-                    outgoing[dst].push(na.len() as u64);
-                    outgoing[dst].extend_from_slice(na);
-                }
-            } else {
-                session.sender_check(dst, ListKind::Full, a, na.len() as u64);
-                outgoing[dst].push(na.len() as u64);
-                outgoing[dst].extend_from_slice(na);
-            }
+            outgoing[dst].push(na.len() as u64);
+            outgoing[dst].extend_from_slice(na);
         }
     }
 
     let incoming = ctx.alltoallv(outgoing);
-    for (src, req) in incoming.iter().enumerate() {
+    for req in &incoming {
         let mut i = 0usize;
         while i < req.len() {
             let idx = req[i];
             let b = req[i + 1];
-            let resolved: Vec<u64>;
-            let na: &[u64] = if session.active() {
-                let a = req[i + 2];
-                if req[i + 3] == 1 {
-                    i += 4;
-                    resolved = session.recv_ref(src, ListKind::Full, a);
-                    &resolved
-                } else {
-                    let len = req[i + 4] as usize;
-                    let na = &req[i + 5..i + 5 + len];
-                    i += 5 + len;
-                    session.recv_full(src, ListKind::Full, a, na);
-                    na
-                }
-            } else {
-                let len = req[i + 2] as usize;
-                let na = &req[i + 3..i + 3 + len];
-                i += 3 + len;
-                na
-            };
+            let len = req[i + 2] as usize;
+            let na = &req[i + 3..i + 3 + len];
+            i += 3 + len;
             let (c, ops) = d.count(na, None, lg.neighbors(b), None);
             ctx.add_work(ops + 1);
             answered.push(idx);

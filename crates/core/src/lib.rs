@@ -49,6 +49,5 @@ pub mod sampling;
 pub mod seq;
 
 pub use config::{Aggregation, Algorithm, DistConfig};
-pub use dist::{count, count_with, run_on, run_on_cached, run_on_default};
+pub use dist::{count, count_with, run_on, run_on_default};
 pub use result::{ApproxResult, CountResult, DistError, LccResult};
-pub use tricount_cache::{CacheConfig, CacheReport, CacheSession, Eviction, RankCache};

@@ -620,11 +620,12 @@ impl EngineHost {
                     // directly on the tenant engine handle (never
                     // host-admitted), so a plain fetch_sub could wrap the
                     // counter and wedge admission at "overloaded" forever.
-                    let _ = inner
-                        .inflight
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                            Some(v.saturating_sub(answered))
-                        });
+                    let _ =
+                        inner
+                            .inflight
+                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                                Some(v.saturating_sub(answered))
+                            });
                 }
                 // A batch bounded by batch_max may leave admitted queries
                 // waiting: keep the tenant scheduled until its queue is dry.

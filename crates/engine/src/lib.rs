@@ -65,17 +65,16 @@ pub mod workload;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tricount_cache::{CacheReport, CacheRunOutcome, CacheSession, RankCache};
 use tricount_comm::{run_guarded, run_sim, CostModel, Counters, Ctx, RunStats, SimOptions};
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::approx::{approx_prepared, ApproxConfig, FilterKind};
 use tricount_core::dist::delta as delta_dist;
 use tricount_core::dist::dispatch::DispatchReport;
 use tricount_core::dist::residency::{build_residency, PreparedRank};
-use tricount_core::dist::support::edge_support_rank_cached;
+use tricount_core::dist::support::edge_support_rank_stats;
 use tricount_core::dist::{baselines, cetric, ditric, lcc, phases};
 use tricount_core::result::DistError;
 use tricount_delta::{Overlay, UpdateBatch};
@@ -89,7 +88,7 @@ pub use host::{
     EngineHost, HostConfig, HostError, HostReply, HostRequest, HostStats, ServeHandle, TenantStats,
 };
 pub use query::{EngineError, Query, QueryAnswer, TicketId};
-pub use stats::{EngineSpan, EngineStats, QueryRecord};
+pub use stats::{AdjacencyWords, EngineSpan, EngineStats, QueryRecord};
 pub use workload::scripted_workload;
 
 use epoch::{EpochSnapshot, EpochTable};
@@ -149,11 +148,11 @@ impl EngineConfig {
         }
     }
 
-    /// Enables the per-PE remote-adjacency cache with the given total word
-    /// budget (split evenly across held partitions, capped by
-    /// `dist.memory_limit_words` when set).
-    pub fn with_cache_budget(mut self, budget_words: u64) -> Self {
-        self.dist.cache = tricount_cache::CacheConfig::with_budget(budget_words);
+    /// Inert: returns `self` unchanged. The remote-adjacency cache this
+    /// once enabled was removed (DESIGN §5i); the name is kept only so the
+    /// frozen benchmark driver still builds, and the next `benchmark` PR
+    /// removes it.
+    pub fn with_cache_budget(self, _budget_words: u64) -> Self {
         self
     }
 }
@@ -255,12 +254,6 @@ struct Metrics {
     /// Per-phase kernel-dispatch tallies over every query and update run,
     /// folded in canonical (phase, rank) order.
     kernel_dispatch: DispatchReport,
-    /// Adjacency-cache session reports folded over query runs (metered —
-    /// adjacency words separated from collective words — even when the
-    /// cache is disabled).
-    query_adjacency: CacheReport,
-    /// Adjacency-cache session reports folded over update runs.
-    update_adjacency: CacheReport,
 }
 
 impl Metrics {
@@ -276,19 +269,6 @@ impl Metrics {
     }
 }
 
-/// The per-PE remote-adjacency caches plus the guards making them safe
-/// under concurrent serving: `version` bumps whenever the contents are
-/// replaced (an update installing its write-session results, a seal
-/// flushing stale generations, a watchdog cold-restart) so in-flight read
-/// logs captured against older contents are dropped instead of committed;
-/// `epoch` names the graph state the contents are coherent with, so only
-/// queries pinned to exactly that epoch open read sessions.
-struct AdjState {
-    caches: Arc<Vec<RankCache>>,
-    version: u64,
-    epoch: u64,
-}
-
 /// The shared state behind an [`Engine`] handle.
 struct EngineInner {
     cfg: EngineConfig,
@@ -300,7 +280,6 @@ struct EngineInner {
     /// Result cache keyed by `(epoch, key)`; entries of an epoch are
     /// pruned when it retires.
     results: Mutex<BTreeMap<(u64, QueryKey), CachedValue>>,
-    adj: Mutex<AdjState>,
     pool: Arc<Pool>,
     next_ticket: AtomicU64,
     metrics: Mutex<Metrics>,
@@ -372,18 +351,12 @@ impl Engine {
             Arc::new(degrees),
             resident_triangles,
         );
-        let adj = AdjState {
-            caches: Arc::new(EngineInner::fresh_caches(&cfg)),
-            version: 0,
-            epoch: 0,
-        };
         Engine {
             inner: Arc::new(EngineInner {
                 num_vertices: g.num_vertices(),
                 epochs: EpochTable::new(first),
                 pending: Mutex::new(VecDeque::new()),
                 results: Mutex::new(BTreeMap::new()),
-                adj: Mutex::new(adj),
                 pool,
                 next_ticket: AtomicU64::new(0),
                 metrics: Mutex::new(Metrics::default()),
@@ -535,8 +508,7 @@ impl Engine {
             .collect();
 
         // Seal every distinct pinned snapshot up front, so all jobs of
-        // this tick run against folded serving state and one coherent
-        // adjacency-cache snapshot. A failed seal (watchdog-killed fold)
+        // this tick run against folded serving state. A failed seal (watchdog-killed fold)
         // fails only the tickets pinned to that epoch — tickets on other
         // epochs, sealed or already clean, still get answers.
         let mut serving: BTreeMap<u64, Arc<Vec<PreparedRank>>> = BTreeMap::new();
@@ -554,14 +526,6 @@ impl Engine {
                 }
             }
         }
-
-        // One adjacency snapshot per tick: contents, the version guarding
-        // commits, and the epoch the contents are coherent with.
-        let (caches, cache_version, cache_epoch) = {
-            let a = inner.adj.lock().expect("adjacency lock");
-            (a.caches.clone(), a.version, a.epoch)
-        };
-        let cache_on = inner.cfg.dist.cache.enabled;
 
         // The batch's distinct, uncached (epoch, key) jobs — each computed
         // exactly once.
@@ -586,35 +550,18 @@ impl Engine {
 
         // Concurrent execution of distinct jobs (scoped threads; the
         // closure only borrows the resident state).
-        let (task_results, pool_stats) =
-            inner
-                .pool
-                .run_tasks_stats(jobs.clone(), |_, (snap, ranks, key)| {
-                    // Read sessions only against contents coherent with
-                    // the job's pinned epoch; older epochs run metered.
-                    let enabled = cache_on && snap.epoch == cache_epoch;
-                    inner.compute(&snap, &ranks, &key, &caches, enabled)
-                });
-        #[allow(clippy::type_complexity)]
-        let computed: Vec<
-            Result<
-                (
-                    CachedValue,
-                    RunStats,
-                    f64,
-                    DispatchReport,
-                    Vec<CacheRunOutcome>,
-                ),
-                EngineError,
-            >,
-        > = task_results.into_iter().map(|tr| tr.result).collect();
+        let (task_results, pool_stats) = inner
+            .pool
+            .run_tasks_stats(jobs.clone(), |_, (snap, ranks, key)| {
+                inner.compute(&snap, &ranks, &key)
+            });
+        let computed: Vec<_> = task_results.into_iter().map(|tr| tr.result).collect();
         let run_end = inner.now_nanos();
 
         // Fold results into cache and metrics.
         let cost = inner.cfg.timing.unwrap_or_default();
         let mut failures: BTreeMap<(u64, QueryKey), EngineError> = BTreeMap::new();
         let mut run_costs: BTreeMap<(u64, QueryKey), (f64, f64)> = BTreeMap::new();
-        let mut committed_logs = false;
         {
             let mut m = inner.metrics.lock().expect("metrics lock");
             if m.pool_workers.len() < pool_stats.workers.len() {
@@ -626,7 +573,7 @@ impl Engine {
             }
             for ((snap, _ranks, key), outcome) in jobs.into_iter().zip(computed) {
                 match outcome {
-                    Ok((value, stats, wall, dispatch, cache_outcomes)) => {
+                    Ok((value, stats, wall, dispatch)) => {
                         let modeled = stats.modeled_time(&cost);
                         m.kernel_dispatch.absorb(&dispatch);
                         m.absorb_contention(&stats);
@@ -643,34 +590,12 @@ impl Engine {
                             .lock()
                             .expect("results lock")
                             .insert((snap.epoch, key), value);
-                        // Admissions observed by this run become visible
-                        // to later ticks (never to concurrent jobs of this
-                        // one) — job order makes the state
-                        // schedule-independent. The version guard drops
-                        // logs raced by an update or seal.
-                        let want = cache_on && snap.epoch == cache_epoch;
-                        committed_logs |= inner.commit_query_outcomes(
-                            &mut m,
-                            cache_outcomes,
-                            want,
-                            cache_version,
-                        );
                     }
                     Err(e) => {
                         failures.insert((snap.epoch, key), e);
                     }
                 }
             }
-        }
-        if committed_logs {
-            let mut m = inner.metrics.lock().expect("metrics lock");
-            let end = inner.now_nanos();
-            m.spans.push(EngineSpan {
-                label: "cache_commit",
-                batch: batch_index,
-                begin_nanos: run_end,
-                end_nanos: end,
-            });
         }
 
         // Answer every ticket from the (now warm) cache. The first ticket
@@ -802,8 +727,6 @@ impl Engine {
         );
         let retired = inner.epochs.publish(next);
         inner.prune_results(&retired);
-        // Same graph, new epoch: the adjacency contents stay coherent.
-        inner.adj.lock().expect("adjacency lock").epoch = next_epoch;
     }
 
     /// Applies a batch of edge insertions/deletions to the resident graph
@@ -870,62 +793,23 @@ impl Engine {
         let overlays: Arc<Vec<Mutex<Overlay>>> =
             Arc::new(thawed.into_iter().map(Mutex::new).collect());
         let dist = inner.cfg.dist;
-        let shared_batch = Arc::new(canonical);
-        let batch_ref = shared_batch.clone();
-        // The update run is the adjacency cache's single writer — but it
-        // writes a *copy*, installed (with a bumped version) only after
-        // the new epoch is published. Mid-flight readers keep the old
-        // contents; the version guard drops their commit logs. Write
-        // sessions emit the coherence records keeping held `Full` entries
-        // exact.
-        let enabled = inner.cfg.dist.cache.enabled;
-        let cache_cells: Arc<Vec<Mutex<RankCache>>> = {
-            let a = inner.adj.lock().expect("adjacency lock");
-            Arc::new((*a.caches).clone().into_iter().map(Mutex::new).collect())
-        };
-        let run_cells = cache_cells.clone();
+        let canonical = Arc::new(canonical);
         let run_ranks = base_ranks.clone();
         let run_overlays = overlays.clone();
         let out = run_guarded(p, &opts, inner.cfg.watchdog, move |ctx: &mut Ctx| {
             let mut ov = run_overlays[ctx.rank()].lock().expect("overlay lock");
-            let mut cache = run_cells[ctx.rank()].lock().expect("cache cell");
-            let mut session = if enabled {
-                CacheSession::write(&mut cache, run_ranks[ctx.rank()].generation)
-            } else {
-                CacheSession::metered()
-            };
-            let outcome = delta_dist::apply_batch_rank_cached(
+            delta_dist::apply_batch_rank(
                 ctx,
                 &run_ranks[ctx.rank()].local,
                 &mut ov,
-                &batch_ref,
+                &canonical,
                 &dist,
-                &mut session,
-            );
-            let report = if enabled {
-                ctx.with_span("cache_commit", |_| session.finish().report)
-            } else {
-                session.finish().report
-            };
-            (outcome, report)
-        });
-        let out = match out {
-            Ok(out) => out,
-            Err(e) => {
-                // A watchdog-killed run may have leaked rank threads still
-                // holding cache cells mid-session; restart the shared
-                // caches cold (readers racing the failure drop their logs
-                // on the version bump).
-                let mut a = inner.adj.lock().expect("adjacency lock");
-                a.caches = Arc::new(EngineInner::fresh_caches(&inner.cfg));
-                a.version += 1;
-                return Err(DistError::from(e).into());
-            }
-        };
+            )
+        })
+        .map_err(DistError::from)?;
         let wall = started.elapsed().as_secs_f64();
         let stats = out.output.stats;
-        let (outcomes, cache_reports): (Vec<_>, Vec<CacheReport>) =
-            out.output.results.into_iter().unzip();
+        let outcomes = out.output.results;
 
         // Degree maintenance: each effective edge appears in exactly one
         // rank's tail list; both endpoint degrees move by one. The next
@@ -952,9 +836,6 @@ impl Engine {
         {
             let mut m = inner.metrics.lock().expect("metrics lock");
             m.absorb_contention(&stats);
-            for r in &cache_reports {
-                m.update_adjacency.absorb(r);
-            }
             // Kernel-dispatch tallies of the counting passes, folded per
             // rank in rank order under the update-count phase.
             for o in &outcomes {
@@ -993,9 +874,7 @@ impl Engine {
 
         if !changed {
             // Every op was a no-op: the graph and overlays are unchanged,
-            // so no new epoch. Install the (identical) cache contents
-            // back to keep the single-writer discipline simple.
-            inner.install_cache_cells(&cache_cells, tip.epoch);
+            // so no new epoch.
             return Ok(receipt(tip.epoch, false));
         }
 
@@ -1031,22 +910,10 @@ impl Engine {
                         worked,
                         &degrees,
                         triangles_after,
-                        &cache_cells,
                     );
                     return Err(e);
                 }
             };
-            if enabled {
-                // Re-orientation/re-contraction stales oriented and
-                // contracted cache entries wholesale: the bumped
-                // generation tag flushes them from the copy about to be
-                // installed (merged `Full` lists survive — coherence kept
-                // them exact through the updates that forced this fold).
-                let generation = folded[0].generation;
-                for cell in cache_cells.iter() {
-                    cell.lock().expect("cache cell").set_generation(generation);
-                }
-            }
             let fresh: Vec<Overlay> = folded
                 .iter()
                 .map(|r| Overlay::for_local(&r.local))
@@ -1072,7 +939,6 @@ impl Engine {
             next_overlay,
             &degrees,
             triangles_after,
-            &cache_cells,
         );
         Ok(receipt(tip.epoch + 1, compacted))
     }
@@ -1080,7 +946,6 @@ impl Engine {
     /// Snapshots aggregate and per-query serving statistics.
     pub fn stats(&self) -> EngineStats {
         let inner = &self.inner;
-        let (adj_cache_entries, adj_cache_resident_words) = inner.adj_cache_usage();
         let epochs = inner.epochs.counts();
         let tip = inner.epochs.current();
         let queue_depth = self.queue_depth();
@@ -1151,11 +1016,9 @@ impl Engine {
             spans: m.spans.clone(),
             per_query: m.per_query.clone(),
             kernel_dispatch: m.kernel_dispatch.clone(),
-            adj_cache_enabled: inner.cfg.dist.cache.enabled,
-            query_adjacency: m.query_adjacency,
-            update_adjacency: m.update_adjacency,
-            adj_cache_entries,
-            adj_cache_resident_words,
+            query_adjacency: AdjacencyWords::default(),
+            update_adjacency: AdjacencyWords::default(),
+            adj_cache_resident_words: 0,
         }
     }
 
@@ -1331,73 +1194,6 @@ impl Engine {
                 snapshot.wall_events_dropped,
             );
         }
-        for (path, report) in [
-            ("query", &snapshot.query_adjacency),
-            ("update", &snapshot.update_adjacency),
-        ] {
-            let path_label = [("path", path.to_string())];
-            reg.counter_with(
-                "tricount_cache_lookups_total",
-                "Remote-adjacency cache lookups (sender-side mirror consultations)",
-                &path_label,
-                report.lookups,
-            );
-            reg.counter_with(
-                "tricount_cache_hits_total",
-                "Adjacency shipments replaced by cache references",
-                &path_label,
-                report.hits,
-            );
-            reg.counter_with(
-                "tricount_cache_misses_total",
-                "Adjacency lookups that shipped the full list",
-                &path_label,
-                report.misses,
-            );
-            reg.counter_with(
-                "tricount_cache_words_shipped_total",
-                "Adjacency list words put on the wire",
-                &path_label,
-                report.words_shipped,
-            );
-            reg.counter_with(
-                "tricount_cache_words_saved_total",
-                "Adjacency list words elided by cache references",
-                &path_label,
-                report.words_saved,
-            );
-            reg.counter_with(
-                "tricount_cache_invalidations_total",
-                "Held entries dropped by update coherence",
-                &path_label,
-                report.invalidations,
-            );
-            reg.counter_with(
-                "tricount_cache_patches_total",
-                "Held entries patched in place by update coherence",
-                &path_label,
-                report.patches,
-            );
-            reg.counter_with(
-                "tricount_cache_evictions_total",
-                "Held entries evicted by the word budget",
-                &path_label,
-                report.evictions,
-            );
-        }
-        {
-            let (entries, words) = inner.adj_cache_usage();
-            reg.gauge(
-                "tricount_cache_entries",
-                "Held remote-adjacency entries resident across PE caches",
-                entries as f64,
-            );
-            reg.gauge(
-                "tricount_cache_resident_words",
-                "Words held remote-adjacency entries occupy",
-                words as f64,
-            );
-        }
         for (phase, counters) in &snapshot.kernel_dispatch.phases {
             for (kernel, n) in counters.named() {
                 reg.counter_with(
@@ -1452,88 +1248,8 @@ impl EngineInner {
         }
     }
 
-    /// Cold per-PE adjacency caches under the configured budget (and the
-    /// §IV-A memory bound, when `dist.memory_limit_words` caps it).
-    fn fresh_caches(cfg: &EngineConfig) -> Vec<RankCache> {
-        (0..cfg.num_ranks)
-            .map(|_| RankCache::new(cfg.dist.cache, cfg.num_ranks, cfg.dist.memory_limit_words))
-            .collect()
-    }
-
-    fn adj_lock(&self) -> MutexGuard<'_, AdjState> {
-        self.adj.lock().expect("adjacency lock")
-    }
-
-    /// Opens the session a query run uses on rank `rank`: a read session
-    /// over the shared snapshot when the cache serves this epoch, a
-    /// metering-only session otherwise (so the adjacency/collective comm
-    /// split is observable either way).
-    fn query_session<'c>(caches: &'c [RankCache], enabled: bool, rank: usize) -> CacheSession<'c> {
-        if enabled {
-            CacheSession::read(&caches[rank])
-        } else {
-            CacheSession::metered()
-        }
-    }
-
-    /// Commits one query run's per-rank session logs into the resident
-    /// caches (rank order within the run; runs commit in job order) —
-    /// unless `want` is off (metered run, or a job pinned off the cache's
-    /// epoch) or the contents moved since the run captured them (the
-    /// version guard: committing then would graft pre-update adjacency
-    /// onto post-update contents). Session metering is absorbed either
-    /// way. Returns whether logs were committed.
-    fn commit_query_outcomes(
-        &self,
-        m: &mut Metrics,
-        outcomes: Vec<CacheRunOutcome>,
-        want: bool,
-        version: u64,
-    ) -> bool {
-        let mut committed = false;
-        if want && !outcomes.is_empty() {
-            let mut a = self.adj_lock();
-            if a.version == version {
-                let caches = Arc::make_mut(&mut a.caches);
-                for (rank, o) in outcomes.iter().enumerate() {
-                    let evicted = caches[rank].commit(&o.log);
-                    m.query_adjacency.evictions += evicted;
-                }
-                committed = true;
-            }
-        }
-        for o in &outcomes {
-            m.query_adjacency.absorb(&o.report);
-        }
-        committed
-    }
-
-    /// Current totals of the per-PE adjacency caches: (held entries,
-    /// resident words).
-    fn adj_cache_usage(&self) -> (u64, u64) {
-        let a = self.adj_lock();
-        a.caches.iter().fold((0, 0), |(e, w), c| {
-            (e + c.held_entries(), w + c.resident_words())
-        })
-    }
-
-    /// Installs the update run's cache cells as the shared contents,
-    /// bumping the version (dropping racing reader logs) and tagging the
-    /// epoch they are coherent with.
-    fn install_cache_cells(&self, cells: &Arc<Vec<Mutex<RankCache>>>, epoch: u64) {
-        let contents: Vec<RankCache> = cells
-            .iter()
-            .map(|c| c.lock().expect("cache cell").clone())
-            .collect();
-        let mut a = self.adj_lock();
-        a.caches = Arc::new(contents);
-        a.version += 1;
-        a.epoch = epoch;
-    }
-
-    /// Publishes the update's result as epoch `next_epoch`, prunes
-    /// result-cache entries of epochs retired by the publication, and
-    /// installs the written adjacency caches tagged to the new epoch.
+    /// Publishes the update's result as epoch `next_epoch` and prunes
+    /// result-cache entries of epochs retired by the publication.
     fn publish_update(
         &self,
         next_epoch: u64,
@@ -1541,7 +1257,6 @@ impl EngineInner {
         overlay: Vec<Overlay>,
         degrees: &[u64],
         triangles: u64,
-        cache_cells: &Arc<Vec<Mutex<RankCache>>>,
     ) {
         let snap = EpochSnapshot::new(
             next_epoch,
@@ -1552,7 +1267,6 @@ impl EngineInner {
         );
         let retired = self.epochs.publish(snap);
         self.prune_results(&retired);
-        self.install_cache_cells(cache_cells, next_epoch);
     }
 
     /// Drops result-cache entries keyed by retired epochs.
@@ -1574,9 +1288,8 @@ impl EngineInner {
     /// Prepared state serving `snap`: the bases when clean, the memoized
     /// seal when present, otherwise folds the frozen overlay now (exactly
     /// once per snapshot — concurrent callers block on the seal lock and
-    /// reuse the result). A fresh fold counts as a compaction, records a
-    /// "seal" span, and — when it re-prepared the state the adjacency
-    /// cache serves — flushes generation-stale cache entries.
+    /// reuse the result). A fresh fold counts as a compaction and records a
+    /// "seal" span.
     fn serving_ranks(
         &self,
         snap: &Arc<EpochSnapshot>,
@@ -1589,17 +1302,6 @@ impl EngineInner {
         let (serving, sealed_now) =
             snap.seal(|ranks, overlays| self.fold_overlays(ranks, overlays))?;
         if sealed_now {
-            if self.cfg.dist.cache.enabled {
-                let mut a = self.adj_lock();
-                if a.epoch == snap.epoch {
-                    let generation = serving[0].generation;
-                    let caches = Arc::make_mut(&mut a.caches);
-                    for c in caches.iter_mut() {
-                        c.set_generation(generation);
-                    }
-                    a.version += 1;
-                }
-            }
             let mut m = self.metrics.lock().expect("metrics lock");
             m.compactions += 1;
             let end = self.now_nanos();
@@ -1687,127 +1389,80 @@ impl EngineInner {
 
     /// Executes one (epoch, key) job as a guarded distributed run against
     /// the pinned snapshot's serving state. Returns the value, the run's
-    /// statistics, its wall time, the per-rank kernel-dispatch tallies
-    /// folded in rank order, and the per-rank adjacency-cache run outcomes
-    /// (logs awaiting the post-tick commit, plus metering).
-    #[allow(clippy::type_complexity)]
+    /// statistics, its wall time and the per-rank kernel-dispatch tallies
+    /// folded in rank order.
     fn compute(
         &self,
         snap: &EpochSnapshot,
         serving: &Arc<Vec<PreparedRank>>,
         key: &QueryKey,
-        caches: &Arc<Vec<RankCache>>,
-        enabled: bool,
-    ) -> Result<
-        (
-            CachedValue,
-            RunStats,
-            f64,
-            DispatchReport,
-            Vec<CacheRunOutcome>,
-        ),
-        EngineError,
-    > {
+    ) -> Result<(CachedValue, RunStats, f64, DispatchReport), EngineError> {
         let p = self.cfg.num_ranks;
         let opts = self.run_opts();
-        let caches = caches.clone();
         let started = Instant::now();
         match key {
             QueryKey::Global(idx) => {
                 let alg = Algorithm::all()[*idx as usize];
                 // Global queries run under the variant's own configuration,
-                // but the serving-side kernel policy and cache knobs are the
-                // engine's.
+                // but the serving-side kernel policy is the engine's.
                 let mut cfg = alg.config();
                 cfg.kernels = self.cfg.dist.kernels;
-                cfg.cache = self.cfg.dist.cache;
                 let ranks = serving.clone();
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
-                    let mut session = Self::query_session(&caches, enabled, ctx.rank());
-                    let r = exec_global(ctx, &ranks[ctx.rank()], alg, &cfg, &mut session);
-                    r.map(|v| (v, session.finish()))
+                    exec_global(ctx, &ranks[ctx.rank()], alg, &cfg)
                 })
                 .map_err(DistError::from)?;
                 let wall = started.elapsed().as_secs_f64();
                 let mut count = 0u64;
                 let mut report = DispatchReport::new();
-                let mut outcomes = Vec::with_capacity(p);
                 for (i, r) in out.output.results.into_iter().enumerate() {
-                    let ((c, d), o) = r.map_err(EngineError::Dist)?;
+                    let (c, d) = r.map_err(EngineError::Dist)?;
                     if i == 0 {
                         count = c;
                     }
                     report.absorb(&d);
-                    outcomes.push(o);
                 }
-                Ok((
-                    CachedValue::Count(count),
-                    out.output.stats,
-                    wall,
-                    report,
-                    outcomes,
-                ))
+                Ok((CachedValue::Count(count), out.output.stats, wall, report))
             }
             QueryKey::LccFull => {
                 let ranks = serving.clone();
                 let cfg = self.cfg.dist;
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
-                    let mut session = Self::query_session(&caches, enabled, ctx.rank());
-                    let r = lcc::lcc_prepared_cached(ctx, &ranks[ctx.rank()], &cfg, &mut session);
-                    (r, session.finish())
+                    lcc::lcc_prepared_stats(ctx, &ranks[ctx.rank()], &cfg)
                 })
                 .map_err(DistError::from)?;
                 let wall = started.elapsed().as_secs_f64();
                 let mut per_vertex = Vec::with_capacity(snap.degrees.len());
                 let mut report = DispatchReport::new();
-                let mut outcomes = Vec::with_capacity(p);
-                for ((owned, d), o) in out.output.results {
+                for (owned, d) in out.output.results {
                     per_vertex.extend(owned);
                     report.absorb(&d);
-                    outcomes.push(o);
                 }
                 let full = lcc::normalize_lcc(&per_vertex, &snap.degrees);
-                Ok((
-                    CachedValue::LccFull(full),
-                    out.output.stats,
-                    wall,
-                    report,
-                    outcomes,
-                ))
+                Ok((CachedValue::LccFull(full), out.output.stats, wall, report))
             }
             QueryKey::Support(edges) => {
                 let ranks = serving.clone();
                 let cfg = self.cfg.dist;
                 let edges = Arc::new(edges.clone());
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
-                    let mut session = Self::query_session(&caches, enabled, ctx.rank());
-                    let r = edge_support_rank_cached(
-                        ctx,
-                        &ranks[ctx.rank()].local,
-                        &edges,
-                        &cfg,
-                        &mut session,
-                    );
-                    (r, session.finish())
+                    edge_support_rank_stats(ctx, &ranks[ctx.rank()].local, &edges, &cfg)
                 })
                 .map_err(DistError::from)?;
                 let wall = started.elapsed().as_secs_f64();
                 let mut support = Vec::new();
                 let mut report = DispatchReport::new();
-                let mut outcomes = Vec::with_capacity(p);
-                for (i, ((s, d), o)) in out.output.results.into_iter().enumerate() {
+                for (i, (s, d)) in out.output.results.into_iter().enumerate() {
                     if i == 0 {
                         support = s;
                     }
                     report.absorb(&d);
-                    outcomes.push(o);
                 }
                 Ok((
                     CachedValue::Support(support),
                     out.output.stats,
                     wall,
                     report,
-                    outcomes,
                 ))
             }
             QueryKey::Approx(bits) => {
@@ -1834,18 +1489,11 @@ impl EngineInner {
                     CachedValue::Approx(exact as f64 + corrected, *bits as f64),
                     out.output.stats,
                     wall,
-                    report_empty(),
-                    // The sketch exchange ships filters, not adjacency
-                    // lists — nothing for the cache.
-                    Vec::new(),
+                    DispatchReport::new(),
                 ))
             }
         }
     }
-}
-
-fn report_empty() -> DispatchReport {
-    DispatchReport::new()
 }
 
 /// One rank's program for a global-count query: the contraction variants
@@ -1859,15 +1507,12 @@ fn exec_global(
     prep: &PreparedRank,
     alg: Algorithm,
     cfg: &DistConfig,
-    session: &mut CacheSession<'_>,
 ) -> Result<(u64, DispatchReport), DistError> {
     match alg {
-        Algorithm::Cetric | Algorithm::Cetric2 => {
-            Ok(cetric::count_prepared_cached(ctx, prep, cfg, session))
+        Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::count_prepared_stats(ctx, prep, cfg)),
+        Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
+            Ok(ditric::run_rank_stats(ctx, prep.local.clone(), cfg))
         }
-        Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => Ok(
-            ditric::run_rank_cached(ctx, prep.local.clone(), cfg, session),
-        ),
         Algorithm::TricLike => baselines::tric_like_rank(ctx, prep.local.clone(), cfg)
             .map(|c| (c, DispatchReport::new())),
         Algorithm::HavoqgtLike => Ok((

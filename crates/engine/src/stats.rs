@@ -1,7 +1,6 @@
 //! Engine observability: per-query records and aggregate serving
 //! statistics, serialisable to JSON without any external dependency.
 
-use tricount_cache::CacheReport;
 use tricount_comm::Counters;
 use tricount_core::dist::dispatch::DispatchReport;
 use tricount_obs::Summary;
@@ -26,15 +25,15 @@ pub struct QueryRecord {
     pub failed: bool,
 }
 
-/// One engine lifecycle span: a tick stage (`admit` → `run` → `answer` →
-/// `cache_commit`, under an enclosing `batch`, plus `seal` when a tick
+/// One engine lifecycle span: a tick stage (`admit` → `run` → `answer`,
+/// under an enclosing `batch`, plus `seal` when a tick
 /// lazily folded a dirty pinned snapshot) or a graph-mutation stage
 /// (`update`, `compaction`), in wall nanoseconds since the engine was
 /// built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSpan {
-    /// Stage label: "batch", "admit", "run", "answer", "cache_commit",
-    /// "seal", "update" or "compaction".
+    /// Stage label: "batch", "admit", "run", "answer", "seal", "update" or
+    /// "compaction".
     pub label: &'static str,
     /// Tick index the span belongs to (0-based).
     pub batch: u64,
@@ -42,6 +41,18 @@ pub struct EngineSpan {
     pub begin_nanos: u64,
     /// End of the stage.
     pub end_nanos: u64,
+}
+
+/// Inert adjacency-word meters, always zero. The remote-adjacency cache
+/// that filled them was removed (DESIGN §5i); the type is kept only so the
+/// frozen benchmark driver still builds, and the next `benchmark` PR
+/// removes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdjacencyWords {
+    /// Always 0.
+    pub words_shipped: u64,
+    /// Always 0.
+    pub words_saved: u64,
 }
 
 /// Aggregate serving statistics, snapshotted by
@@ -149,19 +160,14 @@ pub struct EngineStats {
     /// Kernel-dispatch tallies per counting phase, over every query and
     /// update run since the engine was built.
     pub kernel_dispatch: DispatchReport,
-    /// Whether the remote-adjacency cache is enabled.
-    pub adj_cache_enabled: bool,
-    /// Adjacency-cache meters folded over every query run. With the cache
-    /// disabled only `words_shipped` moves — the adjacency side of the
-    /// comm split (`query_comm` words minus these are headers, answers and
-    /// collectives).
-    pub query_adjacency: CacheReport,
-    /// Adjacency-cache meters folded over every update run (coherence
-    /// invalidations/patches land here — updates are the single writer).
-    pub update_adjacency: CacheReport,
-    /// Held adjacency entries resident across the PE caches right now.
-    pub adj_cache_entries: u64,
-    /// Words those held entries occupy.
+    /// Inert, always zero: kept only for the frozen benchmark driver; the
+    /// next `benchmark` PR removes it.
+    pub query_adjacency: AdjacencyWords,
+    /// Inert, always zero: kept only for the frozen benchmark driver; the
+    /// next `benchmark` PR removes it.
+    pub update_adjacency: AdjacencyWords,
+    /// Inert, always 0: kept only for the frozen benchmark driver; the
+    /// next `benchmark` PR removes it.
     pub adj_cache_resident_words: u64,
 }
 
@@ -175,14 +181,10 @@ impl EngineStats {
         }
     }
 
-    /// Fraction of remote-adjacency lookups in query runs served from the
-    /// cache (0 when none were made).
+    /// Inert, always 0.0: kept only for the frozen benchmark driver; the
+    /// next `benchmark` PR removes it.
     pub fn adj_cache_hit_rate(&self) -> f64 {
-        if self.query_adjacency.lookups == 0 {
-            0.0
-        } else {
-            self.query_adjacency.hits as f64 / self.query_adjacency.lookups as f64
-        }
+        0.0
     }
 
     /// Serialises the snapshot as a JSON object (hand-rolled: the workspace
@@ -294,36 +296,6 @@ impl EngineStats {
             "kernel_dispatch",
             &dispatch_json(&self.kernel_dispatch),
         );
-        push_field(
-            &mut s,
-            "adj_cache_enabled",
-            &self.adj_cache_enabled.to_string(),
-        );
-        push_field(
-            &mut s,
-            "adj_cache_hit_rate",
-            &json_f64(self.adj_cache_hit_rate()),
-        );
-        push_field(
-            &mut s,
-            "query_adjacency",
-            &cache_report_json(&self.query_adjacency),
-        );
-        push_field(
-            &mut s,
-            "update_adjacency",
-            &cache_report_json(&self.update_adjacency),
-        );
-        push_field(
-            &mut s,
-            "adj_cache_entries",
-            &self.adj_cache_entries.to_string(),
-        );
-        push_field(
-            &mut s,
-            "adj_cache_resident_words",
-            &self.adj_cache_resident_words.to_string(),
-        );
         let records: Vec<String> = self.per_query.iter().map(record_json).collect();
         s.push_str("\"per_query\":[");
         s.push_str(&records.join(","));
@@ -373,24 +345,6 @@ pub fn dispatch_json(r: &DispatchReport) -> String {
         })
         .collect();
     format!("{{{}}}", phases.join(","))
-}
-
-/// Serialises a [`CacheReport`] as a JSON object — the adjacency side of
-/// the comm split: words the protocols shipped as adjacency lists vs words
-/// the cache turned into references.
-pub fn cache_report_json(r: &CacheReport) -> String {
-    format!(
-        "{{\"lookups\":{},\"hits\":{},\"misses\":{},\"adjacency_words_shipped\":{},\"adjacency_words_saved\":{},\"invalidations\":{},\"patches\":{},\"evictions\":{},\"staged\":{}}}",
-        r.lookups,
-        r.hits,
-        r.misses,
-        r.words_shipped,
-        r.words_saved,
-        r.invalidations,
-        r.patches,
-        r.evictions,
-        r.staged
-    )
 }
 
 /// Serialises the interesting [`Counters`] fields as a JSON object.
@@ -507,29 +461,17 @@ mod tests {
                     bitmap: 0,
                 },
             ),
-            adj_cache_enabled: true,
-            query_adjacency: CacheReport {
-                lookups: 4,
-                hits: 3,
-                misses: 1,
-                words_shipped: 10,
-                words_saved: 30,
-                invalidations: 0,
-                patches: 0,
-                evictions: 0,
-                staged: 1,
-            },
-            update_adjacency: CacheReport::default(),
-            adj_cache_entries: 1,
-            adj_cache_resident_words: 10,
+            query_adjacency: AdjacencyWords::default(),
+            update_adjacency: AdjacencyWords::default(),
+            adj_cache_resident_words: 0,
         };
         let j = stats.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"cache_hit_rate\":0.5"));
-        assert!(j.contains("\"adj_cache_enabled\":true"));
-        assert!(j.contains("\"adj_cache_hit_rate\":0.75"));
-        assert!(j.contains("\"query_adjacency\":{\"lookups\":4,\"hits\":3,\"misses\":1,\"adjacency_words_shipped\":10,\"adjacency_words_saved\":30"));
-        assert!(j.contains("\"adj_cache_resident_words\":10"));
+        assert!(
+            !j.contains("adj"),
+            "the inert adjacency fields stay out of JSON"
+        );
         assert!(j.contains("\"transport\":\"sim\""));
         assert!(j.contains(
             "\"kernel_dispatch\":{\"local\":{\"merge\":3,\"gallop\":2,\"binary\":1,\"bitmap\":0}}"

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use std::sync::Mutex;
-use tricount_comm::SimOptions;
+use tricount_comm::{Counters, SimOptions};
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::delta as delta_dist;
 use tricount_core::dist::residency::build_residency;
@@ -15,6 +15,7 @@ use tricount_core::seq;
 use tricount_delta::{apply_to_csr, random_batch, Overlay, UpdateBatch};
 use tricount_engine::{Engine, EngineConfig, EngineError, Query, QueryAnswer};
 use tricount_graph::dist::DistGraph;
+use tricount_graph::intersect::merge_count;
 use tricount_graph::Csr;
 
 fn engine_for(g: &Csr, p: usize) -> Engine {
@@ -265,4 +266,115 @@ fn sim_entry_matches_engine_path() {
         outcomes[0].triangles_added as i64 - outcomes[0].triangles_removed as i64,
         receipt.delta(),
     );
+}
+
+/// A cross-rank query edge `(a, b)` plus a vertex `x ∈ N(b) \ (N(a) ∪ {a})`:
+/// inserting `(a, x)` makes `x` a common neighbour, so the support of
+/// `(a, b)` rises by exactly one.
+fn common_neighbour_fixture(g: &Csr, p: usize) -> (u64, u64, u64) {
+    let part = tricount_graph::Partition::balanced_vertices(g.num_vertices(), p);
+    for a in 0..g.num_vertices() {
+        let na = g.neighbors(a);
+        for b in 0..g.num_vertices() {
+            if part.rank_of(a) == part.rank_of(b) {
+                continue;
+            }
+            for &x in g.neighbors(b) {
+                if x != a && !na.contains(&x) {
+                    return (a, b, x);
+                }
+            }
+        }
+    }
+    panic!("no cross-rank common-neighbour fixture in this graph");
+}
+
+/// Support of a cross-rank edge re-queried after an update ships the
+/// post-update `N(a)`: it equals the intersection on the edited graph, and
+/// the resident count equals a freshly built engine's.
+#[test]
+fn cross_rank_support_sees_an_inserted_common_neighbour() {
+    let g = tricount_gen::rgg2d_default(200, 11);
+    let p = 4;
+    let (a, b, x) = common_neighbour_fixture(&g, p);
+    let support = |e: &Engine| match e
+        .query(Query::EdgeSupport {
+            edges: vec![(a, b)],
+        })
+        .expect("query executes")
+    {
+        QueryAnswer::Support(pairs) => pairs[0].1,
+        other => panic!("expected Support, got {other:?}"),
+    };
+    let mut batch = UpdateBatch::new();
+    batch.insert(a, x);
+    let edited = apply_to_csr(&g, &batch.canonicalize());
+    let before = merge_count(g.neighbors(a), g.neighbors(b)).0;
+    let after = merge_count(edited.neighbors(a), edited.neighbors(b)).0;
+    assert_eq!(after, before + 1, "fixture: x becomes a common neighbour");
+
+    let e = engine_for(&g, p);
+    assert_eq!(support(&e), before);
+    e.apply_updates(&batch).expect("valid batch");
+    assert_eq!(support(&e), after);
+    assert_eq!(
+        e.resident_triangles(),
+        engine_for(&edited, p).resident_triangles()
+    );
+}
+
+/// `EngineConfig::with_cache_budget` is inert: an engine built with it
+/// answers and meters exactly like one built without it, across queries of
+/// every exact kind and an update batch.
+#[test]
+fn inert_cache_budget_answers_and_meters_identically() {
+    let g = tricount_gen::rgg2d_default(240, 13);
+    let p = 4;
+    let run = |cfg: EngineConfig| {
+        let e = Engine::build(&g, cfg);
+        let queries = [
+            Query::GlobalTriangles {
+                algorithm: Algorithm::Cetric,
+            },
+            Query::GlobalTriangles {
+                algorithm: Algorithm::Ditric,
+            },
+            Query::VertexLcc {
+                vertices: vec![0, 17, 99],
+            },
+            Query::EdgeSupport {
+                edges: vec![(0, 1), (5, 200)],
+            },
+        ];
+        let mut answers: Vec<QueryAnswer> = queries
+            .iter()
+            .map(|q| e.query(q.clone()).expect("valid query"))
+            .collect();
+        e.apply_updates(&random_batch(&g, 20, 7))
+            .expect("valid batch");
+        answers.extend(
+            queries
+                .iter()
+                .map(|q| e.query(q.clone()).expect("valid query")),
+        );
+        // sim_clock follows arrival order under the overlap-aware clock;
+        // every other meter is deterministic
+        let meters = |c: Counters| Counters {
+            sim_clock: 0.0,
+            ..c
+        };
+        let s = e.stats();
+        (
+            answers,
+            meters(s.query_comm),
+            meters(s.update_comm),
+            meters(s.baseline_comm),
+        )
+    };
+    let plain = run(EngineConfig::new(p));
+    let budgeted = run(EngineConfig::new(p).with_cache_budget(4 << 20));
+    assert_eq!(plain.0, budgeted.0, "answers");
+    assert_eq!(plain.1, budgeted.1, "query meters");
+    assert_eq!(plain.2, budgeted.2, "update meters");
+    assert_eq!(plain.3, budgeted.3, "baseline meters");
 }

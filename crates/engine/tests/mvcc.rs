@@ -4,8 +4,9 @@
 //! regression test for the old read-your-writes tick (which folded
 //! pending overlays into the live state and answered *waiting* queries
 //! against the post-update graph), a proptest driving random
-//! submit/update/tick interleavings at 1, 4 and 9 PEs over both
-//! transports against a serialized oracle, true cross-thread
+//! submit/update/tick interleavings (global counts, edge support and
+//! vertex LCC) at 1, 4 and 9 PEs over both transports against a serialized
+//! oracle, true cross-thread
 //! reads-during-writes, and the epoch retire-list lifecycle.
 
 use proptest::prelude::*;
@@ -16,7 +17,7 @@ use tricount_core::seq;
 use tricount_delta::{apply_to_csr, UpdateBatch};
 use tricount_engine::{Engine, EngineConfig, Query, QueryAnswer};
 use tricount_graph::intersect::merge_count;
-use tricount_graph::Csr;
+use tricount_graph::{Csr, OrderingKind};
 
 fn count_of(g: &Csr) -> u64 {
     seq::compact_forward(g).triangles
@@ -27,6 +28,11 @@ fn support_of(g: &Csr, edges: &[(u64, u64)]) -> Vec<u64> {
         .iter()
         .map(|&(a, b)| merge_count(g.neighbors(a), g.neighbors(b)).0)
         .collect()
+}
+
+fn lcc_of(g: &Csr, vertices: &[u64]) -> Vec<(u64, f64)> {
+    let lcc = seq::local_clustering_coefficients(g, OrderingKind::Degree);
+    vertices.iter().map(|&v| (v, lcc[v as usize])).collect()
 }
 
 /// Clamps `batch` into the vertex range `[0, n)`.
@@ -290,6 +296,8 @@ enum Op {
     Global(usize),
     /// Submit an edge-support probe.
     Support,
+    /// Submit a vertex-LCC probe.
+    Lcc,
     /// Apply an update batch.
     Update(UpdateBatch),
     /// Drain one tick.
@@ -315,6 +323,7 @@ fn arb_ops(n: u64) -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             (0usize..7).prop_map(Op::Global),
             Just(Op::Support),
+            Just(Op::Lcc),
             arb_batch(n).prop_map(Op::Update),
             Just(Op::Tick),
         ],
@@ -328,7 +337,9 @@ proptest! {
     /// Random submit/update/tick interleavings across epochs, at 1, 4 and
     /// 9 PEs over both transports: every answer bit-equals the value a
     /// fully serialized execution produces on the query's admission-time
-    /// graph — for all 7 global variants and for edge-support probes.
+    /// graph — for all 7 global variants, edge-support probes and vertex
+    /// LCC (the per-vertex oracle on the epoch's graph, so LCC after
+    /// updates is covered).
     #[test]
     fn random_interleavings_are_serializable(
         n in 14u64..28,
@@ -338,6 +349,7 @@ proptest! {
     ) {
         let g = tricount_gen::gnm(n, n * edge_factor, seed);
         let probe: Vec<(u64, u64)> = vec![(0, n / 2), (1, n - 1), (n / 3, n / 2 + 1)];
+        let lcc_probe: Vec<u64> = vec![0, n / 3, n / 2, n - 1];
         for (p, transport) in [
             (1usize, TransportKind::Sim),
             (4, TransportKind::Sim),
@@ -369,6 +381,11 @@ proptest! {
                         expected.push((id, QueryAnswer::Support(
                             probe.iter().copied().zip(s).collect(),
                         )));
+                    }
+                    Op::Lcc => {
+                        let id = e.submit(Query::VertexLcc { vertices: lcc_probe.clone() })
+                            .expect("under capacity");
+                        expected.push((id, QueryAnswer::Lcc(lcc_of(&serial, &lcc_probe))));
                     }
                     Op::Update(b) => {
                         let clamped = clamp(b, n);
