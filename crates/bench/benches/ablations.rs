@@ -4,6 +4,7 @@
 //! * direct vs grid routing at a hotspot (fan-in, §IV-B);
 //! * degree vs id ordering (work reduction, §III).
 
+use cetric::comm::SimOptions;
 use cetric::core::seq;
 use cetric::prelude::*;
 use tricount_bench::{fmt_count, fmt_time, print_table, Row, Scale};
@@ -29,7 +30,7 @@ fn main() {
             },
             ..DistConfig::default()
         };
-        let r = count_with(&g, p, Algorithm::Ditric, &cfg).unwrap();
+        let r = count(&g, p, Algorithm::Ditric, &cfg).unwrap();
         rows.push(Row {
             label: format!("delta={factor}|E_i|"),
             cells: vec![
@@ -52,7 +53,7 @@ fn main() {
             dedup,
             ..DistConfig::default()
         };
-        let r = count_with(&g, p, Algorithm::Ditric, &cfg).unwrap();
+        let r = count(&g, p, Algorithm::Ditric, &cfg).unwrap();
         rows.push(Row {
             label: format!("dedup={dedup}"),
             cells: vec![
@@ -71,7 +72,7 @@ fn main() {
     // 3. routing fan-in at the hub owner's PE
     let mut rows = Vec::new();
     for (label, alg) in [("direct", Algorithm::Ditric), ("grid", Algorithm::Ditric2)] {
-        let r = count(&g, p, alg).unwrap();
+        let r = count(&g, p, alg, &alg.config()).unwrap();
         let max_recv_peers = r
             .stats
             .phases
@@ -104,7 +105,7 @@ fn main() {
             ordering,
             ..DistConfig::default()
         };
-        let r = count_with(&g, p, Algorithm::Ditric, &cfg).unwrap();
+        let r = count(&g, p, Algorithm::Ditric, &cfg).unwrap();
         rows.push(Row {
             label: label.to_string(),
             cells: vec![
@@ -136,8 +137,8 @@ fn main() {
     ];
     for (label, part) in strategies {
         let dg = DistGraph::with_partition(&g, part);
-        let r = cetric::core::run_on_default(dg, Algorithm::Ditric, &Algorithm::Ditric.config())
-            .unwrap();
+        let alg = Algorithm::Ditric;
+        let (r, _) = cetric::core::run_on(dg, alg, &alg.config(), &SimOptions::default()).unwrap();
         // work imbalance: busiest PE vs average
         let per_rank_work: Vec<u64> = (0..p)
             .map(|rk| {
@@ -178,7 +179,7 @@ fn main() {
                 degree_exchange: de,
                 ..DistConfig::default()
             };
-            let r = count_with(gr, p, Algorithm::Ditric, &cfg).unwrap();
+            let r = count(gr, p, Algorithm::Ditric, &cfg).unwrap();
             let pre_msgs: u64 = r
                 .stats
                 .phases
@@ -205,7 +206,7 @@ fn main() {
 
     // 7. rebalancing via message passing (§IV-D: "does not pay off")
     let mut rows = Vec::new();
-    let plain = count_with(&g, p, Algorithm::Ditric, &DistConfig::default()).unwrap();
+    let plain = count(&g, p, Algorithm::Ditric, &DistConfig::default()).unwrap();
     rows.push(Row {
         label: "no rebalancing".to_string(),
         cells: vec![
@@ -241,7 +242,7 @@ fn main() {
     let mut rows = Vec::new();
     for pq in [4usize, 16, 64] {
         let m2 = cetric::core::dist::matrix2d::count_matrix2d(&gn, pq);
-        let d = count(&gn, pq, Algorithm::Ditric).unwrap();
+        let d = count(&gn, pq, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
         assert_eq!(m2.triangles, d.triangles);
         rows.push(Row {
             label: format!("p={pq}"),

@@ -27,7 +27,7 @@ fn main() {
 
     for (name, g) in &instances {
         let truth = seq::compact_forward(g).triangles;
-        let exact = count(g, p, Algorithm::Cetric).unwrap();
+        let exact = count(g, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
         let ev = global_volume(&exact.stats);
         println!(
             "\ninstance {name}: n={} m={} triangles={truth}, exact global volume {}",

@@ -20,8 +20,14 @@ fn main() {
 
     let mut rows = Vec::new();
     for p in scale.pe_counts() {
-        let unagg = count(&g, p, Algorithm::Unaggregated).unwrap();
-        let agg = count(&g, p, Algorithm::Ditric).unwrap();
+        let unagg = count(
+            &g,
+            p,
+            Algorithm::Unaggregated,
+            &Algorithm::Unaggregated.config(),
+        )
+        .unwrap();
+        let agg = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
         assert_eq!(unagg.triangles, agg.triangles);
         rows.push(Row {
             label: format!("p={p}"),

@@ -53,7 +53,7 @@ fn main() {
                             memory_limit_words: Some(cap),
                             ..alg.config()
                         };
-                        match count_with(&g, p, alg, &cfg) {
+                        match count(&g, p, alg, &cfg) {
                             Ok(r) => format!(
                                 "{} {} {}",
                                 tricount_bench_fmt_time(r.modeled_time(&model)),

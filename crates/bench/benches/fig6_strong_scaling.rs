@@ -45,7 +45,7 @@ fn main() {
                     } else {
                         alg.config()
                     };
-                    match count_with(&g, p, alg, &cfg) {
+                    match count(&g, p, alg, &cfg) {
                         Ok(r) => format!(
                             "{} {} {}",
                             fmt_time(r.modeled_time(&model)),

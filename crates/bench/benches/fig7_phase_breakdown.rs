@@ -18,7 +18,7 @@ fn phase_cells(r: &CountResult, model: &CostModel) -> Vec<String> {
 
 fn best(g: &Csr, p: usize, algs: &[Algorithm], model: &CostModel) -> (Algorithm, CountResult) {
     algs.iter()
-        .map(|&a| (a, count(g, p, a).unwrap()))
+        .map(|&a| (a, count(g, p, a, &a.config()).unwrap()))
         .min_by(|a, b| {
             a.1.modeled_time(model)
                 .partial_cmp(&b.1.modeled_time(model))

@@ -308,7 +308,7 @@ fn bench_distributed_end_to_end(rows: &mut Vec<Row>, report: &mut BenchReport) {
         cetric::core::Algorithm::Ditric,
     ] {
         let t = time_per_call(3, 1, || {
-            cetric::core::count(black_box(&graph), 4, alg).unwrap()
+            cetric::core::count(black_box(&graph), 4, alg, &alg.config()).unwrap()
         });
         let label = format!("dist_e2e/{}_p4/rgg2d_2k", alg.name());
         report.push_seconds(&label, t);

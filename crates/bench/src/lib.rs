@@ -196,7 +196,7 @@ pub fn fmt_count(x: u64) -> String {
 /// Runs `alg` and formats the Fig. 5/6 triple "time / max msgs / bottleneck
 /// volume", or the error.
 pub fn run_cell(g: &Csr, p: usize, alg: Algorithm, model: &CostModel) -> String {
-    match count(g, p, alg) {
+    match count(g, p, alg, &alg.config()) {
         Ok(r) => format!(
             "{} {} {}",
             fmt_time(r.modeled_time(model)),

@@ -3,9 +3,9 @@
 //! from the shell. Argument parsing is hand-rolled (no dependency) and unit
 //! tested; the binary in `src/bin/tricount.rs` is a thin wrapper.
 
-use tricount_comm::{CostModel, Routing, TransportKind};
+use tricount_comm::{CostModel, Routing, SimOptions, TransportKind};
 use tricount_core::dist::{enumerate, lcc};
-use tricount_core::{count_with, seq, Aggregation, Algorithm, DistConfig};
+use tricount_core::{run_on, seq, Aggregation, Algorithm, DistConfig};
 use tricount_gen::{Dataset, Family};
 use tricount_graph::stats::{degree_histogram_log2, global_clustering_coefficient, GraphStats};
 use tricount_graph::{io, Csr};
@@ -195,8 +195,8 @@ fn parse_dataset(s: &str) -> Result<Dataset, String> {
 }
 
 /// Applies the shared `--kernel` / `--pool-workers` overrides to a config's
-/// kernel policy. `--pool-workers N` with `N > 1` also switches the
-/// degree-aware chunked local phase on.
+/// kernel policy. `--pool-workers N` with `N > 1` runs the local phase in
+/// degree-balanced chunks on an `N`-worker pool.
 fn apply_kernel_opts(
     config: &mut DistConfig,
     kernel: Option<&str>,
@@ -214,7 +214,6 @@ fn apply_kernel_opts(
             return Err("--pool-workers must be at least 1".to_string());
         }
         config.kernels.pool_workers = workers;
-        config.kernels.chunking = workers > 1;
     }
     Ok(())
 }
@@ -361,6 +360,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     };
 
     let p = parse_u64("p", 4)? as usize;
+    if p == 0 {
+        return Err("--p must be at least 1".to_string());
+    }
     match verb.as_str() {
         "generate" => {
             if matches!(source, Source::File(_)) {
@@ -556,13 +558,12 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     println!("triangles: {} (sequential, {} ops)", s.triangles, s.ops);
                 }
                 Some(alg) => {
-                    let r = if timed {
-                        let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
-                        tricount_core::dist::run_on_timed(dg, alg, &config, model)
-                            .map_err(|e| e.to_string())?
-                    } else {
-                        count_with(&g, p, alg, &config).map_err(|e| e.to_string())?
+                    let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
+                    let opts = SimOptions {
+                        timing: timed.then_some(model),
+                        ..SimOptions::default()
                     };
+                    let (r, _) = run_on(dg, alg, &config, &opts).map_err(|e| e.to_string())?;
                     if timed {
                         println!("overlap-aware makespan: {:.3} ms", r.stats.makespan() * 1e3);
                     }
@@ -741,7 +742,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             metrics_out,
             calibration,
         } => {
-            use tricount_comm::SimOptions;
             let model = match resolve_calibration(calibration, &source) {
                 Some(path) => apply_calibration(model, &path)?,
                 None => model,
@@ -1057,7 +1057,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_count_with_family() {
+    fn parse_count_from_family() {
         let cmd = parse(&args("count --family rmat --n 1024 --p 8 --alg ditric2")).unwrap();
         match cmd {
             Command::Count {
@@ -1137,6 +1137,14 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_zero_pes() {
+        for verb in "count lcc enumerate serve update profile check".split(' ') {
+            let err = parse(&args(&format!("{verb} --family gnm --p 0"))).unwrap_err();
+            assert!(err.contains("--p"), "{verb}: {err}");
+        }
+    }
+
+    #[test]
     fn parse_transport_override() {
         let cmd = parse(&args("count --family gnm --transport threads")).unwrap();
         match cmd {
@@ -1179,7 +1187,6 @@ mod tests {
             Command::Count { config, .. } => {
                 assert_eq!(config.kernels.kernel, KernelChoice::Gallop);
                 assert_eq!(config.kernels.pool_workers, 4);
-                assert!(config.kernels.chunking);
             }
             _ => panic!("wrong command"),
         }
@@ -1188,7 +1195,6 @@ mod tests {
         match cmd {
             Command::Count { config, .. } => {
                 assert_eq!(config.kernels.pool_workers, 1);
-                assert!(!config.kernels.chunking);
             }
             _ => panic!("wrong command"),
         }
@@ -1206,7 +1212,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_count_with_kernel_overrides() {
+    fn execute_count_under_kernel_overrides() {
         for flags in [
             "--kernel merge",
             "--kernel bitmap",

@@ -40,7 +40,7 @@
 //!
 //! let g = cetric::gen::rgg2d_default(1_000, 42);
 //! let seq = cetric::core::seq::compact_forward(&g);
-//! let dist = cetric::core::count(&g, 8, Algorithm::Cetric2).unwrap();
+//! let dist = cetric::core::count(&g, 8, Algorithm::Cetric2, &Algorithm::Cetric2.config()).unwrap();
 //! assert_eq!(seq.triangles, dist.triangles);
 //! let model = CostModel::supermuc();
 //! println!("modeled time on 8 PEs: {:.3} ms", dist.modeled_time(&model) * 1e3);
@@ -63,9 +63,7 @@ pub use tricount_par as par;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use tricount_comm::{CostModel, Routing, RunStats};
-    pub use tricount_core::{
-        count, count_with, Aggregation, Algorithm, CountResult, DistConfig, DistError,
-    };
+    pub use tricount_core::{count, Aggregation, Algorithm, CountResult, DistConfig, DistError};
     pub use tricount_delta::{parse_batches, EdgeUpdate, UpdateBatch};
     pub use tricount_engine::{
         Engine, EngineConfig, EngineError, Query, QueryAnswer, UpdateReceipt,

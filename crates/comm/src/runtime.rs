@@ -10,7 +10,7 @@
 //! paper's algorithms would pay.
 //!
 //! All protocol code talks to the data plane through the
-//! [`Endpoint`](tricount_net::Endpoint) trait; [`SimOptions::transport`]
+//! [`tricount_net::Endpoint`] trait; [`SimOptions::transport`]
 //! selects the backend:
 //!
 //! * [`TransportKind::Sim`] (default) — the metered simulator data plane,

@@ -8,14 +8,15 @@
 //! Type-1/2 triangles are still counted exactly (they never leave the PE).
 
 use tricount_amq::{truthful_estimate_unclamped, Amq, BloomFilter, SingleShotBloom};
-use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
-use tricount_graph::dist::{DistGraph, LocalGraph};
+use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_graph::dist::DistGraph;
 use tricount_graph::intersect::merge_count;
+use tricount_graph::Csr;
 
 use crate::config::DistConfig;
-use crate::dist::into_cells;
 use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
+use crate::dist::run_ranks;
 use crate::result::ApproxResult;
 
 /// Which AMQ to ship in the global phase.
@@ -49,7 +50,7 @@ const TAG_BLOOM: u64 = 0;
 const TAG_SINGLE_SHOT: u64 = 1;
 
 /// One rank's contribution to the approximate count, aggregated by
-/// [`approx_on`] (or by the query engine serving an `ApproxTriangles`
+/// [`approx`] (or by the query engine serving an `ApproxTriangles`
 /// query against resident state).
 #[derive(Debug, Clone, Copy)]
 pub struct ApproxRankOutput {
@@ -59,16 +60,6 @@ pub struct ApproxRankOutput {
     pub type3_raw: u64,
     /// This rank's truthful (false-positive corrected) type-3 contribution.
     pub type3_corrected: f64,
-}
-
-fn run_rank(
-    ctx: &mut Ctx,
-    lg: LocalGraph,
-    cfg: &DistConfig,
-    acfg: &ApproxConfig,
-) -> ApproxRankOutput {
-    let prep = prepare_rank(ctx, lg, cfg);
-    approx_prepared(ctx, &prep, cfg, acfg)
 }
 
 /// The approximate counting phases on already prepared per-rank state:
@@ -216,17 +207,13 @@ pub fn approx_prepared(
     }
 }
 
-/// Runs the approximate count on a partitioned graph.
-pub fn approx_on(dg: DistGraph, cfg: &DistConfig, acfg: &ApproxConfig) -> ApproxResult {
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        run_rank(ctx, lg, cfg, acfg)
+/// Partitions `g` over `p` PEs (vertex-balanced) and runs the approximate
+/// count.
+pub fn approx(g: &Csr, p: usize, cfg: &DistConfig, acfg: &ApproxConfig) -> ApproxResult {
+    let dg = DistGraph::new_balanced_vertices(g, p);
+    let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
+        let prep = prepare_rank(ctx, lg, cfg);
+        approx_prepared(ctx, &prep, cfg, acfg)
     });
     let exact_local: u64 = out.output.results.iter().map(|r| r.exact_local).sum();
     let type3_raw: u64 = out.output.results.iter().map(|r| r.type3_raw).sum();
@@ -245,15 +232,4 @@ pub fn approx_on(dg: DistGraph, cfg: &DistConfig, acfg: &ApproxConfig) -> Approx
         estimate: exact_local as f64 + type3_corrected,
         stats: out.output.stats,
     }
-}
-
-/// Convenience driver: partitions `g` over `p` PEs and runs the approximate
-/// count.
-pub fn approx(
-    g: &tricount_graph::Csr,
-    p: usize,
-    cfg: &DistConfig,
-    acfg: &ApproxConfig,
-) -> ApproxResult {
-    approx_on(DistGraph::new_balanced_vertices(g, p), cfg, acfg)
 }

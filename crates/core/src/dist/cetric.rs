@@ -16,131 +16,26 @@
 //! counting part, reusable against long-lived [`PreparedRank`] state.
 //!
 //! Intersections go through the adaptive kernel [`Dispatcher`] configured
-//! by `cfg.kernels`, and the local phase optionally runs degree-aware
-//! chunked on the `par` pool — the sequential and chunked paths share one
-//! per-item function and reduce partial sums in canonical chunk order, so
-//! counts and `ops` totals are bit-identical either way.
+//! by `cfg.kernels`, and the local phase is the shared `dist::count_local`
+//! — chunked on the `par` pool when `cfg.kernels.pool_workers > 1` and
+//! reduced in canonical chunk order, so counts and `ops` totals are
+//! bit-identical either way.
 
 use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig};
-use tricount_graph::dist::{ContractedGraph, LocalGraph, OrientedLocalGraph};
-use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
-use tricount_graph::VertexId;
-use tricount_par::Pool;
+use tricount_graph::dist::{ContractedGraph, LocalGraph};
+use tricount_graph::kernels::Dispatcher;
 
 use crate::config::DistConfig;
+use crate::dist::count_local;
 use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
 
-/// Runs CETRIC on this rank; returns the global triangle count.
-pub fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> u64 {
+/// Runs CETRIC on this rank; returns the global triangle count and this
+/// rank's per-phase kernel-dispatch tallies.
+pub fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> (u64, DispatchReport) {
     let prep = prepare_rank(ctx, lg, cfg);
     count_prepared(ctx, &prep, cfg)
-}
-
-/// [`run_rank`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn run_rank_stats(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> (u64, DispatchReport) {
-    let prep = prepare_rank(ctx, lg, cfg);
-    count_prepared_stats(ctx, &prep, cfg)
-}
-
-/// The local phase's canonical work list: owned vertices in id order, then
-/// ghosts in ghost-index order. Item `i` resolves to `(v, A(v))`.
-#[inline]
-fn local_item(o: &OrientedLocalGraph, idx: usize) -> (VertexId, &[VertexId]) {
-    let start = o.owned_range().start;
-    let owned_len = (o.owned_range().end - start) as usize;
-    if idx < owned_len {
-        let v = start + idx as u64;
-        (v, o.a_owned(v))
-    } else {
-        let gi = idx - owned_len;
-        (o.ghost_ids()[gi], o.a_ghost(gi))
-    }
-}
-
-/// Counts one item's triangles (Algorithm 3 lines 5–7 for a single `v`):
-/// intersects `A(v)` with `A(u)` for every `u ∈ A(v)`. Returns the triangle
-/// count and the metered work (`ops + 1` per directed edge, as the
-/// sequential loop has always charged). Shared by the sequential and
-/// chunked drivers — bit-identity between them is by construction.
-#[inline]
-fn count_local_item(
-    o: &OrientedLocalGraph,
-    v: VertexId,
-    av: &[VertexId],
-    d: &mut Dispatcher<'_>,
-) -> (u64, u64) {
-    let mut count = 0u64;
-    let mut work = 0u64;
-    for &u in av {
-        let au = o.a_of(u).expect("head must be owned or ghost");
-        let (c, ops) = d.count(av, Some(v), au, Some(u));
-        count += c;
-        work += ops + 1;
-    }
-    (count, work)
-}
-
-/// The local phase: every `v ∈ V_i ∪ ∂V_i`, every `u ∈ A(v)`, both
-/// neighborhoods locally available by construction. Runs sequentially or
-/// chunked on the pool per `cfg.kernels`; returns `(count, dispatch)`.
-fn local_phase(ctx: &mut Ctx, prep: &PreparedRank, cfg: &DistConfig) -> (u64, KernelCounters) {
-    let o = &prep.oriented;
-    let policy = cfg.kernels;
-    let owned_len = (o.owned_range().end - o.owned_range().start) as usize;
-    let n = owned_len + o.ghost_ids().len();
-
-    if policy.chunking && policy.pool_workers > 1 && n > 0 {
-        // Degree-aware chunking: weight each item by its oriented degree
-        // (the prefix-sum proxy for its intersection work), so chunks carry
-        // balanced work, not balanced item counts.
-        let weights: Vec<u64> = (0..n).map(|i| local_item(o, i).1.len() as u64).collect();
-        let ranges = balanced_chunks(&weights, policy.pool_workers.saturating_mul(4));
-        let pool = Pool::new(policy.pool_workers);
-        let results = pool.run_tasks(ranges, |_, (s, e)| {
-            let mut d = Dispatcher::with_hubs(policy, &prep.hubs_oriented);
-            let mut count = 0u64;
-            let mut work = 0u64;
-            for i in s..e {
-                let (v, av) = local_item(o, i);
-                let (c, w) = count_local_item(o, v, av, &mut d);
-                count += c;
-                work += w;
-            }
-            (count, work, d.counters())
-        });
-        // `run_tasks` returns results sorted by task index — the canonical
-        // chunk order — so this reduction is schedule-independent.
-        let mut count = 0u64;
-        let mut work = 0u64;
-        let mut counters = KernelCounters::default();
-        for r in results {
-            count += r.result.0;
-            work += r.result.1;
-            counters.absorb(&r.result.2);
-        }
-        ctx.add_work(work);
-        (count, counters)
-    } else {
-        let mut d = Dispatcher::with_hubs(policy, &prep.hubs_oriented);
-        let mut count = 0u64;
-        for i in 0..n {
-            let (v, av) = local_item(o, i);
-            let (c, w) = count_local_item(o, v, av, &mut d);
-            count += c;
-            ctx.add_work(w);
-        }
-        (count, d.counters())
-    }
-}
-
-/// CETRIC's counting phases on already prepared per-rank state (local phase
-/// on the expanded graph, global phase on the contracted cut graph, final
-/// all-reduce). No setup communication happens here — the resident engine
-/// calls this directly against state kept alive across queries.
-pub fn count_prepared(ctx: &mut Ctx, prep: &PreparedRank, cfg: &DistConfig) -> u64 {
-    count_prepared_stats(ctx, prep, cfg).0
 }
 
 /// Receive side of the global phase: `[v, A(v)...]` carries a contracted
@@ -164,14 +59,19 @@ fn global_handler(
     }
 }
 
-/// [`count_prepared`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn count_prepared_stats(
+/// CETRIC's counting phases on already prepared per-rank state (local phase
+/// on the expanded graph, global phase on the contracted cut graph, final
+/// all-reduce). No setup communication happens here — the resident engine
+/// calls this directly against state kept alive across queries. Returns the
+/// global count and this rank's per-phase kernel-dispatch tallies.
+pub fn count_prepared(
     ctx: &mut Ctx,
     prep: &PreparedRank,
     cfg: &DistConfig,
 ) -> (u64, DispatchReport) {
-    // Local phase (Algorithm 3 lines 5–7).
-    let (local_count, local_dispatch) = local_phase(ctx, prep, cfg);
+    // Local phase (Algorithm 3 lines 5–7): every `v ∈ V_i ∪ ∂V_i`.
+    let (local_count, local_dispatch) =
+        count_local(ctx, &prep.oriented, cfg.kernels, Some(&prep.hubs_oriented));
     let contracted = &prep.contracted;
     ctx.end_phase(phases::LOCAL);
 

@@ -467,12 +467,8 @@ mod tests {
     }
 
     fn count_ranks(ranks: &[PreparedRank], cfg: &DistConfig) -> u64 {
-        let prepared: Vec<Mutex<Option<PreparedRank>>> =
-            ranks.iter().map(|r| Mutex::new(Some(r.clone()))).collect();
-        let cfg = *cfg;
-        let sim = run_sim(ranks.len(), &SimOptions::default(), move |ctx: &mut Ctx| {
-            let prep = prepared[ctx.rank()].lock().unwrap().take().unwrap();
-            cetric::count_prepared(ctx, &prep, &cfg)
+        let sim = run_sim(ranks.len(), &SimOptions::default(), |ctx: &mut Ctx| {
+            cetric::count_prepared(ctx, &ranks[ctx.rank()], cfg).0
         });
         sim.output.results[0]
     }
@@ -549,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_count_without_communication() {
+    fn compaction_preserves_count_and_sends_nothing() {
         let cfg = DistConfig::default();
         let g0 = tricount_gen::rgg2d_default(240, 23);
         let p = 4;

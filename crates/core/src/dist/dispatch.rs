@@ -1,14 +1,15 @@
-//! Per-phase kernel-dispatch reporting for the `_stats` counting variants.
+//! Per-phase kernel-dispatch reporting for the counting rank bodies.
 //!
 //! The adaptive kernel layer (`tricount_graph::kernels`) tallies which
 //! intersection kernel served each call site. Those tallies are *not* part
 //! of the communication [`Counters`](tricount_comm::Counters) — they change
 //! with the [`KernelPolicy`](tricount_graph::kernels::KernelPolicy) while
-//! comm counters must not — so the counting paths expose them through
-//! `_stats` twins (`count_prepared_stats`, `lcc_prepared_stats`,
-//! `run_rank_stats`, `edge_support_rank_stats`) returning a
-//! [`DispatchReport`] per rank, folded here in canonical (phase, rank)
-//! order so every aggregate is schedule-independent.
+//! comm counters must not — so every counting rank body
+//! ([`super::count_rank`], [`super::cetric::count_prepared`],
+//! [`super::lcc::lcc_prepared`], [`super::support::edge_support_rank`])
+//! returns a [`DispatchReport`] next to its answer, folded here in
+//! canonical (phase, rank) order so every aggregate is
+//! schedule-independent.
 
 use tricount_graph::kernels::KernelCounters;
 

@@ -11,43 +11,17 @@
 //!
 //! Intersections go through the adaptive kernel dispatcher (without a hub
 //! index — DITRIC is the one-shot path and builds no resident state), and
-//! the local pass optionally runs degree-aware chunked on the `par` pool
-//! with a canonical-order reduction, exactly like CETRIC's.
+//! the local pass is the shared `dist::count_local`, chunked on the `par` pool
+//! when `cfg.kernels.pool_workers > 1`, exactly like CETRIC's.
 
 use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig};
 use tricount_graph::dist::{LocalGraph, OrientedLocalGraph};
-use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
-use tricount_graph::VertexId;
-use tricount_par::Pool;
+use tricount_graph::kernels::Dispatcher;
 
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
-use crate::dist::preprocess;
-
-/// Runs DITRIC on this rank; returns the *global* triangle count (identical
-/// on every rank after the final reduction).
-pub fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> u64 {
-    run_rank_stats(ctx, lg, cfg).0
-}
-
-/// One owned vertex's local-pass work: intersect `A(v)` with `A(u)` for
-/// every locally-owned head `u ∈ A(v)`. Shared by the sequential and
-/// chunked drivers.
-#[inline]
-fn count_local_vertex(o: &OrientedLocalGraph, v: VertexId, d: &mut Dispatcher<'_>) -> (u64, u64) {
-    let av = o.a_owned(v);
-    let mut count = 0u64;
-    let mut work = 0u64;
-    for &u in av {
-        if o.is_owned(u) {
-            let (c, ops) = d.count(av, Some(v), o.a_owned(u), Some(u));
-            count += c;
-            work += ops + 1;
-        }
-    }
-    (count, work)
-}
+use crate::dist::{count_local, preprocess};
 
 /// Receive side of the global pass. Wire formats: `[v, A(v)...]` with
 /// dedup, `[v, u, A(v)...]` without (the named head `u` is the only one
@@ -80,12 +54,10 @@ fn global_handler(
     }
 }
 
-/// [`run_rank`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn run_rank_stats(
-    ctx: &mut Ctx,
-    mut lg: LocalGraph,
-    cfg: &DistConfig,
-) -> (u64, DispatchReport) {
+/// Runs DITRIC on this rank; returns the *global* triangle count (identical
+/// on every rank after the final reduction) and this rank's per-phase
+/// kernel-dispatch tallies.
+pub fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> (u64, DispatchReport) {
     preprocess(ctx, &mut lg, cfg);
     let o = lg.orient(cfg.ordering, false);
     ctx.end_phase(phases::PREPROCESSING);
@@ -93,44 +65,7 @@ pub fn run_rank_stats(
     // Local pass: directed edges (v, u) with u local are intersected
     // in place (lines 2–4 of Algorithm 2).
     let policy = cfg.kernels;
-    let owned = o.owned_range();
-    let (local_count, local_dispatch) =
-        if policy.chunking && policy.pool_workers > 1 && !owned.is_empty() {
-            let weights: Vec<u64> = owned.clone().map(|v| o.a_owned(v).len() as u64).collect();
-            let ranges = balanced_chunks(&weights, policy.pool_workers.saturating_mul(4));
-            let pool = Pool::new(policy.pool_workers);
-            let results = pool.run_tasks(ranges, |_, (s, e)| {
-                let mut d = Dispatcher::new(policy);
-                let mut count = 0u64;
-                let mut work = 0u64;
-                // chunk bounds index the owned range, which is contiguous
-                for v in owned.start + s as VertexId..owned.start + e as VertexId {
-                    let (c, w) = count_local_vertex(&o, v, &mut d);
-                    count += c;
-                    work += w;
-                }
-                (count, work, d.counters())
-            });
-            let mut count = 0u64;
-            let mut work = 0u64;
-            let mut counters = KernelCounters::default();
-            for r in results {
-                count += r.result.0;
-                work += r.result.1;
-                counters.absorb(&r.result.2);
-            }
-            ctx.add_work(work);
-            (count, counters)
-        } else {
-            let mut d = Dispatcher::new(policy);
-            let mut count = 0u64;
-            for v in owned {
-                let (c, w) = count_local_vertex(&o, v, &mut d);
-                count += c;
-                ctx.add_work(w);
-            }
-            (count, d.counters())
-        };
+    let (local_count, local_dispatch) = count_local(ctx, &o, policy, None);
     ctx.end_phase(phases::LOCAL);
 
     // Global pass: stream A(v) to owners of remote heads (line 5), process

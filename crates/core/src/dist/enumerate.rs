@@ -4,14 +4,14 @@
 //! every rank emits the triangles it discovers; since discovery is unique,
 //! the union over ranks is the exact triangle set.
 
-use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::intersect::merge_collect;
-use tricount_graph::VertexId;
+use tricount_graph::{Csr, VertexId};
 
 use crate::config::DistConfig;
 use crate::dist::phases;
-use crate::dist::{into_cells, preprocess};
+use crate::dist::{preprocess, run_ranks};
 
 /// A triangle as an id-sorted triple.
 pub type Triangle = (VertexId, VertexId, VertexId);
@@ -110,17 +110,11 @@ fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> Vec<Triangle
     out
 }
 
-/// Enumerates all triangles of a partitioned graph. Returns the sorted,
-/// duplicate-free list of id-sorted triples.
-pub fn enumerate_on(dg: DistGraph, cfg: &DistConfig) -> Vec<Triangle> {
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
+/// Enumerates all triangles of `g` over `p` PEs (vertex-balanced). Returns
+/// the sorted, duplicate-free list of id-sorted triples.
+pub fn enumerate(g: &Csr, p: usize, cfg: &DistConfig) -> Vec<Triangle> {
+    let dg = DistGraph::new_balanced_vertices(g, p);
+    let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
         run_rank(ctx, lg, cfg)
     });
     let mut all: Vec<Triangle> = out.output.results.into_iter().flatten().collect();
@@ -130,11 +124,6 @@ pub fn enumerate_on(dg: DistGraph, cfg: &DistConfig) -> Vec<Triangle> {
         "duplicate triangle emitted"
     );
     all
-}
-
-/// Convenience driver over a vertex-balanced partition.
-pub fn enumerate(g: &tricount_graph::Csr, p: usize, cfg: &DistConfig) -> Vec<Triangle> {
-    enumerate_on(DistGraph::new_balanced_vertices(g, p), cfg)
 }
 
 #[cfg(test)]

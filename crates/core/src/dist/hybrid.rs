@@ -12,7 +12,7 @@
 //! (the modeled parallel makespan), so modeled times reflect `t`-way
 //! parallel execution on the single-core host.
 
-use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::intersect::merge_count;
 use tricount_graph::VertexId;
@@ -20,7 +20,7 @@ use tricount_par::Pool;
 
 use crate::config::DistConfig;
 use crate::dist::phases;
-use crate::dist::{into_cells, preprocess};
+use crate::dist::{preprocess, run_ranks};
 use crate::result::CountResult;
 
 /// Edge chunk size per task (small enough for stealing to balance hubs).
@@ -133,13 +133,7 @@ pub fn count_hybrid(
     );
     let p = cores / threads;
     let dg = DistGraph::new_balanced_vertices(g, p);
-    let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
+    let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
         run_rank(ctx, lg, cfg, threads)
     });
     CountResult {

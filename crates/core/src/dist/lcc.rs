@@ -12,21 +12,21 @@
 //! from state prepared once.
 //!
 //! Intersections go through the adaptive kernel dispatcher; the local phase
-//! optionally runs degree-aware chunked on the `par` pool, each chunk
-//! accumulating its own `Δ` vectors which are summed element-wise in
-//! canonical chunk order (u64 addition — bit-identical to sequential).
+//! runs through the shared `dist::local_pass` — chunked on the `par` pool
+//! when `cfg.kernels.pool_workers > 1`, each chunk accumulating its own `Δ`
+//! vectors which are summed element-wise in canonical chunk order (u64
+//! addition — bit-identical to sequential).
 
-use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
-use tricount_graph::dist::{DistGraph, LocalGraph, OrientedLocalGraph};
-use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
-use tricount_graph::VertexId;
-use tricount_par::Pool;
+use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_graph::dist::{DistGraph, OrientedLocalGraph};
+use tricount_graph::kernels::Dispatcher;
+use tricount_graph::{Csr, VertexId};
 
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
-use crate::dist::into_cells;
 use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
+use crate::dist::{local_pass, run_ranks};
 use crate::result::LccResult;
 
 /// Per-rank Δ accumulator over owned and ghost vertices.
@@ -71,16 +71,8 @@ impl DeltaAcc {
     }
 }
 
-/// Runs the CETRIC-based per-vertex count on this rank. Returns this PE's
-/// owned `Δ` values.
-fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> Vec<u64> {
-    let prep = prepare_rank(ctx, lg, cfg);
-    lcc_prepared(ctx, &prep, cfg)
-}
-
 /// One local-phase item: enumerate the triangles closing each directed edge
-/// out of `v` and bump all three corners. Returns the metered work. Shared
-/// by the sequential and chunked drivers.
+/// out of `v` and bump all three corners. Returns the metered work.
 #[inline]
 fn lcc_local_item(
     o: &OrientedLocalGraph,
@@ -108,66 +100,29 @@ fn lcc_local_item(
 /// The per-vertex counting phases on already prepared per-rank state:
 /// local and global triangle enumeration bumping all three corners, then
 /// the ghost-Δ aggregation postprocessing. Returns this PE's owned `Δ`
-/// values; no setup communication happens here.
-pub fn lcc_prepared(ctx: &mut Ctx, prep: &PreparedRank, cfg: &DistConfig) -> Vec<u64> {
-    lcc_prepared_stats(ctx, prep, cfg).0
-}
-
-/// [`lcc_prepared`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn lcc_prepared_stats(
+/// values and its per-phase kernel-dispatch tallies; no setup communication
+/// happens here.
+pub fn lcc_prepared(
     ctx: &mut Ctx,
     prep: &PreparedRank,
     cfg: &DistConfig,
 ) -> (Vec<u64>, DispatchReport) {
     let o = &prep.oriented;
     let owned_range = o.owned_range();
-    let mut acc = DeltaAcc::for_oriented(o);
+    let policy = cfg.kernels;
 
     // Local phase: enumerate type-1/2 triangles, bump all three corners.
-    // Work list in canonical order: owned vertices, then ghosts.
-    let mut local_pairs: Vec<(VertexId, &[VertexId])> = Vec::new();
-    for v in owned_range.clone() {
-        local_pairs.push((v, o.a_owned(v)));
-    }
-    for gi in 0..o.ghost_ids().len() {
-        local_pairs.push((o.ghost_ids()[gi], o.a_ghost(gi)));
-    }
-    let policy = cfg.kernels;
-    let local_dispatch = if policy.chunking && policy.pool_workers > 1 && !local_pairs.is_empty() {
-        let weights: Vec<u64> = local_pairs.iter().map(|(_, av)| av.len() as u64).collect();
-        let ranges = balanced_chunks(&weights, policy.pool_workers.saturating_mul(4));
-        let pool = Pool::new(policy.pool_workers);
-        let results = pool.run_tasks(ranges, |_, (s, e)| {
-            let mut d = Dispatcher::with_hubs(policy, &prep.hubs_oriented);
-            let mut chunk_acc = DeltaAcc::for_oriented(o);
-            let mut commons: Vec<VertexId> = Vec::new();
-            let mut work = 0u64;
-            for &(v, av) in &local_pairs[s..e] {
-                work += lcc_local_item(o, v, av, &mut chunk_acc, &mut commons, &mut d);
-            }
-            (chunk_acc, work, d.counters())
-        });
-        // Canonical chunk-order reduction: element-wise u64 sums of the
-        // per-chunk Δ vectors are bit-identical to the sequential bumps.
-        let mut work = 0u64;
-        let mut counters = KernelCounters::default();
-        for r in results {
-            acc.absorb(&r.result.0);
-            work += r.result.1;
-            counters.absorb(&r.result.2);
-        }
-        ctx.add_work(work);
-        counters
-    } else {
-        let mut d = Dispatcher::with_hubs(policy, &prep.hubs_oriented);
-        let mut commons: Vec<VertexId> = Vec::new();
-        for &(v, av) in &local_pairs {
-            let work = lcc_local_item(o, v, av, &mut acc, &mut commons, &mut d);
-            ctx.add_work(work);
-        }
-        d.counters()
-    };
-    drop(local_pairs);
+    // Each partial carries its own intersection scratch; element-wise u64
+    // sums of the per-chunk Δ vectors are bit-identical to the inline bumps.
+    let ((mut acc, _), local_dispatch) = local_pass(
+        ctx,
+        o,
+        policy,
+        Some(&prep.hubs_oriented),
+        || (DeltaAcc::for_oriented(o), Vec::new()),
+        |total, (part, _)| total.0.absorb(&part),
+        |v, av, (acc, commons), d| lcc_local_item(o, v, av, acc, commons, d),
+    );
     let contracted = &prep.contracted;
     ctx.end_phase(phases::LOCAL);
 
@@ -292,19 +247,14 @@ pub fn normalize_lcc(per_vertex: &[u64], degrees: &[u64]) -> Vec<f64> {
         .collect()
 }
 
-/// Runs the distributed per-vertex count / LCC computation on a partitioned
-/// graph. `degrees` must be the global degree vector (used only for the
-/// final LCC normalisation).
-pub fn lcc_on(dg: DistGraph, cfg: &DistConfig, degrees: &[u64]) -> LccResult {
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        run_rank(ctx, lg, cfg)
+/// Partitions `g` over `p` PEs (vertex-balanced) and computes per-vertex
+/// triangle counts and LCCs.
+pub fn lcc(g: &Csr, p: usize, cfg: &DistConfig) -> LccResult {
+    let degrees = g.degrees();
+    let dg = DistGraph::new_balanced_vertices(g, p);
+    let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
+        let prep = prepare_rank(ctx, lg, cfg);
+        lcc_prepared(ctx, &prep, cfg).0
     });
     let mut per_vertex = Vec::with_capacity(degrees.len());
     for owned in out.output.results {
@@ -312,18 +262,11 @@ pub fn lcc_on(dg: DistGraph, cfg: &DistConfig, degrees: &[u64]) -> LccResult {
     }
     assert_eq!(per_vertex.len(), degrees.len());
     let triangles = per_vertex.iter().sum::<u64>() / 3;
-    let lcc = normalize_lcc(&per_vertex, degrees);
+    let lcc = normalize_lcc(&per_vertex, &degrees);
     LccResult {
         triangles,
         per_vertex,
         lcc,
         stats: out.output.stats,
     }
-}
-
-/// Convenience driver: partitions `g` over `p` PEs and computes per-vertex
-/// counts and LCCs.
-pub fn lcc(g: &tricount_graph::Csr, p: usize, cfg: &DistConfig) -> LccResult {
-    let degrees = g.degrees();
-    lcc_on(DistGraph::new_balanced_vertices(g, p), cfg, &degrees)
 }

@@ -222,11 +222,11 @@ mod tests {
         let v64 = count_matrix2d(&g, 64).stats.total_volume();
         assert!(v16 > 3 * v4 / 2, "volume must grow: {v4} → {v16}");
         assert!(v64 > 3 * v16 / 2, "volume must grow: {v16} → {v64}");
-        let d16 = crate::dist::count(&g, 16, Algorithm::Ditric)
+        let d16 = crate::dist::count(&g, 16, Algorithm::Ditric, &Algorithm::Ditric.config())
             .unwrap()
             .stats
             .total_volume();
-        let d64 = crate::dist::count(&g, 64, Algorithm::Ditric)
+        let d64 = crate::dist::count(&g, 64, Algorithm::Ditric, &Algorithm::Ditric.config())
             .unwrap()
             .stats
             .total_volume();

@@ -19,16 +19,22 @@ pub mod support;
 #[cfg(test)]
 mod tests;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use tricount_comm::{
-    run_guarded, run_sim, Ctx, MessageQueue, QueueConfig, SimOptions, Trace, TransportKind,
+    run_sim, Ctx, MessageQueue, QueueConfig, SimOptions, SimOutput, Trace, TransportKind,
+    WallProfile,
 };
-use tricount_graph::dist::{DistGraph, LocalGraph};
-use tricount_graph::OrderingKind;
+use tricount_graph::dist::{DistGraph, LocalGraph, OrientedLocalGraph};
+use tricount_graph::kernels::{
+    balanced_chunks, Dispatcher, HubIndex, KernelCounters, KernelPolicy,
+};
+use tricount_graph::{Csr, OrderingKind, VertexId};
+use tricount_par::Pool;
 
 use crate::config::{Algorithm, DegreeExchange, DistConfig};
 use crate::result::{CountResult, DistError};
+use dispatch::DispatchReport;
 
 /// The ghost degree exchange of Algorithm 3 line 1 (`exchange_ghost_degree`):
 /// a dense all-to-all of ghost-id requests followed by a dense all-to-all of
@@ -128,155 +134,176 @@ pub fn preprocess(ctx: &mut Ctx, lg: &mut LocalGraph, cfg: &DistConfig) {
     }
 }
 
-/// Wraps per-rank local graphs so rank threads can each take ownership of
-/// theirs from a shared closure.
-pub(crate) fn into_cells(dg: DistGraph) -> Vec<Mutex<Option<LocalGraph>>> {
-    dg.into_locals()
-        .into_iter()
-        .map(|l| Mutex::new(Some(l)))
-        .collect()
-}
-
-/// Resolves the options a run actually executes under: an explicitly
-/// non-default `opts.transport` wins; otherwise [`DistConfig::transport`]
-/// selects the backend. (Requesting the default `Sim` through `opts` and
-/// `Threads` through the config is a config-driven threads run — the CLI
-/// and engine plumb `--transport` through the config.)
-fn resolve_opts(cfg: &DistConfig, opts: &SimOptions) -> SimOptions {
-    let mut opts = opts.clone();
-    if opts.transport == TransportKind::Sim {
-        opts.transport = cfg.transport;
-    }
-    opts
-}
-
-/// Runs `alg` on an already partitioned graph under explicit
-/// [`SimOptions`] (transport backend, timing, trace recording, schedule
-/// perturbation) and returns the global triangle count with full
-/// statistics, alongside the recorded trace if one was requested (requires
-/// `tricount-comm`'s `trace` feature to be non-`None`). This is the entry
-/// point of the CLI drivers and the `tricount-verify` conformance,
-/// determinism and transport-equivalence harnesses.
+/// The local pass DITRIC, CETRIC and LCC share. Visits every vertex this PE
+/// can see in `o` — owned vertices in id order, then (on an expanded graph)
+/// ghosts in ghost-index order — handing each `(v, A(v))` to `visit` with a
+/// partial accumulator and a kernel dispatcher (over `hubs`, if any);
+/// `visit` returns the item's metered work.
 ///
-/// (Previously `run_on_sim`; renamed when the runtime grew a real parallel
-/// backend — the run is only a simulation on [`TransportKind::Sim`].)
-pub fn run_on(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-    opts: &SimOptions,
-) -> Result<(CountResult, Option<Trace>), DistError> {
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let body = |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank(ctx, lg, cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank(ctx, lg, cfg)),
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg),
-            Algorithm::HavoqgtLike => Ok(baselines::havoqgt_like_rank(ctx, lg, cfg)),
+/// With `policy.pool_workers > 1` the items are cut into degree-balanced
+/// chunks run on a fresh `par` pool, each with its own `empty()`
+/// accumulator, folded by `absorb` in canonical chunk order and metered in
+/// one sum. Otherwise the loop runs inline and meters each item as it goes.
+/// Results, dispatch tallies and work totals are bit-identical either way.
+pub(crate) fn local_pass<A: Send>(
+    ctx: &mut Ctx,
+    o: &OrientedLocalGraph,
+    policy: KernelPolicy,
+    hubs: Option<&HubIndex>,
+    empty: impl Fn() -> A + Sync,
+    absorb: impl Fn(&mut A, A),
+    visit: impl Fn(VertexId, &[VertexId], &mut A, &mut Dispatcher<'_>) -> u64 + Sync,
+) -> (A, KernelCounters) {
+    let dispatcher = || match hubs {
+        Some(h) => Dispatcher::with_hubs(policy, h),
+        None => Dispatcher::new(policy),
+    };
+    let owned = o.owned_range();
+    let ghosts = if o.is_expanded() { o.ghost_ids() } else { &[] };
+    let owned_len = (owned.end - owned.start) as usize;
+    let n = owned_len + ghosts.len();
+
+    if policy.pool_workers <= 1 || n == 0 {
+        let (mut acc, mut d) = (empty(), dispatcher());
+        for v in owned {
+            ctx.add_work(visit(v, o.a_owned(v), &mut acc, &mut d));
+        }
+        for (gi, &g) in ghosts.iter().enumerate() {
+            ctx.add_work(visit(g, o.a_ghost(gi), &mut acc, &mut d));
+        }
+        return (acc, d.counters());
+    }
+
+    let item = |i: usize| {
+        if i < owned_len {
+            let v = owned.start + i as VertexId;
+            (v, o.a_owned(v))
+        } else {
+            (ghosts[i - owned_len], o.a_ghost(i - owned_len))
         }
     };
-    let sim = run_sim(p, &opts, body);
-    let triangles = sim.output.results.into_iter().next().unwrap()?;
-    Ok((
-        CountResult {
-            triangles,
-            stats: sim.output.stats,
-        },
-        sim.trace,
-    ))
-}
-
-/// Like [`run_on`] under default options, returning just the count record
-/// (the common case of the simple drivers and benches).
-pub fn run_on_default(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-) -> Result<CountResult, DistError> {
-    run_on(dg, alg, cfg, &SimOptions::default()).map(|(r, _)| r)
-}
-
-/// Like [`run_on_default`] with the overlap-aware simulated clock enabled
-/// under `cost` (see `tricount_comm::runtime::run_timed`); the result's
-/// [`RunStats::makespan`](tricount_comm::RunStats::makespan) is populated.
-pub fn run_on_timed(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-    cost: tricount_comm::CostModel,
-) -> Result<CountResult, DistError> {
-    let opts = SimOptions {
-        timing: Some(cost),
-        ..SimOptions::default()
-    };
-    run_on(dg, alg, cfg, &opts).map(|(r, _)| r)
-}
-
-/// Like [`run_on`], additionally returning the kernel-dispatch tallies
-/// of every rank folded in rank order (empty for the baseline algorithms,
-/// which intersect without the dispatcher). (Previously
-/// `run_on_sim_stats`.)
-pub fn run_on_stats(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-    opts: &SimOptions,
-) -> Result<(CountResult, Option<Trace>, dispatch::DispatchReport), DistError> {
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let body = |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank_stats(ctx, lg, cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank_stats(ctx, lg, cfg)),
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg)
-                .map(|c| (c, dispatch::DispatchReport::new())),
-            Algorithm::HavoqgtLike => Ok((
-                baselines::havoqgt_like_rank(ctx, lg, cfg),
-                dispatch::DispatchReport::new(),
-            )),
+    // Weight each item by |A(v)|, the proxy for its intersection work, so
+    // chunks carry balanced work rather than balanced item counts.
+    let weights: Vec<u64> = (0..n).map(|i| item(i).1.len() as u64).collect();
+    let ranges = balanced_chunks(&weights, policy.pool_workers.saturating_mul(4));
+    let results = Pool::new(policy.pool_workers).run_tasks(ranges, |_, (s, e)| {
+        let (mut acc, mut d, mut work) = (empty(), dispatcher(), 0u64);
+        for i in s..e {
+            let (v, av) = item(i);
+            work += visit(v, av, &mut acc, &mut d);
         }
+        (acc, work, d.counters())
+    });
+    // `run_tasks` returns results in task order — the canonical chunk
+    // order — so this fold is schedule-independent.
+    let (mut total, mut work, mut counters) = (empty(), 0u64, KernelCounters::default());
+    for r in results {
+        let (acc, w, c) = r.result;
+        absorb(&mut total, acc);
+        work += w;
+        counters.absorb(&c);
+    }
+    ctx.add_work(work);
+    (total, counters)
+}
+
+/// The counting local pass of DITRIC and CETRIC (Algorithm 2 lines 2–4,
+/// Algorithm 3 lines 5–7): for every item `v`, intersects `A(v)` with `A(u)`
+/// for each head `u ∈ A(v)` this PE can see — the owned heads on DITRIC's
+/// plain orientation, every head on CETRIC's expanded graph. Each
+/// intersection meters `ops + 1`. Returns the count and the dispatch tallies.
+pub(crate) fn count_local(
+    ctx: &mut Ctx,
+    o: &OrientedLocalGraph,
+    policy: KernelPolicy,
+    hubs: Option<&HubIndex>,
+) -> (u64, KernelCounters) {
+    let visit = |v, av: &[VertexId], count: &mut u64, d: &mut Dispatcher<'_>| {
+        let mut work = 0u64;
+        for &u in av {
+            if let Some(au) = o.a_of(u) {
+                let (c, ops) = d.count(av, Some(v), au, Some(u));
+                *count += c;
+                work += ops + 1;
+            } else {
+                assert!(!o.is_expanded(), "head must be owned or ghost");
+            }
+        }
+        work
     };
-    let sim = run_sim(p, &opts, body);
+    local_pass(ctx, o, policy, hubs, || 0, |t, c| *t += c, visit)
+}
+
+/// Runs `alg`'s rank body on this PE — the one `match` from [`Algorithm`]
+/// to a rank program. Returns the global count (identical on every rank)
+/// and this rank's per-phase kernel-dispatch tallies (empty for the
+/// baselines, which intersect without the dispatcher).
+pub fn count_rank(
+    ctx: &mut Ctx,
+    lg: LocalGraph,
+    alg: Algorithm,
+    cfg: &DistConfig,
+) -> Result<(u64, DispatchReport), DistError> {
+    let undispatched = |c| (c, DispatchReport::new());
+    match alg {
+        Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
+            Ok(ditric::run_rank(ctx, lg, cfg))
+        }
+        Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank(ctx, lg, cfg)),
+        Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg).map(undispatched),
+        Algorithm::HavoqgtLike => Ok(undispatched(baselines::havoqgt_like_rank(ctx, lg, cfg))),
+    }
+}
+
+/// Folds the per-rank results of [`count_rank`]: the count every rank
+/// agrees on and the dispatch tallies absorbed in rank order. The first
+/// failing rank's error wins.
+pub fn fold_counts(
+    results: Vec<Result<(u64, DispatchReport), DistError>>,
+) -> Result<(u64, DispatchReport), DistError> {
     let mut triangles = 0u64;
-    let mut report = dispatch::DispatchReport::new();
-    for (i, r) in sim.output.results.into_iter().enumerate() {
+    let mut report = DispatchReport::new();
+    for (rank, r) in results.into_iter().enumerate() {
         let (c, d) = r?;
-        if i == 0 {
+        if rank == 0 {
             triangles = c;
         }
         report.absorb(&d);
     }
-    Ok((
-        CountResult {
-            triangles,
-            stats: sim.output.stats,
-        },
-        sim.trace,
-        report,
-    ))
+    Ok((triangles, report))
 }
 
-/// Like [`run_on_stats`], additionally returning the drained wall-clock
-/// profile when the resolved options enable [`SimOptions::wall_profile`]
-/// on the threads backend (`None` otherwise — the sim backend has no wall
-/// clock worth measuring). This is the `tricount profile` dual-clock path.
+/// Runs `body` on every PE of `dg` under `opts`, handing each rank its own
+/// [`LocalGraph`] — the one place a partitioned graph becomes per-rank
+/// state.
+pub fn run_ranks<R, F>(dg: DistGraph, opts: &SimOptions, body: F) -> SimOutput<R>
+where
+    R: Send,
+    F: Fn(&mut Ctx, LocalGraph) -> R + Send + Sync,
+{
+    let p = dg.num_ranks();
+    let cells: Vec<Mutex<Option<LocalGraph>>> = dg
+        .into_locals()
+        .into_iter()
+        .map(|l| Mutex::new(Some(l)))
+        .collect();
+    run_sim(p, opts, |ctx| {
+        let lg = cells[ctx.rank()]
+            .lock()
+            .unwrap()
+            .take()
+            .expect("local graph already taken");
+        body(ctx, lg)
+    })
+}
+
+/// Runs `alg` on an already partitioned graph and returns the full record:
+/// the count with its statistics, the trace (when `opts.record_trace` and
+/// `tricount-comm`'s `trace` feature are on), every rank's kernel-dispatch
+/// tallies folded in rank order, and the wall profile (when
+/// `opts.wall_profile` is on a threads run). A non-default `opts.transport`
+/// wins over [`DistConfig::transport`], through which the CLI and the
+/// engine plumb `--transport`.
 #[allow(clippy::type_complexity)]
 pub fn run_on_profiled(
     dg: DistGraph,
@@ -287,106 +314,45 @@ pub fn run_on_profiled(
     (
         CountResult,
         Option<Trace>,
-        dispatch::DispatchReport,
-        Option<tricount_comm::WallProfile>,
+        DispatchReport,
+        Option<WallProfile>,
     ),
     DistError,
 > {
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let body = |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank_stats(ctx, lg, cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank_stats(ctx, lg, cfg)),
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg)
-                .map(|c| (c, dispatch::DispatchReport::new())),
-            Algorithm::HavoqgtLike => Ok((
-                baselines::havoqgt_like_rank(ctx, lg, cfg),
-                dispatch::DispatchReport::new(),
-            )),
-        }
-    };
-    let sim = run_sim(p, &opts, body);
-    let mut triangles = 0u64;
-    let mut report = dispatch::DispatchReport::new();
-    for (i, r) in sim.output.results.into_iter().enumerate() {
-        let (c, d) = r?;
-        if i == 0 {
-            triangles = c;
-        }
-        report.absorb(&d);
+    let mut opts = opts.clone();
+    if opts.transport == TransportKind::Sim {
+        opts.transport = cfg.transport;
     }
-    Ok((
-        CountResult {
-            triangles,
-            stats: sim.output.stats,
-        },
-        sim.trace,
-        report,
-        sim.wall,
-    ))
+    let sim = run_ranks(dg, &opts, |ctx, lg| count_rank(ctx, lg, alg, cfg));
+    let (triangles, report) = fold_counts(sim.output.results)?;
+    let result = CountResult {
+        triangles,
+        stats: sim.output.stats,
+    };
+    Ok((result, sim.trace, report, sim.wall))
 }
 
-/// Like [`run_on`], but under the deadlock watchdog
-/// ([`tricount_comm::run_guarded`]): if no PE makes progress for `timeout`,
-/// the run is abandoned and the watchdog's wait-for-graph diagnosis comes
-/// back as [`DistError::Deadlock`] instead of the process hanging. This is
-/// the execution path of the resident query engine, where a wedged query
-/// must surface as a failed request rather than take the server down.
-pub fn run_on_guarded(
+/// [`run_on_profiled`] projected onto the count and the trace: the entry
+/// point of the CLI drivers and the `tricount-verify` conformance,
+/// determinism and transport-equivalence harnesses. Timing, tracing,
+/// schedule perturbation and the backend are all [`SimOptions`] fields.
+pub fn run_on(
     dg: DistGraph,
     alg: Algorithm,
     cfg: &DistConfig,
     opts: &SimOptions,
-    timeout: std::time::Duration,
-) -> Result<CountResult, DistError> {
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    let cells = Arc::new(into_cells(dg));
-    let cfg = *cfg;
-    let body = move |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank(ctx, lg, &cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank(ctx, lg, &cfg)),
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, &cfg),
-            Algorithm::HavoqgtLike => Ok(baselines::havoqgt_like_rank(ctx, lg, &cfg)),
-        }
-    };
-    let out = run_guarded(p, &opts, timeout, body)?;
-    let triangles = out.output.results.into_iter().next().unwrap()?;
-    Ok(CountResult {
-        triangles,
-        stats: out.output.stats,
-    })
+) -> Result<(CountResult, Option<Trace>), DistError> {
+    run_on_profiled(dg, alg, cfg, opts).map(|(r, trace, _, _)| (r, trace))
 }
 
 /// Convenience driver: partitions `g` over `p` PEs (vertex-balanced) and
-/// runs `alg` with its default configuration.
-pub fn count(g: &tricount_graph::Csr, p: usize, alg: Algorithm) -> Result<CountResult, DistError> {
-    run_on_default(DistGraph::new_balanced_vertices(g, p), alg, &alg.config())
-}
-
-/// Like [`count`] with an explicit configuration.
-pub fn count_with(
-    g: &tricount_graph::Csr,
+/// runs `alg` under `cfg` with default options.
+pub fn count(
+    g: &Csr,
     p: usize,
     alg: Algorithm,
     cfg: &DistConfig,
 ) -> Result<CountResult, DistError> {
-    run_on_default(DistGraph::new_balanced_vertices(g, p), alg, cfg)
+    let dg = DistGraph::new_balanced_vertices(g, p);
+    run_on(dg, alg, cfg, &SimOptions::default()).map(|(r, _)| r)
 }

@@ -11,13 +11,12 @@
 //! is measurable (and the paper's negative finding reproducible, see the
 //! `ablations` bench and `rebalancing_overhead` test).
 
-use tricount_comm::{run, Ctx};
+use tricount_comm::{Ctx, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::{Csr, Partition, VertexId};
 
 use crate::config::{Algorithm, DistConfig};
-use crate::dist::into_cells;
-use crate::dist::phases;
+use crate::dist::{count_rank, fold_counts, phases, run_ranks};
 use crate::result::{CountResult, DistError};
 
 /// Moves every vertex's neighborhood to its owner under `new_part`, through
@@ -62,25 +61,13 @@ pub fn count_rebalanced(
 ) -> Result<CountResult, DistError> {
     let new_part = Partition::balanced_by_cost(g, p, cost);
     let dg = DistGraph::new_balanced_vertices(g, p);
-    let cells = into_cells(dg);
-    let out = run(p, |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
+    let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
         let lg = redistribute(ctx, &lg, &new_part);
         ctx.end_phase(phases::REBALANCE);
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(super::ditric::run_rank(ctx, lg, cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(super::cetric::run_rank(ctx, lg, cfg)),
-            Algorithm::TricLike => super::baselines::tric_like_rank(ctx, lg, cfg),
-            Algorithm::HavoqgtLike => Ok(super::baselines::havoqgt_like_rank(ctx, lg, cfg)),
-        }
-    });
-    let triangles = out.results.into_iter().next().unwrap()?;
+        count_rank(ctx, lg, alg, cfg)
+    })
+    .output;
+    let (triangles, _) = fold_counts(out.results)?;
     Ok(CountResult {
         triangles,
         stats: out.stats,
@@ -99,9 +86,7 @@ mod tests {
         let p = 5;
         let new_part = Partition::balanced_by_cost(&g, p, |d| d);
         let dg = DistGraph::new_balanced_vertices(&g, p);
-        let cells = into_cells(dg);
-        let out = run(p, |ctx| {
-            let lg = cells[ctx.rank()].lock().unwrap().take().unwrap();
+        let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
             let new_lg = redistribute(ctx, &lg, &new_part);
             // return owned neighborhoods for global verification
             new_lg
@@ -109,7 +94,7 @@ mod tests {
                 .map(|v| (v, new_lg.neighbors(v).to_vec()))
                 .collect::<Vec<_>>()
         });
-        let mut all: Vec<(u64, Vec<u64>)> = out.results.into_iter().flatten().collect();
+        let mut all: Vec<(u64, Vec<u64>)> = out.output.results.into_iter().flatten().collect();
         all.sort_by_key(|(v, _)| *v);
         assert_eq!(all.len() as u64, g.num_vertices());
         for (v, ns) in all {
@@ -134,7 +119,8 @@ mod tests {
         // (volume ≈ input size), which outweighs the balance gain
         let g = tricount_gen::rmat_default(10, 2);
         let p = 8;
-        let plain = crate::dist::count(&g, p, Algorithm::Ditric).unwrap();
+        let plain =
+            crate::dist::count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
         let rebal =
             count_rebalanced(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config(), |d| d).unwrap();
         assert_eq!(plain.triangles, rebal.triangles);

@@ -13,15 +13,13 @@
 //! partitioned graph, returning every rank's [`PreparedRank`] plus the
 //! metered setup statistics.
 
-use std::sync::Mutex;
-
-use tricount_comm::{run_sim, Ctx, RunStats, SimOptions};
+use tricount_comm::{Ctx, RunStats, SimOptions};
 use tricount_graph::dist::{ContractedGraph, DistGraph, LocalGraph, OrientedLocalGraph};
 use tricount_graph::kernels::HubIndex;
 
 use crate::config::DistConfig;
 use crate::dist::phases;
-use crate::dist::preprocess;
+use crate::dist::{preprocess, run_ranks};
 
 /// One rank's resident state: the local graph with ghost degrees installed,
 /// its expanded degree-oriented form, and the contracted cut graph. Built by
@@ -97,20 +95,7 @@ pub fn build_residency(
     cfg: &DistConfig,
     opts: &SimOptions,
 ) -> (Vec<PreparedRank>, RunStats) {
-    let p = dg.num_ranks();
-    let cells: Vec<Mutex<Option<LocalGraph>>> = dg
-        .into_locals()
-        .into_iter()
-        .map(|l| Mutex::new(Some(l)))
-        .collect();
-    let sim = run_sim(p, opts, |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        prepare_rank(ctx, lg, cfg)
-    });
+    let sim = run_ranks(dg, opts, |ctx, lg| prepare_rank(ctx, lg, cfg));
     (sim.output.results, sim.output.stats)
 }
 

@@ -30,18 +30,8 @@ use tricount_graph::VertexId;
 /// present in the graph is still the common-neighbor count of its
 /// endpoints. Intersections dispatch through `cfg.kernels` (no hub index —
 /// support intersects *full* neighborhoods, which the prepared hub index
-/// does not cover).
+/// does not cover). Also returns this rank's kernel-dispatch tallies.
 pub fn edge_support_rank(
-    ctx: &mut Ctx,
-    lg: &LocalGraph,
-    queries: &[(VertexId, VertexId)],
-    cfg: &DistConfig,
-) -> Vec<u64> {
-    edge_support_rank_stats(ctx, lg, queries, cfg).0
-}
-
-/// [`edge_support_rank`] plus this rank's kernel-dispatch tallies.
-pub fn edge_support_rank_stats(
     ctx: &mut Ctx,
     lg: &LocalGraph,
     queries: &[(VertexId, VertexId)],
@@ -105,8 +95,8 @@ pub fn edge_support_rank_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-    use tricount_comm::run;
+    use crate::dist::run_ranks;
+    use tricount_comm::SimOptions;
     use tricount_graph::dist::DistGraph;
     use tricount_graph::intersect::merge_count;
 
@@ -133,18 +123,11 @@ mod tests {
 
         let p = 4;
         let dg = DistGraph::new_balanced_vertices(&g, p);
-        let cells: Vec<Mutex<Option<LocalGraph>>> = dg
-            .into_locals()
-            .into_iter()
-            .map(|l| Mutex::new(Some(l)))
-            .collect();
-        let q = queries.clone();
         let cfg = DistConfig::default();
-        let out = run(p, |ctx| {
-            let lg = cells[ctx.rank()].lock().unwrap().take().unwrap();
-            edge_support_rank(ctx, &lg, &q, &cfg)
+        let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
+            edge_support_rank(ctx, &lg, &queries, &cfg).0
         });
-        for ranks_answer in &out.results {
+        for ranks_answer in &out.output.results {
             assert_eq!(ranks_answer, &expected);
         }
     }

@@ -1,11 +1,12 @@
 //! Cross-variant correctness tests: every distributed algorithm must agree
 //! with the sequential ground truth on every graph family and PE count.
 
+use tricount_comm::{CostModel, SimOptions};
 use tricount_gen::{gnm, rgg2d_default, rhg_default, rmat_default, road_default, Dataset};
 use tricount_graph::{Csr, DistGraph, EdgeList};
 
 use crate::config::{Aggregation, Algorithm, DistConfig};
-use crate::dist::{approx, count, count_with, hybrid, lcc};
+use crate::dist::{approx, count, hybrid, lcc, run_on};
 use crate::seq;
 
 fn graph(edges: &[(u64, u64)], n: u64) -> Csr {
@@ -19,7 +20,8 @@ fn check_all_algorithms(g: &Csr, ps: &[usize]) {
     assert_eq!(truth, seq::brute_force_count(g), "sequential self-check");
     for &p in ps {
         for alg in Algorithm::all() {
-            let r = count(g, p, alg).unwrap_or_else(|e| panic!("{alg:?} p={p}: {e}"));
+            let r =
+                count(g, p, alg, &alg.config()).unwrap_or_else(|e| panic!("{alg:?} p={p}: {e}"));
             assert_eq!(
                 r.triangles,
                 truth,
@@ -96,7 +98,7 @@ fn dataset_proxies_count_correctly() {
         let g = ds.generate(256, 11);
         let truth = seq::compact_forward(&g).triangles;
         for alg in [Algorithm::Ditric, Algorithm::Cetric2] {
-            let r = count(&g, 4, alg).unwrap();
+            let r = count(&g, 4, alg, &alg.config()).unwrap();
             assert_eq!(r.triangles, truth, "{ds:?} {alg:?}");
         }
     }
@@ -106,7 +108,7 @@ fn dataset_proxies_count_correctly() {
 fn p_larger_than_n() {
     let g = graph(&[(0, 1), (1, 2), (0, 2)], 3);
     for alg in [Algorithm::Ditric, Algorithm::Cetric, Algorithm::TricLike] {
-        let r = count(&g, 6, alg).unwrap();
+        let r = count(&g, 6, alg, &alg.config()).unwrap();
         assert_eq!(r.triangles, 1, "{alg:?}");
     }
 }
@@ -117,7 +119,7 @@ fn edge_balanced_partition_also_correct() {
     let truth = seq::compact_forward(&g).triangles;
     for alg in [Algorithm::Ditric, Algorithm::Cetric] {
         let dg = DistGraph::new_balanced_edges(&g, 5);
-        let r = crate::dist::run_on_default(dg, alg, &alg.config()).unwrap();
+        let (r, _) = run_on(dg, alg, &alg.config(), &SimOptions::default()).unwrap();
         assert_eq!(r.triangles, truth, "{alg:?}");
     }
 }
@@ -131,7 +133,7 @@ fn tric_like_oom_reproduction() {
         memory_limit_words: Some(500),
         ..Algorithm::TricLike.config()
     };
-    let err = count_with(&g, 8, Algorithm::TricLike, &cfg).unwrap_err();
+    let err = count(&g, 8, Algorithm::TricLike, &cfg).unwrap_err();
     match err {
         crate::result::DistError::OutOfMemory {
             needed_words,
@@ -141,7 +143,7 @@ fn tric_like_oom_reproduction() {
         }
         other => panic!("expected OutOfMemory, got {other}"),
     }
-    let ok = count(&g, 8, Algorithm::Ditric).unwrap();
+    let ok = count(&g, 8, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
     assert_eq!(ok.triangles, seq::compact_forward(&g).triangles);
 }
 
@@ -152,7 +154,7 @@ fn ditric_memory_stays_linear() {
         aggregation: Aggregation::Dynamic { delta_factor: 0.25 },
         ..DistConfig::default()
     };
-    let r = count_with(&g, 8, Algorithm::Ditric, &cfg).unwrap();
+    let r = count(&g, 8, Algorithm::Ditric, &cfg).unwrap();
     // per-PE peak buffer ≤ δ + one record; δ = max(64, |E_i|/4);
     // |E_i| ≈ 2m/p = 512 words → δ ≈ 128; a record can be ~A(v)+2
     let max_entries = (0..8)
@@ -175,8 +177,8 @@ fn ditric_memory_stays_linear() {
 #[test]
 fn static_aggregation_buffers_superlinearly_vs_dynamic() {
     let g = rmat_default(9, 5);
-    let dyn_r = count(&g, 8, Algorithm::Ditric).unwrap();
-    let static_r = count(&g, 8, Algorithm::TricLike).unwrap();
+    let dyn_r = count(&g, 8, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let static_r = count(&g, 8, Algorithm::TricLike, &Algorithm::TricLike.config()).unwrap();
     assert!(
         static_r.stats.max_peak_buffered() > 4 * dyn_r.stats.max_peak_buffered(),
         "static {} vs dynamic {}",
@@ -188,8 +190,14 @@ fn static_aggregation_buffers_superlinearly_vs_dynamic() {
 #[test]
 fn aggregation_reduces_messages() {
     let g = gnm(300, 3000, 4);
-    let unagg = count(&g, 6, Algorithm::Unaggregated).unwrap();
-    let agg = count(&g, 6, Algorithm::Ditric).unwrap();
+    let unagg = count(
+        &g,
+        6,
+        Algorithm::Unaggregated,
+        &Algorithm::Unaggregated.config(),
+    )
+    .unwrap();
+    let agg = count(&g, 6, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
     assert!(
         agg.stats.total_messages() * 4 < unagg.stats.total_messages(),
         "agg {} vs unagg {}",
@@ -203,8 +211,8 @@ fn contraction_reduces_global_volume_on_local_graphs() {
     // RGG with locality: CETRIC's global phase must move far fewer words
     // than DITRIC's
     let g = rgg2d_default(2000, 8);
-    let d = count(&g, 4, Algorithm::Ditric).unwrap();
-    let c = count(&g, 4, Algorithm::Cetric).unwrap();
+    let d = count(&g, 4, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let c = count(&g, 4, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let dv: u64 = d
         .stats
         .phases
@@ -226,9 +234,9 @@ fn contraction_reduces_global_volume_on_local_graphs() {
 fn indirect_routing_still_correct_and_bounds_fanout() {
     let g = rmat_default(8, 1);
     let truth = seq::compact_forward(&g).triangles;
-    let r2 = count(&g, 16, Algorithm::Ditric2).unwrap();
+    let r2 = count(&g, 16, Algorithm::Ditric2, &Algorithm::Ditric2.config()).unwrap();
     assert_eq!(r2.triangles, truth);
-    let r1 = count(&g, 16, Algorithm::Ditric).unwrap();
+    let r1 = count(&g, 16, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
     // grid routing may double volume but not more
     assert!(r2.stats.total_volume() <= 2 * r1.stats.total_volume() + 1000);
 }
@@ -236,7 +244,7 @@ fn indirect_routing_still_correct_and_bounds_fanout() {
 #[test]
 fn phase_names_match_figure7() {
     let g = gnm(128, 512, 2);
-    let r = count(&g, 4, Algorithm::Cetric).unwrap();
+    let r = count(&g, 4, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let names: Vec<&str> = r.stats.phases.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(names, vec!["preprocessing", "local", "global"]);
 }
@@ -291,7 +299,7 @@ fn approx_volume_below_exact_for_large_neighborhoods() {
     // approximate global phase should move fewer words than exact CETRIC
     // when contracted neighborhoods are sizable
     let g = gnm(400, 8000, 10);
-    let exact = count(&g, 4, Algorithm::Cetric).unwrap();
+    let exact = count(&g, 4, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let apx = approx::approx(
         &g,
         4,
@@ -336,14 +344,20 @@ fn hybrid_counts_correctly_and_cuts_volume() {
     );
 }
 
+fn timed(cost: CostModel) -> SimOptions {
+    SimOptions {
+        timing: Some(cost),
+        ..SimOptions::default()
+    }
+}
+
 #[test]
 fn timed_runs_produce_overlap_aware_makespans() {
-    use tricount_comm::CostModel;
     let g = gnm(400, 4800, 21);
     let cost = CostModel::supermuc();
     for alg in [Algorithm::Ditric, Algorithm::Cetric2] {
         let dg = DistGraph::new_balanced_vertices(&g, 6);
-        let r = crate::dist::run_on_timed(dg, alg, &alg.config(), cost).unwrap();
+        let (r, _) = run_on(dg, alg, &alg.config(), &timed(cost)).unwrap();
         assert_eq!(r.triangles, seq::compact_forward(&g).triangles, "{alg:?}");
         let makespan = r.stats.makespan();
         let modeled = r.stats.modeled_time(&cost);
@@ -357,19 +371,19 @@ fn timed_runs_produce_overlap_aware_makespans() {
             "{alg:?}: makespan {makespan} vs modeled {modeled}"
         );
         // untimed runs leave the clock at zero
-        let untimed = count(&g, 6, alg).unwrap();
+        let untimed = count(&g, 6, alg, &alg.config()).unwrap();
         assert_eq!(untimed.stats.makespan(), 0.0);
     }
 }
 
 #[test]
 fn timed_runs_are_deterministic_in_counters_not_clock_order() {
-    use tricount_comm::CostModel;
     let g = rgg2d_default(500, 4);
     let cost = CostModel::cloud();
     let mk = || {
         let dg = DistGraph::new_balanced_vertices(&g, 4);
-        crate::dist::run_on_timed(dg, Algorithm::Ditric, &Algorithm::Ditric.config(), cost).unwrap()
+        let alg = Algorithm::Ditric;
+        run_on(dg, alg, &alg.config(), &timed(cost)).unwrap().0
     };
     let a = mk();
     let b = mk();
@@ -399,7 +413,7 @@ fn golden_trace_on_fixed_graph() {
         ],
         6,
     );
-    let d = count(&g, 2, Algorithm::Ditric).unwrap();
+    let d = count(&g, 2, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
     assert_eq!(d.triangles, 2);
     // preprocessing: 2 request + 2 response messages of 2 ghost ids/degrees
     let pre = &d.stats.phases[0];
@@ -418,7 +432,7 @@ fn golden_trace_on_fixed_graph() {
     assert_eq!(d.stats.total_work(), 17);
     assert_eq!(d.stats.max_peak_buffered(), 9);
 
-    let c = count(&g, 2, Algorithm::Cetric).unwrap();
+    let c = count(&g, 2, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     assert_eq!(c.triangles, 2);
     // contraction drops the intra-PE entry of A(1): one fewer payload word
     assert_eq!(c.stats.phases.last().unwrap().total_volume(), 8);
@@ -436,7 +450,7 @@ fn havoqgt_delegates_count_correctly_and_flatten_hotspots() {
                 delegate_threshold: Some(threshold),
                 ..Algorithm::HavoqgtLike.config()
             };
-            let r = count_with(&g, p, Algorithm::HavoqgtLike, &cfg).unwrap();
+            let r = count(&g, p, Algorithm::HavoqgtLike, &cfg).unwrap();
             assert_eq!(r.triangles, truth, "threshold {threshold}");
         }
     }
@@ -444,12 +458,18 @@ fn havoqgt_delegates_count_correctly_and_flatten_hotspots() {
     // PEs, so the hottest PE posts fewer visitors
     let g = rmat_default(10, 7);
     let p = 16;
-    let plain = count(&g, p, Algorithm::HavoqgtLike).unwrap();
+    let plain = count(
+        &g,
+        p,
+        Algorithm::HavoqgtLike,
+        &Algorithm::HavoqgtLike.config(),
+    )
+    .unwrap();
     let cfg = DistConfig {
         delegate_threshold: Some(16),
         ..Algorithm::HavoqgtLike.config()
     };
-    let delegated = count_with(&g, p, Algorithm::HavoqgtLike, &cfg).unwrap();
+    let delegated = count(&g, p, Algorithm::HavoqgtLike, &cfg).unwrap();
     assert_eq!(plain.triangles, delegated.triangles);
     let hot = |r: &crate::result::CountResult| {
         (0..p)
@@ -480,7 +500,7 @@ fn sparse_degree_exchange_matches_dense() {
             degree_exchange: crate::config::DegreeExchange::Sparse,
             ..alg.config()
         };
-        let r = count_with(&g, 7, alg, &cfg).unwrap();
+        let r = count(&g, 7, alg, &cfg).unwrap();
         assert_eq!(r.triangles, truth, "{alg:?} sparse exchange");
     }
     // on a low-partner road graph the sparse exchange sends fewer
@@ -491,7 +511,7 @@ fn sparse_degree_exchange_matches_dense() {
             degree_exchange: de,
             ..DistConfig::default()
         };
-        let r = count_with(&road, 16, Algorithm::Ditric, &cfg).unwrap();
+        let r = count(&road, 16, Algorithm::Ditric, &cfg).unwrap();
         r.stats
             .phases
             .iter()
@@ -511,14 +531,14 @@ fn sparse_degree_exchange_matches_dense() {
 fn deterministic_stats_across_runs() {
     // counters (not timings) must be bit-identical between runs
     let g = gnm(200, 1600, 6);
-    let a = count(&g, 5, Algorithm::Cetric).unwrap();
-    let b = count(&g, 5, Algorithm::Cetric).unwrap();
+    let a = count(&g, 5, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
+    let b = count(&g, 5, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     assert_eq!(a.triangles, b.triangles);
     assert_eq!(a.stats.total_volume(), b.stats.total_volume());
     assert_eq!(a.stats.total_work(), b.stats.total_work());
     // message counts can differ only through flush timing races in relayed
     // routing; direct DITRIC is fully deterministic
-    let c = count(&g, 5, Algorithm::Ditric).unwrap();
-    let d = count(&g, 5, Algorithm::Ditric).unwrap();
+    let c = count(&g, 5, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let d = count(&g, 5, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
     assert_eq!(c.stats.total_messages(), d.stats.total_messages());
 }

@@ -17,7 +17,7 @@
 //! assert_eq!(tricount_core::seq::compact_forward(&g).triangles, 1);
 //!
 //! // CETRIC on 2 simulated PEs
-//! let result = count(&g, 2, Algorithm::Cetric).unwrap();
+//! let result = count(&g, 2, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
 //! assert_eq!(result.triangles, 1);
 //! ```
 //!
@@ -49,5 +49,5 @@ pub mod sampling;
 pub mod seq;
 
 pub use config::{Aggregation, Algorithm, DistConfig};
-pub use dist::{count, count_with, run_on, run_on_default};
+pub use dist::{count, run_on};
 pub use result::{ApproxResult, CountResult, DistError, LccResult};

@@ -57,7 +57,7 @@ pub fn doulion_estimate(
         return Ok(0.0);
     }
     let sampled = doulion_sparsify(g, q, seed);
-    let r = crate::dist::count(&sampled, p, alg)?;
+    let r = crate::dist::count(&sampled, p, alg, &alg.config())?;
     Ok(r.triangles as f64 / (q * q * q))
 }
 
@@ -87,7 +87,7 @@ pub fn colorful_estimate(
     seed: u64,
 ) -> Result<f64, DistError> {
     let mono = colorful_sparsify(g, colors, seed);
-    let r = crate::dist::count(&mono, p, alg)?;
+    let r = crate::dist::count(&mono, p, alg, &alg.config())?;
     Ok(r.triangles as f64 * (colors * colors) as f64)
 }
 

@@ -11,7 +11,7 @@
 //!   duplicates collapsed, self-loops dropped, and an insert + delete of
 //!   the same edge cancelling to a no-op. Plus a text format (`+ u v` /
 //!   `- u v`, blank-line separated batches) for the CLI, and a reference
-//!   [`apply_to_csr`](batch::apply_to_csr) rebuild used by equivalence
+//!   [`batch::apply_to_csr`] rebuild used by equivalence
 //!   tests.
 //! * [`overlay`] — the per-PE **mutable adjacency overlay**
 //!   ([`Overlay`]): sorted insertion/deletion delta lists layered over the

@@ -15,7 +15,7 @@
 //! Requests pass a bounded admission queue ([`Engine::submit`] rejects with
 //! [`EngineError::Overloaded`] beyond the configured depth) and execute in
 //! batches per [`Engine::tick`]: queries normalising to the same
-//! [`QueryKey`](crate::query) share one distributed run (every `VertexLcc`
+//! `QueryKey` share one distributed run (every `VertexLcc`
 //! query rides the same full-vector computation), distinct keys run
 //! concurrently on a `tricount-par` work-stealing pool, and results land in
 //! an **epoch-keyed cache**. Each distributed run executes under the
@@ -26,7 +26,7 @@
 //! # MVCC epochs: reads never wait on writes
 //!
 //! Every committed graph state is an immutable
-//! [`EpochSnapshot`](crate::epoch): the prepared bases, the frozen update
+//! `EpochSnapshot`: the prepared bases, the frozen update
 //! overlays on top of them, the degree vector and the resident triangle
 //! count. [`Engine::submit`] **pins** the snapshot current at admission;
 //! the query runs against exactly that state no matter how many
@@ -34,7 +34,7 @@
 //! query never observes a mid-batch epoch, and an update never blocks a
 //! read (the engine handle is `Clone` + `Send` + `Sync`; ticks and updates
 //! may run from different threads concurrently). A retire list
-//! ([`EpochTable`](crate::epoch)) frees a superseded epoch the moment its
+//! (`EpochTable`) frees a superseded epoch the moment its
 //! last reader drains. Compaction — folding overlays into fresh prepared
 //! state once they exceed [`EngineConfig::compaction_fraction`] of the
 //! base, or lazily "sealing" a dirty snapshot the first time a query must
@@ -74,8 +74,8 @@ use tricount_core::dist::approx::{approx_prepared, ApproxConfig, FilterKind};
 use tricount_core::dist::delta as delta_dist;
 use tricount_core::dist::dispatch::DispatchReport;
 use tricount_core::dist::residency::{build_residency, PreparedRank};
-use tricount_core::dist::support::edge_support_rank_stats;
-use tricount_core::dist::{baselines, cetric, ditric, lcc, phases};
+use tricount_core::dist::support::edge_support_rank;
+use tricount_core::dist::{cetric, count_rank, fold_counts, lcc, phases};
 use tricount_core::result::DistError;
 use tricount_delta::{Overlay, UpdateBatch};
 use tricount_graph::dist::DistGraph;
@@ -340,7 +340,7 @@ impl Engine {
         let baseline_ranks = ranks.clone();
         let dist = cfg.dist;
         let baseline = run_sim(cfg.num_ranks, &opts, move |ctx: &mut Ctx| {
-            cetric::count_prepared(ctx, &baseline_ranks[ctx.rank()], &dist)
+            cetric::count_prepared(ctx, &baseline_ranks[ctx.rank()], &dist).0
         });
         let resident_triangles = baseline.output.results[0];
         let overlay: Vec<Overlay> = ranks.iter().map(|r| Overlay::for_local(&r.local)).collect();
@@ -1413,22 +1413,14 @@ impl EngineInner {
                 })
                 .map_err(DistError::from)?;
                 let wall = started.elapsed().as_secs_f64();
-                let mut count = 0u64;
-                let mut report = DispatchReport::new();
-                for (i, r) in out.output.results.into_iter().enumerate() {
-                    let (c, d) = r.map_err(EngineError::Dist)?;
-                    if i == 0 {
-                        count = c;
-                    }
-                    report.absorb(&d);
-                }
+                let (count, report) = fold_counts(out.output.results)?;
                 Ok((CachedValue::Count(count), out.output.stats, wall, report))
             }
             QueryKey::LccFull => {
                 let ranks = serving.clone();
                 let cfg = self.cfg.dist;
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
-                    lcc::lcc_prepared_stats(ctx, &ranks[ctx.rank()], &cfg)
+                    lcc::lcc_prepared(ctx, &ranks[ctx.rank()], &cfg)
                 })
                 .map_err(DistError::from)?;
                 let wall = started.elapsed().as_secs_f64();
@@ -1446,7 +1438,7 @@ impl EngineInner {
                 let cfg = self.cfg.dist;
                 let edges = Arc::new(edges.clone());
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
-                    edge_support_rank_stats(ctx, &ranks[ctx.rank()].local, &edges, &cfg)
+                    edge_support_rank(ctx, &ranks[ctx.rank()].local, &edges, &cfg)
                 })
                 .map_err(DistError::from)?;
                 let wall = started.elapsed().as_secs_f64();
@@ -1497,28 +1489,21 @@ impl EngineInner {
 }
 
 /// One rank's program for a global-count query: the contraction variants
-/// run directly on the resident prepared state; the others run their full
-/// rank program on a clone of the resident local graph, whose ghost degrees
-/// are already known — so their preprocessing phase does no communication.
-/// Returns the count plus this rank's kernel-dispatch tallies (empty for
-/// the baselines, which intersect without the dispatcher).
+/// run directly on the resident prepared state; the others run
+/// [`count_rank`] on a clone of the resident local graph, whose ghost
+/// degrees are already known — so their preprocessing phase does no
+/// communication. Returns the count plus this rank's kernel-dispatch
+/// tallies.
 fn exec_global(
     ctx: &mut Ctx,
     prep: &PreparedRank,
     alg: Algorithm,
     cfg: &DistConfig,
 ) -> Result<(u64, DispatchReport), DistError> {
-    match alg {
-        Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::count_prepared_stats(ctx, prep, cfg)),
-        Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-            Ok(ditric::run_rank_stats(ctx, prep.local.clone(), cfg))
-        }
-        Algorithm::TricLike => baselines::tric_like_rank(ctx, prep.local.clone(), cfg)
-            .map(|c| (c, DispatchReport::new())),
-        Algorithm::HavoqgtLike => Ok((
-            baselines::havoqgt_like_rank(ctx, prep.local.clone(), cfg),
-            DispatchReport::new(),
-        )),
+    if alg.uses_contraction() {
+        Ok(cetric::count_prepared(ctx, prep, cfg))
+    } else {
+        count_rank(ctx, prep.local.clone(), alg, cfg)
     }
 }
 

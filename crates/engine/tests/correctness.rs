@@ -3,9 +3,10 @@
 //! queries against a resident RGG2D with a warm cache and the setup
 //! executed exactly once.
 
+use tricount_comm::SimOptions;
 use tricount_core::config::{Algorithm, DegreeExchange, DistConfig};
 use tricount_core::dist::residency::build_residency;
-use tricount_core::dist::{count, lcc as dist_lcc};
+use tricount_core::dist::{lcc as dist_lcc, run_on_profiled};
 use tricount_core::seq;
 use tricount_engine::{Engine, EngineConfig, Query, QueryAnswer};
 use tricount_graph::dist::DistGraph;
@@ -75,20 +76,35 @@ fn oneshot_lcc_still_matches_reference() {
     }
 }
 
-/// Global-count answers bit-match the one-shot `core::count` for every
-/// algorithm variant.
+/// Global-count answers bit-match the one-shot driver for every algorithm
+/// variant at p ∈ {1, 4}, and the engine runs the same rank body: its
+/// kernel-dispatch delta across one `GlobalTriangles` query equals, phase
+/// by phase, the `DispatchReport` of `run_on_profiled`.
 #[test]
 fn global_counts_match_oneshot_drivers() {
     let g = tricount_gen::rgg2d_default(300, 5);
-    let p = 4;
     let expected = seq::compact_forward(&g).triangles;
-    let e = engine_for(&g, p, Algorithm::Cetric.config());
-    for alg in Algorithm::all() {
-        let oneshot = count(&g, p, alg).unwrap().triangles;
-        assert_eq!(oneshot, expected, "{}", alg.name());
-        match e.query(Query::GlobalTriangles { algorithm: alg }) {
-            Ok(QueryAnswer::Count(c)) => assert_eq!(c, expected, "{}", alg.name()),
-            other => panic!("expected Count, got {other:?}"),
+    for p in [1usize, 4] {
+        let e = engine_for(&g, p, Algorithm::Cetric.config());
+        for alg in Algorithm::all() {
+            let label = format!("{} p={p}", alg.name());
+            let dg = DistGraph::new_balanced_vertices(&g, p);
+            let (oneshot, _, dispatch, _) =
+                run_on_profiled(dg, alg, &alg.config(), &SimOptions::default()).unwrap();
+            assert_eq!(oneshot.triangles, expected, "{label}");
+            // the engine's tallies after the query must be its tallies
+            // before plus exactly the one-shot run's, phase by phase
+            let mut expected_dispatch = e.stats().kernel_dispatch;
+            expected_dispatch.absorb(&dispatch);
+            match e.query(Query::GlobalTriangles { algorithm: alg }) {
+                Ok(QueryAnswer::Count(c)) => assert_eq!(c, expected, "{label}"),
+                other => panic!("expected Count, got {other:?}"),
+            }
+            assert_eq!(
+                e.stats().kernel_dispatch,
+                expected_dispatch,
+                "{label}: engine and one-shot dispatch differ"
+            );
         }
     }
 }
@@ -163,7 +179,7 @@ fn prepared_rank_programs_are_schedule_independent() {
         p,
         &[1, 2, 3],
         &SimOptions::default(),
-        |ctx| tricount_core::dist::cetric::count_prepared(ctx, &ranks[ctx.rank()], &cfg),
+        |ctx| tricount_core::dist::cetric::count_prepared(ctx, &ranks[ctx.rank()], &cfg).0,
     )
     .expect("count must not depend on the schedule");
     assert_eq!(
@@ -175,7 +191,7 @@ fn prepared_rank_programs_are_schedule_independent() {
         p,
         &[1, 2, 3],
         &SimOptions::default(),
-        |ctx| tricount_core::dist::lcc::lcc_prepared(ctx, &ranks[ctx.rank()], &cfg),
+        |ctx| tricount_core::dist::lcc::lcc_prepared(ctx, &ranks[ctx.rank()], &cfg).0,
     )
     .expect("per-vertex counts must not depend on the schedule");
 

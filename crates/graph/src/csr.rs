@@ -2,6 +2,8 @@
 //! the set of neighbors `N_v`, stored compressed in two arrays, each
 //! neighborhood sorted ascending by vertex id.
 
+use std::collections::TryReserveError;
+
 use crate::edgelist::EdgeList;
 use crate::VertexId;
 
@@ -21,14 +23,25 @@ impl Csr {
     /// [`EdgeList::canonicalize`]) with `n` vertices. Ids in the list must be
     /// `< n`.
     pub fn from_edges(n: u64, edges: &EdgeList) -> Self {
+        Self::try_from_edges(n, edges).expect("per-vertex arrays do not fit in memory")
+    }
+
+    /// Like [`Csr::from_edges`], but returns an error instead of aborting
+    /// when the `n`-entry degree and offset arrays cannot be allocated — the
+    /// guard for vertex counts read from untrusted input.
+    pub fn try_from_edges(n: u64, edges: &EdgeList) -> Result<Self, TryReserveError> {
         let n = n as usize;
-        let mut degrees = vec![0usize; n];
+        let mut degrees: Vec<usize> = Vec::new();
+        degrees.try_reserve_exact(n)?;
+        degrees.resize(n, 0);
         for &(u, v) in edges.pairs() {
             debug_assert!(u < v, "edge list must be canonical");
             degrees[u as usize] += 1;
             degrees[v as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::new();
+        // saturating: `n + 1` past `usize::MAX` is a capacity overflow too
+        offsets.try_reserve_exact(n.saturating_add(1))?;
         let mut acc = 0usize;
         offsets.push(0);
         for &d in &degrees {
@@ -45,7 +58,7 @@ impl Csr {
         }
         let mut csr = Self { offsets, targets };
         csr.sort_neighborhoods();
-        csr
+        Ok(csr)
     }
 
     /// Builds a CSR directly from per-vertex sorted neighbor lists. Used by

@@ -69,13 +69,14 @@ impl EdgeList {
     }
 
     /// Largest vertex id referenced plus one, i.e. the number of vertices of
-    /// the graph *including* isolated ids below the maximum. Zero if empty.
-    pub fn num_vertices(&self) -> u64 {
+    /// the graph *including* isolated ids below the maximum. Zero if empty;
+    /// `None` when the largest id is `u64::MAX`, which no count can cover.
+    pub fn num_vertices(&self) -> Option<u64> {
         self.edges
             .iter()
-            .map(|&(u, v)| u.max(v) + 1)
+            .map(|&(u, v)| u.max(v))
             .max()
-            .unwrap_or(0)
+            .map_or(Some(0), |max| max.checked_add(1))
     }
 
     /// Compacts vertex ids so that only vertices incident to at least one
@@ -123,7 +124,7 @@ mod tests {
         let mut el = EdgeList::new();
         el.canonicalize();
         assert!(el.is_empty());
-        assert_eq!(el.num_vertices(), 0);
+        assert_eq!(el.num_vertices(), Some(0));
     }
 
     #[test]
@@ -139,7 +140,7 @@ mod tests {
     fn num_vertices_counts_to_max_id() {
         let mut el = EdgeList::from_pairs(vec![(0, 5)]);
         el.canonicalize();
-        assert_eq!(el.num_vertices(), 6);
+        assert_eq!(el.num_vertices(), Some(6));
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn split_chains<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> [(&'a [VertexId], &
 /// (the "merge phase of merge sort" procedure from §III).
 ///
 /// `ops` is the number of comparisons the plain two-pointer merge makes
-/// on these lists, derived from where it stops ([`merge_stop`]) instead of
+/// on these lists, derived from where it stops (`merge_stop`) instead of
 /// counted per step, so the loop is free to take fewer: long lists are cut
 /// in two and both halves advance in one loop, two load→compare→add chains
 /// that overlap in the pipeline.

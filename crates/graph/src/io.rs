@@ -13,6 +13,16 @@ use crate::edgelist::EdgeList;
 
 const BIN_MAGIC: u64 = 0x5452_4943_4e54_0001; // "TRICNT" v1
 
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Builds the CSR of a canonical edge list over `n` vertices read from
+/// input, failing with `InvalidData` when `n` is too large to allocate.
+fn csr_of(n: u64, el: &EdgeList) -> io::Result<Csr> {
+    Csr::try_from_edges(n, el).map_err(|e| invalid(format!("vertex count {n}: {e}")))
+}
+
 /// Reads a SNAP-style text edge list from `r`. Lines starting with `#` or
 /// `%` are skipped; tokens are whitespace-separated.
 pub fn read_text_edges<R: Read>(r: R) -> io::Result<EdgeList> {
@@ -32,17 +42,11 @@ pub fn read_text_edges<R: Read>(r: R) -> io::Result<EdgeList> {
         let mut it = t.split_whitespace();
         let (u, v) = match (it.next(), it.next()) {
             (Some(a), Some(b)) => (a, b),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed edge line: {t:?}"),
-                ))
-            }
+            _ => return Err(invalid(format!("malformed edge line: {t:?}"))),
         };
         let parse = |s: &str| {
-            s.parse::<u64>().map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad id {s:?}: {e}"))
-            })
+            s.parse::<u64>()
+                .map_err(|e| invalid(format!("bad id {s:?}: {e}")))
         };
         el.push(parse(u)?, parse(v)?);
     }
@@ -82,7 +86,7 @@ pub fn read_binary<R: Read>(r: R) -> io::Result<Csr> {
     };
     let magic = next(&mut r)?;
     if magic != BIN_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+        return Err(invalid("bad magic"));
     }
     let n = next(&mut r)?;
     let m = next(&mut r)?;
@@ -91,15 +95,12 @@ pub fn read_binary<R: Read>(r: R) -> io::Result<Csr> {
         let u = next(&mut r)?;
         let v = next(&mut r)?;
         if u >= n || v >= n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "edge id out of range",
-            ));
+            return Err(invalid("edge id out of range"));
         }
         el.push(u, v);
     }
     el.canonicalize();
-    Ok(Csr::from_edges(n, &el))
+    csr_of(n, &el)
 }
 
 /// Convenience: load a graph from a path, dispatching on extension
@@ -112,8 +113,10 @@ pub fn load_graph<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
     } else {
         let mut el = read_text_edges(f)?;
         el.canonicalize();
-        let n = el.num_vertices();
-        Ok(Csr::from_edges(n, &el))
+        let n = el
+            .num_vertices()
+            .ok_or_else(|| invalid(format!("vertex id {} is out of range", u64::MAX)))?;
+        csr_of(n, &el)
     }
 }
 
@@ -163,5 +166,36 @@ mod tests {
     fn binary_rejects_bad_magic() {
         let buf = [0u8; 24];
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    fn assert_invalid_data<T: std::fmt::Debug>(r: io::Result<T>) {
+        assert_eq!(r.unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A binary file of just a header claiming `n` vertices and no edges.
+    fn header_only(n: u64) -> Vec<u8> {
+        [BIN_MAGIC, n, 0]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
+    }
+
+    #[test]
+    fn text_rejects_the_largest_id() {
+        let path = std::env::temp_dir().join(format!("io-max-id-{}.txt", std::process::id()));
+        std::fs::write(&path, format!("1 {}\n", u64::MAX)).unwrap();
+        let r = load_graph(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert_invalid_data(r);
+    }
+
+    #[test]
+    fn binary_rejects_a_vertex_count_past_capacity() {
+        assert_invalid_data(read_binary(&header_only(1 << 62)[..]));
+    }
+
+    #[test]
+    fn binary_rejects_a_vertex_count_past_memory() {
+        assert_invalid_data(read_binary(&header_only(1 << 40)[..]));
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`KernelPolicy`] — the knob block threaded through `DistConfig`: forced
 //!   kernel or [`KernelChoice::Auto`], the hub-degree threshold, and the
-//!   intra-PE chunking/pool-width controls.
+//!   intra-PE pool width.
 //! * [`HubIndex`] — a per-PE index over high-degree adjacency lists, built
 //!   once at `PreparedRank` construction (and rebuilt on delta compaction,
 //!   which is what keeps it coherent — see DESIGN §5e).
@@ -83,10 +83,9 @@ pub struct KernelPolicy {
     /// Adjacency lists at least this long get a hub-index entry at
     /// `PreparedRank` construction.
     pub hub_threshold: u64,
-    /// Chunk per-PE counting loops and run them on the `par` pool. Off by
-    /// default; totals are bit-identical either way.
-    pub chunking: bool,
-    /// Worker threads for the intra-PE pool when `chunking` is on.
+    /// Worker threads for the intra-PE pool. Above 1, the per-PE local
+    /// counting loops run in degree-balanced chunks on the `par` pool; the
+    /// default 1 runs them inline. Totals are bit-identical either way.
     pub pool_workers: usize,
 }
 
@@ -95,7 +94,6 @@ impl Default for KernelPolicy {
         Self {
             kernel: KernelChoice::Auto,
             hub_threshold: 256,
-            chunking: false,
             pool_workers: 1,
         }
     }
@@ -573,7 +571,7 @@ impl<'a> Dispatcher<'a> {
     }
 }
 
-/// Degree-aware chunking: split `weights` (one weight per item, in canonical
+/// Degree-aware chunks: split `weights` (one weight per item, in canonical
 /// item order) into at most `chunks` contiguous ranges of roughly equal
 /// total weight, by walking the prefix sum. Returns `(start, end)` index
 /// pairs covering `0..weights.len()` exactly, in order. Deterministic in
@@ -616,7 +614,6 @@ mod tests {
     fn policy_default_is_auto_sequential() {
         let p = KernelPolicy::default();
         assert_eq!(p.kernel, KernelChoice::Auto);
-        assert!(!p.chunking);
         assert_eq!(p.pool_workers, 1);
     }
 

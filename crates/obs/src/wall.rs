@@ -1,5 +1,5 @@
 //! The measured side of the dual clock: turns a drained
-//! [`WallProfile`](tricount_comm::WallProfile) into a [`WallTimeline`] —
+//! [`tricount_comm::WallProfile`] into a [`WallTimeline`] —
 //! matched send→recv flows with queue-dwell times, per-PE barrier
 //! intervals, and the contention meters folded into report/Prometheus
 //! form.

@@ -1,5 +1,5 @@
 //! A minimal, dependency-free stand-in for the `proptest` crate, providing
-//! the subset of the 1.x API this workspace's tests use: [`Strategy`] with
+//! the subset of the 1.x API this workspace's tests use: [`Strategy`](strategy::Strategy) with
 //! `prop_map`/`prop_flat_map`/`boxed`, [`strategy::Just`], integer and `f64`
 //! range strategies, tuple strategies, [`collection::vec`], the
 //! [`proptest!`]/[`prop_oneof!`]/`prop_assert*` macros and
@@ -248,7 +248,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -10,7 +10,7 @@
 //! * **message order** — a [`TraceEvent::Received`] happens-after the
 //!   [`TraceEvent::Sent`] carrying the same `(sender, receiver, seq)` key
 //!   (`alltoallv` constituents, which carry the
-//!   [`COLL_CONSTITUENT_SEQ`](tricount_comm::trace::COLL_CONSTITUENT_SEQ)
+//!   [`tricount_comm::trace::COLL_CONSTITUENT_SEQ`]
 //!   sentinel, are matched FIFO per channel instead);
 //! * **barrier order** — a [`TraceEvent::CollExit`] of epoch *k*
 //!   happens-after every PE's `CollEnter` of epoch *k*, and the *k*-th

@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 
 use tricount_comm::SimOptions;
 use tricount_core::config::Algorithm;
-use tricount_core::dist::run_on_stats;
+use tricount_core::dist::run_on_profiled;
 use tricount_gen::rgg::rgg2d_default;
 use tricount_gen::rmat::rmat_default;
 use tricount_graph::dist::DistGraph;
@@ -48,8 +48,8 @@ fn render() -> String {
         for alg in Algorithm::all() {
             for p in [1usize, 4, 9] {
                 let dg = DistGraph::new_balanced_vertices(&g, p);
-                let (res, _, dispatch) =
-                    run_on_stats(dg, alg, &alg.config(), &SimOptions::default())
+                let (res, _, dispatch, _) =
+                    run_on_profiled(dg, alg, &alg.config(), &SimOptions::default())
                         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
                 let run = format!("{gname} {} p={p}", alg.name());
                 let relayed = matches!(

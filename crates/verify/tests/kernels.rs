@@ -15,7 +15,7 @@ use tricount_comm::stats::Counters;
 use tricount_comm::SimOptions;
 use tricount_core::config::Algorithm;
 use tricount_core::dist::dispatch::DispatchReport;
-use tricount_core::dist::run_on_stats;
+use tricount_core::dist::run_on_profiled;
 use tricount_core::seq::compact_forward;
 use tricount_gen::rmat::rmat_default;
 use tricount_graph::dist::DistGraph;
@@ -42,7 +42,7 @@ fn run_with_policy(
     let dg = DistGraph::new_balanced_vertices(g, p);
     let mut cfg = alg.config();
     cfg.kernels = policy;
-    let (res, _trace, dispatch) = run_on_stats(dg, alg, &cfg, opts)
+    let (res, _trace, dispatch, _wall) = run_on_profiled(dg, alg, &cfg, opts)
         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
     let phases = res
         .stats
@@ -80,7 +80,6 @@ fn policy(kernel: KernelChoice, pool_workers: usize) -> KernelPolicy {
     KernelPolicy {
         kernel,
         hub_threshold: HUB_THRESHOLD,
-        chunking: pool_workers > 1,
         pool_workers,
     }
 }

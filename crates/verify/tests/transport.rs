@@ -23,15 +23,15 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use tricount_comm::{run_sim, Counters, Routing, RunStats, SimOptions, TransportKind};
+use tricount_comm::{run_guarded, run_sim, Counters, Routing, RunStats, SimOptions, TransportKind};
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::delta::apply_batch_sim;
 use tricount_core::dist::residency::{build_residency, PreparedRank};
 use tricount_core::dist::support::edge_support_rank;
-use tricount_core::dist::{lcc, run_on, run_on_guarded};
+use tricount_core::dist::{count_rank, fold_counts, lcc, run_on, run_ranks};
 use tricount_core::seq::compact_forward;
 use tricount_delta::{random_batch, Overlay};
-use tricount_graph::dist::{DistGraph, LocalGraph};
+use tricount_graph::dist::DistGraph;
 use tricount_graph::Csr;
 use tricount_verify::check_hb;
 
@@ -169,15 +169,8 @@ fn edge_support_bit_equal_across_backends() {
     let queries: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (5, 9), (3, 200), (200, 3)];
     let run = |opts: &SimOptions| -> Vec<Vec<u64>> {
         let dg = DistGraph::new_balanced_vertices(&g, p);
-        let cells: Vec<Mutex<Option<LocalGraph>>> = dg
-            .into_locals()
-            .into_iter()
-            .map(|l| Mutex::new(Some(l)))
-            .collect();
-        let q = queries.clone();
-        run_sim(p, opts, |ctx| {
-            let lg = cells[ctx.rank()].lock().unwrap().take().unwrap();
-            edge_support_rank(ctx, &lg, &q, &cfg)
+        run_ranks(dg, opts, |ctx, lg| {
+            edge_support_rank(ctx, &lg, &queries, &cfg).0
         })
         .output
         .results
@@ -248,15 +241,14 @@ fn run_guarded_on_threads_backend() {
     let g = fixture();
     let truth = compact_forward(&g).triangles;
     let cfg = Algorithm::Cetric.config();
-    let r = run_on_guarded(
-        DistGraph::new_balanced_vertices(&g, 4),
-        Algorithm::Cetric,
-        &cfg,
-        &threads_opts(),
-        Duration::from_secs(30),
-    )
+    // the guarded rank program must be 'static, so it owns the partition
+    let dg = DistGraph::new_balanced_vertices(&g, 4);
+    let out = run_guarded(4, &threads_opts(), Duration::from_secs(30), move |ctx| {
+        count_rank(ctx, dg.local(ctx.rank()).clone(), Algorithm::Cetric, &cfg)
+    })
     .expect("guarded threads run");
-    assert_eq!(r.triangles, truth);
+    let (triangles, _) = fold_counts(out.output.results).expect("cetric cannot fail");
+    assert_eq!(triangles, truth);
 }
 
 /// A traced threads-backend run is causally consistent: every receive

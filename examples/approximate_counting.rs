@@ -20,7 +20,7 @@ fn main() {
     let n = 4_000u64;
     let g = cetric::gen::gnm(n, 16 * n, 11);
     let p = 8;
-    let exact = count(&g, p, Algorithm::Cetric).unwrap();
+    let exact = count(&g, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let exact_volume: u64 = exact
         .stats
         .phases

@@ -34,7 +34,7 @@ fn main() {
             let (_part, lg) = rgg2d_distributed(&layout, p, ctx.rank(), seed);
             let m_local = lg.num_local_entries();
             ctx.end_phase("generate");
-            let triangles = cetric_alg::run_rank(ctx, lg, &cfg);
+            let (triangles, _) = cetric_alg::run_rank(ctx, lg, &cfg);
             (triangles, m_local)
         });
         let triangles = out.results[0].0;

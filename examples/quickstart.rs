@@ -31,7 +31,8 @@ fn main() {
     // 3. Distributed: CETRIC on 8 simulated PEs. The graph is 1D-partitioned
     //    by vertex id; each PE runs as a thread; every message is metered.
     let p = 8;
-    let r = count(&g, p, Algorithm::Cetric).expect("in-memory run cannot OOM");
+    let r = count(&g, p, Algorithm::Cetric, &Algorithm::Cetric.config())
+        .expect("in-memory run cannot OOM");
     assert_eq!(r.triangles, s.triangles);
     println!("\nCETRIC on {p} PEs: {} triangles", r.triangles);
 
@@ -64,7 +65,7 @@ fn main() {
         "algorithm", "msgs", "volume(words)", "time(model)"
     );
     for alg in Algorithm::all() {
-        match count(&g, p, alg) {
+        match count(&g, p, alg, &alg.config()) {
             Ok(r) => println!(
                 "{:<22} {:>10} {:>14} {:>9.3} ms",
                 alg.name(),

@@ -41,7 +41,7 @@ fn main() {
     for p in [2usize, 4, 8, 16, 32] {
         print!("{p:>5}");
         for alg in algs {
-            match count(&g, p, alg) {
+            match count(&g, p, alg, &alg.config()) {
                 Ok(r) => {
                     assert_eq!(r.triangles, seq.triangles, "{alg:?} p={p}");
                     print!(

@@ -55,7 +55,7 @@ fn main() {
         check_schedule_independence(4, &seeds, &SimOptions::default(), move |ctx: &mut Ctx| {
             let dg = DistGraph::new_balanced_vertices(&g2, ctx.num_ranks());
             let lg = dg.into_locals().swap_remove(ctx.rank());
-            cetric::core::dist::ditric::run_rank(ctx, lg, &Algorithm::Ditric.config())
+            cetric::core::dist::ditric::run_rank(ctx, lg, &Algorithm::Ditric.config()).0
         });
     match verdict {
         Ok(results) => println!(

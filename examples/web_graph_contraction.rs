@@ -26,8 +26,8 @@ fn main() {
     );
 
     let p = 16;
-    let ditric = count(&g, p, Algorithm::Ditric).unwrap();
-    let cetric = count(&g, p, Algorithm::Cetric).unwrap();
+    let ditric = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let cetric = count(&g, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     assert_eq!(ditric.triangles, cetric.triangles);
     println!("triangles: {} (both algorithms agree)\n", ditric.triangles);
 

@@ -111,7 +111,7 @@ fn local_phase_share_matches_type_counts() {
     let part = Partition::balanced_vertices(12, 2);
     let (t1, t2, t3) = classify(&g, &part);
     assert_eq!((t1, t2, t3), (40, 0, 0)); // two K6 = 2·20 triangles
-    let r = count(&g, 2, Algorithm::Cetric).unwrap();
+    let r = count(&g, 2, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     assert_eq!(r.triangles, 40);
     // cut graph of a matching is triangle-free
     assert_eq!(seq::compact_forward(&cut_graph(&g, &part)).triangles, 0);

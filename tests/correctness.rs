@@ -9,7 +9,8 @@ fn check(g: &Csr, ps: &[usize]) {
     let truth = seq::compact_forward(g).triangles;
     for &p in ps {
         for alg in Algorithm::all() {
-            let r = count(g, p, alg).unwrap_or_else(|e| panic!("{alg:?} p={p}: {e}"));
+            let r =
+                count(g, p, alg, &alg.config()).unwrap_or_else(|e| panic!("{alg:?} p={p}: {e}"));
             assert_eq!(r.triangles, truth, "{} p={p}", alg.name());
         }
     }
@@ -57,7 +58,7 @@ fn custom_configs_still_correct() {
             ..DistConfig::default()
         };
         for alg in [Algorithm::Ditric, Algorithm::Cetric] {
-            let r = count_with(&g, 6, alg, &cfg).unwrap();
+            let r = count(&g, 6, alg, &cfg).unwrap();
             assert_eq!(r.triangles, truth, "{alg:?} delta_factor={factor}");
         }
     }
@@ -67,12 +68,12 @@ fn custom_configs_still_correct() {
         ..DistConfig::default()
     };
     for alg in [Algorithm::Ditric, Algorithm::Cetric, Algorithm::HavoqgtLike] {
-        let r = count_with(&g, 6, alg, &cfg).unwrap();
+        let r = count(&g, 6, alg, &cfg).unwrap();
         assert_eq!(r.triangles, truth, "{alg:?} id-order");
     }
     // grid routing at awkward (non-square) PE counts
     for p in [3usize, 7, 13, 21] {
-        let r = count(&g, p, Algorithm::Cetric2).unwrap();
+        let r = count(&g, p, Algorithm::Cetric2, &Algorithm::Cetric2.config()).unwrap();
         assert_eq!(r.triangles, truth, "CETRIC2 p={p}");
     }
 }
@@ -127,7 +128,11 @@ fn empty_and_degenerate_graphs() {
     // vertices but no edges
     let g = Csr::from_edges(10, &EdgeList::new());
     for alg in [Algorithm::Ditric, Algorithm::Cetric, Algorithm::TricLike] {
-        assert_eq!(count(&g, 4, alg).unwrap().triangles, 0, "{alg:?}");
+        assert_eq!(
+            count(&g, 4, alg, &alg.config()).unwrap().triangles,
+            0,
+            "{alg:?}"
+        );
     }
     // single edge
     let mut el = EdgeList::new();
@@ -135,7 +140,11 @@ fn empty_and_degenerate_graphs() {
     el.canonicalize();
     let g = Csr::from_edges(2, &el);
     for alg in Algorithm::all() {
-        assert_eq!(count(&g, 2, alg).unwrap().triangles, 0, "{alg:?}");
+        assert_eq!(
+            count(&g, 2, alg, &alg.config()).unwrap().triangles,
+            0,
+            "{alg:?}"
+        );
     }
 }
 
@@ -143,8 +152,8 @@ fn empty_and_degenerate_graphs() {
 fn results_identical_across_repeated_runs() {
     let g = cetric::gen::rhg_default(800, 17);
     for alg in [Algorithm::Ditric2, Algorithm::Cetric2] {
-        let a = count(&g, 9, alg).unwrap();
-        let b = count(&g, 9, alg).unwrap();
+        let a = count(&g, 9, alg, &alg.config()).unwrap();
+        let b = count(&g, 9, alg, &alg.config()).unwrap();
         assert_eq!(a.triangles, b.triangles);
         assert_eq!(a.stats.total_volume(), b.stats.total_volume());
         assert_eq!(a.stats.total_work(), b.stats.total_work());

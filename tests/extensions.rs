@@ -3,6 +3,7 @@
 //! timed runs and the communication-free generation pipeline — all checked
 //! against each other end to end.
 
+use cetric::comm::SimOptions;
 use cetric::core::dist::{enumerate, matrix2d};
 use cetric::core::{sampling, seq};
 use cetric::gen::distributed::{rgg2d_distributed, RggLayout};
@@ -20,7 +21,9 @@ fn five_independent_counters_agree() {
     ] {
         let a = seq::compact_forward(&g).triangles;
         let b = seq::compact_forward_compressed(&CompressedCsr::from_csr(&g)).triangles;
-        let c = count(&g, 6, Algorithm::Cetric).unwrap().triangles;
+        let c = count(&g, 6, Algorithm::Cetric, &Algorithm::Cetric.config())
+            .unwrap()
+            .triangles;
         let d = matrix2d::count_matrix2d(&g, p2d).triangles;
         let e = enumerate::enumerate(&g, 5, &DistConfig::default()).len() as u64;
         assert_eq!(a, b);
@@ -76,7 +79,7 @@ fn communication_free_generation_feeds_the_counter() {
     let cfg = DistConfig::default();
     let out = cetric::comm::run(p, |ctx| {
         let (_part, lg) = rgg2d_distributed(&layout, p, ctx.rank(), 33);
-        cetric::core::dist::cetric::run_rank(ctx, lg, &cfg)
+        cetric::core::dist::cetric::run_rank(ctx, lg, &cfg).0
     });
     let distributed_count = out.results[0];
     assert!(out.results.iter().all(|&t| t == distributed_count));
@@ -104,8 +107,12 @@ fn timed_and_untimed_runs_count_identically() {
     let cost = CostModel::cloud();
     for alg in [Algorithm::Ditric2, Algorithm::Cetric] {
         let dg = DistGraph::new_balanced_vertices(&g, 8);
-        let timed = cetric::core::dist::run_on_timed(dg, alg, &alg.config(), cost).unwrap();
-        let untimed = count(&g, 8, alg).unwrap();
+        let opts = SimOptions {
+            timing: Some(cost),
+            ..SimOptions::default()
+        };
+        let (timed, _) = cetric::core::run_on(dg, alg, &alg.config(), &opts).unwrap();
+        let untimed = count(&g, 8, alg, &alg.config()).unwrap();
         assert_eq!(timed.triangles, untimed.triangles);
         assert!(timed.stats.makespan() > 0.0);
         // counters identical: timing must not change the protocol
@@ -119,7 +126,7 @@ fn matrix2d_volume_wall_vs_cetric_on_local_graph() {
     // on a local (web-like) graph the contrast is starkest: CETRIC ships
     // only the cut, the 2D scheme replicates blocks regardless of locality
     let g = Dataset::Webbase2001.generate(2048, 3);
-    let c16 = count(&g, 16, Algorithm::Cetric).unwrap();
+    let c16 = count(&g, 16, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let m16 = matrix2d::count_matrix2d(&g, 16);
     assert_eq!(c16.triangles, m16.triangles);
     assert!(

@@ -3,6 +3,7 @@
 //! orientation is a triangle-preserving DAG, partitions cover the id space,
 //! routing delivers exactly once, and the Bloom count never underestimates.
 
+use cetric::comm::SimOptions;
 use cetric::core::dist::approx::{approx, ApproxConfig, FilterKind};
 use cetric::core::seq;
 use cetric::prelude::*;
@@ -38,7 +39,7 @@ proptest! {
         prop_assert_eq!(seq::compact_forward(&g).triangles, truth);
         prop_assert_eq!(seq::edge_iterator(&g, OrderingKind::Id).triangles, truth);
         for alg in Algorithm::all() {
-            let r = count(&g, p, alg).unwrap();
+            let r = count(&g, p, alg, &alg.config()).unwrap();
             prop_assert_eq!(r.triangles, truth, "{} p={}", alg.name(), p);
         }
     }
@@ -118,7 +119,8 @@ proptest! {
     fn edge_balanced_partitions_count_correctly(g in arb_graph(), p in 1usize..5) {
         let truth = seq::brute_force_count(&g);
         let dg = DistGraph::new_balanced_edges(&g, p);
-        let r = cetric::core::run_on_default(dg, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
+        let alg = Algorithm::Cetric;
+        let (r, _) = cetric::core::run_on(dg, alg, &alg.config(), &SimOptions::default()).unwrap();
         prop_assert_eq!(r.triangles, truth);
     }
 

@@ -20,8 +20,14 @@ fn fig2_shape_aggregation_wins_at_every_p() {
     let g = Dataset::Friendster.generate(1 << 11, 4);
     let model = CostModel::supermuc();
     for p in [4usize, 8, 16, 32] {
-        let unagg = count(&g, p, Algorithm::Unaggregated).unwrap();
-        let agg = count(&g, p, Algorithm::Ditric).unwrap();
+        let unagg = count(
+            &g,
+            p,
+            Algorithm::Unaggregated,
+            &Algorithm::Unaggregated.config(),
+        )
+        .unwrap();
+        let agg = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
         assert_eq!(unagg.triangles, agg.triangles);
         // order-of-magnitude running-time gap from startup overheads
         let gap = unagg.modeled_time(&model) / agg.modeled_time(&model);
@@ -42,15 +48,15 @@ fn fig5_shape_cetric_cuts_volume_on_rgg_not_on_gnm() {
     let p = 8;
     // RGG2D: strong locality → contraction pays in volume
     let rgg = cetric::gen::rgg2d_default(1 << 12, 2);
-    let d = count(&rgg, p, Algorithm::Ditric).unwrap();
-    let c = count(&rgg, p, Algorithm::Cetric).unwrap();
+    let d = count(&rgg, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let c = count(&rgg, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let ratio_rgg = global_volume(&d) as f64 / global_volume(&c).max(1) as f64;
     assert!(ratio_rgg > 1.5, "RGG volume reduction only {ratio_rgg:.2}x");
 
     // GNM: no locality → reduction marginal (paper: "almost no reduction")
     let gnm = cetric::gen::gnm(1 << 12, 16 << 12, 2);
-    let d = count(&gnm, p, Algorithm::Ditric).unwrap();
-    let c = count(&gnm, p, Algorithm::Cetric).unwrap();
+    let d = count(&gnm, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let c = count(&gnm, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let ratio_gnm = global_volume(&d) as f64 / global_volume(&c).max(1) as f64;
     assert!(
         ratio_gnm < ratio_rgg,
@@ -65,8 +71,8 @@ fn indirection_caps_peer_fanout_at_scale() {
     // RMAT hub: many PEs send to the hub's owner
     let g = cetric::gen::rmat_default(10, 6);
     let p = 36;
-    let direct = count(&g, p, Algorithm::Ditric).unwrap();
-    let indirect = count(&g, p, Algorithm::Ditric2).unwrap();
+    let direct = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let indirect = count(&g, p, Algorithm::Ditric2, &Algorithm::Ditric2.config()).unwrap();
     assert_eq!(direct.triangles, indirect.triangles);
     let max_peers_direct = direct
         .stats
@@ -118,7 +124,7 @@ fn memory_bounds_linear_vs_superlinear() {
         .max()
         .unwrap();
 
-    let ditric = count(&g, p, Algorithm::Ditric).unwrap();
+    let ditric = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
     // DITRIC: peak buffer within a small factor of δ (=|E_i|/4) — linear
     assert!(
         ditric.stats.max_peak_buffered() <= max_entries,
@@ -127,7 +133,7 @@ fn memory_bounds_linear_vs_superlinear() {
         max_entries
     );
 
-    let tric = count(&g, p, Algorithm::TricLike).unwrap();
+    let tric = count(&g, p, Algorithm::TricLike, &Algorithm::TricLike.config()).unwrap();
     // TriC-like: peak buffer is the whole outgoing volume — superlinear in
     // the local input on this skewed graph
     assert!(
@@ -147,7 +153,7 @@ fn modeled_time_decreases_then_flattens_with_p() {
     let t: Vec<f64> = [2usize, 16, 32]
         .iter()
         .map(|&p| {
-            count(&g, p, Algorithm::Ditric)
+            count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config())
                 .unwrap()
                 .modeled_time(&model)
         })
@@ -167,8 +173,8 @@ fn cloud_network_favours_cetric_supermuc_less_so() {
     // advantage over DITRIC must be larger under the slow-network model
     let g = Dataset::Webbase2001.generate(1 << 12, 8);
     let p = 16;
-    let d = count(&g, p, Algorithm::Ditric).unwrap();
-    let c = count(&g, p, Algorithm::Cetric).unwrap();
+    let d = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let c = count(&g, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let fast = CostModel::supermuc();
     let slow = CostModel::cloud();
     let adv_fast = d.modeled_time(&fast) / c.modeled_time(&fast);
@@ -188,8 +194,14 @@ fn havoqgt_like_moves_wedge_volume() {
     // wedge-proportional messaging ≫ neighborhood messaging on skewed graphs
     let g = Dataset::Twitter.generate(1 << 11, 3);
     let p = 8;
-    let ours = count(&g, p, Algorithm::Ditric).unwrap();
-    let theirs = count(&g, p, Algorithm::HavoqgtLike).unwrap();
+    let ours = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let theirs = count(
+        &g,
+        p,
+        Algorithm::HavoqgtLike,
+        &Algorithm::HavoqgtLike.config(),
+    )
+    .unwrap();
     assert_eq!(ours.triangles, theirs.triangles);
     assert!(
         theirs.stats.total_volume() > 2 * ours.stats.total_volume(),
@@ -203,7 +215,7 @@ fn havoqgt_like_moves_wedge_volume() {
 fn road_networks_tiny_communication() {
     // road family: cut and volume must be tiny relative to m
     let g = Dataset::RoadEurope.generate(1 << 12, 2);
-    let r = count(&g, 8, Algorithm::Cetric).unwrap();
+    let r = count(&g, 8, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let m_words = 2 * g.num_edges();
     assert!(
         global_volume(&r) < m_words / 4,
