@@ -4,7 +4,9 @@
 //! on one R-MAT and one RGG2D graph it renders the triangle count, each
 //! rank's `work_ops` / `sent_words` / `sent_messages` /
 //! `peak_buffered_words` and the kernel-dispatch tallies as text and
-//! compares it, line by line, with `golden_counters.txt`.
+//! compares it, line by line, with `golden_counters.txt`. The per-vertex
+//! LCC protocol (the engine's `VertexLcc` path) follows with the same rows
+//! on the same graphs and PE counts.
 //!
 //! The relayed variants (grid routing, and the HavoqGT-like visitor
 //! rerouting) batch what they forward in message *arrival* order, so their
@@ -23,9 +25,12 @@
 
 use std::fmt::Write as _;
 
-use tricount_comm::SimOptions;
-use tricount_core::config::Algorithm;
-use tricount_core::dist::run_on_profiled;
+use tricount_comm::{RunStats, SimOptions};
+use tricount_core::config::{Algorithm, DistConfig};
+use tricount_core::dist::dispatch::DispatchReport;
+use tricount_core::dist::lcc::lcc_prepared;
+use tricount_core::dist::residency::prepare_rank;
+use tricount_core::dist::{run_on_profiled, run_ranks};
 use tricount_gen::rgg::rgg2d_default;
 use tricount_gen::rmat::rmat_default;
 use tricount_graph::dist::DistGraph;
@@ -40,6 +45,42 @@ fn graphs() -> [(&'static str, Csr); 2] {
     ]
 }
 
+/// The rows of one run: the triangle count, one line per rank (relayed
+/// runs without their arrival-order fields) and one per dispatch phase.
+fn render_run(
+    out: &mut String,
+    run: &str,
+    triangles: u64,
+    stats: &RunStats,
+    dispatch: &DispatchReport,
+    relayed: bool,
+) {
+    writeln!(out, "{run} triangles={triangles}").unwrap();
+    for rank in 0..stats.p {
+        let (mut work, mut words, mut msgs, mut peak) = (0u64, 0u64, 0u64, 0u64);
+        for ph in &stats.phases {
+            let c = &ph.per_rank[rank];
+            work += c.work_ops;
+            words += c.sent_words;
+            msgs += c.sent_messages;
+            peak = peak.max(c.peak_buffered_words);
+        }
+        write!(out, "{run} rank={rank} work_ops={work} sent_words={words}").unwrap();
+        if !relayed {
+            write!(out, " sent_messages={msgs} peak_buffered_words={peak}").unwrap();
+        }
+        writeln!(out).unwrap();
+    }
+    for (phase, k) in &dispatch.phases {
+        writeln!(
+            out,
+            "{run} dispatch={phase} merge={} gallop={} binary={} bitmap={}",
+            k.merge, k.gallop, k.binary, k.bitmap
+        )
+        .unwrap();
+    }
+}
+
 /// One line per run header, per rank and per dispatch phase, in a fixed
 /// order, so a mismatch names the graph, variant, p and rank that moved.
 fn render() -> String {
@@ -51,36 +92,45 @@ fn render() -> String {
                 let (res, _, dispatch, _) =
                     run_on_profiled(dg, alg, &alg.config(), &SimOptions::default())
                         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
-                let run = format!("{gname} {} p={p}", alg.name());
                 let relayed = matches!(
                     alg,
                     Algorithm::Ditric2 | Algorithm::Cetric2 | Algorithm::HavoqgtLike
                 );
-                writeln!(out, "{run} triangles={}", res.triangles).unwrap();
-                for rank in 0..p {
-                    let (mut work, mut words, mut msgs, mut peak) = (0u64, 0u64, 0u64, 0u64);
-                    for ph in &res.stats.phases {
-                        let c = &ph.per_rank[rank];
-                        work += c.work_ops;
-                        words += c.sent_words;
-                        msgs += c.sent_messages;
-                        peak = peak.max(c.peak_buffered_words);
-                    }
-                    write!(out, "{run} rank={rank} work_ops={work} sent_words={words}").unwrap();
-                    if !relayed {
-                        write!(out, " sent_messages={msgs} peak_buffered_words={peak}").unwrap();
-                    }
-                    writeln!(out).unwrap();
-                }
-                for (phase, k) in &dispatch.phases {
-                    writeln!(
-                        out,
-                        "{run} dispatch={phase} merge={} gallop={} binary={} bitmap={}",
-                        k.merge, k.gallop, k.binary, k.bitmap
-                    )
-                    .unwrap();
-                }
+                let run = format!("{gname} {} p={p}", alg.name());
+                render_run(
+                    &mut out,
+                    &run,
+                    res.triangles,
+                    &res.stats,
+                    &dispatch,
+                    relayed,
+                );
             }
+        }
+    }
+    let cfg = DistConfig::default();
+    for (gname, g) in graphs() {
+        for p in [1usize, 4, 9] {
+            let dg = DistGraph::new_balanced_vertices(&g, p);
+            let sim = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
+                let prep = prepare_rank(ctx, lg, &cfg);
+                lcc_prepared(ctx, &prep, &cfg)
+            });
+            let mut delta_sum = 0u64;
+            let mut dispatch = DispatchReport::new();
+            for (owned, d) in &sim.output.results {
+                delta_sum += owned.iter().sum::<u64>();
+                dispatch.absorb(d);
+            }
+            let run = format!("{gname} LCC p={p}");
+            render_run(
+                &mut out,
+                &run,
+                delta_sum / 3,
+                &sim.output.stats,
+                &dispatch,
+                false,
+            );
         }
     }
     out
