@@ -5,18 +5,20 @@
 //! counting positives — an overestimate, corrected by subtracting the
 //! expected false positives (the *truthful estimator*).
 //!
-//! Type-1/2 triangles are still counted exactly (they never leave the PE).
+//! Type-1/2 triangles are still counted exactly (they never leave the PE):
+//! the local phase is CETRIC's, the shared `dist::count_local` over the
+//! expanded graph. The sketched global phase has its own wire format and
+//! does not run through `dist::global_pass`.
 
 use tricount_amq::{truthful_estimate_unclamped, Amq, BloomFilter, SingleShotBloom};
 use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
 use tricount_graph::dist::DistGraph;
-use tricount_graph::intersect::merge_count;
 use tricount_graph::Csr;
 
 use crate::config::DistConfig;
 use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
-use crate::dist::run_ranks;
+use crate::dist::{count_local, run_ranks};
 use crate::result::ApproxResult;
 
 /// Which AMQ to ship in the global phase.
@@ -71,27 +73,9 @@ pub fn approx_prepared(
     cfg: &DistConfig,
     acfg: &ApproxConfig,
 ) -> ApproxRankOutput {
+    // exact local phase: CETRIC's
     let o = &prep.oriented;
-
-    // exact local phase (identical to CETRIC's)
-    let mut exact_local = 0u64;
-    for v in o.owned_range() {
-        let av = o.a_owned(v);
-        for &u in av {
-            let au = o.a_of(u).expect("head must be owned or ghost");
-            let (c, ops) = merge_count(av, au);
-            exact_local += c;
-            ctx.add_work(ops + 1);
-        }
-    }
-    for gi in 0..o.ghost_ids().len() {
-        let av = o.a_ghost(gi);
-        for &u in av {
-            let (c, ops) = merge_count(av, o.a_owned(u));
-            exact_local += c;
-            ctx.add_work(ops + 1);
-        }
-    }
+    let (exact_local, _) = count_local(ctx, o, cfg.kernels, Some(&prep.hubs_oriented));
     let contracted = &prep.contracted;
     ctx.end_phase(phases::LOCAL);
 

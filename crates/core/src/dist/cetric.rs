@@ -15,48 +15,27 @@
 //! the resident query engine share it; [`count_prepared`] is the pure
 //! counting part, reusable against long-lived [`PreparedRank`] state.
 //!
-//! Intersections go through the adaptive kernel [`Dispatcher`] configured
-//! by `cfg.kernels`, and the local phase is the shared `dist::count_local`
-//! — chunked on the `par` pool when `cfg.kernels.pool_workers > 1` and
-//! reduced in canonical chunk order, so counts and `ops` totals are
-//! bit-identical either way.
+//! The two phases are DITRIC's: the shared `dist::count_local` over the
+//! expanded graph and the shared `dist::count_global` over the contracted
+//! one, each through the adaptive kernel dispatcher over its hub index. The
+//! local phase is chunked on the `par` pool when
+//! `cfg.kernels.pool_workers > 1` and reduced in canonical chunk order, so
+//! counts and `ops` totals are bit-identical either way.
 
-use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig};
-use tricount_graph::dist::{ContractedGraph, LocalGraph};
-use tricount_graph::kernels::Dispatcher;
+use tricount_comm::Ctx;
+use tricount_graph::dist::LocalGraph;
 
 use crate::config::DistConfig;
-use crate::dist::count_local;
 use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
+use crate::dist::{count_global, count_local};
 
 /// Runs CETRIC on this rank; returns the global triangle count and this
 /// rank's per-phase kernel-dispatch tallies.
 pub fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> (u64, DispatchReport) {
     let prep = prepare_rank(ctx, lg, cfg);
     count_prepared(ctx, &prep, cfg)
-}
-
-/// Receive side of the global phase: `[v, A(v)...]` carries a contracted
-/// list, intersected with the contracted neighborhoods of local heads
-/// (Algorithm 3 lines 15–16).
-fn global_handler(
-    c: &ContractedGraph,
-    owned: &std::ops::Range<u64>,
-    ctx: &mut Ctx,
-    env: Envelope<'_>,
-    acc: &mut u64,
-    d: &mut Dispatcher<'_>,
-) {
-    let a = &env.payload[1..];
-    for &u in a {
-        if owned.contains(&u) {
-            let (cnt, ops) = d.count(a, None, c.a_of(u), Some(u));
-            *acc += cnt;
-            ctx.add_work(ops + 1);
-        }
-    }
 }
 
 /// CETRIC's counting phases on already prepared per-rank state (local phase
@@ -72,53 +51,22 @@ pub fn count_prepared(
     // Local phase (Algorithm 3 lines 5–7): every `v ∈ V_i ∪ ∂V_i`.
     let (local_count, local_dispatch) =
         count_local(ctx, &prep.oriented, cfg.kernels, Some(&prep.hubs_oriented));
-    let contracted = &prep.contracted;
     ctx.end_phase(phases::LOCAL);
 
     // Global phase (lines 9–16) on the contracted graph.
-    let delta = cfg.resolve_delta(prep.local.num_local_entries());
-    let mut q = MessageQueue::new(
+    let c = &prep.contracted;
+    let (remote_count, global_dispatch) = count_global(
         ctx,
-        QueueConfig {
-            delta,
-            routing: cfg.routing,
-        },
+        cfg,
+        &prep.local,
+        c.nonempty(),
+        |u| c.a_of(u),
+        Some(&prep.hubs_contracted),
     );
-    let part = prep.oriented.partition().clone();
-    let owned = prep.oriented.owned_range();
-    let mut remote_count = 0u64;
-    let mut gd = Dispatcher::with_hubs(cfg.kernels, &prep.hubs_contracted);
-
-    let mut scratch: Vec<u64> = Vec::new();
-    for (v, a) in contracted.nonempty() {
-        // Surrogate deduplication is not optional here: the receive handler
-        // scans the whole payload for local heads, so a duplicate copy per
-        // head would double count. (`cfg.dedup` only toggles the DITRIC
-        // formats.)
-        let mut last_rank: Option<usize> = None;
-        for &u in a {
-            let j = part.rank_of(u);
-            if last_rank == Some(j) {
-                continue;
-            }
-            last_rank = Some(j);
-            scratch.clear();
-            scratch.push(v);
-            scratch.extend_from_slice(a);
-            q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                global_handler(contracted, &owned, ctx, env, &mut remote_count, &mut gd)
-            }) {}
-        }
-    }
-    q.finish(ctx, &mut |ctx, env| {
-        global_handler(contracted, &owned, ctx, env, &mut remote_count, &mut gd)
-    });
-
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
 
     let mut report = DispatchReport::of(phases::LOCAL, local_dispatch);
-    report.add(phases::GLOBAL, gd.counters());
+    report.add(phases::GLOBAL, global_dispatch);
     (total, report)
 }

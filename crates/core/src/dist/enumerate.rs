@@ -1,17 +1,19 @@
 //! Distributed triangle *enumeration* (paper §IV-E: "Since each triangle is
 //! found exactly once, this can be easily generalized to the case of
-//! triangle enumeration"). The CETRIC pipeline, but instead of counting,
-//! every rank emits the triangles it discovers; since discovery is unique,
-//! the union over ranks is the exact triangle set.
+//! triangle enumeration"). LCC's rank body — `prepare_rank`, then the
+//! shared triangle listing over `dist::local_pass` and `dist::global_pass`
+//! — with a sink that emits each triangle instead of bumping its corners;
+//! since discovery is unique, the union over ranks is the exact triangle
+//! set.
 
-use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_comm::{Ctx, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph};
-use tricount_graph::intersect::merge_collect;
 use tricount_graph::{Csr, VertexId};
 
 use crate::config::DistConfig;
-use crate::dist::phases;
-use crate::dist::{preprocess, run_ranks};
+use crate::dist::lcc::list_triangles;
+use crate::dist::residency::prepare_rank;
+use crate::dist::run_ranks;
 
 /// A triangle as an id-sorted triple.
 pub type Triangle = (VertexId, VertexId, VertexId);
@@ -25,89 +27,10 @@ fn sorted(a: VertexId, b: VertexId, c: VertexId) -> Triangle {
 
 /// Enumerates this rank's share of the triangles (each global triangle is
 /// emitted by exactly one rank).
-fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> Vec<Triangle> {
-    preprocess(ctx, &mut lg, cfg);
-    let o = lg.orient(cfg.ordering, true);
-    ctx.end_phase(phases::PREPROCESSING);
-
-    let mut out: Vec<Triangle> = Vec::new();
-    let mut commons: Vec<VertexId> = Vec::new();
-    // local phase: type-1/2 triangles
-    for v in o.owned_range() {
-        let av = o.a_owned(v);
-        for &u in av {
-            let au = o.a_of(u).expect("head must be owned or ghost");
-            commons.clear();
-            let ops = merge_collect(av, au, &mut commons);
-            ctx.add_work(ops + 1);
-            out.extend(commons.iter().map(|&w| sorted(v, u, w)));
-        }
-    }
-    for gi in 0..o.ghost_ids().len() {
-        let gv = o.ghost_ids()[gi];
-        let av = o.a_ghost(gi);
-        for &u in av {
-            commons.clear();
-            let ops = merge_collect(av, o.a_owned(u), &mut commons);
-            ctx.add_work(ops + 1);
-            out.extend(commons.iter().map(|&w| sorted(gv, u, w)));
-        }
-    }
-    let contracted = o.contracted();
-    ctx.end_phase(phases::LOCAL);
-
-    // global phase: type-3 triangles
-    let delta = cfg.resolve_delta(lg.num_local_entries());
-    let mut q = MessageQueue::new(
-        ctx,
-        QueueConfig {
-            delta,
-            routing: cfg.routing,
-        },
-    );
-    let part = o.partition().clone();
-    let owned = o.owned_range();
-    let handler = |contracted: &tricount_graph::dist::ContractedGraph,
-                   owned: &std::ops::Range<u64>,
-                   ctx: &mut Ctx,
-                   env: Envelope<'_>,
-                   out: &mut Vec<Triangle>,
-                   commons: &mut Vec<VertexId>| {
-        let v = env.payload[0];
-        let a = &env.payload[1..];
-        for &u in a {
-            if owned.contains(&u) {
-                commons.clear();
-                let ops = merge_collect(a, contracted.a_of(u), commons);
-                ctx.add_work(ops + 1);
-                out.extend(commons.iter().map(|&w| sorted(v, u, w)));
-            }
-        }
-    };
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut commons2: Vec<VertexId> = Vec::new();
-    for (v, a) in contracted.nonempty() {
-        let mut last_rank: Option<usize> = None;
-        for &u in a {
-            let j = part.rank_of(u);
-            if last_rank == Some(j) {
-                continue;
-            }
-            last_rank = Some(j);
-            scratch.clear();
-            scratch.push(v);
-            scratch.extend_from_slice(a);
-            q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                handler(&contracted, &owned, ctx, env, &mut out, &mut commons2)
-            }) {}
-        }
-    }
-    q.finish(ctx, &mut |ctx, env| {
-        handler(&contracted, &owned, ctx, env, &mut out, &mut commons2)
-    });
-    ctx.end_phase(phases::GLOBAL);
-    out
+pub(crate) fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> Vec<Triangle> {
+    let prep = prepare_rank(ctx, lg, cfg);
+    let emit = |out: &mut Vec<Triangle>, v, u, w| out.push(sorted(v, u, w));
+    list_triangles(ctx, &prep, cfg, Vec::new, |t, part| t.extend(part), emit).0
 }
 
 /// Enumerates all triangles of `g` over `p` PEs (vertex-balanced). Returns

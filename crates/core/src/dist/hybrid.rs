@@ -6,13 +6,15 @@
 //! because fewer ranks mean a smaller cut — reduces communication volume.
 //! The global phase stays *funneled*: one thread per rank performs all
 //! communication and the receive-side intersections, which is exactly the
-//! bottleneck the paper reports for its hybrid prototype.
+//! bottleneck the paper reports for its hybrid prototype. It is DITRIC's
+//! global phase — the shared `dist::count_global` under `cfg.kernels` — so
+//! at `p = cores / threads` its counters equal DITRIC's.
 //!
 //! Work metering: the local phase charges the *maximum* per-worker op count
 //! (the modeled parallel makespan), so modeled times reflect `t`-way
 //! parallel execution on the single-core host.
 
-use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_comm::{Ctx, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::intersect::merge_count;
 use tricount_graph::VertexId;
@@ -20,7 +22,7 @@ use tricount_par::Pool;
 
 use crate::config::DistConfig;
 use crate::dist::phases;
-use crate::dist::{preprocess, run_ranks};
+use crate::dist::{count_global, preprocess, run_ranks};
 use crate::result::CountResult;
 
 /// Edge chunk size per task (small enough for stealing to balance hubs).
@@ -65,55 +67,9 @@ pub fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig, threads: us
     ctx.add_work(worker_ops.iter().copied().max().unwrap_or(0));
     ctx.end_phase(phases::LOCAL);
 
-    // Funneled global phase — identical to single-threaded DITRIC.
-    let delta = cfg.resolve_delta(lg.num_local_entries());
-    let mut q = MessageQueue::new(
-        ctx,
-        QueueConfig {
-            delta,
-            routing: cfg.routing,
-        },
-    );
-    let part = o.partition().clone();
-    let mut remote_count = 0u64;
-    let handler = |o: &tricount_graph::dist::OrientedLocalGraph,
-                   ctx: &mut Ctx,
-                   env: Envelope<'_>,
-                   acc: &mut u64| {
-        let a = &env.payload[1..];
-        for &u in a {
-            if o.is_owned(u) {
-                let (c, ops) = merge_count(a, o.a_owned(u));
-                *acc += c;
-                ctx.add_work(ops + 1);
-            }
-        }
-    };
-    let mut scratch: Vec<u64> = Vec::new();
-    for v in o.owned_range() {
-        let av = o.a_owned(v);
-        let mut last_rank: Option<usize> = None;
-        for &u in av {
-            if o.is_owned(u) {
-                continue;
-            }
-            let j = part.rank_of(u);
-            if last_rank == Some(j) {
-                continue;
-            }
-            last_rank = Some(j);
-            scratch.clear();
-            scratch.push(v);
-            scratch.extend_from_slice(av);
-            q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                handler(&o, ctx, env, &mut remote_count)
-            }) {}
-        }
-    }
-    q.finish(ctx, &mut |ctx, env| {
-        handler(&o, ctx, env, &mut remote_count)
-    });
+    // Funneled global phase — single-threaded DITRIC's, dispatcher and all.
+    let sources = o.owned_range().map(|v| (v, o.a_owned(v)));
+    let (remote_count, _) = count_global(ctx, cfg, &lg, sources, |u| o.a_owned(u), None);
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
     total

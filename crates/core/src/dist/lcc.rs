@@ -11,22 +11,24 @@
 //! ([`lcc_prepared`]), so the resident query engine can serve LCC queries
 //! from state prepared once.
 //!
-//! Intersections go through the adaptive kernel dispatcher; the local phase
-//! runs through the shared `dist::local_pass` — chunked on the `par` pool
-//! when `cfg.kernels.pool_workers > 1`, each chunk accumulating its own `Δ`
+//! The listing itself, `list_triangles`, is CETRIC's two phases with
+//! collecting intersections — the shared `dist::local_pass` and
+//! `dist::global_pass` — and a per-triangle sink; enumeration
+//! ([`crate::dist::enumerate`]) runs the same body with a different sink.
+//! The local pass is chunked on the `par` pool when
+//! `cfg.kernels.pool_workers > 1`, each chunk accumulating its own `Δ`
 //! vectors which are summed element-wise in canonical chunk order (u64
 //! addition — bit-identical to sequential).
 
-use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_comm::{Ctx, SimOptions};
 use tricount_graph::dist::{DistGraph, OrientedLocalGraph};
-use tricount_graph::kernels::Dispatcher;
 use tricount_graph::{Csr, VertexId};
 
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
-use crate::dist::{local_pass, run_ranks};
+use crate::dist::{global_pass, local_pass, run_ranks};
 use crate::result::LccResult;
 
 /// Per-rank Δ accumulator over owned and ghost vertices.
@@ -71,141 +73,100 @@ impl DeltaAcc {
     }
 }
 
-/// One local-phase item: enumerate the triangles closing each directed edge
-/// out of `v` and bump all three corners. Returns the metered work.
-#[inline]
-fn lcc_local_item(
-    o: &OrientedLocalGraph,
-    v: VertexId,
-    av: &[VertexId],
-    acc: &mut DeltaAcc,
-    commons: &mut Vec<VertexId>,
-    d: &mut Dispatcher<'_>,
-) -> u64 {
-    let mut work = 0u64;
-    for &u in av {
-        let au = o.a_of(u).expect("head must be owned or ghost");
-        commons.clear();
-        let ops = d.collect(av, Some(v), au, Some(u), commons);
-        work += ops + 1;
-        for &w in commons.iter() {
-            acc.bump(v);
-            acc.bump(u);
-            acc.bump(w);
-        }
-    }
-    work
+/// The triangle-listing phases LCC and enumeration share, on prepared
+/// per-rank state: the shared `dist::local_pass` over the expanded graph and
+/// the shared `dist::global_pass` over the contracted cut graph, each
+/// intersection collecting its common neighbours. Every triangle
+/// `(v, u, w)` (edge `(v, u)`, closing corner `w`) is found exactly once and
+/// handed to `emit` with the accumulator; `empty` and `absorb` are the
+/// local pass's per-chunk accumulator. Ends the local and global phases and
+/// returns the accumulator and the per-phase kernel-dispatch tallies.
+pub(crate) fn list_triangles<A: Send>(
+    ctx: &mut Ctx,
+    prep: &PreparedRank,
+    cfg: &DistConfig,
+    empty: impl Fn() -> A + Sync,
+    absorb: impl Fn(&mut A, A),
+    emit: impl Fn(&mut A, VertexId, VertexId, VertexId) + Sync,
+) -> (A, DispatchReport) {
+    let o = &prep.oriented;
+    // Local phase: type-1/2 triangles. Each partial carries its own
+    // intersection scratch.
+    let ((mut acc, mut commons), local_dispatch) = local_pass(
+        ctx,
+        o,
+        cfg.kernels,
+        Some(&prep.hubs_oriented),
+        || (empty(), Vec::new()),
+        |total, (part, _)| absorb(&mut total.0, part),
+        |v, av, (acc, commons), d| {
+            let mut work = 0u64;
+            for &u in av {
+                let au = o.a_of(u).expect("head must be owned or ghost");
+                commons.clear();
+                work += d.collect(av, Some(v), au, Some(u), commons) + 1;
+                for &w in commons.iter() {
+                    emit(acc, v, u, w);
+                }
+            }
+            work
+        },
+    );
+    ctx.end_phase(phases::LOCAL);
+
+    // Global phase: type-3 triangles (v and w are ghosts of the receiver).
+    let c = &prep.contracted;
+    let global_dispatch = global_pass(
+        ctx,
+        cfg,
+        &prep.local,
+        c.nonempty(),
+        |u| c.a_of(u),
+        Some(&prep.hubs_contracted),
+        |v, u, av, au, d| {
+            commons.clear();
+            let ops = d.collect(av, None, au, Some(u), &mut commons);
+            for &w in &commons {
+                emit(&mut acc, v, u, w);
+            }
+            ops
+        },
+    );
+    ctx.end_phase(phases::GLOBAL);
+
+    let mut report = DispatchReport::of(phases::LOCAL, local_dispatch);
+    report.add(phases::GLOBAL, global_dispatch);
+    (acc, report)
 }
 
 /// The per-vertex counting phases on already prepared per-rank state:
-/// local and global triangle enumeration bumping all three corners, then
-/// the ghost-Δ aggregation postprocessing. Returns this PE's owned `Δ`
-/// values and its per-phase kernel-dispatch tallies; no setup communication
+/// `list_triangles` bumping all three corners of every triangle, then the
+/// ghost-Δ aggregation postprocessing. Returns this PE's owned `Δ` values
+/// and its per-phase kernel-dispatch tallies; no setup communication
 /// happens here.
 pub fn lcc_prepared(
     ctx: &mut Ctx,
     prep: &PreparedRank,
     cfg: &DistConfig,
 ) -> (Vec<u64>, DispatchReport) {
-    let o = &prep.oriented;
-    let owned_range = o.owned_range();
-    let policy = cfg.kernels;
-
-    // Local phase: enumerate type-1/2 triangles, bump all three corners.
-    // Each partial carries its own intersection scratch; element-wise u64
-    // sums of the per-chunk Δ vectors are bit-identical to the inline bumps.
-    let ((mut acc, _), local_dispatch) = local_pass(
+    // Element-wise u64 sums of the per-chunk Δ vectors are bit-identical to
+    // inline bumps.
+    let (mut acc, report) = list_triangles(
         ctx,
-        o,
-        policy,
-        Some(&prep.hubs_oriented),
-        || (DeltaAcc::for_oriented(o), Vec::new()),
-        |total, (part, _)| total.0.absorb(&part),
-        |v, av, (acc, commons), d| lcc_local_item(o, v, av, acc, commons, d),
-    );
-    let contracted = &prep.contracted;
-    ctx.end_phase(phases::LOCAL);
-
-    // Global phase: type-3 triangles, again bumping all three corners
-    // (v and w are ghosts of the receiving PE).
-    let delta = cfg.resolve_delta(prep.local.num_local_entries());
-    let mut q = MessageQueue::new(
-        ctx,
-        QueueConfig {
-            delta,
-            routing: cfg.routing,
+        prep,
+        cfg,
+        || DeltaAcc::for_oriented(&prep.oriented),
+        |total, part| total.absorb(&part),
+        |acc, v, u, w| {
+            acc.bump(v);
+            acc.bump(u);
+            acc.bump(w);
         },
     );
-    let part = o.partition().clone();
-    let mut gd = Dispatcher::with_hubs(policy, &prep.hubs_contracted);
-    // Same wire format as CETRIC's global phase ([`crate::dist::cetric`]):
-    // `[v, A(v)...]`.
-    fn handler(
-        acc: &mut DeltaAcc,
-        contracted: &tricount_graph::dist::ContractedGraph,
-        owned: &std::ops::Range<u64>,
-        ctx: &mut Ctx,
-        env: Envelope<'_>,
-        commons: &mut Vec<VertexId>,
-        d: &mut Dispatcher<'_>,
-    ) {
-        let v = env.payload[0];
-        let a = &env.payload[1..];
-        for &u in a {
-            if owned.contains(&u) {
-                commons.clear();
-                let ops = d.collect(a, None, contracted.a_of(u), Some(u), commons);
-                ctx.add_work(ops + 1);
-                for &w in commons.iter() {
-                    acc.bump(v);
-                    acc.bump(u);
-                    acc.bump(w);
-                }
-            }
-        }
-    }
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut commons2: Vec<VertexId> = Vec::new();
-    for (v, a) in contracted.nonempty() {
-        let mut last_rank: Option<usize> = None;
-        for &u in a {
-            let j = part.rank_of(u);
-            if last_rank == Some(j) {
-                continue;
-            }
-            last_rank = Some(j);
-            scratch.clear();
-            scratch.push(v);
-            scratch.extend_from_slice(a);
-            q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                handler(
-                    &mut acc,
-                    contracted,
-                    &owned_range,
-                    ctx,
-                    env,
-                    &mut commons2,
-                    &mut gd,
-                )
-            }) {}
-        }
-    }
-    q.finish(ctx, &mut |ctx, env| {
-        handler(
-            &mut acc,
-            contracted,
-            &owned_range,
-            ctx,
-            env,
-            &mut commons2,
-            &mut gd,
-        )
-    });
-    ctx.end_phase(phases::GLOBAL);
 
     // Postprocessing: ship ghost Δ contributions to their owners
     // ([id, delta] pairs), analogous to the degree exchange.
+    let part = prep.oriented.partition();
     let p = ctx.num_ranks();
     let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); p];
     for (gi, &g) in acc.ghost_ids.iter().enumerate() {
@@ -223,9 +184,6 @@ pub fn lcc_prepared(
         }
     }
     ctx.end_phase(phases::POSTPROCESS);
-
-    let mut report = DispatchReport::of(phases::LOCAL, local_dispatch);
-    report.add(phases::GLOBAL, gd.counters());
     (acc.owned, report)
 }
 

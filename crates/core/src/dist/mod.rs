@@ -22,7 +22,7 @@ mod tests;
 use std::sync::Mutex;
 
 use tricount_comm::{
-    run_sim, Ctx, MessageQueue, QueueConfig, SimOptions, SimOutput, Trace, TransportKind,
+    run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions, SimOutput, Trace, TransportKind,
     WallProfile,
 };
 use tricount_graph::dist::{DistGraph, LocalGraph, OrientedLocalGraph};
@@ -134,11 +134,20 @@ pub fn preprocess(ctx: &mut Ctx, lg: &mut LocalGraph, cfg: &DistConfig) {
     }
 }
 
-/// The local pass DITRIC, CETRIC and LCC share. Visits every vertex this PE
-/// can see in `o` — owned vertices in id order, then (on an expanded graph)
-/// ghosts in ghost-index order — handing each `(v, A(v))` to `visit` with a
-/// partial accumulator and a kernel dispatcher (over `hubs`, if any);
-/// `visit` returns the item's metered work.
+/// A kernel dispatcher under `policy`, over `hubs` if any.
+fn dispatcher(policy: KernelPolicy, hubs: Option<&HubIndex>) -> Dispatcher<'_> {
+    match hubs {
+        Some(h) => Dispatcher::with_hubs(policy, h),
+        None => Dispatcher::new(policy),
+    }
+}
+
+/// The local pass every exact protocol runs (DITRIC, CETRIC, LCC and
+/// enumeration). Visits every vertex this PE can see in `o` — owned
+/// vertices in id order, then (on an expanded graph) ghosts in ghost-index
+/// order — handing each `(v, A(v))` to `visit` with a partial accumulator
+/// and a kernel dispatcher (over `hubs`, if any); `visit` returns the
+/// item's metered work.
 ///
 /// With `policy.pool_workers > 1` the items are cut into degree-balanced
 /// chunks run on a fresh `par` pool, each with its own `empty()`
@@ -154,10 +163,7 @@ pub(crate) fn local_pass<A: Send>(
     absorb: impl Fn(&mut A, A),
     visit: impl Fn(VertexId, &[VertexId], &mut A, &mut Dispatcher<'_>) -> u64 + Sync,
 ) -> (A, KernelCounters) {
-    let dispatcher = || match hubs {
-        Some(h) => Dispatcher::with_hubs(policy, h),
-        None => Dispatcher::new(policy),
-    };
+    let dispatcher = || dispatcher(policy, hubs);
     let owned = o.owned_range();
     let ghosts = if o.is_expanded() { o.ghost_ids() } else { &[] };
     let owned_len = (owned.end - owned.start) as usize;
@@ -207,11 +213,12 @@ pub(crate) fn local_pass<A: Send>(
     (total, counters)
 }
 
-/// The counting local pass of DITRIC and CETRIC (Algorithm 2 lines 2–4,
-/// Algorithm 3 lines 5–7): for every item `v`, intersects `A(v)` with `A(u)`
-/// for each head `u ∈ A(v)` this PE can see — the owned heads on DITRIC's
-/// plain orientation, every head on CETRIC's expanded graph. Each
-/// intersection meters `ops + 1`. Returns the count and the dispatch tallies.
+/// The counting local pass of DITRIC, CETRIC and the AMQ-approximate count
+/// (Algorithm 2 lines 2–4, Algorithm 3 lines 5–7): for every item `v`,
+/// intersects `A(v)` with `A(u)` for each head `u ∈ A(v)` this PE can see —
+/// the owned heads on DITRIC's plain orientation, every head on CETRIC's
+/// expanded graph. Each intersection meters `ops + 1`. Returns the count and
+/// the dispatch tallies.
 pub(crate) fn count_local(
     ctx: &mut Ctx,
     o: &OrientedLocalGraph,
@@ -232,6 +239,103 @@ pub(crate) fn count_local(
         work
     };
     local_pass(ctx, o, policy, hubs, || 0, |t, c| *t += c, visit)
+}
+
+/// The global pass every exact protocol runs (DITRIC, CETRIC, LCC,
+/// enumeration and the hybrid's funneled phase; Algorithm 2 lines 5–7,
+/// Algorithm 3 lines 9–16). Each source `(v, A(v))` is streamed through the
+/// buffered sparse all-to-all to the owners of its heads, skipping the heads
+/// this PE owns; the receiver calls `visit(v, u, A(v), A(u), dispatcher)`
+/// for each head `u` it owns, with `A(u)` from `head` and the dispatcher
+/// over `hubs`, if any. `visit` returns the intersection's kernel ops and
+/// each visit meters `ops + 1`.
+///
+/// With `cfg.dedup` (the surrogate deduplication of Arifuzzaman et al.)
+/// `A(v)` travels at most once per destination PE as `[v, A(v)…]` and the
+/// receiver visits every owned head in it; without, one `[v, u, A(v)…]`
+/// record per head names the only head to visit. The queue's δ is
+/// `cfg.resolve_delta(|E_i|)` and its routing `cfg.routing`; the sender
+/// polls after every post (the paper: "each PE continuously polls for
+/// incoming messages"). Returns the receive side's dispatch tallies.
+pub(crate) fn global_pass<'g>(
+    ctx: &mut Ctx,
+    cfg: &DistConfig,
+    lg: &LocalGraph,
+    sources: impl IntoIterator<Item = (VertexId, &'g [VertexId])>,
+    head: impl Fn(VertexId) -> &'g [VertexId],
+    hubs: Option<&HubIndex>,
+    mut visit: impl FnMut(VertexId, VertexId, &[VertexId], &[VertexId], &mut Dispatcher<'_>) -> u64,
+) -> KernelCounters {
+    let owned = lg.owned_range();
+    let part = lg.partition();
+    let dedup = cfg.dedup;
+    let mut d = dispatcher(cfg.kernels, hubs);
+    let mut q = MessageQueue::new(
+        ctx,
+        QueueConfig {
+            delta: cfg.resolve_delta(lg.num_local_entries()),
+            routing: cfg.routing,
+        },
+    );
+    let mut receive = |ctx: &mut Ctx, env: Envelope<'_>| {
+        let v = env.payload[0];
+        if dedup {
+            let av = &env.payload[1..];
+            for &u in av {
+                if owned.contains(&u) {
+                    ctx.add_work(visit(v, u, av, head(u), &mut d) + 1);
+                }
+            }
+        } else {
+            let (u, av) = (env.payload[1], &env.payload[2..]);
+            debug_assert!(owned.contains(&u));
+            ctx.add_work(visit(v, u, av, head(u), &mut d) + 1);
+        }
+    };
+    let mut record: Vec<VertexId> = Vec::new();
+    for (v, av) in sources {
+        let mut last_rank: Option<usize> = None;
+        for &u in av {
+            if owned.contains(&u) {
+                continue;
+            }
+            let j = part.rank_of(u);
+            if dedup && last_rank == Some(j) {
+                continue;
+            }
+            last_rank = Some(j);
+            record.clear();
+            record.push(v);
+            if !dedup {
+                record.push(u);
+            }
+            record.extend_from_slice(av);
+            q.post(ctx, j, &record);
+            while q.poll(ctx, &mut receive) {}
+        }
+    }
+    q.finish(ctx, &mut receive);
+    d.counters()
+}
+
+/// The counting global pass of DITRIC, CETRIC and the hybrid: [`global_pass`]
+/// summing `|A(v) ∩ A(u)|` over every visit. Returns this PE's remote count
+/// and the dispatch tallies.
+pub(crate) fn count_global<'g>(
+    ctx: &mut Ctx,
+    cfg: &DistConfig,
+    lg: &LocalGraph,
+    sources: impl IntoIterator<Item = (VertexId, &'g [VertexId])>,
+    head: impl Fn(VertexId) -> &'g [VertexId],
+    hubs: Option<&HubIndex>,
+) -> (u64, KernelCounters) {
+    let mut count = 0u64;
+    let counters = global_pass(ctx, cfg, lg, sources, head, hubs, |_, u, av, au, d| {
+        let (c, ops) = d.count(av, None, au, Some(u));
+        count += c;
+        ops
+    });
+    (count, counters)
 }
 
 /// Runs `alg`'s rank body on this PE — the one `match` from [`Algorithm`]
