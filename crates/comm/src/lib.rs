@@ -10,8 +10,9 @@
 //! trace with exactly that model ([`CostModel`]).
 //!
 //! Components:
-//! * [`runtime::run`] — spawn `p` PEs, run a rank program, collect
-//!   [`RunStats`].
+//! * [`runtime::run_sim`] — spawn `p` PEs, run a rank program, collect
+//!   [`RunStats`]; [`SimOptions`] picks the backend, the timed clock,
+//!   trace recording and schedule perturbation.
 //! * [`Ctx`] — the communicator: point-to-point sends, polling receives,
 //!   barrier / all-reduce / all-gather / dense all-to-all collectives, work
 //!   metering, phase boundaries.
@@ -24,9 +25,8 @@
 //!   times, message maxima, and bottleneck volumes the paper plots.
 
 //! * [`trace::Trace`] — optional per-PE event recording (`trace` feature)
-//!   plus [`runtime::run_sim`]/[`runtime::run_guarded`]: schedule
-//!   perturbation, deadlock diagnosis, and the raw material for the
-//!   `tricount-verify` conformance linter.
+//!   plus [`runtime::run_guarded`]'s deadlock diagnosis: the raw material
+//!   for the `tricount-verify` conformance linter.
 
 #![warn(missing_docs)]
 
@@ -43,8 +43,8 @@ pub use grid::Grid;
 pub use queue::Fault;
 pub use queue::{Envelope, MessageQueue, QueueConfig, Routing, HEADER_WORDS};
 pub use runtime::{
-    run, run_guarded, run_sim, run_timed, Ctx, DeadlockReport, DeliveryPick, PeSnapshot, RunOutput,
-    SimOptions, SimOutput, TransportKind,
+    run_guarded, run_sim, Ctx, DeadlockReport, DeliveryPick, PeSnapshot, RunOutput, SimOptions,
+    SimOutput, TransportKind,
 };
 pub use stats::{Counters, PhaseStats, RunStats};
 pub use trace::{hash_words, CollKind, SpanKind, SpanRecord, SpanStamp, Trace, TraceEvent};

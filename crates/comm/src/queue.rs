@@ -365,10 +365,10 @@ impl MessageQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run;
+    use crate::runtime::{run_sim, SimOptions};
 
     fn exchange_all_pairs(p: usize, cfg: QueueConfig) -> crate::runtime::RunOutput<Vec<Vec<u64>>> {
-        run(p, move |ctx| {
+        run_sim(p, &SimOptions::default(), move |ctx| {
             let mut q = MessageQueue::new(ctx, cfg);
             let mut inbox: Vec<Vec<u64>> = Vec::new();
             let me = ctx.rank() as u64;
@@ -383,6 +383,7 @@ mod tests {
             inbox.sort();
             inbox
         })
+        .output
     }
 
     fn check_all_pairs(p: usize, out: &crate::runtime::RunOutput<Vec<Vec<u64>>>) {
@@ -411,7 +412,7 @@ mod tests {
         let p = 4;
         let rounds = 10u64;
         let mk = |cfg: QueueConfig| {
-            run(p, move |ctx| {
+            run_sim(p, &SimOptions::default(), move |ctx| {
                 let mut q = MessageQueue::new(ctx, cfg);
                 let mut sum = 0u64;
                 for r in 0..rounds {
@@ -424,6 +425,7 @@ mod tests {
                 q.finish(ctx, &mut |_c, env| sum += env.payload[0]);
                 sum
             })
+            .output
         };
         let agg = mk(QueueConfig::dynamic(1 << 20));
         let none = mk(QueueConfig::unaggregated());
@@ -468,7 +470,7 @@ mod tests {
         // all-to-one hotspot: everyone sends many envelopes to rank 0
         let p = 16;
         let run_cfg = |routing| {
-            run(p, move |ctx| {
+            run_sim(p, &SimOptions::default(), move |ctx| {
                 let mut q = MessageQueue::new(
                     ctx,
                     QueueConfig {
@@ -485,6 +487,7 @@ mod tests {
                 q.finish(ctx, &mut |_c, _e| got += 1);
                 got
             })
+            .output
         };
         let direct = run_cfg(Routing::Direct);
         let grid = run_cfg(Routing::Grid);
@@ -507,7 +510,7 @@ mod tests {
     fn delta_bounds_peak_buffering() {
         let p = 4;
         let delta = 16usize;
-        let out = run(p, move |ctx| {
+        let out = run_sim(p, &SimOptions::default(), move |ctx| {
             let mut q = MessageQueue::new(ctx, QueueConfig::dynamic(delta));
             for round in 0..50u64 {
                 for d in 0..p {
@@ -517,7 +520,8 @@ mod tests {
                 }
             }
             q.finish(ctx, &mut |_c, _e| {});
-        });
+        })
+        .output;
         // peak ≤ δ + one max record (header 2 + payload 3)
         assert!(out.stats.max_peak_buffered() <= delta as u64 + 5);
     }
@@ -525,7 +529,7 @@ mod tests {
     #[test]
     fn consecutive_exchanges_reuse_the_queue() {
         let p = 3;
-        let out = run(p, move |ctx| {
+        let out = run_sim(p, &SimOptions::default(), move |ctx| {
             let mut q = MessageQueue::new(ctx, QueueConfig::dynamic(8));
             let mut sums = Vec::new();
             for round in 1..=3u64 {
@@ -539,7 +543,8 @@ mod tests {
                 sums.push(acc);
             }
             sums
-        });
+        })
+        .output;
         for r in &out.results {
             assert_eq!(r, &vec![20, 40, 60]);
         }
@@ -547,12 +552,13 @@ mod tests {
 
     #[test]
     fn empty_exchange_terminates() {
-        let out = run(4, |ctx| {
+        let out = run_sim(4, &SimOptions::default(), |ctx| {
             let mut q = MessageQueue::new(ctx, QueueConfig::dynamic(8));
             let mut n = 0u64;
             q.finish(ctx, &mut |_c, _e| n += 1);
             n
-        });
+        })
+        .output;
         assert!(out.results.iter().all(|&n| n == 0));
     }
 
@@ -561,7 +567,7 @@ mod tests {
         // grid indirection trades volume (2×) for fan-in (√p) — §IV-B.
         let p = 16;
         let mk = |routing| {
-            run(p, move |ctx| {
+            run_sim(p, &SimOptions::default(), move |ctx| {
                 let mut q = MessageQueue::new(
                     ctx,
                     QueueConfig {
@@ -574,6 +580,7 @@ mod tests {
                 }
                 q.finish(ctx, &mut |_c, _e| {});
             })
+            .output
         };
         let direct = mk(Routing::Direct);
         let grid = mk(Routing::Grid);

@@ -2,7 +2,7 @@
 //! messages through a pluggable transport (`tricount-net`), with every
 //! communication action metered (see [`crate::stats`]).
 //!
-//! A [`run`] call plays the role of `mpirun`: it spawns one thread
+//! A [`run_sim`] call plays the role of `mpirun`: it spawns one thread
 //! per PE, hands each a [`Ctx`] (the communicator), runs the given rank
 //! program, and assembles per-phase statistics. Collectives are executed
 //! through shared memory but *charged* with the standard tree/butterfly cost
@@ -22,9 +22,8 @@
 //!   **wall clock** ([`crate::PhaseStats::wall_per_rank`]) becomes honest
 //!   parallel time instead of simulator overhead.
 //!
-//! Beyond the plain [`run`]/[`run_timed`] entry points, the runtime supports
-//! the verification harness of the `tricount-verify` crate through
-//! [`run_sim`] and [`run_guarded`]:
+//! Through [`SimOptions`] and [`run_guarded`] the runtime also supports the
+//! verification harness of the `tricount-verify` crate:
 //!
 //! * **trace recording** (`trace` cargo feature +
 //!   [`SimOptions::record_trace`]) — every send, flush, delivery and
@@ -930,39 +929,22 @@ fn assemble<R>(
     }
 }
 
-/// Runs `f` as the rank program on `p` simulated PEs.
-///
-/// `f` is called once per rank with that rank's [`Ctx`]; any un-phased
-/// trailing activity is recorded as a final `"rest"` phase.
-pub fn run<R, F>(p: usize, f: F) -> RunOutput<R>
-where
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Send + Sync,
-{
-    run_sim(p, &SimOptions::default(), f).output
-}
-
-/// Like [`run`], but with the overlap-aware simulated clock enabled: every
-/// PE carries a causal clock advanced by its local work (`t_op`), its send
-/// overheads (`α`) and the arrival times of the messages it receives
-/// (`send clock + α + β·ℓ`), synchronised at barriers/collectives. The
-/// resulting [`RunStats::makespan`] captures communication/computation
-/// overlap, which the per-phase [`RunStats::modeled_time`] upper bound
-/// cannot.
-pub fn run_timed<R, F>(p: usize, cost: CostModel, f: F) -> RunOutput<R>
-where
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Send + Sync,
-{
-    run_sim(
-        p,
-        &SimOptions {
-            timing: Some(cost),
-            ..SimOptions::default()
-        },
-        f,
-    )
-    .output
+/// The per-PE endpoints of `opts.transport` for `p` PEs, plus the wall
+/// collector when `opts.wall_profile` is on.
+#[allow(clippy::type_complexity)]
+fn endpoints_for(
+    p: usize,
+    opts: &SimOptions,
+) -> (
+    Vec<Box<dyn Endpoint>>,
+    Option<Arc<tricount_net::WallCollector>>,
+) {
+    assert!(p > 0, "need at least one PE");
+    if opts.wall_profile {
+        tricount_net::endpoints_profiled(opts.transport, p, opts.wall_ring_capacity)
+    } else {
+        (tricount_net::endpoints(opts.transport, p), None)
+    }
 }
 
 /// Runs `f` on `p` PEs under the given [`SimOptions`] (transport backend,
@@ -972,13 +954,8 @@ where
     R: Send,
     F: Fn(&mut Ctx) -> R + Send + Sync,
 {
-    assert!(p > 0, "need at least one PE");
+    let (endpoints, collector) = endpoints_for(p, opts);
     let shared = make_shared(p);
-    let (endpoints, collector) = if opts.wall_profile {
-        tricount_net::endpoints_profiled(opts.transport, p, opts.wall_ring_capacity)
-    } else {
-        (tricount_net::endpoints(opts.transport, p), None)
-    };
     let mut outcomes: Vec<RankOutcome<R>> = Vec::with_capacity(p);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
@@ -1148,13 +1125,8 @@ where
     R: Send + 'static,
     F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
 {
-    assert!(p > 0, "need at least one PE");
+    let (endpoints, collector) = endpoints_for(p, opts);
     let shared = Arc::new(make_shared(p));
-    let (endpoints, collector) = if opts.wall_profile {
-        tricount_net::endpoints_profiled(opts.transport, p, opts.wall_ring_capacity)
-    } else {
-        (tricount_net::endpoints(opts.transport, p), None)
-    };
     let f = Arc::new(f);
     let opts_copy = opts.clone();
     let (done_tx, done_rx) = mpsc::channel::<(usize, RankOutcome<R>)>();
@@ -1230,17 +1202,18 @@ mod tests {
 
     #[test]
     fn single_rank_runs() {
-        let out = run(1, |ctx| {
+        let out = run_sim(1, &SimOptions::default(), |ctx| {
             ctx.add_work(10);
             ctx.rank()
-        });
+        })
+        .output;
         assert_eq!(out.results, vec![0]);
         assert_eq!(out.stats.total_work(), 10);
     }
 
     #[test]
     fn point_to_point_roundtrip() {
-        let out = run(2, |ctx| {
+        let out = run_sim(2, &SimOptions::default(), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send_raw(1, vec![1, 2, 3]);
                 0u64
@@ -1253,7 +1226,8 @@ mod tests {
                     std::thread::yield_now();
                 }
             }
-        });
+        })
+        .output;
         assert_eq!(out.results[1], 6);
         assert_eq!(out.stats.total_messages(), 1);
         assert_eq!(out.stats.total_volume(), 3);
@@ -1261,19 +1235,26 @@ mod tests {
 
     #[test]
     fn allreduce_sums_across_ranks() {
-        let out = run(4, |ctx| ctx.allreduce_sum(&[ctx.rank() as u64, 1])[0]);
+        let out = run_sim(4, &SimOptions::default(), |ctx| {
+            ctx.allreduce_sum(&[ctx.rank() as u64, 1])[0]
+        })
+        .output;
         assert!(out.results.iter().all(|&x| x == 6));
-        let out2 = run(4, |ctx| ctx.allreduce_sum(&[ctx.rank() as u64, 1])[1]);
+        let out2 = run_sim(4, &SimOptions::default(), |ctx| {
+            ctx.allreduce_sum(&[ctx.rank() as u64, 1])[1]
+        })
+        .output;
         assert!(out2.results.iter().all(|&x| x == 4));
     }
 
     #[test]
     fn allreduce_max_and_exscan() {
-        let out = run(4, |ctx| {
+        let out = run_sim(4, &SimOptions::default(), |ctx| {
             let mx = ctx.allreduce_max(ctx.rank() as u64 * 10);
             let scan = ctx.exscan_sum(1);
             (mx, scan)
-        });
+        })
+        .output;
         for (r, &(mx, scan)) in out.results.iter().enumerate() {
             assert_eq!(mx, 30);
             assert_eq!(scan, r as u64);
@@ -1282,10 +1263,11 @@ mod tests {
 
     #[test]
     fn allgatherv_collects_everything() {
-        let out = run(3, |ctx| {
+        let out = run_sim(3, &SimOptions::default(), |ctx| {
             let mine = vec![ctx.rank() as u64; ctx.rank() + 1];
             ctx.allgatherv(mine)
-        });
+        })
+        .output;
         for res in &out.results {
             assert_eq!(res[0], vec![0]);
             assert_eq!(res[1], vec![1, 1]);
@@ -1296,11 +1278,12 @@ mod tests {
     #[test]
     fn alltoallv_transposes() {
         let p = 4;
-        let out = run(p, |ctx| {
+        let out = run_sim(p, &SimOptions::default(), |ctx| {
             let outgoing: Vec<Vec<u64>> =
                 (0..p).map(|d| vec![(ctx.rank() * 10 + d) as u64]).collect();
             ctx.alltoallv(outgoing)
-        });
+        })
+        .output;
         for (me, incoming) in out.results.iter().enumerate() {
             for (src, v) in incoming.iter().enumerate() {
                 assert_eq!(v, &vec![(src * 10 + me) as u64]);
@@ -1312,12 +1295,13 @@ mod tests {
 
     #[test]
     fn phases_split_counters() {
-        let out = run(2, |ctx| {
+        let out = run_sim(2, &SimOptions::default(), |ctx| {
             ctx.add_work(5);
             ctx.end_phase("a");
             ctx.add_work(7);
             ctx.end_phase("b");
-        });
+        })
+        .output;
         assert_eq!(out.stats.phases.len(), 2);
         assert_eq!(out.stats.phases[0].total_work(), 10);
         assert_eq!(out.stats.phases[1].total_work(), 14);
@@ -1337,27 +1321,29 @@ mod tests {
     #[test]
     fn mismatched_phases_panic() {
         let result = std::panic::catch_unwind(|| {
-            run(2, |ctx| {
+            run_sim(2, &SimOptions::default(), |ctx| {
                 if ctx.rank() == 0 {
                     ctx.end_phase("a");
                 } else {
                     ctx.end_phase("z");
                 }
             })
+            .output
         });
         assert!(result.is_err());
     }
 
     #[test]
     fn single_rank_collectives_are_identity() {
-        let out = run(1, |ctx| {
+        let out = run_sim(1, &SimOptions::default(), |ctx| {
             let ar = ctx.allreduce_sum(&[7, 9]);
             let mx = ctx.allreduce_max(5);
             let sc = ctx.exscan_sum(3);
             let ag = ctx.allgatherv(vec![1, 2, 3]);
             let aa = ctx.alltoallv(vec![vec![4, 5]]);
             (ar, mx, sc, ag, aa)
-        });
+        })
+        .output;
         let (ar, mx, sc, ag, aa) = &out.results[0];
         assert_eq!(ar, &vec![7, 9]);
         assert_eq!(*mx, 5);
@@ -1370,10 +1356,11 @@ mod tests {
 
     #[test]
     fn empty_allgatherv_contributions() {
-        let out = run(3, |ctx| {
+        let out = run_sim(3, &SimOptions::default(), |ctx| {
             let data = if ctx.rank() == 1 { vec![9] } else { Vec::new() };
             ctx.allgatherv(data)
-        });
+        })
+        .output;
         for res in &out.results {
             assert_eq!(res[0], Vec::<u64>::new());
             assert_eq!(res[1], vec![9]);
@@ -1384,9 +1371,10 @@ mod tests {
     #[test]
     fn alltoallv_charges_counts_preexchange() {
         let p = 8;
-        let out = run(p, |ctx| {
+        let out = run_sim(p, &SimOptions::default(), |ctx| {
             ctx.alltoallv(vec![Vec::new(); p]);
-        });
+        })
+        .output;
         let c = out.stats.phases[0].per_rank[0];
         // even an empty alltoallv pays the counts exchange
         assert!(c.coll_alpha_units >= ceil_log2(p));
@@ -1395,9 +1383,10 @@ mod tests {
 
     #[test]
     fn collective_charges_recorded() {
-        let out = run(4, |ctx| {
+        let out = run_sim(4, &SimOptions::default(), |ctx| {
             ctx.barrier();
-        });
+        })
+        .output;
         // α·⌈log₂4⌉ = 2α per rank for the explicit barrier (+2 for phase end)
         let c = out.stats.phases[0].per_rank[0];
         assert!(c.coll_alpha_units >= 2);
@@ -1411,7 +1400,7 @@ mod tests {
             let m = ctx.allreduce_max(ctx.rank() as u64);
             (s, m)
         };
-        let plain = run(4, body);
+        let plain = run_sim(4, &SimOptions::default(), body).output;
         for seed in 0..4u64 {
             let perturbed = run_sim(4, &SimOptions::perturbed(seed), body);
             assert_eq!(perturbed.output.results, plain.results, "seed {seed}");

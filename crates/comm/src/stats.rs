@@ -37,9 +37,10 @@ pub struct Counters {
     /// count, like [`Counters::sent_peers`]).
     pub recv_peers: u64,
     /// Overlap-aware simulated clock (seconds) in *timed* runs
-    /// ([`crate::runtime::run_timed`]): a Lamport-style causal clock
-    /// advanced by local work, send overheads and message arrivals, so
-    /// communication/computation overlap shows up. 0 in untimed runs.
+    /// ([`SimOptions::timing`](crate::SimOptions::timing)): a Lamport-style
+    /// causal clock advanced by local work, send overheads and message
+    /// arrivals, so communication/computation overlap shows up. 0 in untimed
+    /// runs.
     /// Running value (phase deltas report the value at phase end).
     pub sim_clock: f64,
 }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use tricount_comm::{
-    run, run_guarded, MessageQueue, QueueConfig, Routing, SimOptions, HEADER_WORDS,
+    run_guarded, run_sim, MessageQueue, QueueConfig, Routing, SimOptions, HEADER_WORDS,
 };
 
 /// A post schedule: per source rank, a list of (dest, payload) envelopes.
@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn every_envelope_delivered_exactly_once((p, sched) in arb_schedule(), cfg in arb_config()) {
         let sched_ref = &sched;
-        let out = run(p, move |ctx| {
+        let out = run_sim(p, &SimOptions::default(), move |ctx| {
             let mut q = MessageQueue::new(ctx, cfg);
             let mut inbox: Vec<Vec<u64>> = Vec::new();
             let me = ctx.rank();
@@ -75,7 +75,7 @@ proptest! {
             q.finish(ctx, &mut |_c, env| inbox.push(env.payload.to_vec()));
             inbox.sort();
             inbox
-        });
+        }).output;
         for (me, inbox) in out.results.iter().enumerate() {
             prop_assert_eq!(inbox, &expected_inbox(p, &sched, me), "rank {}", me);
         }
@@ -86,7 +86,7 @@ proptest! {
         // run the same schedule twice through one queue: each round must
         // deliver exactly its own envelopes
         let sched_ref = &sched;
-        let out = run(p, move |ctx| {
+        let out = run_sim(p, &SimOptions::default(), move |ctx| {
             let me = ctx.rank();
             let mut q = MessageQueue::new(ctx, cfg);
             let mut rounds: Vec<Vec<Vec<u64>>> = Vec::new();
@@ -100,7 +100,7 @@ proptest! {
                 rounds.push(inbox);
             }
             rounds
-        });
+        }).output;
         for (me, rounds) in out.results.iter().enumerate() {
             let expect = expected_inbox(p, &sched, me);
             prop_assert_eq!(&rounds[0], &expect, "round 1, rank {}", me);
@@ -114,14 +114,14 @@ proptest! {
         delta in 1usize..128,
     ) {
         let sched_ref = &sched;
-        let out = run(p, move |ctx| {
+        let out = run_sim(p, &SimOptions::default(), move |ctx| {
             let mut q = MessageQueue::new(ctx, QueueConfig::dynamic(delta));
             for (dest, payload) in &sched_ref[ctx.rank()] {
                 q.post(ctx, *dest, payload);
             }
             q.finish(ctx, &mut |_c, _e| {});
             ctx.counters().peak_buffered_words
-        });
+        }).output;
         // a post may overshoot δ by at most one record (header 2 + payload ≤ 5);
         // relays buffered while still producing can add one more in-flight
         // message worth of records per poll

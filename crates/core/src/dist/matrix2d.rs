@@ -18,7 +18,7 @@
 //! reason its own 1D + aggregation + contraction design wins at scale
 //! (compare in `scaling_shapes` tests / `ablations` bench).
 
-use tricount_comm::run;
+use tricount_comm::{run_sim, SimOptions};
 use tricount_graph::hash::FxHashSet;
 use tricount_graph::{Csr, Partition, VertexId};
 
@@ -95,7 +95,7 @@ pub fn count_matrix2d(g: &Csr, p: usize) -> CountResult {
     let blocks: Vec<Block> = blocks.into_iter().map(Block::from_edges).collect();
     let blocks_ref = &blocks;
 
-    let out = run(p, move |ctx| {
+    let out = run_sim(p, &SimOptions::default(), move |ctx| {
         let me = ctx.rank();
         let (bi, bj) = (me / q, me % q);
         let mine = &blocks_ref[me];
@@ -175,7 +175,8 @@ pub fn count_matrix2d(g: &Csr, p: usize) -> CountResult {
         let total = ctx.allreduce_sum(&[count])[0];
         ctx.end_phase(phases::GLOBAL);
         total
-    });
+    })
+    .output;
     CountResult {
         triangles: out.results[0],
         stats: out.stats,

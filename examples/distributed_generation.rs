@@ -29,14 +29,15 @@ fn main() {
         // contract. Point coordinates are only materialised per PE.
         let layout = RggLayout::new(n_total, 24.0, seed);
         let cfg = DistConfig::default();
-        let out = comm::run(p, |ctx| {
+        let out = comm::run_sim(p, &comm::SimOptions::default(), |ctx| {
             // each rank generates ITS OWN subgraph — nothing global exists
             let (_part, lg) = rgg2d_distributed(&layout, p, ctx.rank(), seed);
             let m_local = lg.num_local_entries();
             ctx.end_phase("generate");
             let (triangles, _) = cetric_alg::run_rank(ctx, lg, &cfg);
             (triangles, m_local)
-        });
+        })
+        .output;
         let triangles = out.results[0].0;
         let m_approx: u64 = out.results.iter().map(|(_, m)| m).sum::<u64>() / 2;
         // sanity: all ranks agree

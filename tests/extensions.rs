@@ -77,10 +77,11 @@ fn communication_free_generation_feeds_the_counter() {
     let layout = RggLayout::new(1500, 16.0, 33);
     let p = 6;
     let cfg = DistConfig::default();
-    let out = cetric::comm::run(p, |ctx| {
+    let out = cetric::comm::run_sim(p, &SimOptions::default(), |ctx| {
         let (_part, lg) = rgg2d_distributed(&layout, p, ctx.rank(), 33);
         cetric::core::dist::cetric::run_rank(ctx, lg, &cfg).0
-    });
+    })
+    .output;
     let distributed_count = out.results[0];
     assert!(out.results.iter().all(|&t| t == distributed_count));
 
