@@ -94,7 +94,8 @@ pub fn local_clustering_coefficients(g: &Csr, kind: OrderingKind) -> Vec<f64> {
 /// processing of Dhulipala et al. that §III-A1 cites). Several-fold smaller
 /// working set on id-local graphs, at extra decode work per comparison.
 pub fn compact_forward_compressed(g: &tricount_graph::compressed::CompressedCsr) -> SeqCount {
-    use tricount_graph::compressed::{merge_count_iter, CompressedCsr};
+    use tricount_graph::compressed::CompressedCsr;
+    use tricount_graph::intersect::merge_count_iter;
     // orient by (degree, id) with streaming filters
     let degs: Vec<u64> = (0..g.num_vertices()).map(|v| g.degree(v)).collect();
     let key = |v: VertexId| (degs[v as usize], v);

@@ -160,38 +160,11 @@ impl Iterator for NeighborIter<'_> {
 
 impl ExactSizeIterator for NeighborIter<'_> {}
 
-/// Merge-intersection count over two sorted iterators (the streaming analog
-/// of [`crate::intersect::merge_count`] for compressed neighborhoods).
-/// Returns `(count, candidate comparisons)`.
-pub fn merge_count_iter<A, B>(mut a: A, mut b: B) -> (u64, u64)
-where
-    A: Iterator<Item = VertexId>,
-    B: Iterator<Item = VertexId>,
-{
-    let mut count = 0u64;
-    let mut ops = 0u64;
-    let mut x = a.next();
-    let mut y = b.next();
-    while let (Some(xv), Some(yv)) = (x, y) {
-        ops += 1;
-        match xv.cmp(&yv) {
-            std::cmp::Ordering::Less => x = a.next(),
-            std::cmp::Ordering::Greater => y = b.next(),
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                x = a.next();
-                y = b.next();
-            }
-        }
-    }
-    (count, ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edgelist::EdgeList;
-    use crate::intersect::merge_count;
+    use crate::intersect::{merge_count, merge_count_iter};
 
     fn sample() -> Csr {
         let mut el =
