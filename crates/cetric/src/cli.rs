@@ -387,7 +387,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 };
             }
             if let Some(f) = get("delta-factor") {
-                let factor: f64 = f.parse().map_err(|e| format!("bad --delta-factor: {e}"))?;
+                let factor: f64 = f
+                    .parse()
+                    .map_err(|e| format!("bad --delta-factor {f:?}: {e}"))?;
+                // δ = factor·|E_i|: infinity would never flush before the
+                // end (static aggregation), NaN and ≤ 0 would silently
+                // collapse to the 64-word floor
+                if !(factor.is_finite() && factor > 0.0) {
+                    return Err(format!("bad --delta-factor {f:?}: need a finite value > 0"));
+                }
                 config.aggregation = Aggregation::Dynamic {
                     delta_factor: factor,
                 };
@@ -1134,6 +1142,14 @@ mod tests {
         assert!(parse(&args("count --family gnm --model dialup")).is_err());
         assert!(parse(&args("count --family gnm --transport carrier-pigeon")).is_err());
         assert!(parse(&[]).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_non_positive_or_non_finite_delta_factor() {
+        for f in ["inf", "NaN", "-1", "0"] {
+            let err = parse(&args(&format!("count --family gnm --delta-factor {f}"))).unwrap_err();
+            assert!(err.contains("--delta-factor"), "{f}: {err}");
+        }
     }
 
     #[test]
