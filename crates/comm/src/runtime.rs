@@ -148,7 +148,13 @@ pub struct SimOptions {
     /// parallel over shared memory (identical counts and comm meters,
     /// honest wall clock).
     pub transport: TransportKind,
-    /// Enable the overlap-aware simulated clock under this cost model.
+    /// Enable the overlap-aware simulated clock under this cost model:
+    /// every PE carries a causal clock advanced by its local work (`t_op`),
+    /// its send overheads (`α`) and the arrival times of the messages it
+    /// receives (`send clock + α + β·ℓ`), synchronised at
+    /// barriers/collectives. The resulting [`RunStats::makespan`] captures
+    /// communication/computation overlap, which the per-phase
+    /// [`RunStats::modeled_time`] upper bound cannot.
     pub timing: Option<CostModel>,
     /// Record a [`Trace`] (requires the `trace` cargo feature; without it
     /// the returned trace is `None`).
@@ -949,6 +955,9 @@ fn endpoints_for(
 
 /// Runs `f` on `p` PEs under the given [`SimOptions`] (transport backend,
 /// timing, trace recording, schedule perturbation).
+///
+/// `f` is called once per rank with that rank's [`Ctx`]; any un-phased
+/// trailing activity is recorded as a final `"rest"` phase.
 pub fn run_sim<R, F>(p: usize, opts: &SimOptions, f: F) -> SimOutput<R>
 where
     R: Send,

@@ -1,5 +1,6 @@
-//! The distributed algorithms: drivers, preprocessing, and the per-variant
-//! rank programs.
+//! The distributed algorithms: drivers, preprocessing, the per-variant
+//! rank programs, and the two passes every exact protocol is built from
+//! (`local_pass` and `global_pass`).
 
 pub mod approx;
 pub mod baselines;
