@@ -279,17 +279,13 @@ pub(crate) fn global_pass<'g>(
         },
     );
     let mut receive = |ctx: &mut Ctx, env: Envelope<'_>| {
-        let v = env.payload[0];
-        if dedup {
-            let av = &env.payload[1..];
-            for &u in av {
-                if owned.contains(&u) {
-                    ctx.add_work(visit(v, u, av, head(u), &mut d) + 1);
-                }
-            }
+        let (v, rest) = (env.payload[0], &env.payload[1..]);
+        let (heads, av) = if dedup {
+            (rest, rest)
         } else {
-            let (u, av) = (env.payload[1], &env.payload[2..]);
-            debug_assert!(owned.contains(&u));
+            rest.split_at(1)
+        };
+        for &u in heads.iter().filter(|u| owned.contains(u)) {
             ctx.add_work(visit(v, u, av, head(u), &mut d) + 1);
         }
     };
