@@ -2,7 +2,10 @@
 //! * the flush threshold δ (memory vs message-count trade-off, §IV-A);
 //! * surrogate deduplication on/off (§IV-D);
 //! * direct vs grid routing at a hotspot (fan-in, §IV-B);
-//! * degree vs id ordering (work reduction, §III).
+//! * degree vs id ordering (work reduction, §III);
+//! * the 1D partitioning cost function (§IV-D load balancing);
+//! * dense vs sparse ghost degree exchange (§IV-D);
+//! * 1D vs 2D counting (§III-A2).
 
 use cetric::comm::SimOptions;
 use cetric::core::seq;
@@ -204,40 +207,7 @@ fn main() {
         &rows,
     );
 
-    // 7. rebalancing via message passing (§IV-D: "does not pay off")
-    let mut rows = Vec::new();
-    let plain = count(&g, p, Algorithm::Ditric, &DistConfig::default()).unwrap();
-    rows.push(Row {
-        label: "no rebalancing".to_string(),
-        cells: vec![
-            "-".to_string(),
-            fmt_count(plain.stats.total_volume()),
-            fmt_time(plain.modeled_time(&model)),
-        ],
-    });
-    let rb = cetric::core::dist::rebalance::count_rebalanced(
-        &g,
-        p,
-        Algorithm::Ditric,
-        &DistConfig::default(),
-        |d| d,
-    )
-    .unwrap();
-    rows.push(Row {
-        label: "rebalance (cost d)".to_string(),
-        cells: vec![
-            fmt_time(rb.stats.phase_time("rebalance", &model)),
-            fmt_count(rb.stats.total_volume()),
-            fmt_time(rb.modeled_time(&model)),
-        ],
-    });
-    print_table(
-        "ablation: message-passing rebalancing (DITRIC)",
-        &["rebalance time", "total volume", "total time"],
-        &rows,
-    );
-
-    // 8. 1D vs 2D (matrix/SpGEMM) counting — the §III-A2 scaling-wall claim
+    // 7. 1D vs 2D (matrix/SpGEMM) counting — the §III-A2 scaling-wall claim
     let gn = cetric::gen::gnm(n, 16 * n, 7);
     let mut rows = Vec::new();
     for pq in [4usize, 16, 64] {

@@ -5,7 +5,7 @@
 //! (one message per cut edge) and DITRIC's dynamically buffered queue.
 
 use cetric::prelude::*;
-use tricount_bench::{fmt_count, fmt_time, print_table, Row, Scale};
+use tricount_bench::{count_id, fmt_count, fmt_time, print_table, Row, Scale};
 
 fn main() {
     let scale = Scale::from_env();
@@ -20,14 +20,14 @@ fn main() {
 
     let mut rows = Vec::new();
     for p in scale.pe_counts() {
-        let unagg = count(
+        let unagg = count_id(
             &g,
             p,
             Algorithm::Unaggregated,
             &Algorithm::Unaggregated.config(),
         )
         .unwrap();
-        let agg = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+        let agg = count_id(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
         assert_eq!(unagg.triangles, agg.triangles);
         rows.push(Row {
             label: format!("p={p}"),

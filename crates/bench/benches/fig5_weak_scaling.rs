@@ -8,7 +8,7 @@
 //! scaled down by the host budget), total size grows with p.
 
 use cetric::prelude::*;
-use tricount_bench::{print_table, run_cell, Row, Scale};
+use tricount_bench::{count_id, id_partition, print_table, run_cell, Row, Scale};
 
 fn main() {
     let scale = Scale::from_env();
@@ -43,7 +43,7 @@ fn main() {
                 .iter()
                 .map(|&alg| {
                     if alg == Algorithm::TricLike {
-                        let dg = DistGraph::new_balanced_vertices(&g, p);
+                        let dg = id_partition(&g, p);
                         let cap = 32
                             * (0..p)
                                 .map(|r| dg.local(r).num_local_entries())
@@ -53,7 +53,7 @@ fn main() {
                             memory_limit_words: Some(cap),
                             ..alg.config()
                         };
-                        match count(&g, p, alg, &cfg) {
+                        match count_id(&g, p, alg, &cfg) {
                             Ok(r) => format!(
                                 "{} {} {}",
                                 tricount_bench_fmt_time(r.modeled_time(&model)),

@@ -4,7 +4,7 @@
 //! TriC-like runs under a memory cap and may report OOM, as in the paper.
 
 use cetric::prelude::*;
-use tricount_bench::{fmt_count, fmt_time, print_table, Row, Scale};
+use tricount_bench::{count_id, fmt_count, fmt_time, id_partition, print_table, Row, Scale};
 
 fn main() {
     let scale = Scale::from_env();
@@ -28,7 +28,7 @@ fn main() {
             // size (generous, like the paper's 2 GB/core nodes relative to
             // the per-PE slice) — static buffering fails once the outgoing
             // volume outgrows it
-            let dg = DistGraph::new_balanced_vertices(&g, p);
+            let dg = id_partition(&g, p);
             let cap = 48
                 * (0..p)
                     .map(|r| dg.local(r).num_local_entries())
@@ -45,7 +45,7 @@ fn main() {
                     } else {
                         alg.config()
                     };
-                    match count(&g, p, alg, &cfg) {
+                    match count_id(&g, p, alg, &cfg) {
                         Ok(r) => format!(
                             "{} {} {}",
                             fmt_time(r.modeled_time(&model)),

@@ -3,7 +3,7 @@
 //! CETRIC variant on selected real-world instances.
 
 use cetric::prelude::*;
-use tricount_bench::{fmt_time, print_table, Row, Scale};
+use tricount_bench::{count_id, fmt_time, print_table, Row, Scale};
 
 fn phase_cells(r: &CountResult, model: &CostModel) -> Vec<String> {
     let t = |name: &str| r.stats.phase_time(name, model);
@@ -18,7 +18,7 @@ fn phase_cells(r: &CountResult, model: &CostModel) -> Vec<String> {
 
 fn best(g: &Csr, p: usize, algs: &[Algorithm], model: &CostModel) -> (Algorithm, CountResult) {
     algs.iter()
-        .map(|&a| (a, count(g, p, a, &a.config()).unwrap()))
+        .map(|&a| (a, count_id(g, p, a, &a.config()).unwrap()))
         .min_by(|a, b| {
             a.1.modeled_time(model)
                 .partial_cmp(&b.1.modeled_time(model))

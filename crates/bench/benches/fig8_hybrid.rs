@@ -2,9 +2,10 @@
 //! total time and communication volume for a fixed core budget with varying
 //! threads per MPI rank (cores = ranks × threads).
 
-use cetric::core::dist::hybrid::count_hybrid;
+use cetric::comm::SimOptions;
+use cetric::core::dist::{hybrid, run_ranks};
 use cetric::prelude::*;
-use tricount_bench::{fmt_count, fmt_time, print_table, Row, Scale};
+use tricount_bench::{fmt_count, fmt_time, id_partition, print_table, Row, Scale};
 
 fn main() {
     let scale = Scale::from_env();
@@ -27,7 +28,16 @@ fn main() {
     let mut rows = Vec::new();
     let mut baseline_vol = 0u64;
     for threads in [1usize, 2, 3, 4, 6, 12] {
-        let r = count_hybrid(&g, cores, threads, &cfg);
+        // `hybrid::count_hybrid` on the paper's ID partition
+        let out = run_ranks(
+            id_partition(&g, cores / threads),
+            &SimOptions::on(cfg.transport),
+            |ctx, lg| hybrid::run_rank(ctx, lg, &cfg, threads),
+        );
+        let r = CountResult {
+            triangles: out.output.results[0],
+            stats: out.output.stats,
+        };
         let local = r.stats.phase_time("local", &model);
         let total = r.modeled_time(&model);
         let vol = r.stats.total_volume();

@@ -21,7 +21,7 @@ fn wall_of(g: &Csr, p: usize, opts: &SimOptions) -> (f64, f64, u64) {
     let mut modeled = 0.0;
     let mut triangles = 0;
     for _ in 0..REPS {
-        let dg = DistGraph::new_balanced_vertices(g, p);
+        let dg = DistGraph::new(g, p);
         let t0 = Instant::now();
         let (r, _) = run_on(dg, Algorithm::Cetric, &cfg, opts).expect("count");
         best = best.min(t0.elapsed().as_secs_f64());

@@ -193,10 +193,27 @@ pub fn fmt_count(x: u64) -> String {
     }
 }
 
-/// Runs `alg` and formats the Fig. 5/6 triple "time / max msgs / bottleneck
-/// volume", or the error.
+/// The paper's ID partition of `g` over `p` PEs: contiguous ranges of equal
+/// vertex count. The figure reproductions partition this way, not by the
+/// library's degree-balanced default, so their tables stay the paper's.
+pub fn id_partition(g: &Csr, p: usize) -> DistGraph {
+    DistGraph::with_partition(g, Partition::balanced_vertices(g.num_vertices(), p))
+}
+
+/// [`count`] on the paper's ID partition ([`id_partition`]).
+pub fn count_id(
+    g: &Csr,
+    p: usize,
+    alg: Algorithm,
+    cfg: &DistConfig,
+) -> Result<CountResult, DistError> {
+    cetric::core::run_on(id_partition(g, p), alg, cfg, &Default::default()).map(|(r, _)| r)
+}
+
+/// Runs `alg` on the ID partition and formats the Fig. 5/6 triple "time /
+/// max msgs / bottleneck volume", or the error.
 pub fn run_cell(g: &Csr, p: usize, alg: Algorithm, model: &CostModel) -> String {
-    match count(g, p, alg, &alg.config()) {
+    match count_id(g, p, alg, &alg.config()) {
         Ok(r) => format!(
             "{} {} {}",
             fmt_time(r.modeled_time(model)),

@@ -566,7 +566,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     println!("triangles: {} (sequential, {} ops)", s.triangles, s.ops);
                 }
                 Some(alg) => {
-                    let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
+                    let dg = tricount_graph::DistGraph::new(&g, p);
                     let opts = SimOptions {
                         timing: timed.then_some(model),
                         ..SimOptions::default()
@@ -755,7 +755,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 None => model,
             };
             let g = load_source(&source)?;
-            let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
+            let dg = tricount_graph::DistGraph::new(&g, p);
             // the threads backend has a wall clock worth measuring; the
             // simulator's schedule is a deterministic fiction
             let opts = SimOptions {

@@ -191,10 +191,10 @@ pub fn approx_prepared(
     }
 }
 
-/// Partitions `g` over `p` PEs (vertex-balanced) and runs the approximate
+/// Partitions `g` over `p` PEs (`DistGraph::new`) and runs the approximate
 /// count.
 pub fn approx(g: &Csr, p: usize, cfg: &DistConfig, acfg: &ApproxConfig) -> ApproxResult {
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
         let prep = prepare_rank(ctx, lg, cfg);
         approx_prepared(ctx, &prep, cfg, acfg)

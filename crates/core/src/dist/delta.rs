@@ -462,7 +462,7 @@ mod tests {
     use tricount_graph::Csr;
 
     fn residency_of(g: &Csr, p: usize, cfg: &DistConfig) -> Vec<PreparedRank> {
-        let dg = DistGraph::new_balanced_vertices(g, p);
+        let dg = DistGraph::new(g, p);
         build_residency(dg, cfg, &SimOptions::default()).0
     }
 

@@ -33,10 +33,10 @@ pub(crate) fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> Vec<T
     list_triangles(ctx, &prep, cfg, Vec::new, |t, part| t.extend(part), emit).0
 }
 
-/// Enumerates all triangles of `g` over `p` PEs (vertex-balanced). Returns
+/// Enumerates all triangles of `g` over `p` PEs (`DistGraph::new`). Returns
 /// the sorted, duplicate-free list of id-sorted triples.
 pub fn enumerate(g: &Csr, p: usize, cfg: &DistConfig) -> Vec<Triangle> {
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
         run_rank(ctx, lg, cfg)
     });

@@ -88,7 +88,7 @@ pub fn count_hybrid(
         "cores must be ranks × threads"
     );
     let p = cores / threads;
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
         run_rank(ctx, lg, cfg, threads)
     });

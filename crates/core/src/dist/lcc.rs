@@ -205,11 +205,11 @@ pub fn normalize_lcc(per_vertex: &[u64], degrees: &[u64]) -> Vec<f64> {
         .collect()
 }
 
-/// Partitions `g` over `p` PEs (vertex-balanced) and computes per-vertex
+/// Partitions `g` over `p` PEs (`DistGraph::new`) and computes per-vertex
 /// triangle counts and LCCs.
 pub fn lcc(g: &Csr, p: usize, cfg: &DistConfig) -> LccResult {
     let degrees = g.degrees();
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
         let prep = prepare_rank(ctx, lg, cfg);
         lcc_prepared(ctx, &prep, cfg).0

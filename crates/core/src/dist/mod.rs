@@ -13,7 +13,6 @@ pub mod hybrid;
 pub mod lcc;
 pub mod matrix2d;
 pub mod phases;
-pub mod rebalance;
 pub mod residency;
 pub mod support;
 
@@ -446,7 +445,7 @@ pub fn run_on(
     run_on_profiled(dg, alg, cfg, opts).map(|(r, trace, _, _)| (r, trace))
 }
 
-/// Convenience driver: partitions `g` over `p` PEs (vertex-balanced) and
+/// Convenience driver: partitions `g` over `p` PEs (`DistGraph::new`) and
 /// runs `alg` under `cfg` with default options.
 pub fn count(
     g: &Csr,
@@ -454,6 +453,6 @@ pub fn count(
     alg: Algorithm,
     cfg: &DistConfig,
 ) -> Result<CountResult, DistError> {
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     run_on(dg, alg, cfg, &SimOptions::default()).map(|(r, _)| r)
 }

@@ -23,9 +23,6 @@ pub const POSTPROCESS: &str = "postprocess";
 /// Edge-support (truss-style) counting over cut edges.
 pub const SUPPORT: &str = "support";
 
-/// Cost-model-driven edge re-assignment before counting.
-pub const REBALANCE: &str = "rebalance";
-
 /// Routing each update edge of a batch to the owners of its endpoints
 /// (`dist::delta`, phase 1 of an update run).
 pub const UPDATE_ROUTE: &str = "update_route";
@@ -56,7 +53,6 @@ pub const ALL: &[&str] = &[
     GLOBAL,
     POSTPROCESS,
     SUPPORT,
-    REBALANCE,
     UPDATE_ROUTE,
     UPDATE_COUNT,
     UPDATE_GHOST_REFRESH,

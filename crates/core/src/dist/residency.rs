@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn residency_is_setup_complete() {
         let g = tricount_gen::rgg2d_default(256, 3);
-        let dg = DistGraph::new_balanced_vertices(&g, 4);
+        let dg = DistGraph::new(&g, 4);
         let cfg = DistConfig::default();
         let (ranks, stats) = build_residency(dg, &cfg, &SimOptions::default());
         assert_eq!(ranks.len(), 4);

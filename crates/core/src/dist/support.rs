@@ -122,7 +122,7 @@ mod tests {
             .collect();
 
         let p = 4;
-        let dg = DistGraph::new_balanced_vertices(&g, p);
+        let dg = DistGraph::new(&g, p);
         let cfg = DistConfig::default();
         let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
             edge_support_rank(ctx, &lg, &queries, &cfg).0

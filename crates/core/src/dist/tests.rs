@@ -120,7 +120,7 @@ fn edge_balanced_partition_also_correct() {
     let g = rmat_default(8, 3);
     let truth = seq::compact_forward(&g).triangles;
     for alg in [Algorithm::Ditric, Algorithm::Cetric] {
-        let dg = DistGraph::new_balanced_edges(&g, 5);
+        let dg = DistGraph::new(&g, 5);
         let (r, _) = run_on(dg, alg, &alg.config(), &SimOptions::default()).unwrap();
         assert_eq!(r.triangles, truth, "{alg:?}");
     }
@@ -160,11 +160,7 @@ fn ditric_memory_stays_linear() {
     // per-PE peak buffer ≤ δ + one record; δ = max(64, |E_i|/4);
     // |E_i| ≈ 2m/p = 512 words → δ ≈ 128; a record can be ~A(v)+2
     let max_entries = (0..8)
-        .map(|r| {
-            DistGraph::new_balanced_vertices(&g, 8)
-                .local(r)
-                .num_local_entries()
-        })
+        .map(|r| DistGraph::new(&g, 8).local(r).num_local_entries())
         .max()
         .unwrap();
     let bound = (max_entries / 4).max(64) + 2 + 64;
@@ -333,7 +329,7 @@ fn timed_runs_produce_overlap_aware_makespans() {
     let g = gnm(400, 4800, 21);
     let cost = CostModel::supermuc();
     for alg in [Algorithm::Ditric, Algorithm::Cetric2] {
-        let dg = DistGraph::new_balanced_vertices(&g, 6);
+        let dg = DistGraph::new(&g, 6);
         let (r, _) = run_on(dg, alg, &alg.config(), &timed(cost)).unwrap();
         assert_eq!(r.triangles, seq::compact_forward(&g).triangles, "{alg:?}");
         let makespan = r.stats.makespan();
@@ -358,7 +354,7 @@ fn timed_runs_are_deterministic_in_counters_not_clock_order() {
     let g = rgg2d_default(500, 4);
     let cost = CostModel::cloud();
     let mk = || {
-        let dg = DistGraph::new_balanced_vertices(&g, 4);
+        let dg = DistGraph::new(&g, 4);
         let alg = Algorithm::Ditric;
         run_on(dg, alg, &alg.config(), &timed(cost)).unwrap().0
     };
@@ -542,7 +538,7 @@ fn enumeration_runs_the_lcc_body() {
     let cfg = DistConfig::default();
     for (g, p) in [(rmat_default(8, 9), 5usize), (rgg2d_default(300, 2), 3)] {
         let l = lcc::lcc(&g, p, &cfg);
-        let dg = DistGraph::new_balanced_vertices(&g, p);
+        let dg = DistGraph::new(&g, p);
         let e = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
             enumerate::run_rank(ctx, lg, &cfg)
         });

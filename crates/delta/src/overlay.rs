@@ -296,7 +296,7 @@ mod tests {
     use tricount_graph::Csr;
 
     fn local_of(g: &Csr, p: usize, rank: usize) -> LocalGraph {
-        let mut dg = DistGraph::new_balanced_vertices(g, p);
+        let mut dg = DistGraph::new(g, p);
         dg.fill_ghost_degrees_centrally();
         dg.into_locals().remove(rank)
     }

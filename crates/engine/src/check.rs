@@ -147,7 +147,7 @@ fn triangles_at(g: &Csr, v: u64) -> u64 {
 /// kernel, not a toy.
 pub fn check_concurrency(g: &Csr, opts: &CheckOptions) -> Result<CheckReport, DistError> {
     // Layer 1: one real traced run, analyzed.
-    let dg = DistGraph::new_balanced_vertices(g, opts.p);
+    let dg = DistGraph::new(g, opts.p);
     let (res, trace) = tricount_core::dist::run_on(
         dg,
         opts.algorithm,

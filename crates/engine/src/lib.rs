@@ -307,7 +307,7 @@ pub struct Engine {
 
 impl Engine {
     /// Loads `g` into the engine: partitions it over `cfg.num_ranks` PEs
-    /// (vertex balanced) and performs the whole distributed setup exactly
+    /// (`DistGraph::new`) and performs the whole distributed setup exactly
     /// once. Everything queries need afterwards is resident.
     pub fn build(g: &Csr, cfg: EngineConfig) -> Engine {
         let pool = Arc::new(Pool::new(cfg.workers.max(1)));
@@ -322,7 +322,7 @@ impl Engine {
         assert!(cfg.queue_capacity >= 1, "queue capacity must be positive");
         assert!(cfg.batch_max >= 1, "batch size must be positive");
         let degrees = g.degrees();
-        let dg = DistGraph::new_balanced_vertices(g, cfg.num_ranks);
+        let dg = DistGraph::new(g, cfg.num_ranks);
         let opts = SimOptions {
             transport: cfg.dist.transport,
             timing: cfg.timing,

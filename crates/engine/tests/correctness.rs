@@ -88,7 +88,7 @@ fn global_counts_match_oneshot_drivers() {
         let e = engine_for(&g, p, Algorithm::Cetric.config());
         for alg in Algorithm::all() {
             let label = format!("{} p={p}", alg.name());
-            let dg = DistGraph::new_balanced_vertices(&g, p);
+            let dg = DistGraph::new(&g, p);
             let (oneshot, _, dispatch, _) =
                 run_on_profiled(dg, alg, &alg.config(), &SimOptions::default()).unwrap();
             assert_eq!(oneshot.triangles, expected, "{label}");
@@ -172,7 +172,7 @@ fn prepared_rank_programs_are_schedule_independent() {
     let g = tricount_gen::rgg2d_default(256, 2);
     let p = 4;
     let cfg = Algorithm::Cetric.config();
-    let dg = DistGraph::new_balanced_vertices(&g, p);
+    let dg = DistGraph::new(&g, p);
     let (ranks, _) = build_residency(dg, &cfg, &SimOptions::default());
 
     let counts = tricount_verify::determinism::check_schedule_independence(

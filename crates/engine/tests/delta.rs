@@ -148,7 +148,7 @@ fn update_protocol_is_schedule_independent() {
     let g = tricount_gen::rgg2d_default(256, 5);
     let p = 4;
     let cfg = DistConfig::default();
-    let dg = DistGraph::new_balanced_vertices(&g, p);
+    let dg = DistGraph::new(&g, p);
     let (ranks, _) = build_residency(dg, &cfg, &SimOptions::default());
     let batch = random_batch(&g, 20, 99).canonicalize();
 
@@ -246,7 +246,7 @@ fn sim_entry_matches_engine_path() {
     let g = tricount_gen::rgg2d_default(180, 9);
     let p = 3;
     let cfg = DistConfig::default();
-    let dg = DistGraph::new_balanced_vertices(&g, p);
+    let dg = DistGraph::new(&g, p);
     let (ranks, _) = build_residency(dg, &cfg, &SimOptions::default());
     let overlays: Vec<Mutex<Overlay>> = ranks
         .iter()
@@ -272,7 +272,7 @@ fn sim_entry_matches_engine_path() {
 /// inserting `(a, x)` makes `x` a common neighbour, so the support of
 /// `(a, b)` rises by exactly one.
 fn common_neighbour_fixture(g: &Csr, p: usize) -> (u64, u64, u64) {
-    let part = tricount_graph::Partition::balanced_vertices(g.num_vertices(), p);
+    let part = tricount_graph::Partition::balanced_edges(g, p);
     for a in 0..g.num_vertices() {
         let na = g.neighbors(a);
         for b in 0..g.num_vertices() {

@@ -518,14 +518,20 @@ pub struct DistGraph {
 }
 
 impl DistGraph {
-    /// Partitions `g` over `p` PEs, balanced by vertex count.
-    pub fn new_balanced_vertices(g: &Csr, p: usize) -> Self {
-        Self::with_partition(g, Partition::balanced_vertices(g.num_vertices(), p))
+    /// Partitions `g` over `p` PEs into contiguous id ranges cut at degree
+    /// prefix sums ([`Partition::balanced_edges`]), so every PE holds about
+    /// `2m / p` adjacency entries. The one default partition; the paper's
+    /// vertex-balanced ID partition is
+    /// `with_partition(g, Partition::balanced_vertices(n, p))`.
+    pub fn new(g: &Csr, p: usize) -> Self {
+        Self::with_partition(g, Partition::balanced_edges(g, p))
     }
 
-    /// Partitions `g` over `p` PEs, balanced by adjacency entries.
-    pub fn new_balanced_edges(g: &Csr, p: usize) -> Self {
-        Self::with_partition(g, Partition::balanced_edges(g, p))
+    /// The former name of [`DistGraph::new`], kept for callers that still
+    /// use it.
+    #[doc(hidden)]
+    pub fn new_balanced_vertices(g: &Csr, p: usize) -> Self {
+        Self::new(g, p)
     }
 
     /// Partitions `g` with an explicit partition.
@@ -696,7 +702,7 @@ mod tests {
     #[test]
     fn single_pe_has_no_ghosts() {
         let (g, _) = two_pe_graph();
-        let dg = DistGraph::new_balanced_vertices(&g, 1);
+        let dg = DistGraph::new(&g, 1);
         assert!(dg.local(0).ghosts().is_empty());
         assert_eq!(dg.local(0).num_cut_edges(), 0);
         assert_eq!(dg.num_cut_edges(), 0);

@@ -15,7 +15,7 @@ use tricount_obs::{export_run, json, parse_exposition, run_metrics};
 
 fn rgg16() -> DistGraph {
     let g = tricount_gen::rgg2d_default(2_000, 42);
-    DistGraph::new_balanced_vertices(&g, 16)
+    DistGraph::new(&g, 16)
 }
 
 /// Untimed + unperturbed-routing options so counters and trace events are
@@ -111,7 +111,7 @@ fn update_run_exports_a_valid_chrome_trace() {
 
     let g = tricount_gen::rgg2d_default(2_000, 42);
     let cfg = DistConfig::default();
-    let dg = DistGraph::new_balanced_vertices(&g, 16);
+    let dg = DistGraph::new(&g, 16);
     let (ranks, _) = build_residency(dg, &cfg, &SimOptions::default());
     let overlays: Vec<Mutex<Overlay>> = ranks
         .iter()

@@ -17,7 +17,7 @@ use tricount_verify::{check_trace, ConformanceReport, Violation};
 /// Runs `alg` traced on `p` PEs over `g` and lints the full trace
 /// (invariants 1–4) plus the cost-model meters (invariant 5).
 fn traced_lint(g: &tricount_graph::Csr, p: usize, alg: Algorithm) -> (u64, ConformanceReport) {
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     let (res, trace) = run_on(dg, alg, &alg.config(), &SimOptions::traced())
         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
     let trace = trace.expect("built with the `trace` feature");
@@ -305,7 +305,7 @@ fn all_variants_emit_only_registered_phase_names() {
     use tricount_core::dist::phases;
     let g = rmat_default(8, 13);
     for alg in Algorithm::all() {
-        let dg = DistGraph::new_balanced_vertices(&g, 4);
+        let dg = DistGraph::new(&g, 4);
         let (_, trace) = run_on(dg, alg, &alg.config(), &SimOptions::traced())
             .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
         let trace = trace.expect("traced");
@@ -331,7 +331,7 @@ fn all_variants_emit_only_registered_phase_names() {
 fn mutation_rogue_phase_name_caught() {
     use tricount_core::dist::phases;
     let g = rmat_default(8, 13);
-    let dg = DistGraph::new_balanced_vertices(&g, 4);
+    let dg = DistGraph::new(&g, 4);
     let (_, trace) = run_on(
         dg,
         Algorithm::Cetric,

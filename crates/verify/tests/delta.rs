@@ -16,7 +16,7 @@ use tricount_verify::conformance::check_meters;
 use tricount_verify::{check_phase_names, check_trace};
 
 fn residency(g: &tricount_graph::Csr, p: usize, cfg: &DistConfig) -> Vec<PreparedRank> {
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     build_residency(dg, cfg, &SimOptions::default()).0
 }
 

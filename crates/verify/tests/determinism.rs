@@ -16,7 +16,7 @@ use tricount_verify::determinism::{check_schedule_independence, run_guarded};
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
 fn count_under(g: &tricount_graph::Csr, p: usize, alg: Algorithm, opts: &SimOptions) -> u64 {
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     run_on(dg, alg, &alg.config(), opts)
         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()))
         .0

@@ -88,7 +88,7 @@ fn render() -> String {
     for (gname, g) in graphs() {
         for alg in Algorithm::all() {
             for p in [1usize, 4, 9] {
-                let dg = DistGraph::new_balanced_vertices(&g, p);
+                let dg = DistGraph::new(&g, p);
                 let (res, _, dispatch, _) =
                     run_on_profiled(dg, alg, &alg.config(), &SimOptions::default())
                         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
@@ -111,7 +111,7 @@ fn render() -> String {
     let cfg = DistConfig::default();
     for (gname, g) in graphs() {
         for p in [1usize, 4, 9] {
-            let dg = DistGraph::new_balanced_vertices(&g, p);
+            let dg = DistGraph::new(&g, p);
             let sim = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
                 let prep = prepare_rank(ctx, lg, &cfg);
                 lcc_prepared(ctx, &prep, &cfg)

@@ -16,7 +16,7 @@ use tricount_graph::dist::DistGraph;
 use tricount_verify::{check_hb, Violation};
 
 fn traced_run(g: &tricount_graph::Csr, p: usize, alg: Algorithm) -> Trace {
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     let (_, trace) = run_on(dg, alg, &alg.config(), &SimOptions::traced())
         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
     trace.expect("built with the `trace` feature")
@@ -52,7 +52,7 @@ fn delta_update_run_is_hb_consistent() {
     let cfg = DistConfig::default();
     let p = 4;
     let g = tricount_gen::rgg2d_default(300, 7);
-    let dg = DistGraph::new_balanced_vertices(&g, p);
+    let dg = DistGraph::new(&g, p);
     let (ranks, _): (Vec<PreparedRank>, _) = build_residency(dg, &cfg, &SimOptions::default());
     let overlays: Vec<Mutex<Overlay>> = ranks
         .iter()

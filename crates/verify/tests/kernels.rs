@@ -39,7 +39,7 @@ fn run_with_policy(
     policy: KernelPolicy,
     opts: &SimOptions,
 ) -> Observed {
-    let dg = DistGraph::new_balanced_vertices(g, p);
+    let dg = DistGraph::new(g, p);
     let mut cfg = alg.config();
     cfg.kernels = policy;
     let (res, _trace, dispatch, _wall) = run_on_profiled(dg, alg, &cfg, opts)

@@ -121,7 +121,7 @@ fn all_variants_bit_equal_across_backends() {
         for alg in Algorithm::all() {
             let cfg = alg.config();
             let run = |opts: &SimOptions| {
-                run_on(DistGraph::new_balanced_vertices(&g, p), alg, &cfg, opts)
+                run_on(DistGraph::new(&g, p), alg, &cfg, opts)
                     .unwrap_or_else(|e| panic!("{} p={p} failed: {e}", alg.name()))
                     .0
             };
@@ -168,7 +168,7 @@ fn edge_support_bit_equal_across_backends() {
     let cfg = DistConfig::default();
     let queries: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (5, 9), (3, 200), (200, 3)];
     let run = |opts: &SimOptions| -> Vec<Vec<u64>> {
-        let dg = DistGraph::new_balanced_vertices(&g, p);
+        let dg = DistGraph::new(&g, p);
         run_ranks(dg, opts, |ctx, lg| {
             edge_support_rank(ctx, &lg, &queries, &cfg).0
         })
@@ -190,7 +190,7 @@ fn delta_update_bit_equal_across_backends() {
     let g = tricount_gen::rgg2d_default(300, 7);
     let batch = random_batch(&g, 25, 217).canonicalize();
     let run = |opts: &SimOptions| {
-        let dg = DistGraph::new_balanced_vertices(&g, p);
+        let dg = DistGraph::new(&g, p);
         let (ranks, _): (Vec<PreparedRank>, _) = build_residency(dg, &cfg, opts);
         let overlays: Vec<Mutex<Overlay>> = ranks
             .iter()
@@ -242,7 +242,7 @@ fn run_guarded_on_threads_backend() {
     let truth = compact_forward(&g).triangles;
     let cfg = Algorithm::Cetric.config();
     // the guarded rank program must be 'static, so it owns the partition
-    let dg = DistGraph::new_balanced_vertices(&g, 4);
+    let dg = DistGraph::new(&g, 4);
     let out = run_guarded(4, &threads_opts(), Duration::from_secs(30), move |ctx| {
         count_rank(ctx, dg.local(ctx.rank()).clone(), Algorithm::Cetric, &cfg)
     })
@@ -264,13 +264,8 @@ fn threads_backend_trace_is_hb_consistent() {
         ..SimOptions::traced()
     };
     for alg in [Algorithm::Ditric, Algorithm::Cetric2] {
-        let (_, trace) = run_on(
-            DistGraph::new_balanced_vertices(&g, 4),
-            alg,
-            &alg.config(),
-            &opts,
-        )
-        .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
+        let (_, trace) = run_on(DistGraph::new(&g, 4), alg, &alg.config(), &opts)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
         let trace = trace.expect("built with the `trace` feature");
         let rep = check_hb(&trace);
         assert!(rep.is_clean(), "{}:\n{rep}", alg.name());
@@ -285,7 +280,7 @@ fn threads_backend_reports_wall_alongside_modeled() {
     let g = fixture();
     let cfg = Algorithm::Ditric.config();
     let (r, _) = run_on(
-        DistGraph::new_balanced_vertices(&g, 4),
+        DistGraph::new(&g, 4),
         Algorithm::Ditric,
         &cfg,
         &threads_opts(),

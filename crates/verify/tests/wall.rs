@@ -102,22 +102,12 @@ fn profiling_does_not_perturb_any_variant() {
         for alg in Algorithm::all() {
             let cfg = alg.config();
             let label = format!("{} p={p}", alg.name());
-            let plain = run_on(
-                DistGraph::new_balanced_vertices(&g, p),
-                alg,
-                &cfg,
-                &threads_opts(),
-            )
-            .unwrap_or_else(|e| panic!("{label} (plain) failed: {e}"))
-            .0;
-            let prof = run_on(
-                DistGraph::new_balanced_vertices(&g, p),
-                alg,
-                &cfg,
-                &profiled_opts(),
-            )
-            .unwrap_or_else(|e| panic!("{label} (profiled) failed: {e}"))
-            .0;
+            let plain = run_on(DistGraph::new(&g, p), alg, &cfg, &threads_opts())
+                .unwrap_or_else(|e| panic!("{label} (plain) failed: {e}"))
+                .0;
+            let prof = run_on(DistGraph::new(&g, p), alg, &cfg, &profiled_opts())
+                .unwrap_or_else(|e| panic!("{label} (profiled) failed: {e}"))
+                .0;
             assert_eq!(plain.triangles, truth, "{label}: plain miscounted");
             assert_eq!(prof.triangles, truth, "{label}: profiled miscounted");
             assert_stats_equiv(&label, cfg.routing, &plain.stats, &prof.stats);
@@ -148,13 +138,9 @@ fn profiling_does_not_perturb_any_variant() {
 fn wall_timeline_matches_flows() {
     let g = fixture();
     let alg = Algorithm::Cetric;
-    let (r, _, _, wall) = run_on_profiled(
-        DistGraph::new_balanced_vertices(&g, 4),
-        alg,
-        &alg.config(),
-        &profiled_opts(),
-    )
-    .expect("profiled run");
+    let (r, _, _, wall) =
+        run_on_profiled(DistGraph::new(&g, 4), alg, &alg.config(), &profiled_opts())
+            .expect("profiled run");
     let wall = wall.expect("threads + wall_profile must yield a profile");
     assert_eq!(wall.events_dropped(), 0, "default ring must not overflow");
     let t = WallTimeline::build(&wall);
@@ -200,13 +186,8 @@ fn ring_overflow_drops_events_never_stalls() {
         wall_ring_capacity: 4,
         ..SimOptions::on(TransportKind::Threads)
     };
-    let (r, _, _, wall) = run_on_profiled(
-        DistGraph::new_balanced_vertices(&g, 4),
-        alg,
-        &alg.config(),
-        &opts,
-    )
-    .expect("overflowing profiled run still completes");
+    let (r, _, _, wall) = run_on_profiled(DistGraph::new(&g, 4), alg, &alg.config(), &opts)
+        .expect("overflowing profiled run still completes");
     assert_eq!(r.triangles, truth, "overflow must not affect the count");
     let wall = wall.expect("profile present");
     assert!(
@@ -220,14 +201,9 @@ fn ring_overflow_drops_events_never_stalls() {
     // the timeline degrades to unmatched flows, not an error
     let t = WallTimeline::build(&wall);
     assert_eq!(t.events_dropped, wall.events_dropped());
-    let plain = run_on(
-        DistGraph::new_balanced_vertices(&g, 4),
-        alg,
-        &alg.config(),
-        &threads_opts(),
-    )
-    .expect("plain run")
-    .0;
+    let plain = run_on(DistGraph::new(&g, 4), alg, &alg.config(), &threads_opts())
+        .expect("plain run")
+        .0;
     assert_stats_equiv(
         "overflowing ring",
         alg.config().routing,

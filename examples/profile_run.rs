@@ -23,7 +23,7 @@ fn main() {
     let p = 16;
     let alg = Algorithm::Cetric;
     let model = CostModel::supermuc();
-    let dg = DistGraph::new_balanced_vertices(&g, p);
+    let dg = DistGraph::new(&g, p);
     let opts = SimOptions {
         timing: Some(model),
         record_trace: true,

@@ -34,7 +34,7 @@ fn main() {
     //    cost-model meters.
     let p = 16;
     let alg = Algorithm::Cetric2;
-    let dg = DistGraph::new_balanced_vertices(&g, p);
+    let dg = DistGraph::new(&g, p);
     let (result, trace) =
         run_on(dg, alg, &alg.config(), &SimOptions::traced()).expect("run failed");
     assert_eq!(result.triangles, truth);
@@ -53,7 +53,7 @@ fn main() {
     let g2 = g.clone();
     let verdict =
         check_schedule_independence(4, &seeds, &SimOptions::default(), move |ctx: &mut Ctx| {
-            let dg = DistGraph::new_balanced_vertices(&g2, ctx.num_ranks());
+            let dg = DistGraph::new(&g2, ctx.num_ranks());
             let lg = dg.into_locals().swap_remove(ctx.rank());
             cetric::core::dist::ditric::run_rank(ctx, lg, &Algorithm::Ditric.config()).0
         });

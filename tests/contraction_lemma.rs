@@ -120,7 +120,7 @@ fn local_phase_share_matches_type_counts() {
 #[test]
 fn contracted_neighborhoods_are_exactly_oriented_cut_edges() {
     let g = cetric::gen::rgg2d_default(400, 9);
-    let mut dg = DistGraph::new_balanced_vertices(&g, 4);
+    let mut dg = DistGraph::new(&g, 4);
     dg.fill_ghost_degrees_centrally();
     for r in 0..4 {
         let o = dg.local(r).orient(OrderingKind::Degree, true);

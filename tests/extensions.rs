@@ -107,7 +107,7 @@ fn timed_and_untimed_runs_count_identically() {
     let g = Dataset::Orkut.generate(1024, 5);
     let cost = CostModel::cloud();
     for alg in [Algorithm::Ditric2, Algorithm::Cetric] {
-        let dg = DistGraph::new_balanced_vertices(&g, 8);
+        let dg = DistGraph::new(&g, 8);
         let opts = SimOptions {
             timing: Some(cost),
             ..SimOptions::default()

@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn edge_balanced_partitions_count_correctly(g in arb_graph(), p in 1usize..5) {
         let truth = seq::brute_force_count(&g);
-        let dg = DistGraph::new_balanced_edges(&g, p);
+        let dg = DistGraph::new(&g, p);
         let alg = Algorithm::Cetric;
         let (r, _) = cetric::core::run_on(dg, alg, &alg.config(), &SimOptions::default()).unwrap();
         prop_assert_eq!(r.triangles, truth);

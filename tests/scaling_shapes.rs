@@ -6,6 +6,17 @@
 
 use cetric::prelude::*;
 
+/// The paper's ID partition (equal vertex counts per PE), which the figure
+/// shapes are stated for; the library default cuts at degree prefix sums.
+fn id_partition(g: &Csr, p: usize) -> DistGraph {
+    DistGraph::with_partition(g, Partition::balanced_vertices(g.num_vertices(), p))
+}
+
+/// [`count`] on [`id_partition`].
+fn count_id(g: &Csr, p: usize, alg: Algorithm, cfg: &DistConfig) -> Result<CountResult, DistError> {
+    cetric::core::run_on(id_partition(g, p), alg, cfg, &Default::default()).map(|(r, _)| r)
+}
+
 fn global_volume(r: &CountResult) -> u64 {
     r.stats
         .phases
@@ -20,14 +31,14 @@ fn fig2_shape_aggregation_wins_at_every_p() {
     let g = Dataset::Friendster.generate(1 << 11, 4);
     let model = CostModel::supermuc();
     for p in [4usize, 8, 16, 32] {
-        let unagg = count(
+        let unagg = count_id(
             &g,
             p,
             Algorithm::Unaggregated,
             &Algorithm::Unaggregated.config(),
         )
         .unwrap();
-        let agg = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+        let agg = count_id(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
         assert_eq!(unagg.triangles, agg.triangles);
         // order-of-magnitude running-time gap from startup overheads
         let gap = unagg.modeled_time(&model) / agg.modeled_time(&model);
@@ -48,15 +59,15 @@ fn fig5_shape_cetric_cuts_volume_on_rgg_not_on_gnm() {
     let p = 8;
     // RGG2D: strong locality → contraction pays in volume
     let rgg = cetric::gen::rgg2d_default(1 << 12, 2);
-    let d = count(&rgg, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
-    let c = count(&rgg, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
+    let d = count_id(&rgg, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let c = count_id(&rgg, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let ratio_rgg = global_volume(&d) as f64 / global_volume(&c).max(1) as f64;
     assert!(ratio_rgg > 1.5, "RGG volume reduction only {ratio_rgg:.2}x");
 
     // GNM: no locality → reduction marginal (paper: "almost no reduction")
     let gnm = cetric::gen::gnm(1 << 12, 16 << 12, 2);
-    let d = count(&gnm, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
-    let c = count(&gnm, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
+    let d = count_id(&gnm, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let c = count_id(&gnm, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let ratio_gnm = global_volume(&d) as f64 / global_volume(&c).max(1) as f64;
     assert!(
         ratio_gnm < ratio_rgg,
@@ -71,8 +82,8 @@ fn indirection_caps_peer_fanout_at_scale() {
     // RMAT hub: many PEs send to the hub's owner
     let g = cetric::gen::rmat_default(10, 6);
     let p = 36;
-    let direct = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
-    let indirect = count(&g, p, Algorithm::Ditric2, &Algorithm::Ditric2.config()).unwrap();
+    let direct = count_id(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let indirect = count_id(&g, p, Algorithm::Ditric2, &Algorithm::Ditric2.config()).unwrap();
     assert_eq!(direct.triangles, indirect.triangles);
     let max_peers_direct = direct
         .stats
@@ -118,13 +129,13 @@ fn indirection_caps_peer_fanout_at_scale() {
 fn memory_bounds_linear_vs_superlinear() {
     let g = cetric::gen::rmat_default(10, 9);
     let p = 8;
-    let dg = DistGraph::new_balanced_vertices(&g, p);
+    let dg = id_partition(&g, p);
     let max_entries = (0..p)
         .map(|r| dg.local(r).num_local_entries())
         .max()
         .unwrap();
 
-    let ditric = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let ditric = count_id(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
     // DITRIC: peak buffer within a small factor of δ (=|E_i|/4) — linear
     assert!(
         ditric.stats.max_peak_buffered() <= max_entries,
@@ -133,7 +144,7 @@ fn memory_bounds_linear_vs_superlinear() {
         max_entries
     );
 
-    let tric = count(&g, p, Algorithm::TricLike, &Algorithm::TricLike.config()).unwrap();
+    let tric = count_id(&g, p, Algorithm::TricLike, &Algorithm::TricLike.config()).unwrap();
     // TriC-like: peak buffer is the whole outgoing volume — superlinear in
     // the local input on this skewed graph
     assert!(
@@ -153,7 +164,7 @@ fn modeled_time_decreases_then_flattens_with_p() {
     let t: Vec<f64> = [2usize, 16, 32]
         .iter()
         .map(|&p| {
-            count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config())
+            count_id(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config())
                 .unwrap()
                 .modeled_time(&model)
         })
@@ -173,8 +184,8 @@ fn cloud_network_favours_cetric_supermuc_less_so() {
     // advantage over DITRIC must be larger under the slow-network model
     let g = Dataset::Webbase2001.generate(1 << 12, 8);
     let p = 16;
-    let d = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
-    let c = count(&g, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
+    let d = count_id(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let c = count_id(&g, p, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let fast = CostModel::supermuc();
     let slow = CostModel::cloud();
     let adv_fast = d.modeled_time(&fast) / c.modeled_time(&fast);
@@ -194,8 +205,8 @@ fn havoqgt_like_moves_wedge_volume() {
     // wedge-proportional messaging ≫ neighborhood messaging on skewed graphs
     let g = Dataset::Twitter.generate(1 << 11, 3);
     let p = 8;
-    let ours = count(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
-    let theirs = count(
+    let ours = count_id(&g, p, Algorithm::Ditric, &Algorithm::Ditric.config()).unwrap();
+    let theirs = count_id(
         &g,
         p,
         Algorithm::HavoqgtLike,
@@ -215,7 +226,7 @@ fn havoqgt_like_moves_wedge_volume() {
 fn road_networks_tiny_communication() {
     // road family: cut and volume must be tiny relative to m
     let g = Dataset::RoadEurope.generate(1 << 12, 2);
-    let r = count(&g, 8, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
+    let r = count_id(&g, 8, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
     let m_words = 2 * g.num_edges();
     assert!(
         global_volume(&r) < m_words / 4,
