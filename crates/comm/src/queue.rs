@@ -23,12 +23,28 @@
 //! re-aggregated there (relay records pass through the proxy's own buffers),
 //! cutting the peer count to O(√p).
 //!
+//! **Send before compute.** While a PE is still posting, [`MessageQueue::poll`]
+//! takes each arriving message off the transport and forwards its relay
+//! records at once, but parks the message in a FIFO *inbox* instead of
+//! handing its envelopes to the sink: the sink's work (an intersection per
+//! head, in the counting protocols) would otherwise delay this PE's own
+//! flushes while its peers idle. The oldest messages reach the sink only
+//! once the inbox holds more than [`INBOX_FACTOR`]`·δ` words, so per-PE
+//! memory stays linear on the receive side too (δ plus one record to send,
+//! `4δ` plus one message to process). [`MessageQueue::finish`] flushes the
+//! PE's own buffers first, then drains the inbox before it takes new
+//! arrivals. δ = 0 still delivers every message at once; `delta: None`
+//! defers every delivery to `finish`. Only the moment the sink runs
+//! changes: delivery order and the metered counters of a direct-routed
+//! exchange are the same as with immediate delivery.
+//!
 //! **Termination.** Real MPI needs a nonblocking-consensus (NBX) protocol to
 //! detect that no messages are in flight. The simulator uses shared
 //! expected/delivered counters instead, but charges each exchange the
 //! equivalent of one p-word all-reduce so modeled times do not benefit from
 //! the shortcut.
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
 use crate::cost::ceil_log2;
@@ -93,6 +109,11 @@ pub struct Envelope<'a> {
 /// Public so the conformance linter can reconstruct record sizes.
 pub const HEADER_WORDS: u64 = 2;
 
+/// The inbox bound as a multiple of δ: before [`MessageQueue::finish`],
+/// received envelopes reach the sink once more than `INBOX_FACTOR · δ`
+/// words wait in the inbox.
+pub const INBOX_FACTOR: u64 = 4;
+
 /// A protocol violation to inject into a [`MessageQueue`], for validating
 /// the conformance linter by mutation (`fault-injection` cargo feature;
 /// never compiled into normal builds).
@@ -122,6 +143,11 @@ pub struct MessageQueue {
     /// Per-first-hop-peer buffers.
     buffers: Vec<Vec<u64>>,
     buffered_words: u64,
+    /// Received messages holding envelopes for this PE, oldest first, not
+    /// yet handed to the sink.
+    inbox: VecDeque<Vec<u64>>,
+    inbox_words: u64,
+    peak_inbox_words: u64,
     delivered: u64,
     finishing: bool,
     #[cfg(feature = "fault-injection")]
@@ -147,6 +173,9 @@ impl MessageQueue {
             p,
             buffers: vec![Vec::new(); p],
             buffered_words: 0,
+            inbox: VecDeque::new(),
+            inbox_words: 0,
+            peak_inbox_words: 0,
             delivered: 0,
             finishing: false,
             #[cfg(feature = "fault-injection")]
@@ -171,6 +200,12 @@ impl MessageQueue {
     /// exchange.
     pub fn delivered(&self) -> u64 {
         self.delivered
+    }
+
+    /// The most words this PE's inbox has held at once since the queue was
+    /// created: at most `INBOX_FACTOR · δ` plus one message.
+    pub fn peak_inbox_words(&self) -> u64 {
+        self.peak_inbox_words
     }
 
     /// Posts an envelope to `dest`. May trigger a flush of all buffers when
@@ -258,46 +293,82 @@ impl MessageQueue {
         ctx.note_buffered(0);
     }
 
-    /// Receives and processes at most one incoming aggregated message.
-    /// Envelopes addressed here are passed to `sink`; relay records are
-    /// forwarded (re-aggregated through this PE's buffers, or immediately
-    /// when finishing). Returns whether a message was processed.
+    /// Receives at most one incoming aggregated message and forwards its
+    /// relay records (re-aggregated through this PE's buffers, or
+    /// immediately when finishing). Its envelopes addressed here go to the
+    /// inbox, and `sink` runs on the oldest inbox messages while the inbox
+    /// exceeds its bound; while finishing, the inbox is drained first, one
+    /// message per call, and new envelopes go straight to `sink`. Returns
+    /// whether a message was taken off the transport or the inbox.
     pub fn poll<F>(&mut self, ctx: &mut Ctx, sink: &mut F) -> bool
     where
         F: FnMut(&mut Ctx, Envelope<'_>),
     {
+        if self.finishing {
+            if let Some(words) = self.pop_inbox() {
+                self.deliver(ctx, &words, sink);
+                return true;
+            }
+        }
         let Some(msg) = ctx.try_recv_raw() else {
             return false;
         };
-        let words = msg.words;
-        let mut i = 0usize;
-        let mut relayed = false;
-        while i < words.len() {
-            let dest = words[i] as usize;
-            let len = words[i + 1] as usize;
-            let payload = &words[i + 2..i + 2 + len];
-            if dest == self.rank {
-                self.delivered += 1;
-                ctx.report_delivered(self.delivered);
-                ctx.trace_with(|| TraceEvent::Delivered {
-                    payload_words: payload.len() as u64,
-                    payload_hash: hash_words(payload),
-                });
-                sink(ctx, Envelope { payload });
+        if self.relay(ctx, &msg.words) {
+            if self.finishing {
+                self.deliver(ctx, &msg.words, sink);
             } else {
-                // Relay hop: forward toward the final destination (second
-                // hop of grid routing is always direct).
-                self.push_record(ctx, dest, dest, payload);
-                let buffered = self.buffered_words;
-                ctx.trace_with(|| TraceEvent::Relayed {
-                    dest,
-                    payload_words: payload.len() as u64,
-                    payload_hash: hash_words(payload),
-                    buffered_after: buffered,
-                });
-                relayed = true;
+                self.inbox_words += msg.words.len() as u64;
+                self.peak_inbox_words = self.peak_inbox_words.max(self.inbox_words);
+                self.inbox.push_back(msg.words);
+                self.drain_inbox(ctx, sink);
             }
-            i += 2 + len;
+        }
+        true
+    }
+
+    /// Hands the oldest inbox messages to `sink` until the inbox holds at
+    /// most `INBOX_FACTOR · δ` words (`delta: None`: keep everything).
+    fn drain_inbox<F>(&mut self, ctx: &mut Ctx, sink: &mut F)
+    where
+        F: FnMut(&mut Ctx, Envelope<'_>),
+    {
+        let Some(d) = self.cfg.delta else {
+            return;
+        };
+        while self.inbox_words > INBOX_FACTOR * d as u64 {
+            let Some(words) = self.pop_inbox() else {
+                break;
+            };
+            self.deliver(ctx, &words, sink);
+        }
+    }
+
+    /// Takes the oldest message out of the inbox.
+    fn pop_inbox(&mut self) -> Option<Vec<u64>> {
+        let words = self.inbox.pop_front()?;
+        self.inbox_words -= words.len() as u64;
+        Some(words)
+    }
+
+    /// Forwards the relay records of a received message toward their final
+    /// destinations (the second hop of grid routing is always direct).
+    /// Returns whether the message holds envelopes addressed here.
+    fn relay(&mut self, ctx: &mut Ctx, words: &[u64]) -> bool {
+        let (mut local, mut relayed) = (false, false);
+        for (dest, payload) in records(words) {
+            if dest == self.rank {
+                local = true;
+                continue;
+            }
+            self.push_record(ctx, dest, dest, payload);
+            let buffered = self.buffered_words;
+            ctx.trace_with(|| TraceEvent::Relayed {
+                dest,
+                payload_words: payload.len() as u64,
+                payload_hash: hash_words(payload),
+                buffered_after: buffered,
+            });
+            relayed = true;
         }
         if relayed {
             if self.finishing {
@@ -306,11 +377,32 @@ impl MessageQueue {
                 self.maybe_flush(ctx);
             }
         }
-        true
+        local
     }
 
-    /// Declares this PE done producing, then polls (delivering and
-    /// forwarding) until the exchange has globally terminated. Collective:
+    /// Passes the envelopes of a received message that are addressed here
+    /// to `sink`, in message order.
+    fn deliver<F>(&mut self, ctx: &mut Ctx, words: &[u64], sink: &mut F)
+    where
+        F: FnMut(&mut Ctx, Envelope<'_>),
+    {
+        for (dest, payload) in records(words) {
+            if dest != self.rank {
+                continue;
+            }
+            self.delivered += 1;
+            ctx.report_delivered(self.delivered);
+            ctx.trace_with(|| TraceEvent::Delivered {
+                payload_words: payload.len() as u64,
+                payload_hash: hash_words(payload),
+            });
+            sink(ctx, Envelope { payload });
+        }
+    }
+
+    /// Declares this PE done producing: flushes its buffers, then polls
+    /// (draining the inbox first, then delivering and forwarding new
+    /// arrivals) until the exchange has globally terminated. Collective:
     /// every PE must call it exactly once per exchange. The queue is reset
     /// and reusable for a subsequent exchange afterwards.
     pub fn finish<F>(&mut self, ctx: &mut Ctx, sink: &mut F)
@@ -355,11 +447,25 @@ impl MessageQueue {
             shared.satisfied.store(0, Ordering::SeqCst);
         }
         ctx.barrier_uncharged();
+        debug_assert!(self.inbox.is_empty(), "exchange ended with a full inbox");
         self.delivered = 0;
         ctx.report_delivered(0);
         self.finishing = false;
         ctx.exit_sparse_finish();
     }
+}
+
+/// The `(final_dest, payload)` records of an aggregated message.
+fn records(words: &[u64]) -> impl Iterator<Item = (usize, &[u64])> {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        (i < words.len()).then(|| {
+            let len = words[i + 1] as usize;
+            let record = (words[i] as usize, &words[i + 2..i + 2 + len]);
+            i += 2 + len;
+            record
+        })
+    })
 }
 
 #[cfg(test)]
