@@ -41,7 +41,7 @@ pub use cost::{ceil_log2, CostModel};
 pub use grid::Grid;
 #[cfg(feature = "fault-injection")]
 pub use queue::Fault;
-pub use queue::{Envelope, MessageQueue, QueueConfig, Routing, HEADER_WORDS};
+pub use queue::{Envelope, MessageQueue, QueueConfig, Routing, HEADER_WORDS, INBOX_FACTOR};
 pub use runtime::{
     run_guarded, run_sim, Ctx, DeadlockReport, DeliveryPick, PeSnapshot, RunOutput, SimOptions,
     SimOutput, TransportKind,

@@ -361,11 +361,25 @@ fn timed_runs_are_deterministic_in_counters_not_clock_order() {
     let a = mk();
     let b = mk();
     assert_eq!(a.triangles, b.triangles);
-    assert_eq!(a.stats.total_volume(), b.stats.total_volume());
-    // makespans may differ slightly through flush-timing races, but stay
-    // within a tight band
-    let (ma, mb) = (a.stats.makespan(), b.stats.makespan());
-    assert!((ma - mb).abs() / ma.max(mb) < 0.2, "{ma} vs {mb}");
+    // the makespan follows message arrival order; the per-rank counters and
+    // the analytic per-phase bound built from them do not
+    let names = |r: &CountResult| {
+        r.stats
+            .phases
+            .iter()
+            .map(|ph| ph.name.clone())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(names(&a), names(&b));
+    for name in names(&a) {
+        assert_eq!(
+            phase_counters(&a.stats, &name),
+            phase_counters(&b.stats, &name),
+            "{name}"
+        );
+    }
+    assert_eq!(a.stats.modeled_time(&cost), b.stats.modeled_time(&cost));
+    assert!(a.stats.makespan() > 0.0 && b.stats.makespan() > 0.0);
 }
 
 #[test]

@@ -34,7 +34,9 @@ impl Partition {
 
     /// Splits `0..n` so that each range carries a roughly equal number of
     /// adjacency entries of `g` (degree-sum balancing — reduces the work
-    /// imbalance skewed graphs cause under vertex balancing).
+    /// imbalance skewed graphs cause under vertex balancing): each range's
+    /// degree sum is at most `⌈Σd / p⌉` plus the maximum degree. The default
+    /// partition of `DistGraph::new`.
     pub fn balanced_edges(g: &Csr, p: usize) -> Self {
         Self::balanced_by_cost(g, p, |d| d)
     }
@@ -46,15 +48,18 @@ impl Partition {
     pub fn balanced_by_cost(g: &Csr, p: usize, cost: impl Fn(u64) -> u64) -> Self {
         assert!(p > 0, "partition needs at least one PE");
         let n = g.num_vertices();
-        let total: u64 = g.vertices().map(|v| cost(g.degree(v))).sum();
+        // In u128: a sum of u64 costs (d² at hub degrees) and `total · i`
+        // both overflow u64.
+        let cost = |v| u128::from(cost(g.degree(v)));
+        let total: u128 = g.vertices().map(cost).sum();
         let mut bounds = Vec::with_capacity(p + 1);
         bounds.push(0u64);
-        let mut acc = 0u64;
+        let mut acc = 0u128;
         let mut v = 0u64;
         for i in 1..p {
-            let target = total * i as u64 / p as u64;
+            let target = total * i as u128 / p as u128;
             while v < n && acc < target {
-                acc += cost(g.degree(v));
+                acc += cost(v);
                 v += 1;
             }
             bounds.push(v);
@@ -196,6 +201,17 @@ mod tests {
         assert_eq!(part.num_vertices(), 3);
         let total: u64 = (0..3).map(|r| part.size_of(r)).sum();
         assert_eq!(total, 3);
+    }
+
+    #[test]
+    fn huge_costs_do_not_overflow() {
+        // four costs of ≈ 2^63 (d² at hub degrees) sum past u64::MAX
+        let mut el = EdgeList::from_pairs(vec![(0, 1), (2, 3)]);
+        el.canonicalize();
+        let g = Csr::from_edges(4, &el);
+        let part = Partition::balanced_by_cost(&g, 2, |_| u64::MAX / 2);
+        assert_eq!(part.range(0), 0..2);
+        assert_eq!(part.range(1), 2..4);
     }
 
     #[test]

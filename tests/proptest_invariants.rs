@@ -30,6 +30,23 @@ fn arb_graph() -> impl Strategy<Value = Csr> {
         })
 }
 
+/// Strategy: the shapes a degree-prefix partition must cut — no vertices,
+/// isolated vertices only, a star, a path — and random graphs.
+fn arb_partition_shape() -> impl Strategy<Value = Csr> {
+    (0u8..5, 0u64..40, arb_graph()).prop_map(|(shape, n, random)| {
+        let pairs: Vec<(u64, u64)> = match shape {
+            0 => return Csr::from_edges(0, &EdgeList::new()),
+            1 => Vec::new(),
+            2 => (1..n).map(|v| (0, v)).collect(),
+            3 => (1..n).map(|v| (v - 1, v)).collect(),
+            _ => return random,
+        };
+        let mut el = EdgeList::from_pairs(pairs);
+        el.canonicalize();
+        Csr::from_edges(n, &el)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -87,6 +104,27 @@ proptest! {
             }
         }
         prop_assert_eq!(covered, n);
+    }
+
+    #[test]
+    fn degree_partition_covers_and_balances(g in arb_partition_shape(), p in 1usize..50) {
+        let part = Partition::balanced_edges(&g, p);
+        let n = g.num_vertices();
+        prop_assert_eq!(part.num_ranks(), p);
+        prop_assert_eq!(part.range(0).start, 0);
+        prop_assert_eq!(part.range(p - 1).end, n);
+        let total: u64 = g.vertices().map(|v| g.degree(v)).sum();
+        let max_degree = g.vertices().map(|v| g.degree(v)).max().unwrap_or(0);
+        let cap = total.div_ceil(p as u64) + max_degree;
+        for r in 0..p {
+            let range = part.range(r);
+            prop_assert!(range.start <= range.end, "rank {} range {:?}", r, range);
+            if r + 1 < p {
+                prop_assert_eq!(range.end, part.range(r + 1).start);
+            }
+            let load: u64 = range.clone().map(|v| g.degree(v)).sum();
+            prop_assert!(load <= cap, "rank {} {:?} holds {} > {} (n={} p={})", r, range, load, cap, n, p);
+        }
     }
 
     #[test]
