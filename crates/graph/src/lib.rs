@@ -11,7 +11,8 @@
 //! * [`Ordering`](ordering) — the degree-based total order `≺` used by
 //!   COMPACT-FORWARD-style orientation, and plain id order.
 //! * [`Partition`] — contiguous (globally id-sorted) 1D vertex partitions,
-//!   balanced by vertex count or by edge count.
+//!   balanced by edge count (the default of `DistGraph::new`), by vertex
+//!   count (the paper's ID partition) or by a degree cost function.
 //! * [`LocalGraph`] — the per-PE view: owned vertices with
 //!   full neighborhoods, *ghost* vertices, *interface* vertices, *cut edges*,
 //!   the *expanded local graph* (ghost neighborhoods rewired from incoming
