@@ -131,32 +131,27 @@ fn bench_intersections(reps: usize, rows: &mut Vec<Row>, report: &mut BenchRepor
 }
 
 /// One full counting sweep over an oriented adjacency: for every directed
-/// edge `(v, u)` intersect `A(v) ∩ A(u)` through the dispatcher. This is
-/// the access pattern of the distributed local phase, reproduced
-/// sequentially so the ablation isolates kernel choice from simulator
-/// overhead.
-fn dispatch_sweep(
-    o: &cetric::graph::Csr,
-    policy: cetric::graph::kernels::KernelPolicy,
-    hubs: &cetric::graph::kernels::HubIndex,
-) -> u64 {
-    let mut d = cetric::graph::kernels::Dispatcher::with_hubs(policy, hubs);
+/// edge `(v, u)` intersect `A(v) ∩ A(u)` with `intersect`. This is the
+/// access pattern of the distributed local phase, reproduced sequentially
+/// so the ablation isolates kernel choice from simulator overhead.
+fn sweep(o: &cetric::graph::Csr, mut intersect: impl FnMut(&[u64], &[u64]) -> (u64, u64)) -> u64 {
     let mut total = 0u64;
     for v in o.vertices() {
         let av = o.neighbors(v);
         for &u in av {
-            total += d.count(av, Some(v), o.neighbors(u), Some(u)).0;
+            total += intersect(av, o.neighbors(u)).0;
         }
     }
     total
 }
 
-/// The kernel-ablation matrix: fixture skew × hub-index threshold ×
-/// kernel. Emits per-cell wall times plus `speedup_vs_merge/...` ratios
-/// (>1 means faster than the merge baseline); CI fails when the adaptive
-/// dispatcher loses to merge on the skewed fixtures.
+/// The kernel-ablation matrix: fixture skew × kernel. Merge, gallop and
+/// binary run as plain functions over the sweep, `auto` through the
+/// dispatcher. Emits per-cell wall times plus the dispatcher's
+/// `speedup_vs_merge/{fixture}/auto` ratio (>1 means faster than merge);
+/// CI fails when the dispatcher loses to merge on the skewed fixtures.
 fn bench_kernel_ablation(scale: Scale, reps: usize, rows: &mut Vec<Row>, report: &mut BenchReport) {
-    use cetric::graph::kernels::{HubIndex, KernelChoice, KernelPolicy};
+    use cetric::graph::kernels::Dispatcher;
     use cetric::graph::Csr;
 
     let s = 10 + scale.shift();
@@ -166,64 +161,45 @@ fn bench_kernel_ablation(scale: Scale, reps: usize, rows: &mut Vec<Row>, report:
         ("skewed", cetric::gen::rmat_default(s, 11)),
         ("hub_heavy", cetric::gen::rmat_hub_heavy(s, 11)),
     ];
-    let kernels = [
-        KernelChoice::Merge,
-        KernelChoice::Gallop,
-        KernelChoice::Binary,
-        KernelChoice::Bitmap,
-        KernelChoice::Auto,
-    ];
     for (fixture, g) in &fixtures {
         // Id orientation keeps the hub out-lists huge (hubs sit at low
         // ids): the adversarial case the adaptive kernels are built for.
         let o = orient(g, OrderingKind::Id);
-        // Hub-fraction axis: the aggressive threshold indexes far more
-        // lists than the default.
-        for threshold in [64u64, 256] {
-            let hubs = HubIndex::build(o.vertices().map(|v| (v, o.neighbors(v))), threshold);
-            let merge_policy = KernelPolicy {
-                kernel: KernelChoice::Merge,
-                hub_threshold: threshold,
-                ..KernelPolicy::default()
-            };
-            let merge_count_total = dispatch_sweep(&o, merge_policy, &hubs);
-            for kernel in kernels {
-                let policy = KernelPolicy {
-                    kernel,
-                    ..merge_policy
-                };
-                let count = dispatch_sweep(&o, policy, &hubs); // warm + verify
-                assert_eq!(
-                    count,
-                    merge_count_total,
-                    "{fixture}/t{threshold}/{}: count mismatch vs merge",
-                    kernel.name()
-                );
-                // The ratio is gated to a few percent, and this host's speed
-                // drifts by ±10 % over the seconds a matrix row takes: time
-                // the merge baseline again beside every kernel, sample by
-                // sample, so both sides of a ratio see the same machine.
-                let (merge_t, t) = time_alternating(
-                    reps.max(15),
-                    || dispatch_sweep(&o, merge_policy, &hubs),
-                    || dispatch_sweep(&o, policy, &hubs),
-                );
-                let label = format!("kernel_matrix/{fixture}/t{threshold}/{}", kernel.name());
-                report.push_seconds(&label, t);
-                let speedup = if kernel == KernelChoice::Merge {
-                    1.0
-                } else {
-                    merge_t / t
-                };
+        let merge = || sweep(&o, merge_count);
+        let gallop = || sweep(&o, gallop_count);
+        let binary = || sweep(&o, binary_search_count);
+        let auto = || {
+            let mut d = Dispatcher::default();
+            sweep(&o, |a, b| d.count(a, None, b, None))
+        };
+        let expect = merge();
+        let kernels: [(&str, &dyn Fn() -> u64); 4] = [
+            ("merge", &merge),
+            ("gallop", &gallop),
+            ("binary", &binary),
+            ("auto", &auto),
+        ];
+        for (kernel, run) in kernels {
+            // warm + verify
+            assert_eq!(run(), expect, "{fixture}/{kernel}: count mismatch vs merge");
+            // The ratio is gated to a few percent, and this host's speed
+            // drifts by ±10 % over the seconds a matrix row takes: time
+            // the merge baseline again beside every kernel, sample by
+            // sample, so both sides of a ratio see the same machine.
+            let (merge_t, t) = time_alternating(reps.max(15), merge, run);
+            let label = format!("kernel_matrix/{fixture}/{kernel}");
+            report.push_seconds(&label, t);
+            let speedup = merge_t / t;
+            if kernel == "auto" {
                 report.push_raw(
-                    &format!("speedup_vs_merge/{fixture}/t{threshold}/{}", kernel.name()),
+                    &format!("speedup_vs_merge/{fixture}/auto"),
                     &tricount_bench::report::format_f64(speedup),
                 );
-                rows.push(Row {
-                    label,
-                    cells: vec![fmt_time(t), format!("{speedup:.2}x")],
-                });
             }
+            rows.push(Row {
+                label,
+                cells: vec![fmt_time(t), format!("{speedup:.2}x")],
+            });
         }
     }
 }
@@ -341,7 +317,7 @@ fn main() {
     let mut ablation_rows = Vec::new();
     bench_kernel_ablation(scale, reps, &mut ablation_rows, &mut report);
     print_table(
-        "kernel ablation (fixture × hub threshold × kernel)",
+        "kernel ablation (fixture × kernel)",
         &["per sweep", "vs merge"],
         &ablation_rows,
     );

@@ -3,6 +3,8 @@
 //! from the shell. Argument parsing is hand-rolled (no dependency) and unit
 //! tested; the binary in `src/bin/tricount.rs` is a thin wrapper.
 
+use std::cell::Cell;
+
 use tricount_comm::{CostModel, Routing, SimOptions, TransportKind};
 use tricount_core::dist::{enumerate, lcc};
 use tricount_core::{run_on, seq, Aggregation, Algorithm, DistConfig};
@@ -194,18 +196,10 @@ fn parse_dataset(s: &str) -> Result<Dataset, String> {
         })
 }
 
-/// Applies the shared `--kernel` / `--pool-workers` overrides to a config's
-/// kernel policy. `--pool-workers N` with `N > 1` runs the local phase in
+/// Applies the shared `--pool-workers` override to a config's kernel
+/// policy. `--pool-workers N` with `N > 1` runs the local phase in
 /// degree-balanced chunks on an `N`-worker pool.
-fn apply_kernel_opts(
-    config: &mut DistConfig,
-    kernel: Option<&str>,
-    pool_workers: Option<&str>,
-) -> Result<(), String> {
-    if let Some(k) = kernel {
-        config.kernels.kernel = tricount_graph::kernels::KernelChoice::parse(k)
-            .ok_or_else(|| format!("unknown kernel {k:?} (auto|merge|gallop|binary|bitmap)"))?;
-    }
+fn apply_pool_workers(config: &mut DistConfig, pool_workers: Option<&str>) -> Result<(), String> {
     if let Some(w) = pool_workers {
         let workers: usize = w
             .parse()
@@ -299,7 +293,8 @@ fn parse_algorithm(s: &str) -> Result<Option<Algorithm>, String> {
     }))
 }
 
-/// Parses a full argument list (without the binary name).
+/// Parses a full argument list (without the binary name). A flag the verb
+/// does not read is an error, not a silent no-op.
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let verb = it.next().ok_or_else(usage)?;
@@ -319,10 +314,18 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         opts.push((key.trim_start_matches('-').to_string(), val.to_string()));
         i += 2;
     }
+    // Every pair a lookup touches is marked read; the verb's flags are
+    // exactly the keys it looks up.
+    let read = vec![Cell::new(false); opts.len()];
     let get = |k: &str| {
-        opts.iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| v.as_str())
+        let mut found = None;
+        for ((key, v), r) in opts.iter().zip(&read) {
+            if key == k {
+                r.set(true);
+                found = found.or(Some(v.as_str()));
+            }
+        }
+        found
     };
     let parse_u64 = |k: &str, default: u64| -> Result<u64, String> {
         get(k).map_or(Ok(default), |v| {
@@ -330,15 +333,26 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         })
     };
 
-    let source = if let Some(path) = get("input") {
+    let inputs = (get("input"), get("family"), get("dataset"));
+    let source = if [inputs.0, inputs.1, inputs.2].iter().flatten().count() > 1 {
+        return Err("give one input: --input FILE, --family F or --dataset D".to_string());
+    } else if let Some(path) = inputs.0 {
         Source::File(path.to_string())
-    } else if let Some(fam) = get("family") {
+    } else if let Some(fam) = inputs.1 {
+        let family = parse_family(fam)?;
+        let n = parse_u64("n", 1 << 12)?;
+        if n < family.min_n() {
+            return Err(format!(
+                "--family {fam} needs --n {} or more (got {n})",
+                family.min_n()
+            ));
+        }
         Source::Family {
-            family: parse_family(fam)?,
-            n: parse_u64("n", 1 << 12)?,
+            family,
+            n,
             seed: parse_u64("seed", 42)?,
         }
-    } else if let Some(ds) = get("dataset") {
+    } else if let Some(ds) = inputs.2 {
         Source::Dataset {
             dataset: parse_dataset(ds)?,
             n: parse_u64("n", 1 << 12)?,
@@ -363,7 +377,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     if p == 0 {
         return Err("--p must be at least 1".to_string());
     }
-    match verb.as_str() {
+    let cmd = match verb.as_str() {
         "generate" => {
             if matches!(source, Source::File(_)) {
                 return Err("generate needs --family or --dataset, not --input".to_string());
@@ -400,7 +414,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     delta_factor: factor,
                 };
             }
-            apply_kernel_opts(&mut config, get("kernel"), get("pool-workers"))?;
+            apply_pool_workers(&mut config, get("pool-workers"))?;
             config.transport = parse_transport(get("transport"))?;
             let model = match get("model").unwrap_or("supermuc") {
                 "supermuc" => CostModel::supermuc(),
@@ -479,7 +493,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     _ => return Err(format!("unknown routing {r:?} (direct|grid)")),
                 };
             }
-            apply_kernel_opts(&mut config, get("kernel"), get("pool-workers"))?;
+            apply_pool_workers(&mut config, get("pool-workers"))?;
             config.transport = parse_transport(get("transport"))?;
             let model = match get("model").unwrap_or("supermuc") {
                 "supermuc" => CostModel::supermuc(),
@@ -499,6 +513,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         v => Err(format!("unknown command {v:?}\n{}", usage())),
+    }?;
+    match opts.iter().zip(&read).find(|(_, r)| !r.get()) {
+        Some(((key, _), _)) => Err(format!("{verb} does not read --{key} here\n{}", usage())),
+        None => Ok(cmd),
     }
 }
 
@@ -507,7 +525,7 @@ fn usage() -> String {
      [--input FILE | --family gnm|rgg2d|rhg|rmat | --dataset NAME] \
      [--n N] [--seed S] [--p P] [--alg A] [--model supermuc|cloud] \
      [--routing direct|grid] [--delta-factor F] [--transport sim|threads] \
-     [--kernel auto|merge|gallop|binary|bitmap] [--pool-workers N] \
+     [--pool-workers N] \
      [--top K] [--limit K] \
      [--queries Q] [--workload-seed S] [--batch UPDATES.txt] [--json 1] \
      [--tenants N] [--updates U] [--host-workers W] \
@@ -781,7 +799,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 .iter()
                 .map(|(ph, c)| (*ph, c.named().to_vec()))
                 .collect();
-            println!("kernel dispatch ({}):", config.kernels.kernel.name());
+            println!("kernel dispatch:");
             print!("{}", tricount_obs::dispatch_table(&rows));
             if phase_report {
                 print!(
@@ -1160,6 +1178,74 @@ mod tests {
         }
     }
 
+    /// `--n` below a family's generator precondition is a usage error that
+    /// names the smallest valid `n`, not a panic in the generator.
+    #[test]
+    fn parse_rejects_n_below_the_family_minimum() {
+        for (family, n, min) in [
+            ("gnm", 32, 33),
+            ("gnm", 1, 33),
+            ("rgg2d", 10, 11),
+            ("rgg2d", 0, 11),
+        ] {
+            let err = parse(&args(&format!("count --family {family} --n {n}"))).unwrap_err();
+            assert!(
+                err.contains(&format!("--n {min} or more")),
+                "{family} {n}: {err}"
+            );
+        }
+        for (family, n) in [("gnm", 33), ("rgg2d", 11)] {
+            let cmd = parse(&args(&format!("count --family {family} --n {n} --p 2"))).unwrap();
+            execute(cmd).unwrap();
+        }
+    }
+
+    /// A flag the verb never reads is rejected, so a leftover `--kernel` or
+    /// a typo fails loudly instead of being ignored.
+    #[test]
+    fn parse_rejects_flags_the_verb_does_not_read() {
+        for (line, key) in [
+            ("count --family gnm --kernel merge", "--kernel"),
+            (
+                "profile --family gnm --alg cetric --kernel auto",
+                "--kernel",
+            ),
+            ("count --family gnm --bogus 3", "--bogus"),
+            ("info --family gnm --alg cetric", "--alg"),
+            ("lcc --input g.txt --n 64", "--n"),
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(
+                err.contains(&format!("does not read {key}")),
+                "{line}: {err}"
+            );
+        }
+        let err = parse(&args("count --family gnm --input g.txt")).unwrap_err();
+        assert!(err.contains("give one input"), "{err}");
+    }
+
+    /// Every `tricount` command line in the README and the CI workflow
+    /// parses: the documented flags are flags their verbs read.
+    #[test]
+    fn documented_command_lines_parse() {
+        let mut parsed = 0;
+        for doc in [
+            include_str!("../../../README.md"),
+            include_str!("../../../.github/workflows/ci.yml"),
+        ] {
+            for line in doc.replace("\\\n", " ").lines() {
+                let Some((_, rest)) = line.split_once("--bin tricount -- ") else {
+                    continue;
+                };
+                // the arguments end at a shell comment or pipe
+                let argv = args(rest.split(['#', '|']).next().unwrap());
+                parse(&argv).unwrap_or_else(|e| panic!("{line}: {e}"));
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 20, "found only {parsed} command lines");
+    }
+
     #[test]
     fn parse_transport_override() {
         let cmd = parse(&args("count --family gnm --transport threads")).unwrap();
@@ -1194,14 +1280,9 @@ mod tests {
 
     #[test]
     fn parse_kernel_overrides() {
-        use tricount_graph::kernels::KernelChoice;
-        let cmd = parse(&args(
-            "count --family gnm --alg cetric --kernel gallop --pool-workers 4",
-        ))
-        .unwrap();
+        let cmd = parse(&args("count --family gnm --alg cetric --pool-workers 4")).unwrap();
         match cmd {
             Command::Count { config, .. } => {
-                assert_eq!(config.kernels.kernel, KernelChoice::Gallop);
                 assert_eq!(config.kernels.pool_workers, 4);
             }
             _ => panic!("wrong command"),
@@ -1214,26 +1295,21 @@ mod tests {
             }
             _ => panic!("wrong command"),
         }
-        // profile takes the same overrides
-        let cmd = parse(&args("profile --family gnm --alg cetric --kernel bitmap")).unwrap();
+        // profile takes the same override
+        let cmd = parse(&args("profile --family gnm --alg cetric --pool-workers 2")).unwrap();
         match cmd {
             Command::Profile { config, .. } => {
-                assert_eq!(config.kernels.kernel, KernelChoice::Bitmap);
+                assert_eq!(config.kernels.pool_workers, 2);
             }
             _ => panic!("wrong command"),
         }
-        assert!(parse(&args("count --family gnm --kernel nope")).is_err());
         assert!(parse(&args("count --family gnm --pool-workers 0")).is_err());
         assert!(parse(&args("count --family gnm --pool-workers x")).is_err());
     }
 
     #[test]
     fn execute_count_under_kernel_overrides() {
-        for flags in [
-            "--kernel merge",
-            "--kernel bitmap",
-            "--kernel auto --pool-workers 2",
-        ] {
+        for flags in ["--pool-workers 1", "--pool-workers 2"] {
             let cmd = parse(&args(&format!(
                 "count --family rgg2d --n 512 --p 4 --alg cetric {flags}"
             )))

@@ -66,8 +66,8 @@ pub struct DistConfig {
     /// [`DistError::OutOfMemory`](crate::result::DistError::OutOfMemory),
     /// reproducing the TriC crashes the paper reports.
     pub memory_limit_words: Option<u64>,
-    /// Intersection-kernel selection and intra-PE parallelism policy
-    /// (adaptive dispatch, hub index threshold, chunked counting).
+    /// Intra-PE parallelism policy of the counting loops (chunked local
+    /// pass on a worker pool).
     pub kernels: KernelPolicy,
     /// Which data plane carries the run's communication:
     /// [`TransportKind::Sim`] (default) is the metered simulator,

@@ -75,7 +75,7 @@ pub fn approx_prepared(
 ) -> ApproxRankOutput {
     // exact local phase: CETRIC's
     let o = &prep.oriented;
-    let (exact_local, _) = count_local(ctx, o, cfg.kernels, Some(&prep.hubs_oriented));
+    let (exact_local, _) = count_local(ctx, o, cfg.kernels);
     let contracted = &prep.contracted;
     ctx.end_phase(phases::LOCAL);
 

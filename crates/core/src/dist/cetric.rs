@@ -17,7 +17,7 @@
 //!
 //! The two phases are DITRIC's: the shared `dist::count_local` over the
 //! expanded graph and the shared `dist::count_global` over the contracted
-//! one, each through the adaptive kernel dispatcher over its hub index. The
+//! one, each through the adaptive kernel dispatcher. The
 //! local phase is chunked on the `par` pool when
 //! `cfg.kernels.pool_workers > 1` and reduced in canonical chunk order, so
 //! counts and `ops` totals are bit-identical either way.
@@ -49,20 +49,13 @@ pub fn count_prepared(
     cfg: &DistConfig,
 ) -> (u64, DispatchReport) {
     // Local phase (Algorithm 3 lines 5–7): every `v ∈ V_i ∪ ∂V_i`.
-    let (local_count, local_dispatch) =
-        count_local(ctx, &prep.oriented, cfg.kernels, Some(&prep.hubs_oriented));
+    let (local_count, local_dispatch) = count_local(ctx, &prep.oriented, cfg.kernels);
     ctx.end_phase(phases::LOCAL);
 
     // Global phase (lines 9–16) on the contracted graph.
     let c = &prep.contracted;
-    let (remote_count, global_dispatch) = count_global(
-        ctx,
-        cfg,
-        &prep.local,
-        c.nonempty(),
-        |u| c.a_of(u),
-        Some(&prep.hubs_contracted),
-    );
+    let (remote_count, global_dispatch) =
+        count_global(ctx, cfg, &prep.local, c.nonempty(), |u| c.a_of(u));
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
 

@@ -199,7 +199,7 @@ pub fn apply_batch_rank(
         .map(|&(_, u, v)| (u, v))
         .collect();
 
-    let mut disp = Dispatcher::new(cfg.kernels);
+    let mut disp = Dispatcher::default();
     let removed_partial = ctx.with_span("count_deletions", |ctx| {
         count_pass(ctx, lg, ov, &del_edges, &del_nbrs, queue_cfg, &mut disp)
     });
@@ -282,7 +282,7 @@ fn count_pass(
     tail_edges: &[(VertexId, VertexId)],
     batch_nbrs: &BTreeMap<VertexId, Vec<VertexId>>,
     queue_cfg: QueueConfig,
-    disp: &mut Dispatcher<'_>,
+    disp: &mut Dispatcher,
 ) -> u64 {
     let part = lg.partition().clone();
     let mut count = 0u64;
@@ -290,7 +290,7 @@ fn count_pass(
 
     // Remote request `[u, v, |B(u)|, B(u)…, N(u)…]` — answered against the
     // receiver's merged N(v) and local B(v).
-    let handler = |ctx: &mut Ctx, env: Envelope<'_>, acc: &mut u64, d: &mut Dispatcher<'_>| {
+    let handler = |ctx: &mut Ctx, env: Envelope<'_>, acc: &mut u64, d: &mut Dispatcher| {
         let u = env.payload[0];
         let v = env.payload[1];
         let blen = env.payload[2] as usize;
@@ -299,7 +299,7 @@ fn count_pass(
         let mut common = Vec::new();
         let ops = if ov.is_clean_at(v) {
             // N(v) is exactly the base slice — probe kernels are available.
-            d.collect(nu, None, lg.neighbors(v), None, &mut common)
+            d.collect(nu, lg.neighbors(v), &mut common)
         } else {
             // Merged N(v) only streams; probe the stream into the shipped
             // slice (falls back to streaming merge when nu is the smaller).
@@ -307,7 +307,6 @@ fn count_pass(
                 ov.merged_neighbors(lg, v),
                 ov.degree_after(lg, v) as usize,
                 nu,
-                None,
                 &mut common,
             )
         };
@@ -329,13 +328,12 @@ fn count_pass(
             common.clear();
             let (u_clean, v_clean) = (ov.is_clean_at(u), ov.is_clean_at(v));
             let ops = if u_clean && v_clean {
-                disp.collect(lg.neighbors(u), None, lg.neighbors(v), None, &mut common)
+                disp.collect(lg.neighbors(u), lg.neighbors(v), &mut common)
             } else if v_clean {
                 disp.collect_iter(
                     ov.merged_neighbors(lg, u),
                     ov.degree_after(lg, u) as usize,
                     lg.neighbors(v),
-                    None,
                     &mut common,
                 )
             } else if u_clean {
@@ -343,7 +341,6 @@ fn count_pass(
                     ov.merged_neighbors(lg, v),
                     ov.degree_after(lg, v) as usize,
                     lg.neighbors(u),
-                    None,
                     &mut common,
                 )
             } else {
@@ -418,17 +415,12 @@ pub fn compact_rank(
     });
     let oriented = ctx.with_span("orient_expand", |_| merged.orient(cfg.ordering, true));
     let contracted = ctx.with_span("contract_cut_graph", |_| oriented.contracted());
-    let (hubs_oriented, hubs_contracted) = ctx.with_span("build_hub_index", |_| {
-        super::residency::build_hub_indexes(&oriented, &contracted, cfg.kernels.hub_threshold)
-    });
     ov.reset();
     ctx.end_phase(phases::COMPACTION);
     PreparedRank {
         local: merged,
         oriented,
         contracted,
-        hubs_oriented,
-        hubs_contracted,
     }
 }
 

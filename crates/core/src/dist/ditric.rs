@@ -11,8 +11,7 @@
 //!
 //! The rank body is the shared `dist::count_local` over the plain
 //! orientation followed by the shared `dist::count_global` over every owned
-//! `A(v)`. Intersections go through the adaptive kernel dispatcher without a
-//! hub index — DITRIC is the one-shot path and builds no resident state.
+//! `A(v)`. Intersections go through the adaptive kernel dispatcher.
 
 use tricount_comm::Ctx;
 use tricount_graph::dist::LocalGraph;
@@ -32,14 +31,13 @@ pub fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> (u64, Di
 
     // Local pass: directed edges (v, u) with u local are intersected
     // in place (lines 2–4 of Algorithm 2).
-    let (local_count, local_dispatch) = count_local(ctx, &o, cfg.kernels, None);
+    let (local_count, local_dispatch) = count_local(ctx, &o, cfg.kernels);
     ctx.end_phase(phases::LOCAL);
 
     // Global pass: stream A(v) to owners of remote heads (line 5), process
     // incoming neighborhoods (lines 6–7).
     let sources = o.owned_range().map(|v| (v, o.a_owned(v)));
-    let (remote_count, global_dispatch) =
-        count_global(ctx, cfg, &lg, sources, |u| o.a_owned(u), None);
+    let (remote_count, global_dispatch) = count_global(ctx, cfg, &lg, sources, |u| o.a_owned(u));
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
 

@@ -69,7 +69,7 @@ pub fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig, threads: us
 
     // Funneled global phase — single-threaded DITRIC's, dispatcher and all.
     let sources = o.owned_range().map(|v| (v, o.a_owned(v)));
-    let (remote_count, _) = count_global(ctx, cfg, &lg, sources, |u| o.a_owned(u), None);
+    let (remote_count, _) = count_global(ctx, cfg, &lg, sources, |u| o.a_owned(u));
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
     total

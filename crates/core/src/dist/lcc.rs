@@ -96,7 +96,6 @@ pub(crate) fn list_triangles<A: Send>(
         ctx,
         o,
         cfg.kernels,
-        Some(&prep.hubs_oriented),
         || (empty(), Vec::new()),
         |total, (part, _)| absorb(&mut total.0, part),
         |v, av, (acc, commons), d| {
@@ -104,7 +103,7 @@ pub(crate) fn list_triangles<A: Send>(
             for &u in av {
                 let au = o.a_of(u).expect("head must be owned or ghost");
                 commons.clear();
-                work += d.collect(av, Some(v), au, Some(u), commons) + 1;
+                work += d.collect(av, au, commons) + 1;
                 for &w in commons.iter() {
                     emit(acc, v, u, w);
                 }
@@ -122,10 +121,9 @@ pub(crate) fn list_triangles<A: Send>(
         &prep.local,
         c.nonempty(),
         |u| c.a_of(u),
-        Some(&prep.hubs_contracted),
         |v, u, av, au, d| {
             commons.clear();
-            let ops = d.collect(av, None, au, Some(u), &mut commons);
+            let ops = d.collect(av, au, &mut commons);
             for &w in &commons {
                 emit(&mut acc, v, u, w);
             }

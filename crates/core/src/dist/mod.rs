@@ -26,9 +26,7 @@ use tricount_comm::{
     WallProfile,
 };
 use tricount_graph::dist::{DistGraph, LocalGraph, OrientedLocalGraph};
-use tricount_graph::kernels::{
-    balanced_chunks, Dispatcher, HubIndex, KernelCounters, KernelPolicy,
-};
+use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters, KernelPolicy};
 use tricount_graph::{Csr, OrderingKind, VertexId};
 use tricount_par::Pool;
 
@@ -134,20 +132,11 @@ pub fn preprocess(ctx: &mut Ctx, lg: &mut LocalGraph, cfg: &DistConfig) {
     }
 }
 
-/// A kernel dispatcher under `policy`, over `hubs` if any.
-fn dispatcher(policy: KernelPolicy, hubs: Option<&HubIndex>) -> Dispatcher<'_> {
-    match hubs {
-        Some(h) => Dispatcher::with_hubs(policy, h),
-        None => Dispatcher::new(policy),
-    }
-}
-
 /// The local pass every exact protocol runs (DITRIC, CETRIC, LCC and
 /// enumeration). Visits every vertex this PE can see in `o` — owned
 /// vertices in id order, then (on an expanded graph) ghosts in ghost-index
 /// order — handing each `(v, A(v))` to `visit` with a partial accumulator
-/// and a kernel dispatcher (over `hubs`, if any); `visit` returns the
-/// item's metered work.
+/// and a kernel dispatcher; `visit` returns the item's metered work.
 ///
 /// With `policy.pool_workers > 1` the items are cut into degree-balanced
 /// chunks run on a fresh `par` pool, each with its own `empty()`
@@ -158,19 +147,17 @@ pub(crate) fn local_pass<A: Send>(
     ctx: &mut Ctx,
     o: &OrientedLocalGraph,
     policy: KernelPolicy,
-    hubs: Option<&HubIndex>,
     empty: impl Fn() -> A + Sync,
     absorb: impl Fn(&mut A, A),
-    visit: impl Fn(VertexId, &[VertexId], &mut A, &mut Dispatcher<'_>) -> u64 + Sync,
+    visit: impl Fn(VertexId, &[VertexId], &mut A, &mut Dispatcher) -> u64 + Sync,
 ) -> (A, KernelCounters) {
-    let dispatcher = || dispatcher(policy, hubs);
     let owned = o.owned_range();
     let ghosts = if o.is_expanded() { o.ghost_ids() } else { &[] };
     let owned_len = (owned.end - owned.start) as usize;
     let n = owned_len + ghosts.len();
 
     if policy.pool_workers <= 1 || n == 0 {
-        let (mut acc, mut d) = (empty(), dispatcher());
+        let (mut acc, mut d) = (empty(), Dispatcher::default());
         for v in owned {
             ctx.add_work(visit(v, o.a_owned(v), &mut acc, &mut d));
         }
@@ -193,7 +180,7 @@ pub(crate) fn local_pass<A: Send>(
     let weights: Vec<u64> = (0..n).map(|i| item(i).1.len() as u64).collect();
     let ranges = balanced_chunks(&weights, policy.pool_workers.saturating_mul(4));
     let results = Pool::new(policy.pool_workers).run_tasks(ranges, |_, (s, e)| {
-        let (mut acc, mut d, mut work) = (empty(), dispatcher(), 0u64);
+        let (mut acc, mut d, mut work) = (empty(), Dispatcher::default(), 0u64);
         for i in s..e {
             let (v, av) = item(i);
             work += visit(v, av, &mut acc, &mut d);
@@ -223,13 +210,12 @@ pub(crate) fn count_local(
     ctx: &mut Ctx,
     o: &OrientedLocalGraph,
     policy: KernelPolicy,
-    hubs: Option<&HubIndex>,
 ) -> (u64, KernelCounters) {
-    let visit = |v, av: &[VertexId], count: &mut u64, d: &mut Dispatcher<'_>| {
+    let visit = |_, av: &[VertexId], count: &mut u64, d: &mut Dispatcher| {
         let mut work = 0u64;
         for &u in av {
             if let Some(au) = o.a_of(u) {
-                let (c, ops) = d.count(av, Some(v), au, Some(u));
+                let (c, ops) = d.count(av, None, au, None);
                 *count += c;
                 work += ops + 1;
             } else {
@@ -238,7 +224,7 @@ pub(crate) fn count_local(
         }
         work
     };
-    local_pass(ctx, o, policy, hubs, || 0, |t, c| *t += c, visit)
+    local_pass(ctx, o, policy, || 0, |t, c| *t += c, visit)
 }
 
 /// The global pass every exact protocol runs (DITRIC, CETRIC, LCC,
@@ -246,9 +232,8 @@ pub(crate) fn count_local(
 /// Algorithm 3 lines 9–16). Each source `(v, A(v))` is streamed through the
 /// buffered sparse all-to-all to the owners of its heads, skipping the heads
 /// this PE owns; the receiver calls `visit(v, u, A(v), A(u), dispatcher)`
-/// for each head `u` it owns, with `A(u)` from `head` and the dispatcher
-/// over `hubs`, if any. `visit` returns the intersection's kernel ops and
-/// each visit meters `ops + 1`.
+/// for each head `u` it owns, with `A(u)` from `head`. `visit` returns the
+/// intersection's kernel ops and each visit meters `ops + 1`.
 ///
 /// With `cfg.dedup` (the surrogate deduplication of Arifuzzaman et al.)
 /// `A(v)` travels at most once per destination PE as `[v, A(v)…]` and the
@@ -263,13 +248,12 @@ pub(crate) fn global_pass<'g>(
     lg: &LocalGraph,
     sources: impl IntoIterator<Item = (VertexId, &'g [VertexId])>,
     head: impl Fn(VertexId) -> &'g [VertexId],
-    hubs: Option<&HubIndex>,
-    mut visit: impl FnMut(VertexId, VertexId, &[VertexId], &[VertexId], &mut Dispatcher<'_>) -> u64,
+    mut visit: impl FnMut(VertexId, VertexId, &[VertexId], &[VertexId], &mut Dispatcher) -> u64,
 ) -> KernelCounters {
     let owned = lg.owned_range();
     let part = lg.partition();
     let dedup = cfg.dedup;
-    let mut d = dispatcher(cfg.kernels, hubs);
+    let mut d = Dispatcher::default();
     let mut q = MessageQueue::new(
         ctx,
         QueueConfig {
@@ -323,11 +307,10 @@ pub(crate) fn count_global<'g>(
     lg: &LocalGraph,
     sources: impl IntoIterator<Item = (VertexId, &'g [VertexId])>,
     head: impl Fn(VertexId) -> &'g [VertexId],
-    hubs: Option<&HubIndex>,
 ) -> (u64, KernelCounters) {
     let mut count = 0u64;
-    let counters = global_pass(ctx, cfg, lg, sources, head, hubs, |_, u, av, au, d| {
-        let (c, ops) = d.count(av, None, au, Some(u));
+    let counters = global_pass(ctx, cfg, lg, sources, head, |_, _, av, au, d| {
+        let (c, ops) = d.count(av, None, au, None);
         count += c;
         ops
     });

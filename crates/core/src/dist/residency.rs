@@ -15,7 +15,6 @@
 
 use tricount_comm::{Ctx, RunStats, SimOptions};
 use tricount_graph::dist::{ContractedGraph, DistGraph, LocalGraph, OrientedLocalGraph};
-use tricount_graph::kernels::HubIndex;
 
 use crate::config::DistConfig;
 use crate::dist::phases;
@@ -34,34 +33,6 @@ pub struct PreparedRank {
     pub oriented: OrientedLocalGraph,
     /// The contracted cut graph (Algorithm 3 line 8).
     pub contracted: ContractedGraph,
-    /// Bitmap/hash membership index over hub neighborhoods of the oriented
-    /// graph (owned + ghost lists with degree ≥ the policy's
-    /// `hub_threshold`). Rebuilt on delta compaction — the overlay counting
-    /// path never consults oriented lists between compactions, so
-    /// rebuild-on-compaction keeps it coherent.
-    pub hubs_oriented: HubIndex,
-    /// Same index over the contracted cut graph's neighborhoods (used by
-    /// the global-phase intersection handler).
-    pub hubs_contracted: HubIndex,
-}
-
-/// Builds the hub indexes for a prepared rank's oriented and contracted
-/// lists. Pure local work (no communication); shared by [`prepare_rank`]
-/// and delta compaction so the two can never drift.
-pub fn build_hub_indexes(
-    oriented: &OrientedLocalGraph,
-    contracted: &ContractedGraph,
-    threshold: u64,
-) -> (HubIndex, HubIndex) {
-    let owned = oriented.owned_range().map(|v| (v, oriented.a_owned(v)));
-    let ghosts = oriented
-        .ghost_ids()
-        .iter()
-        .enumerate()
-        .map(|(i, &g)| (g, oriented.a_ghost(i)));
-    let hubs_oriented = HubIndex::build(owned.chain(ghosts), threshold);
-    let hubs_contracted = HubIndex::build(contracted.nonempty(), threshold);
-    (hubs_oriented, hubs_contracted)
 }
 
 /// Runs the per-rank setup shared by CETRIC, the LCC pipeline and the
@@ -73,15 +44,10 @@ pub fn prepare_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> Prep
     let oriented = ctx.with_span("orient_expand", |_| lg.orient(cfg.ordering, true));
     ctx.end_phase(phases::PREPROCESSING);
     let contracted = ctx.with_span("contract_cut_graph", |_| oriented.contracted());
-    let (hubs_oriented, hubs_contracted) = ctx.with_span("build_hub_index", |_| {
-        build_hub_indexes(&oriented, &contracted, cfg.kernels.hub_threshold)
-    });
     PreparedRank {
         local: lg,
         oriented,
         contracted,
-        hubs_oriented,
-        hubs_contracted,
     }
 }
 

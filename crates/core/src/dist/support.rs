@@ -12,7 +12,6 @@
 //! neighborhood `N(b)`. A final `allgatherv` of `(index, support)` pairs
 //! lets every rank assemble the identical, deterministic answer vector.
 
-use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
 use tricount_comm::Ctx;
@@ -28,18 +27,16 @@ use tricount_graph::VertexId;
 /// and `(b, a)` yield the same support but may be answered by different
 /// ranks. Vertices must be valid global ids; the support of an edge not
 /// present in the graph is still the common-neighbor count of its
-/// endpoints. Intersections dispatch through `cfg.kernels` (no hub index —
-/// support intersects *full* neighborhoods, which the prepared hub index
-/// does not cover). Also returns this rank's kernel-dispatch tallies.
+/// endpoints. Intersections go through the adaptive kernel dispatcher.
+/// Also returns this rank's kernel-dispatch tallies.
 pub fn edge_support_rank(
     ctx: &mut Ctx,
     lg: &LocalGraph,
     queries: &[(VertexId, VertexId)],
-    cfg: &DistConfig,
 ) -> (Vec<u64>, DispatchReport) {
     let p = ctx.num_ranks();
     let part = lg.partition().clone();
-    let mut d = Dispatcher::new(cfg.kernels);
+    let mut d = Dispatcher::default();
 
     // (index, support) pairs this rank can answer, flattened for the final
     // allgather.
@@ -123,9 +120,8 @@ mod tests {
 
         let p = 4;
         let dg = DistGraph::new(&g, p);
-        let cfg = DistConfig::default();
         let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
-            edge_support_rank(ctx, &lg, &queries, &cfg).0
+            edge_support_rank(ctx, &lg, &queries).0
         });
         for ranks_answer in &out.output.results {
             assert_eq!(ranks_answer, &expected);

@@ -1435,10 +1435,9 @@ impl EngineInner {
             }
             QueryKey::Support(edges) => {
                 let ranks = serving.clone();
-                let cfg = self.cfg.dist;
                 let edges = Arc::new(edges.clone());
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
-                    edge_support_rank(ctx, &ranks[ctx.rank()].local, &edges, &cfg)
+                    edge_support_rank(ctx, &ranks[ctx.rank()].local, &edges)
                 })
                 .map_err(DistError::from)?;
                 let wall = started.elapsed().as_secs_f64();

@@ -458,7 +458,6 @@ mod tests {
                     merge: 3,
                     gallop: 2,
                     binary: 1,
-                    bitmap: 0,
                 },
             ),
             query_adjacency: AdjacencyWords::default(),
@@ -473,9 +472,9 @@ mod tests {
             "the inert adjacency fields stay out of JSON"
         );
         assert!(j.contains("\"transport\":\"sim\""));
-        assert!(j.contains(
-            "\"kernel_dispatch\":{\"local\":{\"merge\":3,\"gallop\":2,\"binary\":1,\"bitmap\":0}}"
-        ));
+        assert!(
+            j.contains("\"kernel_dispatch\":{\"local\":{\"merge\":3,\"gallop\":2,\"binary\":1}}")
+        );
         assert!(j.contains("\"per_query\":[{\"kind\":\"global\""));
         assert!(j.contains("\"queue_wait\":{\"count\":1"));
         assert!(j.contains("\"pool\":[{\"executed\":1"));

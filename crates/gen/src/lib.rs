@@ -66,8 +66,20 @@ impl Family {
         }
     }
 
+    /// The smallest `n` [`Family::generate`] accepts: G(n, m) needs its
+    /// `m = 16n` edges to fit in `n(n−1)/2`, RGG2D a radius below 1, which
+    /// average degree 32 gives from `n > 32/π` on.
+    pub fn min_n(self) -> u64 {
+        match self {
+            Family::Gnm => 33,
+            Family::Rgg2d => 11,
+            Family::Rhg | Family::Rmat => 0,
+        }
+    }
+
     /// Generates an instance with `n` vertices and the paper's default
-    /// density for the family (expected edge factor 16).
+    /// density for the family (expected edge factor 16); `n` must be at
+    /// least [`Family::min_n`].
     pub fn generate(self, n: u64, seed: u64) -> Csr {
         match self {
             Family::Rgg2d => rgg2d_default(n, seed),
@@ -88,6 +100,19 @@ mod tests {
             let g = fam.generate(256, 3);
             assert!(g.num_edges() > 0, "{fam:?}");
             g.validate_symmetric().unwrap();
+        }
+    }
+
+    /// `min_n` is the boundary of each family's precondition: it holds at
+    /// `min_n` and fails one below.
+    #[test]
+    fn min_n_is_the_smallest_valid_n() {
+        let gnm_fits = |n: u64| 16 * n <= n * n.saturating_sub(1) / 2;
+        let rgg_fits = |n: u64| crate::rgg::radius_for_avg_degree(n, 32.0) < 1.0;
+        assert!(gnm_fits(Family::Gnm.min_n()) && !gnm_fits(Family::Gnm.min_n() - 1));
+        assert!(rgg_fits(Family::Rgg2d.min_n()) && !rgg_fits(Family::Rgg2d.min_n() - 1));
+        for fam in Family::all() {
+            fam.generate(fam.min_n(), 3).validate_symmetric().unwrap();
         }
     }
 }

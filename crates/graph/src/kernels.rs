@@ -3,27 +3,19 @@
 //! Every counting path in the reproduction intersects sorted adjacency
 //! lists. Which kernel wins depends on the *shape* of the pair: merge is
 //! optimal for balanced lists, galloping/binary probing wins when one list
-//! is much shorter than the other, and for genuine hub vertices a
-//! precomputed bitmap/hash index answers each probe in O(1). This module
-//! provides:
+//! is much shorter than the other. This module provides:
 //!
-//! * [`KernelPolicy`] — the knob block threaded through `DistConfig`: forced
-//!   kernel or [`KernelChoice::Auto`], the hub-degree threshold, and the
+//! * [`KernelPolicy`] — the knob block threaded through `DistConfig`: the
 //!   intra-PE pool width.
-//! * [`HubIndex`] — a per-PE index over high-degree adjacency lists, built
-//!   once at `PreparedRank` construction (and rebuilt on delta compaction,
-//!   which is what keeps it coherent — see DESIGN §5e).
-//! * [`Dispatcher`] — the per-call-site chooser. Given two lists (and
-//!   optionally the vertex ids that key them in the hub index) it picks a
-//!   kernel by the cost model `|small|·⌈log₂|large|⌉ < |small| + |large|`
+//! * [`Dispatcher`] — the per-call-site chooser. Given two lists it picks a
+//!   kernel by the §III cost model `|small|·⌈log₂|large|⌉ < |small| + |large|`
 //!   and tallies the choice in [`KernelCounters`].
 //!
-//! The dispatch decision is a pure function of the list lengths, the policy,
-//! and hub-index membership — never of schedule, chunk boundaries, or pool
-//! width — so for a fixed policy, counts and `ops` totals are bit-identical
-//! across pool sizes and schedule perturbations.
+//! The dispatch decision is a pure function of the two list lengths —
+//! never of schedule, chunk boundaries, or pool width — so counts and
+//! `ops` totals are bit-identical across pool sizes and schedule
+//! perturbations.
 
-use crate::hash::{FxHashMap, FxHashSet};
 use crate::intersect::{
     binary_search_collect, binary_search_collect_iter, binary_search_count,
     binary_search_count_iter, gallop_collect, gallop_collect_iter, gallop_count, gallop_count_iter,
@@ -31,58 +23,10 @@ use crate::intersect::{
 };
 use crate::VertexId;
 
-/// Which intersection kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// Pick per call site by the size-ratio cost model, preferring the hub
-    /// index when the larger side is indexed.
-    #[default]
-    Auto,
-    /// Always the two-pointer merge (the paper's §III baseline).
-    Merge,
-    /// Always galloping (exponential search) probes.
-    Gallop,
-    /// Always plain binary-search probes.
-    Binary,
-    /// Always the hub bitmap/hash index; falls back to merge (recorded as a
-    /// merge dispatch) when the larger side is not indexed.
-    Bitmap,
-}
-
-impl KernelChoice {
-    /// Parse a CLI spelling (`auto`, `merge`, `gallop`, `binary`, `bitmap`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(Self::Auto),
-            "merge" => Some(Self::Merge),
-            "gallop" => Some(Self::Gallop),
-            "binary" => Some(Self::Binary),
-            "bitmap" => Some(Self::Bitmap),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Auto => "auto",
-            Self::Merge => "merge",
-            Self::Gallop => "gallop",
-            Self::Binary => "binary",
-            Self::Bitmap => "bitmap",
-        }
-    }
-}
-
-/// Kernel-selection and intra-PE parallelism policy, threaded through
-/// `DistConfig` into every counting path.
+/// Intra-PE parallelism policy, threaded through `DistConfig` into every
+/// counting path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelPolicy {
-    /// Forced kernel, or [`KernelChoice::Auto`] for the cost model.
-    pub kernel: KernelChoice,
-    /// Adjacency lists at least this long get a hub-index entry at
-    /// `PreparedRank` construction.
-    pub hub_threshold: u64,
     /// Worker threads for the intra-PE pool. Above 1, the per-PE local
     /// counting loops run in degree-balanced chunks on the `par` pool; the
     /// default 1 runs them inline. Totals are bit-identical either way.
@@ -91,22 +35,7 @@ pub struct KernelPolicy {
 
 impl Default for KernelPolicy {
     fn default() -> Self {
-        Self {
-            kernel: KernelChoice::Auto,
-            hub_threshold: 256,
-            pool_workers: 1,
-        }
-    }
-}
-
-impl KernelPolicy {
-    /// A policy that reproduces the pre-kernel-layer behaviour exactly:
-    /// merge everywhere, sequential.
-    pub fn merge_only() -> Self {
-        Self {
-            kernel: KernelChoice::Merge,
-            ..Self::default()
-        }
+        Self { pool_workers: 1 }
     }
 }
 
@@ -119,14 +48,12 @@ pub struct KernelCounters {
     pub gallop: u64,
     /// Intersections served by plain binary-search probes.
     pub binary: u64,
-    /// Intersections served by the hub bitmap/hash index.
-    pub bitmap: u64,
 }
 
 impl KernelCounters {
     /// Total dispatches across all kernels.
     pub fn total(&self) -> u64 {
-        self.merge + self.gallop + self.binary + self.bitmap
+        self.merge + self.gallop + self.binary
     }
 
     /// Fold another tally into this one.
@@ -134,113 +61,15 @@ impl KernelCounters {
         self.merge += other.merge;
         self.gallop += other.gallop;
         self.binary += other.binary;
-        self.bitmap += other.bitmap;
     }
 
     /// `(name, count)` pairs in fixed order, for rendering.
-    pub fn named(&self) -> [(&'static str, u64); 4] {
+    pub fn named(&self) -> [(&'static str, u64); 3] {
         [
             ("merge", self.merge),
             ("gallop", self.gallop),
             ("binary", self.binary),
-            ("bitmap", self.bitmap),
         ]
-    }
-}
-
-/// One indexed hub neighborhood: a bitmap when the id span is dense enough
-/// to pay for itself, otherwise a hash set.
-#[derive(Debug, Clone)]
-enum HubEntry {
-    /// Dense: bit `v - base` set iff `v` is a neighbor.
-    Bits { base: VertexId, words: Vec<u64> },
-    /// Sparse: plain hash membership.
-    Set(FxHashSet<VertexId>),
-}
-
-impl HubEntry {
-    fn build(list: &[VertexId]) -> Self {
-        debug_assert!(!list.is_empty());
-        let base = list[0];
-        let span = (list[list.len() - 1] - base) as usize + 1;
-        let words = span / 64 + 1;
-        // A bitmap costs `words` u64s; the hash set costs ~2 u64s per
-        // element. Prefer the bitmap while it is at most ~4× the list.
-        if words <= list.len().saturating_mul(4) {
-            let mut bits = vec![0u64; words];
-            for &v in list {
-                let off = (v - base) as usize;
-                bits[off / 64] |= 1 << (off % 64);
-            }
-            HubEntry::Bits { base, words: bits }
-        } else {
-            HubEntry::Set(list.iter().copied().collect())
-        }
-    }
-
-    #[inline]
-    fn contains(&self, v: VertexId) -> bool {
-        match self {
-            HubEntry::Bits { base, words } => {
-                if v < *base {
-                    return false;
-                }
-                let off = (v - base) as usize;
-                match words.get(off / 64) {
-                    Some(w) => w & (1 << (off % 64)) != 0,
-                    None => false,
-                }
-            }
-            HubEntry::Set(s) => s.contains(&v),
-        }
-    }
-}
-
-/// Per-PE membership index over hub (high-degree) adjacency lists, keyed by
-/// the vertex whose neighborhood each list is.
-///
-/// Built once from the prepared (oriented or contracted) lists; the delta
-/// path never consults those lists between compactions — overlay counting
-/// streams merged views instead — so rebuild-on-compaction keeps the index
-/// coherent without incremental maintenance.
-#[derive(Debug, Clone, Default)]
-pub struct HubIndex {
-    entries: FxHashMap<VertexId, HubEntry>,
-}
-
-impl HubIndex {
-    /// An empty index (nothing reaches the bitmap path).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Index every `(v, list)` pair with `list.len() >= threshold`.
-    pub fn build<'a, I>(lists: I, threshold: u64) -> Self
-    where
-        I: Iterator<Item = (VertexId, &'a [VertexId])>,
-    {
-        let mut entries = FxHashMap::default();
-        for (v, list) in lists {
-            if list.len() as u64 >= threshold && !list.is_empty() {
-                entries.insert(v, HubEntry::build(list));
-            }
-        }
-        Self { entries }
-    }
-
-    /// Number of indexed hubs.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no hub is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    #[inline]
-    fn get(&self, v: VertexId) -> Option<&HubEntry> {
-        self.entries.get(&v)
     }
 }
 
@@ -250,18 +79,13 @@ enum Pick {
     Merge,
     Gallop,
     Binary,
-    /// Probe the *other* side into this hub entry.
-    Bitmap,
 }
 
-/// The per-call-site kernel chooser. Holds the policy, an optional hub
-/// index, and the dispatch tallies. Cheap to construct (two words + a map
-/// reference); each parallel chunk owns its own and the tallies are merged
-/// in canonical chunk order.
-#[derive(Debug)]
-pub struct Dispatcher<'a> {
-    policy: KernelPolicy,
-    hubs: Option<&'a HubIndex>,
+/// The per-call-site kernel chooser: the §III cost model plus the dispatch
+/// tallies. Cheap to construct; each parallel chunk owns its own and the
+/// tallies are merged in canonical chunk order.
+#[derive(Debug, Default)]
+pub struct Dispatcher {
     counters: KernelCounters,
 }
 
@@ -282,24 +106,11 @@ fn probe_wins(small: usize, large: usize) -> bool {
     (small as u64).saturating_mul(ceil_log2(large)) < (small + large) as u64
 }
 
-impl<'a> Dispatcher<'a> {
-    /// A dispatcher with no hub index (forced-`Bitmap` policies fall back to
-    /// merge).
-    pub fn new(policy: KernelPolicy) -> Self {
-        Self {
-            policy,
-            hubs: None,
-            counters: KernelCounters::default(),
-        }
-    }
-
-    /// A dispatcher that can route hub-keyed intersections to `hubs`.
-    pub fn with_hubs(policy: KernelPolicy, hubs: &'a HubIndex) -> Self {
-        Self {
-            policy,
-            hubs: Some(hubs),
-            counters: KernelCounters::default(),
-        }
+impl Dispatcher {
+    /// A fresh dispatcher. The policy is an ignored compatibility argument:
+    /// the pick depends on the list lengths alone.
+    pub fn new(_policy: KernelPolicy) -> Self {
+        Self::default()
     }
 
     /// The dispatch tallies accumulated so far.
@@ -307,204 +118,91 @@ impl<'a> Dispatcher<'a> {
         self.counters
     }
 
-    /// The policy this dispatcher runs.
-    pub fn policy(&self) -> KernelPolicy {
-        self.policy
-    }
-
-    /// Pick a kernel for lists of the given lengths, where the *larger*
-    /// side's hub entry (if any) is `hub`. Pure in (lengths, policy, hub
-    /// presence).
+    /// Picks a kernel for a probe side of `small` elements against a table
+    /// of `large` and tallies the pick: merge unless probing wins, and then
+    /// plain bisection for probe sides of 8 or fewer (they amortise no
+    /// gallop state), galloping above.
     #[inline]
-    fn pick(&self, small: usize, large: usize, hub_indexed: bool) -> Pick {
-        match self.policy.kernel {
-            KernelChoice::Merge => Pick::Merge,
-            KernelChoice::Gallop => Pick::Gallop,
-            KernelChoice::Binary => Pick::Binary,
-            KernelChoice::Bitmap => {
-                if hub_indexed {
-                    Pick::Bitmap
-                } else {
-                    Pick::Merge
-                }
-            }
-            KernelChoice::Auto => {
-                if hub_indexed {
-                    Pick::Bitmap
-                } else if probe_wins(small, large) {
-                    // Tiny probe sides amortise no gallop state; plain
-                    // bisection has the better constants.
-                    if small <= 8 {
-                        Pick::Binary
-                    } else {
-                        Pick::Gallop
-                    }
-                } else {
-                    Pick::Merge
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn hub_entry(&self, key: Option<VertexId>, len: usize) -> Option<&'a HubEntry> {
-        if len as u64 >= self.policy.hub_threshold {
-            self.hubs?.get(key?)
+    fn pick(&mut self, small: usize, large: usize) -> Pick {
+        if !probe_wins(small, large) {
+            self.counters.merge += 1;
+            Pick::Merge
+        } else if small <= 8 {
+            self.counters.binary += 1;
+            Pick::Binary
         } else {
-            None
+            self.counters.gallop += 1;
+            Pick::Gallop
         }
     }
 
-    /// Count the intersection of two sorted lists. `a_key`/`b_key` are the
-    /// vertices whose neighborhoods `a`/`b` are (for hub-index lookup);
-    /// pass `None` for synthetic lists (e.g. message payloads).
+    /// Count the intersection of two sorted lists, returning `(count, ops)`.
+    /// The two key arguments are ignored compatibility arguments.
     #[inline]
     pub fn count(
         &mut self,
         a: &[VertexId],
-        a_key: Option<VertexId>,
+        _a_key: Option<VertexId>,
         b: &[VertexId],
-        b_key: Option<VertexId>,
+        _b_key: Option<VertexId>,
     ) -> (u64, u64) {
         if a.is_empty() || b.is_empty() {
             return (0, 0);
         }
-        // Orient so `probe` is the smaller side and `table` the larger —
-        // the hub index is only ever worth consulting for the larger side.
-        let (probe, table, table_key) = if a.len() <= b.len() {
-            (a, b, b_key)
-        } else {
-            (b, a, a_key)
-        };
-        let entry = self.hub_entry(table_key, table.len());
-        match self.pick(probe.len(), table.len(), entry.is_some()) {
-            Pick::Merge => {
-                self.counters.merge += 1;
-                merge_count(probe, table)
-            }
-            Pick::Gallop => {
-                self.counters.gallop += 1;
-                gallop_count(probe, table)
-            }
-            Pick::Binary => {
-                self.counters.binary += 1;
-                binary_search_count(probe, table)
-            }
-            Pick::Bitmap => {
-                self.counters.bitmap += 1;
-                let entry = entry.expect("bitmap pick implies hub entry");
-                let mut count = 0u64;
-                for &x in probe {
-                    if entry.contains(x) {
-                        count += 1;
-                    }
-                }
-                // One op per O(1) membership probe.
-                (count, probe.len() as u64)
-            }
+        // Orient so `probe` is the smaller side and `table` the larger.
+        let (probe, table) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        match self.pick(probe.len(), table.len()) {
+            Pick::Merge => merge_count(probe, table),
+            Pick::Gallop => gallop_count(probe, table),
+            Pick::Binary => binary_search_count(probe, table),
         }
     }
 
     /// Collect the intersection of two sorted lists into `out`, returning
     /// the op count. Output order is ascending for every kernel.
     #[inline]
-    pub fn collect(
-        &mut self,
-        a: &[VertexId],
-        a_key: Option<VertexId>,
-        b: &[VertexId],
-        b_key: Option<VertexId>,
-        out: &mut Vec<VertexId>,
-    ) -> u64 {
+    pub fn collect(&mut self, a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) -> u64 {
         if a.is_empty() || b.is_empty() {
             return 0;
         }
-        let (probe, table, table_key) = if a.len() <= b.len() {
-            (a, b, b_key)
+        let (probe, table) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        match self.pick(probe.len(), table.len()) {
+            Pick::Merge => merge_collect(probe, table, out),
+            Pick::Gallop => gallop_collect(probe, table, out),
+            Pick::Binary => binary_search_collect(probe, table, out),
+        }
+    }
+
+    /// Picks for a sorted probe *iterator* of `probe_len` elements against
+    /// a slice table. The iterator can only be the probe side; when the
+    /// table is the smaller side, probing it would be the wrong way round,
+    /// so it streams the merge.
+    #[inline]
+    fn pick_iter(&mut self, probe_len: usize, table_len: usize) -> Pick {
+        if table_len < probe_len {
+            self.counters.merge += 1;
+            Pick::Merge
         } else {
-            (b, a, a_key)
-        };
-        let entry = self.hub_entry(table_key, table.len());
-        match self.pick(probe.len(), table.len(), entry.is_some()) {
-            Pick::Merge => {
-                self.counters.merge += 1;
-                merge_collect(probe, table, out)
-            }
-            Pick::Gallop => {
-                self.counters.gallop += 1;
-                gallop_collect(probe, table, out)
-            }
-            Pick::Binary => {
-                self.counters.binary += 1;
-                binary_search_collect(probe, table, out)
-            }
-            Pick::Bitmap => {
-                self.counters.bitmap += 1;
-                let entry = entry.expect("bitmap pick implies hub entry");
-                let mut ops = 0u64;
-                for &x in probe {
-                    ops += 1;
-                    if entry.contains(x) {
-                        out.push(x);
-                    }
-                }
-                ops
-            }
+            self.pick(probe_len, table_len)
         }
     }
 
     /// Count a sorted probe *iterator* of known length against a sorted
-    /// slice table keyed by `table_key` — the streaming entry point for the
-    /// delta overlay path, where the probe side is a merged base+overlay
-    /// view that never materialises.
+    /// slice table — the streaming entry point for the delta overlay path,
+    /// where the probe side is a merged base+overlay view that never
+    /// materialises.
     #[inline]
-    pub fn count_iter<I>(
-        &mut self,
-        probe: I,
-        probe_len: usize,
-        table: &[VertexId],
-        table_key: Option<VertexId>,
-    ) -> (u64, u64)
+    pub fn count_iter<I>(&mut self, probe: I, probe_len: usize, table: &[VertexId]) -> (u64, u64)
     where
         I: Iterator<Item = VertexId>,
     {
         if probe_len == 0 || table.is_empty() {
             return (0, 0);
         }
-        let entry = self.hub_entry(table_key, table.len());
-        // The iterator can only be the probe side; when the table is the
-        // smaller side, probing it would be wrong way round, so fall back
-        // to the streaming merge.
-        if table.len() < probe_len {
-            self.counters.merge += 1;
-            return merge_count_iter(probe, table.iter().copied());
-        }
-        match self.pick(probe_len, table.len(), entry.is_some()) {
-            Pick::Merge => {
-                self.counters.merge += 1;
-                merge_count_iter(probe, table.iter().copied())
-            }
-            Pick::Gallop => {
-                self.counters.gallop += 1;
-                gallop_count_iter(probe, table)
-            }
-            Pick::Binary => {
-                self.counters.binary += 1;
-                binary_search_count_iter(probe, table)
-            }
-            Pick::Bitmap => {
-                self.counters.bitmap += 1;
-                let entry = entry.expect("bitmap pick implies hub entry");
-                let mut count = 0u64;
-                let mut ops = 0u64;
-                for x in probe {
-                    ops += 1;
-                    if entry.contains(x) {
-                        count += 1;
-                    }
-                }
-                (count, ops)
-            }
+        match self.pick_iter(probe_len, table.len()) {
+            Pick::Merge => merge_count_iter(probe, table.iter().copied()),
+            Pick::Gallop => gallop_count_iter(probe, table),
+            Pick::Binary => binary_search_count_iter(probe, table),
         }
     }
 
@@ -528,7 +226,6 @@ impl<'a> Dispatcher<'a> {
         probe: I,
         probe_len: usize,
         table: &[VertexId],
-        table_key: Option<VertexId>,
         out: &mut Vec<VertexId>,
     ) -> u64
     where
@@ -537,36 +234,10 @@ impl<'a> Dispatcher<'a> {
         if probe_len == 0 || table.is_empty() {
             return 0;
         }
-        let entry = self.hub_entry(table_key, table.len());
-        if table.len() < probe_len {
-            self.counters.merge += 1;
-            return merge_collect_iter(probe, table.iter().copied(), out);
-        }
-        match self.pick(probe_len, table.len(), entry.is_some()) {
-            Pick::Merge => {
-                self.counters.merge += 1;
-                merge_collect_iter(probe, table.iter().copied(), out)
-            }
-            Pick::Gallop => {
-                self.counters.gallop += 1;
-                gallop_collect_iter(probe, table, out)
-            }
-            Pick::Binary => {
-                self.counters.binary += 1;
-                binary_search_collect_iter(probe, table, out)
-            }
-            Pick::Bitmap => {
-                self.counters.bitmap += 1;
-                let entry = entry.expect("bitmap pick implies hub entry");
-                let mut ops = 0u64;
-                for x in probe {
-                    ops += 1;
-                    if entry.contains(x) {
-                        out.push(x);
-                    }
-                }
-                ops
-            }
+        match self.pick_iter(probe_len, table.len()) {
+            Pick::Merge => merge_collect_iter(probe, table.iter().copied(), out),
+            Pick::Gallop => gallop_collect_iter(probe, table, out),
+            Pick::Binary => binary_search_collect_iter(probe, table, out),
         }
     }
 }
@@ -605,6 +276,11 @@ pub fn balanced_chunks(weights: &[u64], chunks: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intersect::{
+        binary_search_collect, binary_search_collect_iter, binary_search_count,
+        binary_search_count_iter, gallop_collect, gallop_collect_iter, gallop_count,
+        gallop_count_iter, merge_collect, merge_collect_iter, merge_count, merge_count_iter,
+    };
 
     fn list(vals: &[u64]) -> Vec<VertexId> {
         vals.to_vec()
@@ -612,77 +288,58 @@ mod tests {
 
     #[test]
     fn policy_default_is_auto_sequential() {
-        let p = KernelPolicy::default();
-        assert_eq!(p.kernel, KernelChoice::Auto);
-        assert_eq!(p.pool_workers, 1);
+        assert_eq!(KernelPolicy::default().pool_workers, 1);
     }
 
-    #[test]
-    fn kernel_choice_parse_round_trips() {
-        for k in [
-            KernelChoice::Auto,
-            KernelChoice::Merge,
-            KernelChoice::Gallop,
-            KernelChoice::Binary,
-            KernelChoice::Bitmap,
-        ] {
-            assert_eq!(KernelChoice::parse(k.name()), Some(k));
-        }
-        assert_eq!(KernelChoice::parse("simd"), None);
-    }
-
-    #[test]
-    fn hub_entry_bitmap_and_set_agree() {
-        let dense: Vec<VertexId> = (0..300).map(|i| i * 2).collect();
-        let sparse: Vec<VertexId> = (0..300).map(|i| i * 1_000_000).collect();
-        let eb = HubEntry::build(&dense);
-        let es = HubEntry::build(&sparse);
-        assert!(matches!(eb, HubEntry::Bits { .. }));
-        assert!(matches!(es, HubEntry::Set(_)));
-        for probe in [0u64, 1, 2, 599, 598, 1_000_000, 999_999, 299_000_000] {
-            assert_eq!(eb.contains(probe), dense.binary_search(&probe).is_ok());
-            assert_eq!(es.contains(probe), sparse.binary_search(&probe).is_ok());
-        }
-    }
-
+    /// On one pair per kernel (balanced → merge, tiny probe → binary, mid
+    /// probe → gallop) every dispatcher entry point returns the merge
+    /// answer and tallies exactly one dispatch per call.
     #[test]
     fn all_dispatch_modes_agree_on_count() {
         let big: Vec<VertexId> = (0..2000).map(|i| i * 3).collect();
-        let small = list(&[3, 5, 600, 601, 5997]);
-        let hubs = HubIndex::build([(42u64, big.as_slice())].into_iter(), 256);
-        let expect = merge_count(&small, &big).0;
-        for kernel in [
-            KernelChoice::Auto,
-            KernelChoice::Merge,
-            KernelChoice::Gallop,
-            KernelChoice::Binary,
-            KernelChoice::Bitmap,
-        ] {
-            let policy = KernelPolicy {
-                kernel,
-                ..KernelPolicy::default()
-            };
-            let mut d = Dispatcher::with_hubs(policy, &hubs);
-            let (c, _) = d.count(&small, None, &big, Some(42));
-            assert_eq!(c, expect, "{kernel:?}");
-            assert_eq!(d.counters().total(), 1);
-            let mut out = Vec::new();
-            d.collect(&small, None, &big, Some(42), &mut out);
+        let pairs = [
+            ((0..2000).map(|i| i * 2).collect::<Vec<VertexId>>(), "merge"),
+            (list(&[3, 5, 600, 601, 5997]), "binary"),
+            ((0..64).map(|i| i * 90).collect(), "gallop"),
+        ];
+        for (small, kernel) in &pairs {
+            let expect = merge_count(small, &big).0;
             let mut expect_out = Vec::new();
-            merge_collect(&small, &big, &mut expect_out);
-            assert_eq!(out, expect_out, "{kernel:?} collect");
-            let (ci, _) = d.count_iter(small.iter().copied(), small.len(), &big, Some(42));
-            assert_eq!(ci, expect, "{kernel:?} iter");
+            merge_collect(small, &big, &mut expect_out);
+            let mut d = Dispatcher::default();
+            assert_eq!(d.count(small, None, &big, None).0, expect, "{kernel}");
+            let mut out = Vec::new();
+            d.collect(small, &big, &mut out);
+            assert_eq!(out, expect_out, "{kernel} collect");
+            let (ci, _) = d.count_iter(small.iter().copied(), small.len(), &big);
+            assert_eq!(ci, expect, "{kernel} iter");
+            let mut out = Vec::new();
+            d.collect_iter(small.iter().copied(), small.len(), &big, &mut out);
+            assert_eq!(out, expect_out, "{kernel} collect_iter");
+            let c = d.counters();
+            assert_eq!(c.total(), 4, "{kernel}");
+            let picked = c.named().iter().find(|&&(_, n)| n > 0).unwrap().0;
+            assert_eq!(picked, *kernel);
         }
     }
 
-    /// Property test over adversarial list shapes: every kernel must agree
-    /// with the merge reference on count *and* elements, for 1000×-skewed,
-    /// empty, disjoint, identical and randomly-overlapping pairs. Lists are
-    /// drawn from a seeded SplitMix64 walk so failures reproduce exactly.
+    /// Property test over adversarial list shapes: every kernel function
+    /// (slice and streaming, count and collect) and the dispatcher must
+    /// agree with the slice merge on count *and* elements, for
+    /// 1000×-skewed, empty, disjoint, identical and randomly-overlapping
+    /// pairs. Lists are drawn from a seeded SplitMix64 walk so failures
+    /// reproduce exactly.
     #[test]
     fn adversarial_shapes_all_kernels_agree() {
         use crate::intersect::tests::sorted_unique;
+
+        type Count = fn(&[VertexId], &[VertexId]) -> (u64, u64);
+        type Collect = fn(&[VertexId], &[VertexId], &mut Vec<VertexId>) -> u64;
+        let slice_kernels: [(&str, Count, Collect); 3] = [
+            ("merge", merge_count, merge_collect),
+            ("gallop", gallop_count, gallop_collect),
+            ("binary", binary_search_count, binary_search_collect),
+        ];
 
         let mut rng = 0x6b65_726e_u64; // "kern"
 
@@ -698,13 +355,6 @@ mod tests {
             (64, 4096, 5000),          // 64× skew (galloping territory)
             (500, 500, 1_000_000_000), // near-disjoint random lists
         ];
-        let kernels = [
-            KernelChoice::Auto,
-            KernelChoice::Merge,
-            KernelChoice::Gallop,
-            KernelChoice::Binary,
-            KernelChoice::Bitmap,
-        ];
         for (la, lb, span) in shapes {
             for rep in 0..8 {
                 let a = sorted_unique(&mut rng, la, span);
@@ -715,88 +365,102 @@ mod tests {
                         *v += span + 1;
                     }
                 }
-                let hubs = HubIndex::build(
-                    [(0u64, a.as_slice()), (1u64, b.as_slice())].into_iter(),
-                    0, // index everything: bitmap must engage on every shape
-                );
+                let at = format!("shape ({la},{lb},{span}) rep {rep}");
                 let (expect, _) = merge_count(&a, &b);
                 let mut expect_out = Vec::new();
                 merge_collect(&a, &b, &mut expect_out);
-                for kernel in kernels {
-                    let policy = KernelPolicy {
-                        kernel,
-                        hub_threshold: 0,
-                        ..KernelPolicy::default()
-                    };
-                    let mut d = Dispatcher::with_hubs(policy, &hubs);
-                    let (c, _) = d.count(&a, Some(0), &b, Some(1));
-                    assert_eq!(
-                        c, expect,
-                        "{kernel:?} count, shape ({la},{lb},{span}) rep {rep}"
-                    );
-                    let mut out = Vec::new();
-                    d.collect(&a, Some(0), &b, Some(1), &mut out);
-                    assert_eq!(
-                        out, expect_out,
-                        "{kernel:?} collect, shape ({la},{lb},{span}) rep {rep}"
-                    );
-                    let (ci, _) = d.count_iter(a.iter().copied(), a.len(), &b, Some(1));
-                    assert_eq!(
-                        ci, expect,
-                        "{kernel:?} count_iter, shape ({la},{lb},{span}) rep {rep}"
-                    );
+                let mut out = Vec::new();
+                for (kernel, count, collect) in slice_kernels {
+                    assert_eq!(count(&a, &b).0, expect, "{kernel} count, {at}");
+                    out.clear();
+                    collect(&a, &b, &mut out);
+                    assert_eq!(out, expect_out, "{kernel} collect, {at}");
                 }
+                let probe = || a.iter().copied();
+                for kernel in ["merge", "gallop", "binary"] {
+                    let (c, _) = match kernel {
+                        "merge" => merge_count_iter(probe(), b.iter().copied()),
+                        "gallop" => gallop_count_iter(probe(), &b),
+                        _ => binary_search_count_iter(probe(), &b),
+                    };
+                    assert_eq!(c, expect, "{kernel} count_iter, {at}");
+                    out.clear();
+                    match kernel {
+                        "merge" => merge_collect_iter(probe(), b.iter().copied(), &mut out),
+                        "gallop" => gallop_collect_iter(probe(), &b, &mut out),
+                        _ => binary_search_collect_iter(probe(), &b, &mut out),
+                    };
+                    assert_eq!(out, expect_out, "{kernel} collect_iter, {at}");
+                }
+
+                let mut d = Dispatcher::default();
+                assert_eq!(d.count(&a, None, &b, None).0, expect, "auto count, {at}");
+                out.clear();
+                d.collect(&a, &b, &mut out);
+                assert_eq!(out, expect_out, "auto collect, {at}");
+                let (ci, _) = d.count_iter(probe(), a.len(), &b);
+                assert_eq!(ci, expect, "auto count_iter, {at}");
+                out.clear();
+                d.collect_iter(probe(), a.len(), &b, &mut out);
+                assert_eq!(out, expect_out, "auto collect_iter, {at}");
             }
         }
-    }
-
-    #[test]
-    fn bitmap_forced_falls_back_to_merge_without_entry() {
-        let a = list(&[1, 2, 3]);
-        let b = list(&[2, 3, 4]);
-        let policy = KernelPolicy {
-            kernel: KernelChoice::Bitmap,
-            ..KernelPolicy::default()
-        };
-        let mut d = Dispatcher::new(policy);
-        let (c, _) = d.count(&a, Some(7), &b, Some(8));
-        assert_eq!(c, 2);
-        assert_eq!(d.counters().merge, 1);
-        assert_eq!(d.counters().bitmap, 0);
     }
 
     #[test]
     fn auto_picks_merge_for_balanced_and_probe_for_skewed() {
         let a: Vec<VertexId> = (0..100).collect();
         let b: Vec<VertexId> = (50..150).collect();
-        let mut d = Dispatcher::new(KernelPolicy::default());
+        let mut d = Dispatcher::default();
         d.count(&a, None, &b, None);
         assert_eq!(d.counters().merge, 1, "balanced → merge");
 
         let small = list(&[10, 500, 900]);
         let big: Vec<VertexId> = (0..10_000).collect();
-        let mut d = Dispatcher::new(KernelPolicy::default());
+        let mut d = Dispatcher::default();
         d.count(&small, None, &big, None);
         assert_eq!(d.counters().binary, 1, "tiny probe → binary");
 
         let mid: Vec<VertexId> = (0..64).map(|i| i * 7).collect();
-        let mut d = Dispatcher::new(KernelPolicy::default());
+        let mut d = Dispatcher::default();
         d.count(&mid, None, &big, None);
         assert_eq!(d.counters().gallop, 1, "mid probe → gallop");
     }
 
+    /// A table of 256 or more elements — a hub-sized list — is dispatched
+    /// by the cost model like any other: `|small|·⌈log₂|large|⌉` against
+    /// `|small| + |large|` decides merge or probing, and the probe side's
+    /// length decides binary or gallop. The expected picks are worked out
+    /// by hand at ⌈log₂ 256⌉ = 8 and ⌈log₂ 1024⌉ = 10.
     #[test]
-    fn auto_uses_hub_index_above_threshold_only() {
-        let big: Vec<VertexId> = (0..1000).collect();
-        let small = list(&[5, 6, 7]);
-        let hubs = HubIndex::build([(1u64, big.as_slice())].into_iter(), 256);
-        let mut d = Dispatcher::with_hubs(KernelPolicy::default(), &hubs);
-        d.count(&small, None, &big, Some(1));
-        assert_eq!(d.counters().bitmap, 1);
-        // Unknown key → no hub entry → cost model decides.
-        let mut d = Dispatcher::with_hubs(KernelPolicy::default(), &hubs);
-        d.count(&small, None, &big, Some(2));
-        assert_eq!(d.counters().bitmap, 0);
+    fn auto_picks_by_cost_model_on_hub_sized_lists() {
+        let cases: [(usize, usize, &str); 8] = [
+            (3, 256, "binary"),    // 24 < 259
+            (8, 256, "binary"),    // 64 < 264
+            (9, 256, "gallop"),    // 72 < 265
+            (36, 256, "gallop"),   // 288 < 292
+            (37, 256, "merge"),    // 296 ≥ 293
+            (256, 256, "merge"),   // balanced
+            (113, 1024, "gallop"), // 1130 < 1137
+            (114, 1024, "merge"),  // 1140 ≥ 1138
+        ];
+        for (small_len, large_len, kernel) in cases {
+            let large: Vec<VertexId> = (0..large_len as u64).map(|i| 2 * i).collect();
+            let small: Vec<VertexId> = (0..small_len as u64).map(|i| 3 * i).collect();
+            let expect = merge_count(&small, &large).0;
+            // The key arguments name the hub list; they must not matter.
+            for (a_key, b_key) in [(None, None), (Some(1), Some(0))] {
+                let mut d = Dispatcher::new(KernelPolicy::default());
+                assert_eq!(d.count(&small, a_key, &large, b_key).0, expect);
+                let c = d.counters();
+                let picked = c.named().iter().find(|&&(_, n)| n > 0).unwrap().0;
+                assert_eq!(
+                    (picked, c.total()),
+                    (kernel, 1),
+                    "|small| = {small_len}, |large| = {large_len}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -805,16 +469,14 @@ mod tests {
             merge: 1,
             gallop: 2,
             binary: 3,
-            bitmap: 4,
         };
         let b = KernelCounters {
             merge: 10,
             gallop: 20,
             binary: 30,
-            bitmap: 40,
         };
         a.absorb(&b);
-        assert_eq!(a.total(), 110);
+        assert_eq!(a.total(), 66);
     }
 
     #[test]

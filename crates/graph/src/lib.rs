@@ -21,10 +21,9 @@
 //!   lists, instrumented so callers can meter local work in "candidate
 //!   comparisons".
 //! * [`kernels`] — the adaptive dispatch layer above [`intersect`]: a
-//!   [`kernels::KernelPolicy`] picks merge vs galloping vs binary probing by
-//!   a size-ratio cost model, with a per-PE [`kernels::HubIndex`]
-//!   (bitmap/hash) for hub vertices and degree-aware chunk planning for
-//!   intra-PE parallel counting.
+//!   [`kernels::Dispatcher`] picks merge vs galloping vs binary probing by
+//!   a size-ratio cost model, plus degree-aware chunk planning for intra-PE
+//!   parallel counting.
 //!
 //! Vertex ids are global `u64` machine words throughout, matching the
 //! machine-word based communication-volume accounting of the paper.

@@ -471,7 +471,7 @@ mod tests {
         let rows = vec![
             (
                 "local",
-                vec![("merge", 10u64), ("gallop", 30), ("bitmap", 0)],
+                vec![("merge", 10u64), ("gallop", 30), ("binary", 0)],
             ),
             ("global", vec![("merge", 0u64), ("gallop", 0)]),
         ];
@@ -479,7 +479,7 @@ mod tests {
         assert!(t.contains("local"), "{t}");
         assert!(t.contains("gallop"), "{t}");
         assert!(t.contains("75.0%"), "{t}");
-        assert!(!t.contains("bitmap"), "{t}");
+        assert!(!t.contains("binary"), "{t}");
         assert!(!t.contains("global"), "{t}");
         let empty = dispatch_table(&[("local", vec![("merge", 0u64)])]);
         assert!(empty.contains("no kernel dispatches"), "{empty}");

@@ -74,8 +74,8 @@ fn render_run(
     for (phase, k) in &dispatch.phases {
         writeln!(
             out,
-            "{run} dispatch={phase} merge={} gallop={} binary={} bitmap={}",
-            k.merge, k.gallop, k.binary, k.bitmap
+            "{run} dispatch={phase} merge={} gallop={} binary={}",
+            k.merge, k.gallop, k.binary
         )
         .unwrap();
     }

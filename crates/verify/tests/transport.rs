@@ -165,15 +165,12 @@ fn lcc_bit_equal_across_backends() {
 fn edge_support_bit_equal_across_backends() {
     let g = fixture();
     let p = 4;
-    let cfg = DistConfig::default();
     let queries: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (5, 9), (3, 200), (200, 3)];
     let run = |opts: &SimOptions| -> Vec<Vec<u64>> {
         let dg = DistGraph::new(&g, p);
-        run_ranks(dg, opts, |ctx, lg| {
-            edge_support_rank(ctx, &lg, &queries, &cfg).0
-        })
-        .output
-        .results
+        run_ranks(dg, opts, |ctx, lg| edge_support_rank(ctx, &lg, &queries).0)
+            .output
+            .results
     };
     let sim = run(&sim_opts());
     let thr = run(&threads_opts());
