@@ -17,10 +17,10 @@
 //!
 //! The two phases are DITRIC's: the shared `dist::count_local` over the
 //! expanded graph and the shared `dist::count_global` over the contracted
-//! one, each through the adaptive kernel dispatcher. The
-//! local phase is chunked on the `par` pool when
-//! `cfg.kernels.pool_workers > 1` and reduced in canonical chunk order, so
-//! counts and `ops` totals are bit-identical either way.
+//! one, each through the adaptive kernel dispatcher. The local phase is
+//! chunked on the `par` pool when `cfg.kernels.pool_workers > 1` and reduced
+//! in canonical chunk order, so counts and `ops` totals are bit-identical
+//! either way.
 
 use tricount_comm::Ctx;
 use tricount_graph::dist::LocalGraph;

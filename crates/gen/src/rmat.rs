@@ -42,7 +42,7 @@ impl RmatParams {
     /// well past the Graph 500 default (`a = 0.7`): mass concentrates on
     /// the low-id rows, so a few vertices collect a large fraction of all
     /// endpoints. This is the adversarial skew the adaptive intersection
-    /// kernels (galloping / hub bitmaps) are built for — the kernel
+    /// kernels (galloping / binary probing) are built for — the kernel
     /// ablation benches run on exactly this configuration.
     pub fn hub_heavy(scale: u32) -> Self {
         RmatParams {

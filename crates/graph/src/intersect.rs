@@ -230,11 +230,15 @@ fn counted_binary_search(hay: &[VertexId], x: VertexId, ops: &mut u64) -> Result
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         *ops += 1;
-        match hay[mid].cmp(&x) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Ok(mid),
+        let y = hay[mid];
+        if y == x {
+            return Ok(mid);
         }
+        // Which half follows is a coin flip the predictor cannot learn;
+        // two selects instead of a branch on it.
+        let less = y < x;
+        lo = if less { mid + 1 } else { lo };
+        hi = if less { hi } else { mid };
     }
     Err(lo)
 }

@@ -149,10 +149,12 @@ impl Dispatcher {
         if a.is_empty() || b.is_empty() {
             return (0, 0);
         }
-        // Orient so `probe` is the smaller side and `table` the larger.
+        // Orient so `probe` is the smaller side and `table` the larger. The
+        // merge gets the larger side first: its two chains split that list
+        // in half, and its ops are symmetric in the two lists.
         let (probe, table) = if a.len() <= b.len() { (a, b) } else { (b, a) };
         match self.pick(probe.len(), table.len()) {
-            Pick::Merge => merge_count(probe, table),
+            Pick::Merge => merge_count(table, probe),
             Pick::Gallop => gallop_count(probe, table),
             Pick::Binary => binary_search_count(probe, table),
         }
@@ -167,7 +169,7 @@ impl Dispatcher {
         }
         let (probe, table) = if a.len() <= b.len() { (a, b) } else { (b, a) };
         match self.pick(probe.len(), table.len()) {
-            Pick::Merge => merge_collect(probe, table, out),
+            Pick::Merge => merge_collect(table, probe, out),
             Pick::Gallop => gallop_collect(probe, table, out),
             Pick::Binary => binary_search_collect(probe, table, out),
         }
