@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use cetric::amq::{Amq, BloomFilter, SingleShotBloom};
 use cetric::core::seq;
-use cetric::graph::compressed::CompressedCsr;
 use cetric::graph::intersect::{binary_search_count, gallop_count, merge_count};
 use cetric::graph::ordering::{orient, relabel_by_degree, OrderingKind};
 use tricount_bench::report::BenchReport;
@@ -206,7 +205,6 @@ fn bench_kernel_ablation(scale: Scale, reps: usize, rows: &mut Vec<Row>, report:
 
 fn bench_sequential_counting(reps: usize, rows: &mut Vec<Row>, report: &mut BenchReport) {
     let graph = cetric::gen::rmat_default(12, 7);
-    let compressed = CompressedCsr::from_csr(&graph);
     let t = time_per_call(reps, 2, || seq::compact_forward(black_box(&graph)));
     report.push_seconds("seq/compact_forward/rmat12", t);
     rows.push(Row {
@@ -219,14 +217,6 @@ fn bench_sequential_counting(reps: usize, rows: &mut Vec<Row>, report: &mut Benc
     report.push_seconds("seq/edge_iterator_id/rmat12", t);
     rows.push(Row {
         label: "seq/edge_iterator_id/rmat12".into(),
-        cells: vec![fmt_time(t)],
-    });
-    let t = time_per_call(reps, 2, || {
-        seq::compact_forward_compressed(black_box(&compressed))
-    });
-    report.push_seconds("seq/compact_forward_compressed/rmat12", t);
-    rows.push(Row {
-        label: "seq/compact_forward_compressed/rmat12".into(),
         cells: vec![fmt_time(t)],
     });
 }

@@ -59,9 +59,6 @@ pub enum Command {
         model: CostModel,
         /// Config overrides.
         config: DistConfig,
-        /// Run with the overlap-aware simulated clock and report the
-        /// makespan.
-        timed: bool,
         /// Probe calibration JSON (`tricount-pingpong` /
         /// `tricount-allgather` output) replacing the model's α/β.
         calibration: Option<String>,
@@ -148,7 +145,7 @@ pub enum Command {
         /// Workspace root to lint (`None` = skip the source pass).
         lint_root: Option<String>,
     },
-    /// Run one traced, timed count and export its profile.
+    /// Run one traced count and export its profile.
     Profile {
         /// Input source.
         source: Source,
@@ -293,6 +290,11 @@ fn parse_algorithm(s: &str) -> Result<Option<Algorithm>, String> {
     }))
 }
 
+/// Largest `--p` any verb accepts. Every PE is one OS thread whose message
+/// queue holds `p` buffers, so an unbounded `p` exhausts the host instead
+/// of failing; 1024 is 16× the largest p any bench uses.
+pub(crate) const MAX_PES: u64 = 1024;
+
 /// Parses a full argument list (without the binary name). A flag the verb
 /// does not read is an error, not a silent no-op.
 pub fn parse(args: &[String]) -> Result<Command, String> {
@@ -373,10 +375,16 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         return Err(usage());
     };
 
-    let p = parse_u64("p", 4)? as usize;
+    let p = parse_u64("p", 4)?;
     if p == 0 {
         return Err("--p must be at least 1".to_string());
     }
+    if p > MAX_PES {
+        return Err(format!(
+            "--p {p} is above the cap of {MAX_PES} PEs (each PE is one OS thread)"
+        ));
+    }
+    let p = p as usize;
     let cmd = match verb.as_str() {
         "generate" => {
             if matches!(source, Source::File(_)) {
@@ -427,7 +435,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 p,
                 model,
                 config,
-                timed: get("timed").is_some_and(|v| v == "true" || v == "1"),
                 calibration: get("calibration").map(|v| v.to_string()),
             })
         }
@@ -570,7 +577,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             p,
             model,
             config,
-            timed,
             calibration,
         } => {
             let model = match resolve_calibration(calibration, &source) {
@@ -585,14 +591,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 }
                 Some(alg) => {
                     let dg = tricount_graph::DistGraph::new(&g, p);
-                    let opts = SimOptions {
-                        timing: timed.then_some(model),
-                        ..SimOptions::default()
-                    };
-                    let (r, _) = run_on(dg, alg, &config, &opts).map_err(|e| e.to_string())?;
-                    if timed {
-                        println!("overlap-aware makespan: {:.3} ms", r.stats.makespan() * 1e3);
-                    }
+                    let (r, _) = run_on(dg, alg, &config, &SimOptions::default())
+                        .map_err(|e| e.to_string())?;
                     println!("triangles: {}", r.triangles);
                     println!(
                         "{} on {p} PEs: modeled {:.3} ms | {} msgs | {} words total | bottleneck {} words | peak buffer {} words",
@@ -777,7 +777,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             // the threads backend has a wall clock worth measuring; the
             // simulator's schedule is a deterministic fiction
             let opts = SimOptions {
-                timing: Some(model),
                 record_trace: true,
                 wall_profile: config.transport == TransportKind::Threads,
                 ..SimOptions::default()
@@ -789,10 +788,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             let timeline = wall.as_ref().map(tricount_obs::WallTimeline::build);
             println!("triangles: {}", r.triangles);
             println!(
-                "{} on {p} PEs: modeled {:.3} ms | makespan {:.3} ms",
+                "{} on {p} PEs: modeled {:.3} ms",
                 algorithm.name(),
-                r.modeled_time(&model) * 1e3,
-                r.stats.makespan() * 1e3
+                r.modeled_time(&model) * 1e3
             );
             let rows: Vec<(&str, Vec<(&str, u64)>)> = dispatch
                 .phases
@@ -1178,6 +1176,20 @@ mod tests {
         }
     }
 
+    /// `--p` above [`MAX_PES`] is a usage error naming the cap. Parse level
+    /// only: a count at such a p would start that many threads.
+    #[test]
+    fn parse_rejects_pes_above_the_cap() {
+        for verb in "count lcc enumerate serve update profile check".split(' ') {
+            let err = parse(&args(&format!("{verb} --family rmat --p 100000"))).unwrap_err();
+            assert!(err.contains("--p") && err.contains("1024"), "{verb}: {err}");
+        }
+        let at_cap = format!("count --family gnm --p {MAX_PES}");
+        assert!(parse(&args(&at_cap)).is_ok());
+        let above = format!("count --family gnm --p {}", MAX_PES + 1);
+        assert!(parse(&args(&above)).is_err());
+    }
+
     /// `--n` below a family's generator precondition is a usage error that
     /// names the smallest valid `n`, not a panic in the generator.
     #[test]
@@ -1206,6 +1218,7 @@ mod tests {
     fn parse_rejects_flags_the_verb_does_not_read() {
         for (line, key) in [
             ("count --family gnm --kernel merge", "--kernel"),
+            ("count --family gnm --timed true", "--timed"),
             (
                 "profile --family gnm --alg cetric --kernel auto",
                 "--kernel",
@@ -1225,7 +1238,8 @@ mod tests {
     }
 
     /// Every `tricount` command line in the README and the CI workflow
-    /// parses: the documented flags are flags their verbs read.
+    /// parses, and so does every inline `tricount …` fragment of DESIGN.md
+    /// and EXPERIMENTS.md: the documented flags are flags their verbs read.
     #[test]
     fn documented_command_lines_parse() {
         let mut parsed = 0;
@@ -1244,6 +1258,43 @@ mod tests {
             }
         }
         assert!(parsed >= 20, "found only {parsed} command lines");
+
+        // Prose names commands in fragments (`tricount profile …
+        // --phase-report 1`, `tricount serve --metrics-out`). A fragment
+        // gets a value for each bare flag and an input if it names none,
+        // so only a flag its verb does not read can fail it.
+        let mut fragments = 0;
+        for doc in [
+            include_str!("../../../DESIGN.md"),
+            include_str!("../../../EXPERIMENTS.md"),
+        ] {
+            for line in doc.lines() {
+                for span in line.split('`').skip(1).step_by(2) {
+                    let Some(rest) = span.strip_prefix("tricount ") else {
+                        continue;
+                    };
+                    let mut argv: Vec<String> = Vec::new();
+                    for tok in rest.split_whitespace().filter(|&t| t != "…") {
+                        if tok.starts_with('-') && argv.last().is_some_and(|a| a.starts_with('-')) {
+                            argv.push("1".to_string());
+                        }
+                        argv.push(tok.to_string());
+                    }
+                    if argv.last().is_some_and(|a| a.starts_with('-')) {
+                        argv.push("1".to_string());
+                    }
+                    if !argv
+                        .iter()
+                        .any(|a| ["--input", "--family", "--dataset"].contains(&a.as_str()))
+                    {
+                        argv.extend(["--family".to_string(), "gnm".to_string()]);
+                    }
+                    parse(&argv).unwrap_or_else(|e| panic!("{line}: `{span}`: {e}"));
+                    fragments += 1;
+                }
+            }
+        }
+        assert!(fragments >= 5, "found only {fragments} inline fragments");
     }
 
     #[test]

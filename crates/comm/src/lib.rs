@@ -11,8 +11,8 @@
 //!
 //! Components:
 //! * [`runtime::run_sim`] — spawn `p` PEs, run a rank program, collect
-//!   [`RunStats`]; [`SimOptions`] picks the backend, the timed clock,
-//!   trace recording and schedule perturbation.
+//!   [`RunStats`]; [`SimOptions`] picks the backend, trace recording,
+//!   schedule perturbation and wall profiling.
 //! * [`Ctx`] — the communicator: point-to-point sends, polling receives,
 //!   barrier / all-reduce / all-gather / dense all-to-all collectives, work
 //!   metering, phase boundaries.
@@ -23,6 +23,8 @@
 //!   transposition.
 //! * [`CostModel`] / [`RunStats`] — turning counter traces into the modeled
 //!   times, message maxima, and bottleneck volumes the paper plots.
+//!   [`RunStats::modeled_time`] is the run's one modeled clock: the sum over
+//!   phases of the slowest PE's α+β+t_op cost.
 
 //! * [`trace::Trace`] — optional per-PE event recording (`trace` feature)
 //!   plus [`runtime::run_guarded`]'s deadlock diagnosis: the raw material

@@ -435,7 +435,7 @@ impl MessageQueue {
         // all-reduce.
         {
             let log = ceil_log2(self.p);
-            ctx.add_termination_charge(log, log * self.p as u64);
+            ctx.charge_collective(log, log * self.p as u64);
         }
         // Reset shared exchange state for the next exchange.
         ctx.barrier_uncharged();

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use tricount_net::Endpoint;
 pub use tricount_net::TransportKind;
 
-use crate::cost::{ceil_log2, CostModel};
+use crate::cost::ceil_log2;
 use crate::stats::{Counters, PhaseStats, RunStats};
 use crate::trace::{CollKind, SpanKind, SpanRecord, SpanStamp, Trace, TraceEvent};
 
@@ -83,8 +83,8 @@ fn op_name(code: u64) -> &'static str {
     }
 }
 
-/// Control-plane state shared by all PEs of one run: meters, watchdog
-/// signals and clock slots. The data plane (queues, barrier, collective
+/// Control-plane state shared by all PEs of one run: meters and watchdog
+/// signals. The data plane (queues, barrier, collective
 /// scratch) lives behind each PE's [`Endpoint`].
 pub(crate) struct Shared {
     p: usize,
@@ -97,8 +97,6 @@ pub(crate) struct Shared {
     pub(crate) producers_done: AtomicUsize,
     /// Ranks whose inbox is fully drained in the current sparse exchange.
     pub(crate) satisfied: AtomicUsize,
-    /// Clock deposit slots for timed runs (f64 bits).
-    clock_slots: Vec<AtomicU64>,
     /// Per-PE progress heartbeat for the deadlock watchdog: bumped on every
     /// send, receive, delivery, collective step and metered work batch.
     heartbeat: Vec<AtomicU64>,
@@ -118,7 +116,6 @@ fn make_shared(p: usize) -> Shared {
         expected: (0..p).map(|_| AtomicU64::new(0)).collect(),
         producers_done: AtomicUsize::new(0),
         satisfied: AtomicUsize::new(0),
-        clock_slots: (0..p).map(|_| AtomicU64::new(0)).collect(),
         heartbeat: (0..p).map(|_| AtomicU64::new(0)).collect(),
         op_state: (0..p).map(|_| AtomicU64::new(OP_RUNNING)).collect(),
         buffered_now: (0..p).map(|_| AtomicU64::new(0)).collect(),
@@ -148,14 +145,6 @@ pub struct SimOptions {
     /// parallel over shared memory (identical counts and comm meters,
     /// honest wall clock).
     pub transport: TransportKind,
-    /// Enable the overlap-aware simulated clock under this cost model:
-    /// every PE carries a causal clock advanced by its local work (`t_op`),
-    /// its send overheads (`α`) and the arrival times of the messages it
-    /// receives (`send clock + α + β·ℓ`), synchronised at
-    /// barriers/collectives. The resulting [`RunStats::makespan`] captures
-    /// communication/computation overlap, which the per-phase
-    /// [`RunStats::modeled_time`] upper bound cannot.
-    pub timing: Option<CostModel>,
     /// Record a [`Trace`] (requires the `trace` cargo feature; without it
     /// the returned trace is `None`).
     pub record_trace: bool,
@@ -180,7 +169,6 @@ impl std::fmt::Debug for SimOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimOptions")
             .field("transport", &self.transport)
-            .field("timing", &self.timing)
             .field("record_trace", &self.record_trace)
             .field("perturb_seed", &self.perturb_seed)
             .field("delivery", &self.delivery.as_ref().map(|_| "<hook>"))
@@ -246,9 +234,6 @@ pub struct Ctx<'s> {
     phases: Vec<PhaseRecord>,
     sent_peer_seen: Vec<bool>,
     recv_peer_seen: Vec<bool>,
-    /// Cost model of a timed run (None = untimed; clock stays 0).
-    timing: Option<CostModel>,
-    clock: f64,
     /// Undelivered messages pulled off the channel under perturbation or
     /// external delivery control.
     pending: Vec<RawMsg>,
@@ -317,12 +302,10 @@ impl<'s> Ctx<'s> {
         }
     }
 
-    /// A causal stamp at the current instant: this PE's simulated clock
-    /// plus wall time since the run's epoch.
+    /// A stamp at the current instant: wall time since the run's epoch.
     #[inline]
     fn now_stamp(&self) -> SpanStamp {
         SpanStamp {
-            sim: self.clock,
             wall_nanos: self.shared.epoch.elapsed().as_nanos() as u64,
         }
     }
@@ -356,7 +339,7 @@ impl<'s> Ctx<'s> {
     }
 
     /// Runs `f` under a caller-named [`SpanKind::Task`] span. In traced
-    /// runs the section appears in [`Trace::spans`] with causal begin/end
+    /// runs the section appears in [`Trace::spans`] with wall begin/end
     /// stamps; otherwise this is just a call to `f`.
     pub fn with_span<R>(&mut self, label: &str, f: impl FnOnce(&mut Self) -> R) -> R {
         self.span_begin(SpanKind::Task, label);
@@ -430,40 +413,13 @@ impl<'s> Ctx<'s> {
     pub fn add_work(&mut self, ops: u64) {
         self.beat();
         self.counters.work_ops += ops;
-        if let Some(cost) = self.timing {
-            self.clock += cost.t_op * ops as f64;
-            self.counters.sim_clock = self.clock;
-        }
     }
 
-    /// Advances the simulated clock by a collective's analytic cost and
-    /// records the charge (no-op on the clock in untimed runs).
-    fn charge_collective(&mut self, alpha_units: u64, word_units: u64) {
+    /// Records a collective's analytic α/β charge (the message queue also
+    /// charges its sparse-exchange termination consensus here).
+    pub(crate) fn charge_collective(&mut self, alpha_units: u64, word_units: u64) {
         self.counters.coll_alpha_units += alpha_units;
         self.counters.coll_word_units += word_units;
-        if let Some(cost) = self.timing {
-            self.clock += cost.alpha * alpha_units as f64 + cost.beta * word_units as f64;
-            self.counters.sim_clock = self.clock;
-        }
-    }
-
-    /// Synchronises simulated clocks to the global maximum (used at
-    /// barriers and collectives of timed runs; no-op otherwise).
-    pub(crate) fn sync_clocks(&mut self) {
-        if self.timing.is_none() {
-            return;
-        }
-        self.shared.clock_slots[self.rank].store(self.clock.to_bits(), Ordering::SeqCst);
-        self.barrier_uncharged();
-        let max = self
-            .shared
-            .clock_slots
-            .iter()
-            .map(|s| f64::from_bits(s.load(Ordering::SeqCst)))
-            .fold(0.0, f64::max);
-        self.barrier_uncharged();
-        self.clock = max;
-        self.counters.sim_clock = self.clock;
     }
 
     /// Records a buffer-occupancy level (called by the message queue): the
@@ -475,14 +431,6 @@ impl<'s> Ctx<'s> {
         if words > self.counters.peak_buffered_words {
             self.counters.peak_buffered_words = words;
         }
-    }
-
-    /// Charges the modeled cost of the sparse-exchange termination protocol
-    /// (used by the message queue; see `crate::queue`). In timed runs this
-    /// also synchronises clocks — termination is a consensus.
-    pub(crate) fn add_termination_charge(&mut self, alpha_units: u64, word_units: u64) {
-        self.sync_clocks();
-        self.charge_collective(alpha_units, word_units);
     }
 
     /// Sends one point-to-point message. Counted as one message of
@@ -500,14 +448,6 @@ impl<'s> Ctx<'s> {
             self.sent_peer_seen[to] = true;
             self.counters.sent_peers += 1;
         }
-        let mut arrival = 0.0;
-        if let Some(cost) = self.timing {
-            // sender is occupied for the startup latency; the payload then
-            // arrives after the transmission time
-            self.clock += cost.alpha;
-            arrival = self.clock + cost.beta * words.len() as f64;
-            self.counters.sim_clock = self.clock;
-        }
         let seq = self.send_seq[to];
         self.send_seq[to] += 1;
         self.trace_with(|| TraceEvent::Sent {
@@ -521,7 +461,7 @@ impl<'s> Ctx<'s> {
                 src: self.rank,
                 seq,
                 words,
-                arrival,
+                arrival: 0.0,
             },
         );
     }
@@ -572,10 +512,6 @@ impl<'s> Ctx<'s> {
             self.recv_peer_seen[m.src] = true;
             self.counters.recv_peers += 1;
         }
-        if self.timing.is_some() {
-            self.clock = self.clock.max(m.arrival);
-            self.counters.sim_clock = self.clock;
-        }
         self.trace_with(|| TraceEvent::Received {
             from: m.src,
             words: m.words.len() as u64,
@@ -603,7 +539,6 @@ impl<'s> Ctx<'s> {
     /// Synchronises all PEs; charged `α⌈log₂ p⌉`.
     pub fn barrier(&mut self) {
         self.enter_coll(CollKind::Barrier);
-        self.sync_clocks();
         self.charge_collective(ceil_log2(self.shared.p), 0);
         self.barrier_uncharged();
         self.exit_coll(CollKind::Barrier);
@@ -615,7 +550,6 @@ impl<'s> Ctx<'s> {
         self.enter_coll(CollKind::Allgatherv);
         let out = self.allgatherv_uncharged(data);
         let total: u64 = out.iter().map(|v| v.len() as u64).sum();
-        self.sync_clocks();
         self.charge_collective(ceil_log2(self.shared.p), total);
         self.exit_coll(CollKind::Allgatherv);
         out
@@ -639,7 +573,6 @@ impl<'s> Ctx<'s> {
             }
         }
         let log = ceil_log2(self.shared.p);
-        self.sync_clocks();
         self.charge_collective(log, log * len as u64);
         self.exit_coll(CollKind::AllreduceSum);
         acc
@@ -650,7 +583,6 @@ impl<'s> Ctx<'s> {
         self.enter_coll(CollKind::AllreduceMax);
         let parts = self.allgatherv_uncharged(vec![x]);
         let log = ceil_log2(self.shared.p);
-        self.sync_clocks();
         self.charge_collective(log, log);
         self.exit_coll(CollKind::AllreduceMax);
         parts.iter().map(|v| v[0]).max().unwrap_or(0)
@@ -662,7 +594,6 @@ impl<'s> Ctx<'s> {
         self.enter_coll(CollKind::ExscanSum);
         let parts = self.allgatherv_uncharged(vec![x]);
         let log = ceil_log2(self.shared.p);
-        self.sync_clocks();
         self.charge_collective(log, log);
         self.exit_coll(CollKind::ExscanSum);
         parts[..self.rank].iter().map(|v| v[0]).sum()
@@ -683,16 +614,11 @@ impl<'s> Ctx<'s> {
     pub fn alltoallv(&mut self, outgoing: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
         assert_eq!(outgoing.len(), self.shared.p);
         self.enter_coll(CollKind::Alltoallv);
-        self.sync_clocks();
         self.charge_collective(ceil_log2(self.shared.p), self.shared.p as u64);
-        let mut sent_words_here = 0u64;
-        let mut sent_msgs_here = 0u64;
         for (d, v) in outgoing.iter().enumerate() {
             if d != self.rank && !v.is_empty() {
                 self.counters.sent_messages += 1;
                 self.counters.sent_words += v.len() as u64;
-                sent_msgs_here += 1;
-                sent_words_here += v.len() as u64;
                 let words = v.len() as u64;
                 self.trace_with(|| TraceEvent::Sent {
                     to: d,
@@ -703,14 +629,10 @@ impl<'s> Ctx<'s> {
         }
         self.beat();
         let incoming = self.endpoint.exchange_matrix(outgoing);
-        let mut recv_words_here = 0u64;
-        let mut recv_msgs_here = 0u64;
         for (srcr, v) in incoming.iter().enumerate() {
             if srcr != self.rank && !v.is_empty() {
                 self.counters.recv_messages += 1;
                 self.counters.recv_words += v.len() as u64;
-                recv_msgs_here += 1;
-                recv_words_here += v.len() as u64;
                 let words = v.len() as u64;
                 self.trace_with(|| TraceEvent::Received {
                     from: srcr,
@@ -719,15 +641,6 @@ impl<'s> Ctx<'s> {
                 });
             }
         }
-        if let Some(cost) = self.timing {
-            // single-ported: pay the max direction
-            let msgs = sent_msgs_here.max(recv_msgs_here) as f64;
-            let words = sent_words_here.max(recv_words_here) as f64;
-            self.clock += cost.alpha * msgs + cost.beta * words;
-            self.counters.sim_clock = self.clock;
-        }
-        // participants leave the exchange together
-        self.sync_clocks();
         self.exit_coll(CollKind::Alltoallv);
         incoming
     }
@@ -741,7 +654,6 @@ impl<'s> Ctx<'s> {
     }
 
     fn end_phase_uncharged(&mut self, name: &str) {
-        self.sync_clocks();
         self.barrier_uncharged();
         self.trace_with(|| TraceEvent::PhaseEnded {
             name: name.to_string(),
@@ -820,8 +732,6 @@ where
         phases: Vec::new(),
         sent_peer_seen: vec![false; p],
         recv_peer_seen: vec![false; p],
-        timing: opts.timing,
-        clock: 0.0,
         pending: Vec::new(),
         rng_state,
         perturb,
@@ -954,7 +864,7 @@ fn endpoints_for(
 }
 
 /// Runs `f` on `p` PEs under the given [`SimOptions`] (transport backend,
-/// timing, trace recording, schedule perturbation).
+/// trace recording, schedule perturbation).
 ///
 /// `f` is called once per rank with that rank's [`Ctx`]; any un-phased
 /// trailing activity is recorded as a final `"rest"` phase.
@@ -1447,20 +1357,13 @@ mod tests {
     #[cfg(feature = "trace")]
     #[test]
     fn traced_runs_record_phase_collective_and_task_spans() {
-        let out = run_sim(
-            4,
-            &SimOptions {
-                timing: Some(CostModel::supermuc()),
-                ..SimOptions::traced()
-            },
-            |ctx| {
-                ctx.with_span("setup", |ctx| ctx.add_work(10));
-                ctx.allreduce_sum(&[1]);
-                ctx.end_phase("a");
-                ctx.barrier();
-                ctx.end_phase("b");
-            },
-        );
+        let out = run_sim(4, &SimOptions::traced(), |ctx| {
+            ctx.with_span("setup", |ctx| ctx.add_work(10));
+            ctx.allreduce_sum(&[1]);
+            ctx.end_phase("a");
+            ctx.barrier();
+            ctx.end_phase("b");
+        });
         let trace = out.trace.expect("trace requested");
         assert_eq!(trace.spans.len(), 4);
         for spans in &trace.spans {
@@ -1482,7 +1385,6 @@ mod tests {
             assert_eq!(task.label, "setup");
             for s in spans {
                 assert!(s.end.wall_nanos >= s.begin.wall_nanos);
-                assert!(s.end.sim >= s.begin.sim);
             }
         }
     }

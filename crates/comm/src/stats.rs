@@ -36,13 +36,6 @@ pub struct Counters {
     /// Distinct PEs point-to-point messages were received from (running
     /// count, like [`Counters::sent_peers`]).
     pub recv_peers: u64,
-    /// Overlap-aware simulated clock (seconds) in *timed* runs
-    /// ([`SimOptions::timing`](crate::SimOptions::timing)): a Lamport-style
-    /// causal clock advanced by local work, send overheads and message
-    /// arrivals, so communication/computation overlap shows up. 0 in untimed
-    /// runs.
-    /// Running value (phase deltas report the value at phase end).
-    pub sim_clock: f64,
 }
 
 impl Counters {
@@ -60,11 +53,10 @@ impl Counters {
             peak_buffered_words: self.peak_buffered_words,
             sent_peers: self.sent_peers,
             recv_peers: self.recv_peers,
-            sim_clock: self.sim_clock,
         }
     }
 
-    /// Accumulates `other` into `self`: flow counters add, peak/peer/clock
+    /// Accumulates `other` into `self`: flow counters add, peak/peer
     /// counters take the max. This is the snapshot-folding rule used by
     /// long-lived consumers (the query engine) that aggregate many runs'
     /// statistics into one running [`Counters`] record.
@@ -79,7 +71,6 @@ impl Counters {
         self.peak_buffered_words = self.peak_buffered_words.max(other.peak_buffered_words);
         self.sent_peers = self.sent_peers.max(other.sent_peers);
         self.recv_peers = self.recv_peers.max(other.recv_peers);
-        self.sim_clock = self.sim_clock.max(other.sim_clock);
     }
 
     /// Modeled execution time of this PE under `cost`, using the
@@ -171,14 +162,6 @@ impl PhaseStats {
             .max()
             .unwrap_or(0)
     }
-
-    /// Max over PEs of the simulated clock at phase end (timed runs only).
-    pub fn max_sim_clock(&self) -> f64 {
-        self.per_rank
-            .iter()
-            .map(|c| c.sim_clock)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The full execution record of one simulated run.
@@ -265,17 +248,6 @@ impl RunStats {
         self.phases.iter().map(|ph| ph.total_work()).sum()
     }
 
-    /// Overlap-aware makespan of a timed run: the largest simulated clock
-    /// over all PEs (0 for untimed runs). Unlike [`RunStats::modeled_time`]
-    /// (sum of per-phase maxima of independent per-PE costs), this accounts
-    /// for communication/computation overlap and message arrival chains.
-    pub fn makespan(&self) -> f64 {
-        self.phases
-            .iter()
-            .map(|ph| ph.max_sim_clock())
-            .fold(0.0, f64::max)
-    }
-
     /// Max over PEs and phases of peak buffered words (the O(|E_i|) memory
     /// guarantee is asserted against this).
     pub fn max_peak_buffered(&self) -> u64 {
@@ -287,7 +259,7 @@ impl RunStats {
     }
 
     /// One whole-run [`Counters`] snapshot: flow counters summed over all
-    /// phases and ranks, peaks/peers/clock as run-wide maxima. The compact
+    /// phases and ranks, peaks/peers as run-wide maxima. The compact
     /// record long-lived consumers fold across runs via
     /// [`Counters::absorb`].
     pub fn totals(&self) -> Counters {

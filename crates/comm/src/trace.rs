@@ -157,14 +157,11 @@ pub enum TraceEvent {
     },
 }
 
-/// A causal timestamp pair captured at a span boundary: the overlap-aware
-/// simulated clock of timed runs (0 in untimed runs) plus host wall time
-/// relative to the run's start. Wall stamps are measurement, not model —
-/// they vary run to run and never feed deterministic artifacts.
+/// A timestamp captured at a span boundary: host wall time relative to the
+/// run's start. Wall stamps are measurement, not model — they vary run to
+/// run and never feed deterministic artifacts.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanStamp {
-    /// Simulated-clock seconds at the boundary ([`crate::stats::Counters::sim_clock`]).
-    pub sim: f64,
     /// Host wall nanoseconds since the run started.
     pub wall_nanos: u64,
 }
@@ -194,7 +191,7 @@ impl SpanKind {
     }
 }
 
-/// One recorded span of one PE: a labelled interval with causal begin/end
+/// One recorded span of one PE: a labelled interval with begin/end
 /// stamps. Recorded with a plain `Vec::push` into a private per-PE buffer,
 /// exactly like [`TraceEvent`]s, so span recording never perturbs the
 /// schedule.
@@ -214,11 +211,6 @@ impl SpanRecord {
     /// Wall duration in seconds (0 if the clock went backwards).
     pub fn wall_seconds(&self) -> f64 {
         self.end.wall_nanos.saturating_sub(self.begin.wall_nanos) as f64 * 1e-9
-    }
-
-    /// Simulated-clock duration in seconds (0 in untimed runs).
-    pub fn sim_seconds(&self) -> f64 {
-        (self.end.sim - self.begin.sim).max(0.0)
     }
 }
 

@@ -11,7 +11,7 @@
 //! at `p = cores / threads` its counters equal DITRIC's.
 //!
 //! Work metering: the local phase charges the *maximum* per-worker op count
-//! (the modeled parallel makespan), so modeled times reflect `t`-way
+//! (the slowest worker bounds the phase), so modeled times reflect `t`-way
 //! parallel execution on the single-core host.
 
 use tricount_comm::{Ctx, SimOptions};

@@ -37,15 +37,12 @@
 //!   estimator (§IV-E).
 //! * [`dist::enumerate`] — distributed triangle enumeration (§IV-E).
 //! * [`dist::hybrid`] — hybrid thread × rank execution (§IV-D, Fig. 8).
-//! * [`sampling`] — DOULION and colorful-counting approximation baselines
-//!   (§III-B), built on the distributed counters.
 
 #![warn(missing_docs)]
 
 pub mod config;
 pub mod dist;
 pub mod result;
-pub mod sampling;
 pub mod seq;
 
 pub use config::{Aggregation, Algorithm, DistConfig};

@@ -89,32 +89,6 @@ pub fn local_clustering_coefficients(g: &Csr, kind: OrderingKind) -> Vec<f64> {
         .collect()
 }
 
-/// COMPACT-FORWARD over a compressed graph: orientation and counting happen
-/// on streaming varint-decoded neighborhoods (the compressed-graph
-/// processing of Dhulipala et al. that §III-A1 cites). Several-fold smaller
-/// working set on id-local graphs, at extra decode work per comparison.
-pub fn compact_forward_compressed(g: &tricount_graph::compressed::CompressedCsr) -> SeqCount {
-    use tricount_graph::compressed::CompressedCsr;
-    use tricount_graph::intersect::merge_count_iter;
-    // orient by (degree, id) with streaming filters
-    let degs: Vec<u64> = (0..g.num_vertices()).map(|v| g.degree(v)).collect();
-    let key = |v: VertexId| (degs[v as usize], v);
-    let oriented: Vec<Vec<VertexId>> = (0..g.num_vertices())
-        .map(|v| g.neighbors(v).filter(|&u| key(u) > key(v)).collect())
-        .collect();
-    let oriented = CompressedCsr::from_csr(&Csr::from_neighbor_lists(oriented));
-    let mut triangles = 0u64;
-    let mut ops = 0u64;
-    for v in 0..oriented.num_vertices() {
-        for u in oriented.neighbors(v) {
-            let (c, w) = merge_count_iter(oriented.neighbors(v), oriented.neighbors(u));
-            triangles += c;
-            ops += w;
-        }
-    }
-    SeqCount { triangles, ops }
-}
-
 /// Reference O(n³)-ish brute force over vertex triples restricted to
 /// neighborhoods; for tests only.
 pub fn brute_force_count(g: &Csr) -> u64 {
@@ -264,21 +238,6 @@ mod tests {
         let lcc = local_clustering_coefficients(&g, OrderingKind::Degree);
         assert!((lcc[2] - 1.0 / 3.0).abs() < 1e-12, "{lcc:?}");
         assert_eq!(lcc[3], 0.0);
-    }
-
-    #[test]
-    fn compressed_counting_matches_plain() {
-        use tricount_graph::compressed::CompressedCsr;
-        for g in [
-            k4(),
-            graph(&[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)], 5),
-            tricount_gen::rgg2d_default(400, 5),
-            tricount_gen::rmat_default(8, 2),
-        ] {
-            let want = compact_forward(&g).triangles;
-            let c = CompressedCsr::from_csr(&g);
-            assert_eq!(compact_forward_compressed(&c).triangles, want);
-        }
     }
 
     #[test]

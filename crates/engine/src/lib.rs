@@ -113,9 +113,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Deadlock-watchdog timeout for every distributed query run.
     pub watchdog: Duration,
-    /// Cost model for the modeled-latency metrics (also enables the
-    /// overlap-aware simulated clock in the runs).
-    pub timing: Option<CostModel>,
     /// Perturb message delivery / thread interleaving of query runs under
     /// this seed (`None` = natural schedule). Answers are schedule
     /// independent; the determinism tests exercise exactly this knob.
@@ -141,7 +138,6 @@ impl EngineConfig {
             batch_max: 32,
             workers: 4,
             watchdog: Duration::from_secs(30),
-            timing: Some(CostModel::supermuc()),
             perturb_seed: None,
             compaction_fraction: 0.25,
             wall_profile: false,
@@ -325,7 +321,6 @@ impl Engine {
         let dg = DistGraph::new(g, cfg.num_ranks);
         let opts = SimOptions {
             transport: cfg.dist.transport,
-            timing: cfg.timing,
             record_trace: false,
             perturb_seed: None,
             wall_profile: cfg.wall_profile,
@@ -559,7 +554,7 @@ impl Engine {
         let run_end = inner.now_nanos();
 
         // Fold results into cache and metrics.
-        let cost = inner.cfg.timing.unwrap_or_default();
+        let cost = CostModel::default();
         let mut failures: BTreeMap<(u64, QueryKey), EngineError> = BTreeMap::new();
         let mut run_costs: BTreeMap<(u64, QueryKey), (f64, f64)> = BTreeMap::new();
         {
@@ -832,7 +827,7 @@ impl Engine {
         let overlay_fraction = overlay_entries as f64 / base_entries.max(1) as f64;
 
         let totals = stats.totals();
-        let modeled = stats.modeled_time(&inner.cfg.timing.unwrap_or_default());
+        let modeled = stats.modeled_time(&CostModel::default());
         {
             let mut m = inner.metrics.lock().expect("metrics lock");
             m.absorb_contention(&stats);
@@ -1240,7 +1235,6 @@ impl EngineInner {
     fn run_opts(&self) -> SimOptions {
         SimOptions {
             transport: self.cfg.dist.transport,
-            timing: self.cfg.timing,
             record_trace: false,
             perturb_seed: self.cfg.perturb_seed,
             wall_profile: self.cfg.wall_profile,

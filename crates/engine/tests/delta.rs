@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use std::sync::Mutex;
-use tricount_comm::{Counters, SimOptions};
+use tricount_comm::SimOptions;
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::delta as delta_dist;
 use tricount_core::dist::residency::build_residency;
@@ -357,19 +357,8 @@ fn inert_cache_budget_answers_and_meters_identically() {
                 .iter()
                 .map(|q| e.query(q.clone()).expect("valid query")),
         );
-        // sim_clock follows arrival order under the overlap-aware clock;
-        // every other meter is deterministic
-        let meters = |c: Counters| Counters {
-            sim_clock: 0.0,
-            ..c
-        };
         let s = e.stats();
-        (
-            answers,
-            meters(s.query_comm),
-            meters(s.update_comm),
-            meters(s.baseline_comm),
-        )
+        (answers, s.query_comm, s.update_comm, s.baseline_comm)
     };
     let plain = run(EngineConfig::new(p));
     let budgeted = run(EngineConfig::new(p).with_cache_budget(4 << 20));

@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compressed;
 pub mod csr;
 pub mod dist;
 pub mod edgelist;

@@ -95,7 +95,9 @@ pub struct Msg {
     pub seq: u64,
     /// Payload machine words.
     pub words: Vec<u64>,
-    /// Simulated arrival time at the receiver (timed runs; 0 otherwise).
+    /// Ignored: always `0.0`. Kept only so existing `Msg` literals (the
+    /// frozen benchmark driver builds one) still compile; no backend or
+    /// runtime reads it.
     pub arrival: f64,
 }
 

@@ -5,14 +5,12 @@
 //! point-to-point message, and a buffered-words counter series — the
 //! per-PE interleaving view the paper's Fig. 5/Fig. 7 analysis needs.
 //!
-//! **Determinism.** The live `sim_clock` at receive events depends on the
-//! thread schedule (whether a poll wins a race decides which `max(clock,
-//! arrival)` is applied first), and wall stamps differ every run. Exported
-//! timelines therefore *reconstruct* all timestamps from
-//! schedule-independent data only: per-phase counter deltas priced under
-//! the cost model give the phase boundaries, `t_op·work_ops` gives each
-//! PE's work slice, and send timestamps replay each PE's `Sent` events in
-//! program order, charging `α` per message exactly like the runtime does
+//! **Determinism.** Receive order depends on the thread schedule, and wall
+//! stamps differ every run. Exported timelines therefore *reconstruct* all
+//! timestamps from schedule-independent data only: per-phase counter
+//! deltas priced under the cost model give the phase boundaries,
+//! `t_op·work_ops` gives each PE's work slice, and send timestamps replay
+//! each PE's `Sent` events in program order, charging `α` per message
 //! (the matching flow arrival is `send + β·ℓ`). Receive events are ignored
 //! entirely. The same trace always renders to the same bytes, across
 //! schedule perturbations too — which the exporter tests assert.

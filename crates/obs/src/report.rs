@@ -84,17 +84,9 @@ pub fn phase_report(stats: &RunStats, trace: Option<&Trace>, cost: &CostModel) -
         ));
     }
     out.push_str(&format!(
-        "total modeled: {:.3} ms",
+        "total modeled: {:.3} ms\n",
         stats.modeled_time(cost) * 1e3
     ));
-    let makespan = stats.makespan();
-    if makespan > 0.0 {
-        out.push_str(&format!(
-            " | overlap-aware makespan: {:.3} ms",
-            makespan * 1e3
-        ));
-    }
-    out.push('\n');
     out
 }
 
@@ -231,12 +223,12 @@ impl ModelFitReport {
     }
 }
 
-/// Renders a per-label span summary (count, total wall ms, total simulated
-/// ms) aggregated over all PEs, in first-appearance order.
+/// Renders a per-label span summary (count, total wall ms) aggregated over
+/// all PEs, in first-appearance order.
 pub fn span_summary(trace: &Trace) -> String {
-    // (kind name, label) -> (count, wall s, sim s); Vec keeps label order
+    // (kind name, label) -> (count, wall s); Vec keeps label order
     // deterministic without relying on hash iteration.
-    type SpanAgg = ((&'static str, String), (u64, f64, f64));
+    type SpanAgg = ((&'static str, String), (u64, f64));
     let mut rows: Vec<SpanAgg> = Vec::new();
     for spans in &trace.spans {
         for s in spans {
@@ -245,25 +237,23 @@ pub fn span_summary(trace: &Trace) -> String {
                 Some((_, acc)) => {
                     acc.0 += 1;
                     acc.1 += s.wall_seconds();
-                    acc.2 += s.sim_seconds();
                 }
-                None => rows.push((key, (1, s.wall_seconds(), s.sim_seconds()))),
+                None => rows.push((key, (1, s.wall_seconds()))),
             }
         }
     }
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<12} {:<20} {:>8} {:>14} {:>14}\n",
-        "kind", "label", "count", "wall ms", "sim ms"
+        "{:<12} {:<20} {:>8} {:>14}\n",
+        "kind", "label", "count", "wall ms"
     ));
-    for ((kind, label), (count, wall, sim)) in rows {
+    for ((kind, label), (count, wall)) in rows {
         out.push_str(&format!(
-            "{:<12} {:<20} {:>8} {:>14.3} {:>14.3}\n",
+            "{:<12} {:<20} {:>8} {:>14.3}\n",
             kind,
             label,
             count,
-            wall * 1e3,
-            sim * 1e3
+            wall * 1e3
         ));
     }
     out
@@ -343,11 +333,6 @@ pub fn run_metrics(stats: &RunStats, cost: &CostModel, trace: Option<&Trace>) ->
         "tricount_run_modeled_seconds",
         "Modeled run time under the cost model",
         stats.modeled_time(cost),
-    );
-    reg.gauge(
-        "tricount_run_makespan_seconds",
-        "Overlap-aware makespan (0 in untimed runs)",
-        stats.makespan(),
     );
     reg.gauge(
         "tricount_run_max_sent_messages",
@@ -449,12 +434,8 @@ mod tests {
             spans: vec![vec![SpanRecord {
                 kind: SpanKind::Phase,
                 label: "local".to_string(),
-                begin: SpanStamp {
-                    sim: 0.0,
-                    wall_nanos: 0,
-                },
+                begin: SpanStamp { wall_nanos: 0 },
                 end: SpanStamp {
-                    sim: 0.0,
                     wall_nanos: 2_000_000,
                 },
             }]],

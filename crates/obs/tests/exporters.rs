@@ -18,11 +18,9 @@ fn rgg16() -> DistGraph {
     DistGraph::new(&g, 16)
 }
 
-/// Untimed + unperturbed-routing options so counters and trace events are
-/// schedule independent (the sim clock stays 0 and never enters the data).
+/// Traced options, optionally under a perturbed schedule.
 fn traced_opts(perturb_seed: Option<u64>) -> SimOptions {
     SimOptions {
-        timing: None,
         record_trace: true,
         perturb_seed,
         ..SimOptions::default()
@@ -144,12 +142,7 @@ fn tracing_does_not_perturb_the_run() {
     // Direct-routed variants: every counter is schedule independent, so
     // tracing must leave each one bit-equal.
     for alg in [Algorithm::Cetric, Algorithm::Ditric] {
-        let untraced = SimOptions {
-            timing: None,
-            record_trace: false,
-            perturb_seed: None,
-            ..SimOptions::default()
-        };
+        let untraced = SimOptions::default();
         let (r_plain, t_plain) = run_on(rgg16(), alg, &alg.config(), &untraced).unwrap();
         assert!(t_plain.is_none());
         let (r_traced, t_traced) = run_on(rgg16(), alg, &alg.config(), &traced_opts(None)).unwrap();
@@ -181,12 +174,7 @@ fn tracing_does_not_perturb_grid_invariants() {
     // by probe). Words moved and work done are schedule independent — those
     // must stay bit-equal under tracing.
     let alg = Algorithm::Ditric2;
-    let untraced = SimOptions {
-        timing: None,
-        record_trace: false,
-        perturb_seed: None,
-        ..SimOptions::default()
-    };
+    let untraced = SimOptions::default();
     let (r_plain, _) = run_on(rgg16(), alg, &alg.config(), &untraced).unwrap();
     let (r_traced, _) = run_on(rgg16(), alg, &alg.config(), &traced_opts(None)).unwrap();
     assert_eq!(r_plain.triangles, r_traced.triangles);

@@ -47,7 +47,7 @@ impl fmt::Display for Divergence {
 /// schedule, asserting bit-identical per-rank results. Returns the baseline
 /// results, or every diverging seed.
 ///
-/// `base_opts` carries timing/trace settings shared by all runs; its
+/// `base_opts` carries transport/trace settings shared by all runs; its
 /// `perturb_seed` field is overridden per run.
 pub fn check_schedule_independence<R, F>(
     p: usize,

@@ -16,9 +16,6 @@
 //!   nor per-phase attribution is schedule-independent. What must agree
 //!   are the per-rank *run totals* of words, local work and collective
 //!   charges.
-//!
-//! Untimed runs only: the overlap-aware `sim_clock` interleaves `max`
-//! (arrivals) with `add` (work), which does not commute across schedules.
 
 use std::sync::Mutex;
 use std::time::Duration;

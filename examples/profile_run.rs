@@ -1,5 +1,5 @@
-//! Profiling a distributed run end to end: record a trace of a timed
-//! CETRIC count, print the per-phase modeled/wall breakdown, export a
+//! Profiling a distributed run end to end: record a trace of a CETRIC
+//! count, print the per-phase modeled/wall breakdown, export a
 //! deterministic Chrome-trace/Perfetto JSON timeline (one track per PE,
 //! flow arrows for every message), and render the run's metrics in the
 //! Prometheus text exposition format.
@@ -24,20 +24,14 @@ fn main() {
     let alg = Algorithm::Cetric;
     let model = CostModel::supermuc();
     let dg = DistGraph::new(&g, p);
-    let opts = SimOptions {
-        timing: Some(model),
-        record_trace: true,
-        ..SimOptions::default()
-    };
-    let (r, trace) =
-        cetric::core::dist::run_on(dg, alg, &alg.config(), &opts).expect("run succeeds");
+    let (r, trace) = cetric::core::dist::run_on(dg, alg, &alg.config(), &SimOptions::traced())
+        .expect("run succeeds");
     let trace = trace.expect("built with the trace feature");
     println!(
-        "{} on {p} PEs: {} triangles, modeled {:.3} ms, makespan {:.3} ms",
+        "{} on {p} PEs: {} triangles, modeled {:.3} ms",
         alg.name(),
         r.triangles,
-        r.modeled_time(&model) * 1e3,
-        r.stats.makespan() * 1e3
+        r.modeled_time(&model) * 1e3
     );
 
     // 2. Terminal phase report: where modeled and wall time went, which PE
