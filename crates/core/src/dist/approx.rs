@@ -98,6 +98,7 @@ pub fn approx_prepared(
     // deferred sorted sum keeps the estimate bit-identical across
     // schedules (the property `check_schedule_independence` asserts).
     let mut corrected = Vec::<f64>::new();
+    let ids = o.ids();
     let handler = |contracted: &tricount_graph::dist::ContractedGraph,
                    ctx: &mut Ctx,
                    env: Envelope<'_>,
@@ -121,11 +122,11 @@ pub fn approx_prepared(
             AnyAmq::S(f) => (Box::new(move |k| f.contains(k)), f.false_positive_rate()),
         };
         for &u in heads {
-            let au = contracted.a_of(u);
+            let au = contracted.a(ids.local_of(u).expect("heads are owned"));
             let mut pos = 0u64;
             for &w in au {
                 ctx.add_work(1);
-                if contains(w) {
+                if contains(ids.global_of(w)) {
                     pos += 1;
                 }
             }
@@ -134,20 +135,24 @@ pub fn approx_prepared(
         }
     };
 
-    let mut scratch: Vec<u64> = Vec::new();
-    for (v, a) in contracted.nonempty() {
+    let (mut scratch, mut a): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+    for (v, dense) in contracted.nonempty() {
+        // the wire and the sketch speak global ids
+        let v = ids.global_of(v);
+        a.clear();
+        a.extend(dense.iter().map(|&w| ids.global_of(w)));
         // build the sketch of A(v) once per vertex
         let filter_words: Vec<u64> = match acfg.filter {
             FilterKind::Bloom => {
                 let mut f = BloomFilter::new(a.len(), acfg.bits_per_key);
-                for &w in a {
+                for &w in &a {
                     f.insert(w);
                 }
                 f.to_words()
             }
             FilterKind::SingleShot => {
                 let mut f = SingleShotBloom::new(a.len(), acfg.bits_per_key, 4);
-                for &w in a {
+                for &w in &a {
                     f.insert(w);
                 }
                 f.to_words()

@@ -140,10 +140,14 @@ pub fn havoqgt_like_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) ->
                  u: u64,
                  w: u64,
                  acc: &mut u64| {
-        let au = o.a_owned(u);
+        let ids = o.ids();
+        let au = o.a(ids.local_of(u).expect("the closing edge's tail is owned"));
         let log = (usize::BITS - au.len().leading_zeros()) as u64;
         ctx.add_work(log.max(1));
-        if au.binary_search(&w).is_ok() {
+        if ids
+            .local_of(w)
+            .is_some_and(|w| au.binary_search(&w).is_ok())
+        {
             *acc += 1;
         }
     };
@@ -157,7 +161,7 @@ pub fn havoqgt_like_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) ->
                 acc: &mut u64| {
         ctx.add_work(1);
         let (u, w) = if a < b { (a.1, b.1) } else { (b.1, a.1) };
-        if o.is_owned(u) {
+        if o.owned_range().contains(&u) {
             check(o, ctx, u, w, acc);
         } else {
             q.post(ctx, part.rank_of(u), &[TAG_CHECK, u, w]);
@@ -193,8 +197,9 @@ pub fn havoqgt_like_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) ->
         let k = lg.ord_key(cfg.ordering, x);
         (k.degree, k.id)
     };
-    for v in o.owned_range() {
-        let av = o.a_owned(v);
+    let ids = o.ids();
+    for l in ids.owned() {
+        let av = o.a(l);
         let delegated = p > 1 && cfg.delegate_threshold.is_some_and(|t| av.len() as u64 > t);
         if delegated {
             // broadcast to D delegates; this PE generates stride 0 of D+1
@@ -207,13 +212,13 @@ pub fn havoqgt_like_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) ->
                 payload.push(d as u64); // stride
                 payload.push(nstrides);
                 for &x in av {
-                    let (deg, id) = keyed(&lg, x);
+                    let (deg, id) = keyed(&lg, ids.global_of(x));
                     payload.push(deg);
                     payload.push(id);
                 }
                 q.post(ctx, (me + d) % p, &payload);
             }
-            let keys: Vec<(u64, u64)> = av.iter().map(|&x| keyed(&lg, x)).collect();
+            let keys: Vec<(u64, u64)> = av.iter().map(|&x| keyed(&lg, ids.global_of(x))).collect();
             for i in 0..keys.len() {
                 for j in (i + 1)..keys.len() {
                     if (i + j) as u64 % nstrides == 0 {
@@ -222,7 +227,7 @@ pub fn havoqgt_like_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) ->
                 }
             }
         } else {
-            let keys: Vec<(u64, u64)> = av.iter().map(|&x| keyed(&lg, x)).collect();
+            let keys: Vec<(u64, u64)> = av.iter().map(|&x| keyed(&lg, ids.global_of(x))).collect();
             for i in 0..keys.len() {
                 for j in (i + 1)..keys.len() {
                     emit(&o, &mut q, ctx, keys[i], keys[j], &mut count);

@@ -54,8 +54,14 @@ pub fn count_prepared(
 
     // Global phase (lines 9–16) on the contracted graph.
     let c = &prep.contracted;
-    let (remote_count, global_dispatch) =
-        count_global(ctx, cfg, &prep.local, c.nonempty(), |u| c.a_of(u));
+    let (remote_count, global_dispatch) = count_global(
+        ctx,
+        cfg,
+        &prep.local,
+        prep.oriented.ids(),
+        c.nonempty(),
+        |u| c.a(u),
+    );
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
 

@@ -36,8 +36,8 @@ pub fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> (u64, Di
 
     // Global pass: stream A(v) to owners of remote heads (line 5), process
     // incoming neighborhoods (lines 6–7).
-    let sources = o.owned_range().map(|v| (v, o.a_owned(v)));
-    let (remote_count, global_dispatch) = count_global(ctx, cfg, &lg, sources, |u| o.a_owned(u));
+    let sources = o.ids().owned().map(|l| (l, o.a(l)));
+    let (remote_count, global_dispatch) = count_global(ctx, cfg, &lg, o.ids(), sources, |u| o.a(u));
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
 

@@ -29,7 +29,10 @@ fn sorted(a: VertexId, b: VertexId, c: VertexId) -> Triangle {
 /// emitted by exactly one rank).
 pub(crate) fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> Vec<Triangle> {
     let prep = prepare_rank(ctx, lg, cfg);
-    let emit = |out: &mut Vec<Triangle>, v, u, w| out.push(sorted(v, u, w));
+    let ids = prep.oriented.ids();
+    let emit = |out: &mut Vec<Triangle>, v, u, w| {
+        out.push(sorted(ids.global_of(v), ids.global_of(u), ids.global_of(w)))
+    };
     list_triangles(ctx, &prep, cfg, Vec::new, |t, part| t.extend(part), emit).0
 }
 

@@ -15,9 +15,8 @@
 //! parallel execution on the single-core host.
 
 use tricount_comm::{Ctx, SimOptions};
-use tricount_graph::dist::{DistGraph, LocalGraph};
+use tricount_graph::dist::{DistGraph, LocalGraph, LocalId};
 use tricount_graph::intersect::merge_count;
-use tricount_graph::VertexId;
 use tricount_par::Pool;
 
 use crate::config::DistConfig;
@@ -36,22 +35,23 @@ pub fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig, threads: us
     ctx.end_phase(phases::PREPROCESSING);
 
     // Edge-centric local phase: all directed (v, u) with u local, chunked.
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    for v in o.owned_range() {
-        for &u in o.a_owned(v) {
-            if o.is_owned(u) {
+    let ids = o.ids();
+    let mut edges: Vec<(LocalId, LocalId)> = Vec::new();
+    for v in ids.owned() {
+        for &u in o.a(v) {
+            if ids.is_owned(u) {
                 edges.push((v, u));
             }
         }
     }
-    let tasks: Vec<Vec<(VertexId, VertexId)>> =
+    let tasks: Vec<Vec<(LocalId, LocalId)>> =
         edges.chunks(TASK_EDGES).map(|c| c.to_vec()).collect();
     let o_ref = &o;
     let results = pool.run_tasks(tasks, move |_idx, chunk| {
         let mut count = 0u64;
         let mut ops = 0u64;
         for (v, u) in chunk {
-            let (c, w) = merge_count(o_ref.a_owned(v), o_ref.a_owned(u));
+            let (c, w) = merge_count(o_ref.a(v), o_ref.a(u));
             count += c;
             ops += w + 1;
         }
@@ -68,8 +68,8 @@ pub fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig, threads: us
     ctx.end_phase(phases::LOCAL);
 
     // Funneled global phase — single-threaded DITRIC's, dispatcher and all.
-    let sources = o.owned_range().map(|v| (v, o.a_owned(v)));
-    let (remote_count, _) = count_global(ctx, cfg, &lg, sources, |u| o.a_owned(u));
+    let sources = ids.owned().map(|l| (l, o.a(l)));
+    let (remote_count, _) = count_global(ctx, cfg, &lg, ids, sources, |u| o.a(u));
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
     total

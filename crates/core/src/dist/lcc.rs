@@ -17,12 +17,13 @@
 //! ([`crate::dist::enumerate`]) runs the same body with a different sink.
 //! The local pass is chunked on the `par` pool when
 //! `cfg.kernels.pool_workers > 1`, each chunk accumulating its own `Δ`
-//! vectors which are summed element-wise in canonical chunk order (u64
-//! addition — bit-identical to sequential).
+//! vector which are summed element-wise in canonical chunk order (u64
+//! addition — bit-identical to sequential). Triangles are listed and
+//! counted by dense id ([`tricount_graph::dist::DenseIds`]).
 
 use tricount_comm::{Ctx, SimOptions};
-use tricount_graph::dist::{DistGraph, OrientedLocalGraph};
-use tricount_graph::{Csr, VertexId};
+use tricount_graph::dist::{DistGraph, LocalId};
+use tricount_graph::Csr;
 
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
@@ -30,44 +31,15 @@ use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
 use crate::dist::{global_pass, local_pass, run_ranks};
 use crate::result::LccResult;
+use tricount_graph::kernels::Dense;
 
-/// Per-rank Δ accumulator over owned and ghost vertices.
-struct DeltaAcc {
-    start: VertexId,
-    owned: Vec<u64>,
-    ghost_ids: Vec<VertexId>,
-    ghosts: Vec<u64>,
-}
+/// Per-rank Δ accumulator: one counter per dense id, owned and ghost.
+struct DeltaAcc(Vec<u64>);
 
 impl DeltaAcc {
-    fn for_oriented(o: &OrientedLocalGraph) -> Self {
-        let owned_range = o.owned_range();
-        DeltaAcc {
-            start: owned_range.start,
-            owned: vec![0u64; (owned_range.end - owned_range.start) as usize],
-            ghost_ids: o.ghost_ids().to_vec(),
-            ghosts: vec![0u64; o.ghost_ids().len()],
-        }
-    }
-
-    fn bump(&mut self, v: VertexId) {
-        if v >= self.start && ((v - self.start) as usize) < self.owned.len() {
-            self.owned[(v - self.start) as usize] += 1;
-        } else {
-            let gi = self
-                .ghost_ids
-                .binary_search(&v)
-                .expect("triangle corner is neither owned nor ghost");
-            self.ghosts[gi] += 1;
-        }
-    }
-
-    /// Element-wise sum of another accumulator over the same vertex sets.
+    /// Element-wise sum of another accumulator over the same vertices.
     fn absorb(&mut self, other: &DeltaAcc) {
-        for (a, b) in self.owned.iter_mut().zip(&other.owned) {
-            *a += b;
-        }
-        for (a, b) in self.ghosts.iter_mut().zip(&other.ghosts) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a += b;
         }
     }
@@ -77,8 +49,9 @@ impl DeltaAcc {
 /// per-rank state: the shared `dist::local_pass` over the expanded graph and
 /// the shared `dist::global_pass` over the contracted cut graph, each
 /// intersection collecting its common neighbours. Every triangle
-/// `(v, u, w)` (edge `(v, u)`, closing corner `w`) is found exactly once and
-/// handed to `emit` with the accumulator; `empty` and `absorb` are the
+/// `(v, u, w)` (edge `(v, u)`, closing corner `w`, all three as dense ids
+/// of `prep.oriented`) is found exactly once and handed to `emit` with the
+/// accumulator; `empty` and `absorb` are the
 /// local pass's per-chunk accumulator. Ends the local and global phases and
 /// returns the accumulator and the per-phase kernel-dispatch tallies.
 pub(crate) fn list_triangles<A: Send>(
@@ -87,9 +60,10 @@ pub(crate) fn list_triangles<A: Send>(
     cfg: &DistConfig,
     empty: impl Fn() -> A + Sync,
     absorb: impl Fn(&mut A, A),
-    emit: impl Fn(&mut A, VertexId, VertexId, VertexId) + Sync,
+    emit: impl Fn(&mut A, LocalId, LocalId, LocalId) + Sync,
 ) -> (A, DispatchReport) {
     let o = &prep.oriented;
+    let ids = o.ids();
     // Local phase: type-1/2 triangles. Each partial carries its own
     // intersection scratch.
     let ((mut acc, mut commons), local_dispatch) = local_pass(
@@ -98,12 +72,12 @@ pub(crate) fn list_triangles<A: Send>(
         cfg.kernels,
         || (empty(), Vec::new()),
         |total, (part, _)| absorb(&mut total.0, part),
-        |v, av, (acc, commons), d| {
+        |v, av, (acc, commons), m| {
+            let mut src = m.source(Dense, av);
             let mut work = 0u64;
             for &u in av {
-                let au = o.a_of(u).expect("head must be owned or ghost");
                 commons.clear();
-                work += d.collect(av, au, commons) + 1;
+                work += src.collect(o.a(u), commons) + 1;
                 for &w in commons.iter() {
                     emit(acc, v, u, w);
                 }
@@ -119,13 +93,18 @@ pub(crate) fn list_triangles<A: Send>(
         ctx,
         cfg,
         &prep.local,
+        ids,
         c.nonempty(),
-        |u| c.a_of(u),
-        |v, u, av, au, d| {
+        |u| c.a(u),
+        |v, u, src, au| {
             commons.clear();
-            let ops = d.collect(av, au, &mut commons);
-            for &w in &commons {
-                emit(&mut acc, v, u, w);
+            let ops = src.collect(au, &mut commons);
+            if !commons.is_empty() {
+                // v has the neighbour u here: it is a ghost of this PE
+                let v = ids.local_of(v).expect("a record's source is visible");
+                for &w in &commons {
+                    emit(&mut acc, v, u, w);
+                }
             }
             ops
         },
@@ -149,40 +128,43 @@ pub fn lcc_prepared(
 ) -> (Vec<u64>, DispatchReport) {
     // Element-wise u64 sums of the per-chunk Δ vectors are bit-identical to
     // inline bumps.
-    let (mut acc, report) = list_triangles(
+    let ids = prep.oriented.ids();
+    let (DeltaAcc(mut delta), report) = list_triangles(
         ctx,
         prep,
         cfg,
-        || DeltaAcc::for_oriented(&prep.oriented),
+        || DeltaAcc(vec![0u64; ids.len()]),
         |total, part| total.absorb(&part),
         |acc, v, u, w| {
-            acc.bump(v);
-            acc.bump(u);
-            acc.bump(w);
+            acc.0[v as usize] += 1;
+            acc.0[u as usize] += 1;
+            acc.0[w as usize] += 1;
         },
     );
 
-    // Postprocessing: ship ghost Δ contributions to their owners
-    // ([id, delta] pairs), analogous to the degree exchange.
+    // Postprocessing: ship ghost Δ contributions — the counters outside
+    // the owned dense ids — to their owners ([id, delta] pairs), analogous
+    // to the degree exchange.
     let part = prep.oriented.partition();
-    let p = ctx.num_ranks();
-    let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); p];
-    for (gi, &g) in acc.ghost_ids.iter().enumerate() {
-        if acc.ghosts[gi] > 0 {
-            let r = part.rank_of(g);
-            outgoing[r].push(g);
-            outgoing[r].push(acc.ghosts[gi]);
-        }
+    let owned = ids.owned();
+    let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); ctx.num_ranks()];
+    let ghosts = (0..owned.start).chain(owned.end..ids.len() as LocalId);
+    for l in ghosts.filter(|&l| delta[l as usize] > 0) {
+        let g = ids.global_of(l);
+        outgoing[part.rank_of(g)].extend([g, delta[l as usize]]);
     }
     let incoming = ctx.alltoallv(outgoing);
     for part_in in incoming {
         for pair in part_in.chunks_exact(2) {
-            let (v, d) = (pair[0], pair[1]);
-            acc.owned[(v - acc.start) as usize] += d;
+            let l = ids.local_of(pair[0]).expect("ghost counts go to the owner");
+            delta[l as usize] += pair[1];
         }
     }
     ctx.end_phase(phases::POSTPROCESS);
-    (acc.owned, report)
+    (
+        delta[owned.start as usize..owned.end as usize].to_vec(),
+        report,
+    )
 }
 
 /// Normalises per-vertex `Δ` counts into clustering coefficients

@@ -25,8 +25,10 @@ use tricount_comm::{
     run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions, SimOutput, Trace, TransportKind,
     WallProfile,
 };
-use tricount_graph::dist::{DistGraph, LocalGraph, OrientedLocalGraph};
-use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters, KernelPolicy};
+use tricount_graph::dist::{DenseIds, DistGraph, LocalGraph, LocalId, OrientedLocalGraph};
+use tricount_graph::kernels::{
+    balanced_chunks, Dense, KernelCounters, KernelPolicy, Marker, Source,
+};
 use tricount_graph::{Csr, OrderingKind, VertexId};
 use tricount_par::Pool;
 
@@ -133,93 +135,93 @@ pub fn preprocess(ctx: &mut Ctx, lg: &mut LocalGraph, cfg: &DistConfig) {
 }
 
 /// The local pass every exact protocol runs (DITRIC, CETRIC, LCC and
-/// enumeration). Visits every vertex this PE can see in `o` — owned
-/// vertices in id order, then (on an expanded graph) ghosts in ghost-index
-/// order — handing each `(v, A(v))` to `visit` with a partial accumulator
-/// and a kernel dispatcher; `visit` returns the item's metered work.
+/// enumeration). Visits every source of `o` ([`OrientedLocalGraph::sources`]:
+/// the owned vertices, and on an expanded graph the ghosts too) in dense-id
+/// order, handing each `(l, A(l))` to `visit` with a partial accumulator and
+/// a [`Marker`] over `o`'s dense ids; `visit` returns the item's metered
+/// work.
 ///
 /// With `policy.pool_workers > 1` the items are cut into degree-balanced
 /// chunks run on a fresh `par` pool, each with its own `empty()`
 /// accumulator, folded by `absorb` in canonical chunk order and metered in
-/// one sum. Otherwise the loop runs inline and meters each item as it goes.
-/// Results, dispatch tallies and work totals are bit-identical either way.
+/// one sum; each running chunk borrows one of `pool_workers` markers.
+/// Otherwise the loop runs inline with one marker and meters each item as
+/// it goes. Results, dispatch tallies and work totals are bit-identical
+/// either way.
 pub(crate) fn local_pass<A: Send>(
     ctx: &mut Ctx,
     o: &OrientedLocalGraph,
     policy: KernelPolicy,
     empty: impl Fn() -> A + Sync,
     absorb: impl Fn(&mut A, A),
-    visit: impl Fn(VertexId, &[VertexId], &mut A, &mut Dispatcher) -> u64 + Sync,
+    visit: impl Fn(LocalId, &[LocalId], &mut A, &mut Marker) -> u64 + Sync,
 ) -> (A, KernelCounters) {
-    let owned = o.owned_range();
-    let ghosts = if o.is_expanded() { o.ghost_ids() } else { &[] };
-    let owned_len = (owned.end - owned.start) as usize;
-    let n = owned_len + ghosts.len();
+    let sources = o.sources();
+    let len = o.ids().len();
 
-    if policy.pool_workers <= 1 || n == 0 {
-        let (mut acc, mut d) = (empty(), Dispatcher::default());
-        for v in owned {
-            ctx.add_work(visit(v, o.a_owned(v), &mut acc, &mut d));
+    if policy.pool_workers <= 1 || sources.is_empty() {
+        let (mut acc, mut m) = (empty(), Marker::new(len));
+        for l in sources {
+            ctx.add_work(visit(l, o.a(l), &mut acc, &mut m));
         }
-        for (gi, &g) in ghosts.iter().enumerate() {
-            ctx.add_work(visit(g, o.a_ghost(gi), &mut acc, &mut d));
-        }
-        return (acc, d.counters());
+        return (acc, m.counters());
     }
 
-    let item = |i: usize| {
-        if i < owned_len {
-            let v = owned.start + i as VertexId;
-            (v, o.a_owned(v))
-        } else {
-            (ghosts[i - owned_len], o.a_ghost(i - owned_len))
-        }
-    };
     // Weight each item by |A(v)|, the proxy for its intersection work, so
     // chunks carry balanced work rather than balanced item counts.
-    let weights: Vec<u64> = (0..n).map(|i| item(i).1.len() as u64).collect();
+    let weights: Vec<u64> = sources.clone().map(|l| o.a(l).len() as u64).collect();
     let ranges = balanced_chunks(&weights, policy.pool_workers.saturating_mul(4));
+    // At most `pool_workers` chunks run at once, so a free marker is there
+    // for every chunk that starts.
+    let markers: Vec<Mutex<Marker>> = (0..policy.pool_workers)
+        .map(|_| Mutex::new(Marker::new(len)))
+        .collect();
     let results = Pool::new(policy.pool_workers).run_tasks(ranges, |_, (s, e)| {
-        let (mut acc, mut d, mut work) = (empty(), Dispatcher::default(), 0u64);
-        for i in s..e {
-            let (v, av) = item(i);
-            work += visit(v, av, &mut acc, &mut d);
+        let mut m = markers
+            .iter()
+            .find_map(|m| m.try_lock().ok())
+            .expect("a free marker per pool worker");
+        let (mut acc, mut work) = (empty(), 0u64);
+        for l in sources.start + s as LocalId..sources.start + e as LocalId {
+            work += visit(l, o.a(l), &mut acc, &mut m);
         }
-        (acc, work, d.counters())
+        (acc, work)
     });
     // `run_tasks` returns results in task order — the canonical chunk
     // order — so this fold is schedule-independent.
     let (mut total, mut work, mut counters) = (empty(), 0u64, KernelCounters::default());
     for r in results {
-        let (acc, w, c) = r.result;
+        let (acc, w) = r.result;
         absorb(&mut total, acc);
         work += w;
-        counters.absorb(&c);
+    }
+    for m in markers {
+        counters.absorb(&m.into_inner().expect("marker lock poisoned").counters());
     }
     ctx.add_work(work);
     (total, counters)
 }
 
 /// The counting local pass of DITRIC, CETRIC and the AMQ-approximate count
-/// (Algorithm 2 lines 2–4, Algorithm 3 lines 5–7): for every item `v`,
+/// (Algorithm 2 lines 2–4, Algorithm 3 lines 5–7): for every source `v`,
 /// intersects `A(v)` with `A(u)` for each head `u ∈ A(v)` this PE can see —
 /// the owned heads on DITRIC's plain orientation, every head on CETRIC's
-/// expanded graph. Each intersection meters `ops + 1`. Returns the count and
-/// the dispatch tallies.
-pub(crate) fn count_local(
+/// expanded graph — marking `A(v)` once for all of them. Each intersection
+/// meters `ops + 1`. Returns the count and the dispatch tallies.
+pub fn count_local(
     ctx: &mut Ctx,
     o: &OrientedLocalGraph,
     policy: KernelPolicy,
 ) -> (u64, KernelCounters) {
-    let visit = |_, av: &[VertexId], count: &mut u64, d: &mut Dispatcher| {
+    let (ids, every_head) = (o.ids(), o.is_expanded());
+    let visit = |_, av: &[LocalId], count: &mut u64, m: &mut Marker| {
+        let mut src = m.source(Dense, av);
         let mut work = 0u64;
         for &u in av {
-            if let Some(au) = o.a_of(u) {
-                let (c, ops) = d.count(av, None, au, None);
+            if every_head || ids.is_owned(u) {
+                let (c, ops) = src.count(o.a(u));
                 *count += c;
                 work += ops + 1;
-            } else {
-                assert!(!o.is_expanded(), "head must be owned or ghost");
             }
         }
         work
@@ -229,10 +231,12 @@ pub(crate) fn count_local(
 
 /// The global pass every exact protocol runs (DITRIC, CETRIC, LCC,
 /// enumeration and the hybrid's funneled phase; Algorithm 2 lines 5–7,
-/// Algorithm 3 lines 9–16). Each source `(v, A(v))` is streamed through the
-/// buffered sparse all-to-all to the owners of its heads, skipping the heads
-/// this PE owns; the receiver calls `visit(v, u, A(v), A(u), dispatcher)`
-/// for each head `u` it owns, with `A(u)` from `head`. `visit` returns the
+/// Algorithm 3 lines 9–16). Each source `(l, A(l))`, in `ids`' dense ids,
+/// is streamed through the buffered sparse all-to-all to the owners of its
+/// heads, skipping the heads this PE owns; records travel in global ids,
+/// translated as they are built. The receiver makes the record's `A(v)` a
+/// [`Marker`] source once and calls `visit(v, u, source, A(u))` for each
+/// head `u` it owns, with `A(u)` from `head`. `visit` returns the
 /// intersection's kernel ops and each visit meters `ops + 1`.
 ///
 /// With `cfg.dedup` (the surrogate deduplication of Arifuzzaman et al.)
@@ -246,14 +250,15 @@ pub(crate) fn global_pass<'g>(
     ctx: &mut Ctx,
     cfg: &DistConfig,
     lg: &LocalGraph,
-    sources: impl IntoIterator<Item = (VertexId, &'g [VertexId])>,
-    head: impl Fn(VertexId) -> &'g [VertexId],
-    mut visit: impl FnMut(VertexId, VertexId, &[VertexId], &[VertexId], &mut Dispatcher) -> u64,
+    ids: &DenseIds,
+    sources: impl IntoIterator<Item = (LocalId, &'g [LocalId])>,
+    head: impl Fn(LocalId) -> &'g [LocalId],
+    mut visit: impl FnMut(VertexId, LocalId, &mut Source<'_, &DenseIds>, &[LocalId]) -> u64,
 ) -> KernelCounters {
     let owned = lg.owned_range();
     let part = lg.partition();
     let dedup = cfg.dedup;
-    let mut d = Dispatcher::default();
+    let mut m = Marker::new(ids.len());
     let mut q = MessageQueue::new(
         ctx,
         QueueConfig {
@@ -268,34 +273,42 @@ pub(crate) fn global_pass<'g>(
         } else {
             rest.split_at(1)
         };
+        let mut src = m.source(ids, av);
         for &u in heads.iter().filter(|u| owned.contains(u)) {
-            ctx.add_work(visit(v, u, av, head(u), &mut d) + 1);
+            let u = ids.local_of(u).expect("owned vertices are numbered");
+            ctx.add_work(visit(v, u, &mut src, head(u)) + 1);
         }
     };
-    let mut record: Vec<VertexId> = Vec::new();
-    for (v, av) in sources {
+    let (mut record, mut global): (Vec<VertexId>, Vec<VertexId>) = (Vec::new(), Vec::new());
+    for (l, av) in sources {
+        let v = ids.global_of(l);
         let mut last_rank: Option<usize> = None;
+        global.clear();
         for &u in av {
-            if owned.contains(&u) {
+            if ids.is_owned(u) {
                 continue;
             }
+            let u = ids.global_of(u);
             let j = part.rank_of(u);
             if dedup && last_rank == Some(j) {
                 continue;
             }
             last_rank = Some(j);
+            if global.is_empty() {
+                global.extend(av.iter().map(|&x| ids.global_of(x)));
+            }
             record.clear();
             record.push(v);
             if !dedup {
                 record.push(u);
             }
-            record.extend_from_slice(av);
+            record.extend_from_slice(&global);
             q.post(ctx, j, &record);
             while q.poll(ctx, &mut receive) {}
         }
     }
     q.finish(ctx, &mut receive);
-    d.counters()
+    m.counters()
 }
 
 /// The counting global pass of DITRIC, CETRIC and the hybrid: [`global_pass`]
@@ -305,12 +318,13 @@ pub(crate) fn count_global<'g>(
     ctx: &mut Ctx,
     cfg: &DistConfig,
     lg: &LocalGraph,
-    sources: impl IntoIterator<Item = (VertexId, &'g [VertexId])>,
-    head: impl Fn(VertexId) -> &'g [VertexId],
+    ids: &DenseIds,
+    sources: impl IntoIterator<Item = (LocalId, &'g [LocalId])>,
+    head: impl Fn(LocalId) -> &'g [LocalId],
 ) -> (u64, KernelCounters) {
     let mut count = 0u64;
-    let counters = global_pass(ctx, cfg, lg, sources, head, |_, _, av, au, d| {
-        let (c, ops) = d.count(av, None, au, None);
+    let counters = global_pass(ctx, cfg, lg, ids, sources, head, |_, _, src, au| {
+        let (c, ops) = src.count(au);
         count += c;
         ops
     });

@@ -290,8 +290,12 @@ impl LocalGraph {
     /// Orients this local graph by `kind`, producing the structure both the
     /// local phase (with ghost neighborhoods, `expand_ghosts = true`) and the
     /// plain distributed EDGEITERATOR (`expand_ghosts = false`) operate on.
+    /// The result numbers every vertex this PE can see densely
+    /// ([`DenseIds`]) and keeps its lists in those numbers.
     ///
     /// Requires ghost degrees when `kind == Degree` and ghosts exist.
+    /// Panics with [`DenseIdOverflow`]'s message on a PE that sees `2^32`
+    /// or more vertices.
     pub fn orient(&self, kind: OrderingKind, expand_ghosts: bool) -> OrientedLocalGraph {
         if kind == OrderingKind::Degree && !self.ghosts.is_empty() {
             assert!(
@@ -299,76 +303,253 @@ impl LocalGraph {
                 "degree orientation requires the ghost degree exchange first"
             );
         }
-        let range = self.owned_range();
-        let mut owned_off = Vec::with_capacity((range.end - range.start) as usize + 1);
-        owned_off.push(0usize);
-        let mut owned_adj: Vec<VertexId> = Vec::new();
-        for v in range.clone() {
-            let kv = self.ord_key(kind, v);
-            owned_adj.extend(
-                self.neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&u| self.ord_key(kind, u) > kv),
-            );
+        let ids = DenseIds::new(self.rank, self.owned_range(), self.ghosts.ids.clone())
+            .unwrap_or_else(|e| panic!("{e}"));
+        let owned = ids.owned();
+        // Every visible vertex's ≺-key, by dense id, packed as
+        // `degree · 2^32 + dense id`: dense ids order like global ids, so
+        // this orders like `OrdKey`. A packed degree saturates at 2^32 − 1,
+        // which keeps every comparison below exact: each one involves an
+        // owned vertex, whose neighbours are all visible here, so its
+        // degree is below the dense id count, itself below 2^32.
+        let key: Vec<u64> = (0..ids.len() as LocalId)
+            .map(|l| {
+                let deg = match kind {
+                    OrderingKind::Id => 0,
+                    _ if owned.contains(&l) => self.degree(ids.global_of(l)),
+                    _ => self.ghosts.degree(ids.ghost_index(l)),
+                };
+                (deg.min(u64::from(u32::MAX)) << 32) | u64::from(l)
+            })
+            .collect();
+        // One pass over the owned lists, in ascending dense order: an owned
+        // x keeps its neighbours y ≻ x; with expansion an incoming cut edge
+        // is rewired instead — ghost y's locally visible
+        // A(y) = { x ∈ V_i ∩ N_y | x ≻ y } gains x, recorded as (y, x) in
+        // ascending x, so every ghost list comes out sorted.
+        let mut owned_adj: Vec<LocalId> = Vec::new();
+        let mut owned_off: Vec<usize> = Vec::with_capacity(owned.len() + 1);
+        owned_off.push(0);
+        let mut rewired: Vec<(LocalId, LocalId)> = Vec::new();
+        let mut nbrs: Vec<LocalId> = Vec::new();
+        for (v, x) in self.owned_range().zip(owned.clone()) {
+            nbrs.clear();
+            ids.translate(self.neighbors(v), &mut nbrs);
+            let kx = key[x as usize];
+            for &y in &nbrs {
+                if key[y as usize] > kx {
+                    owned_adj.push(y);
+                } else if expand_ghosts && !owned.contains(&y) {
+                    rewired.push((y, x));
+                }
+            }
             owned_off.push(owned_adj.len());
         }
 
-        let (ghost_off, ghost_adj) = if expand_ghosts {
-            // Rewire incoming cut edges: ghost g's locally visible
-            // neighborhood is every owned v with g ∈ N_v. Restricted to
-            // out-neighbors: A(g) = { v ∈ V_i ∩ N_g | v ≻ g }.
-            let mut lists: Vec<Vec<VertexId>> = vec![Vec::new(); self.ghosts.len()];
-            for v in range.clone() {
-                for &u in self.neighbors(v) {
-                    if !self.is_owned(u) {
-                        let gi = self.ghosts.index_of(u).expect("ghost must be registered");
-                        if self.ord_key(kind, v) > self.ord_key(kind, u) {
-                            lists[gi].push(v);
-                        }
-                    }
-                }
-            }
-            let mut off = Vec::with_capacity(self.ghosts.len() + 1);
-            off.push(0usize);
-            let mut adj = Vec::new();
-            for mut list in lists {
-                list.sort_unstable();
-                adj.extend_from_slice(&list);
-                off.push(adj.len());
-            }
-            (off, adj)
-        } else {
-            (vec![0usize], Vec::new())
-        };
+        // One CSR over every dense id: ghosts below, owned, ghosts above.
+        let mut off = vec![0usize; ids.len() + 1];
+        for &(y, _) in &rewired {
+            off[y as usize + 1] += 1;
+        }
+        for (i, x) in owned.clone().enumerate() {
+            off[x as usize + 1] = owned_off[i + 1] - owned_off[i];
+        }
+        for l in 0..ids.len() {
+            off[l + 1] += off[l];
+        }
+        let mut adj: Vec<LocalId> = vec![0; off[ids.len()]];
+        let first = off[owned.start as usize];
+        adj[first..first + owned_adj.len()].copy_from_slice(&owned_adj);
+        let mut fill = off.clone();
+        for (y, x) in rewired {
+            adj[fill[y as usize]] = x;
+            fill[y as usize] += 1;
+        }
 
         OrientedLocalGraph {
             rank: self.rank,
             part: self.part.clone(),
             kind,
-            owned_off,
-            owned_adj,
-            ghost_ids: self.ghosts.ids.clone(),
-            ghost_off,
-            ghost_adj,
+            ids,
+            off,
+            adj,
             expanded: expand_ghosts,
         }
     }
 }
 
-/// The degree-oriented per-PE graph: `A(v) = { x ∈ N_v | x ≻ v }` for owned
-/// vertices (sorted by id), and — when built with ghost expansion — the
-/// locally visible `A(g) = { x ∈ N_g ∩ V_i | x ≻ g }` for ghosts.
+/// A vertex's dense number on one PE: its position among the vertices the
+/// PE can see, in global id order ([`DenseIds`]).
+pub type LocalId = u32;
+
+/// A PE sees too many vertices to number them in a [`LocalId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseIdOverflow {
+    /// The PE.
+    pub rank: usize,
+    /// How many vertices it sees (owned plus ghosts).
+    pub seen: u64,
+}
+
+impl std::fmt::Display for DenseIdOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "PE {} sees {} vertices; dense local ids hold at most {}",
+            self.rank,
+            self.seen,
+            LocalId::MAX
+        )
+    }
+}
+
+impl std::error::Error for DenseIdOverflow {}
+
+/// The dense id count of a PE that sees `seen` vertices, or the error that
+/// names the PE and the count when they do not fit a [`LocalId`].
+pub fn dense_id_count(rank: usize, seen: u64) -> Result<LocalId, DenseIdOverflow> {
+    LocalId::try_from(seen).map_err(|_| DenseIdOverflow { rank, seen })
+}
+
+/// The order-preserving dense numbering of the vertices one PE can see:
+/// the owned range merged with the sorted ghosts in global id order gets
+/// the numbers `0 .. n_i + g_i`. Ghosts below the owned range come first,
+/// then the owned vertices, then the ghosts above. The map is monotone, so
+/// a sorted list stays sorted and every comparison between two visible
+/// vertices comes out as it does on their global ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DenseIds {
+    owned: std::ops::Range<VertexId>,
+    /// Ghosts below the owned range (the first owned dense id).
+    below: LocalId,
+    /// Sorted ghost ids.
+    ghosts: Vec<VertexId>,
+}
+
+impl DenseIds {
+    /// Numbers PE `rank`'s owned range and sorted ghosts (none of them
+    /// owned). Fails when the PE sees `2^32` or more vertices.
+    pub fn new(
+        rank: usize,
+        owned: std::ops::Range<VertexId>,
+        ghosts: Vec<VertexId>,
+    ) -> Result<Self, DenseIdOverflow> {
+        debug_assert!(ghosts.windows(2).all(|w| w[0] < w[1]), "ghosts unsorted");
+        dense_id_count(rank, (owned.end - owned.start) + ghosts.len() as u64)?;
+        let below = ghosts.partition_point(|&g| g < owned.start) as LocalId;
+        Ok(Self {
+            owned,
+            below,
+            ghosts,
+        })
+    }
+
+    /// Number of visible vertices `n_i + g_i`.
+    pub fn len(&self) -> usize {
+        (self.owned.end - self.owned.start) as usize + self.ghosts.len()
+    }
+
+    /// True if this PE sees no vertex.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The dense ids of the owned vertices (contiguous).
+    pub fn owned(&self) -> std::ops::Range<LocalId> {
+        self.below..self.below + (self.owned.end - self.owned.start) as LocalId
+    }
+
+    /// Whether dense id `l` is an owned vertex.
+    #[inline]
+    pub fn is_owned(&self, l: LocalId) -> bool {
+        l.wrapping_sub(self.below) < (self.owned.end - self.owned.start) as LocalId
+    }
+
+    /// Index in the sorted ghost ids of the ghost with dense id `l`.
+    #[inline]
+    pub fn ghost_index(&self, l: LocalId) -> usize {
+        debug_assert!(!self.is_owned(l));
+        if l < self.below {
+            l as usize
+        } else {
+            l as usize - (self.owned.end - self.owned.start) as usize
+        }
+    }
+
+    /// The global id of dense id `l`.
+    #[inline]
+    pub fn global_of(&self, l: LocalId) -> VertexId {
+        if self.is_owned(l) {
+            self.owned.start + VertexId::from(l - self.below)
+        } else {
+            self.ghosts[self.ghost_index(l)]
+        }
+    }
+
+    /// The dense id of global id `x`; `None` if this PE cannot see it.
+    #[inline]
+    pub fn local_of(&self, x: VertexId) -> Option<LocalId> {
+        if self.owned.contains(&x) {
+            Some(self.below + (x - self.owned.start) as LocalId)
+        } else {
+            let i = self.ghosts.binary_search(&x).ok()?;
+            Some(self.dense_ghost(i))
+        }
+    }
+
+    /// Dense id of the `i`-th ghost.
+    #[inline]
+    fn dense_ghost(&self, i: usize) -> LocalId {
+        if i < self.below as usize {
+            i as LocalId
+        } else {
+            (i as u64 + (self.owned.end - self.owned.start)) as LocalId
+        }
+    }
+
+    /// Appends the dense ids of the elements of the sorted global list
+    /// `list` that this PE can see, in order, skipping the others. The
+    /// first ghost search bisects all ghosts; each later one gallops on
+    /// from where the last one ended, so a long list costs about
+    /// `log(g / |list|)` steps per element, not `log g`.
+    pub fn translate(&self, list: &[VertexId], out: &mut Vec<LocalId>) {
+        let mut from = 0usize;
+        for &x in list {
+            if self.owned.contains(&x) {
+                out.push(self.below + (x - self.owned.start) as LocalId);
+                continue;
+            }
+            let rest = &self.ghosts[from..];
+            let (lo, hi) = if from == 0 {
+                (0, rest.len())
+            } else {
+                let mut bound = 1usize;
+                while bound < rest.len() && rest[bound] < x {
+                    bound *= 2;
+                }
+                (bound / 2, (bound + 1).min(rest.len()))
+            };
+            from += lo + rest[lo..hi].partition_point(|&g| g < x);
+            if self.ghosts.get(from) == Some(&x) {
+                out.push(self.dense_ghost(from));
+            }
+        }
+    }
+}
+
+/// The degree-oriented per-PE graph in dense ids ([`DenseIds`]):
+/// `A(v) = { x ∈ N_v | x ≻ v }` for owned vertices and — when built with
+/// ghost expansion — the locally visible `A(g) = { x ∈ N_g ∩ V_i | x ≻ g }`
+/// for ghosts, every list sorted. `A(·)` of any visible vertex is one
+/// array index; without expansion the ghost lists are empty.
 #[derive(Debug, Clone)]
 pub struct OrientedLocalGraph {
     rank: usize,
     part: Partition,
     kind: OrderingKind,
-    owned_off: Vec<usize>,
-    owned_adj: Vec<VertexId>,
-    ghost_ids: Vec<VertexId>,
-    ghost_off: Vec<usize>,
-    ghost_adj: Vec<VertexId>,
+    ids: DenseIds,
+    off: Vec<usize>,
+    adj: Vec<LocalId>,
     expanded: bool,
 }
 
@@ -394,80 +575,56 @@ impl OrientedLocalGraph {
         self.expanded
     }
 
-    /// The owned id range.
+    /// The owned global id range.
     pub fn owned_range(&self) -> std::ops::Range<VertexId> {
         self.part.range(self.rank)
     }
 
-    /// Whether `v` is owned.
-    #[inline]
-    pub fn is_owned(&self, v: VertexId) -> bool {
-        self.part.owns(self.rank, v)
+    /// The dense numbering of the vertices this PE can see.
+    pub fn ids(&self) -> &DenseIds {
+        &self.ids
     }
 
-    /// Oriented out-neighborhood `A(v)` of an owned vertex, sorted by id.
-    #[inline]
-    pub fn a_owned(&self, v: VertexId) -> &[VertexId] {
-        debug_assert!(self.is_owned(v));
-        let l = (v - self.owned_range().start) as usize;
-        &self.owned_adj[self.owned_off[l]..self.owned_off[l + 1]]
-    }
-
-    /// Sorted ghost ids.
-    pub fn ghost_ids(&self) -> &[VertexId] {
-        &self.ghost_ids
-    }
-
-    /// Locally visible oriented neighborhood of the `idx`-th ghost.
-    #[inline]
-    pub fn a_ghost(&self, idx: usize) -> &[VertexId] {
-        debug_assert!(self.expanded, "ghost adjacency requires expansion");
-        &self.ghost_adj[self.ghost_off[idx]..self.ghost_off[idx + 1]]
-    }
-
-    /// `A(v)` for any vertex this PE can see (owned, or ghost when
-    /// expanded); `None` for unknown vertices.
-    #[inline]
-    pub fn a_of(&self, v: VertexId) -> Option<&[VertexId]> {
-        if self.is_owned(v) {
-            Some(self.a_owned(v))
-        } else if self.expanded {
-            self.ghost_ids
-                .binary_search(&v)
-                .ok()
-                .map(|i| self.a_ghost(i))
+    /// The dense ids whose `A(·)` the local phase visits: every visible
+    /// vertex when expanded, else the owned ones.
+    pub fn sources(&self) -> std::ops::Range<LocalId> {
+        if self.expanded {
+            0..self.ids.len() as LocalId
         } else {
-            None
+            self.ids.owned()
         }
+    }
+
+    /// Oriented out-neighborhood `A(l)` of dense id `l`, sorted.
+    #[inline]
+    pub fn a(&self, l: LocalId) -> &[LocalId] {
+        let l = l as usize;
+        &self.adj[self.off[l]..self.off[l + 1]]
     }
 
     /// Sum of owned `|A(v)|` (the number of oriented local adjacency
     /// entries).
     pub fn num_oriented_entries(&self) -> u64 {
-        self.owned_adj.len() as u64
+        let owned = self.ids.owned();
+        (self.off[owned.end as usize] - self.off[owned.start as usize]) as u64
     }
 
     /// The *contraction* step (Algorithm 3 line 8): for each owned `v`, keep
     /// only the non-local part of `A(v)` — the oriented cut edges. Returns
-    /// per-owned-vertex contracted lists (sorted by id; the local id range is
-    /// contiguous so the result is the concatenation of a prefix and a
-    /// suffix of `A(v)`).
+    /// per-owned-vertex contracted lists in dense ids (sorted; the owned
+    /// dense ids are contiguous, so each is the concatenation of a prefix
+    /// and a suffix of `A(v)`).
     pub fn contracted(&self) -> ContractedGraph {
-        let range = self.owned_range();
-        let mut off = Vec::with_capacity(self.owned_off.len());
+        let owned = self.ids.owned();
+        let mut off = Vec::with_capacity(owned.len() + 1);
         off.push(0usize);
         let mut adj = Vec::new();
-        for v in range.clone() {
-            adj.extend(
-                self.a_owned(v)
-                    .iter()
-                    .copied()
-                    .filter(|&u| !range.contains(&u)),
-            );
+        for l in owned.clone() {
+            adj.extend(self.a(l).iter().copied().filter(|u| !owned.contains(u)));
             off.push(adj.len());
         }
         ContractedGraph {
-            start: range.start,
+            first: owned.start,
             off,
             adj,
         }
@@ -475,30 +632,31 @@ impl OrientedLocalGraph {
 }
 
 /// The cut-graph restriction of an oriented local graph: per owned vertex the
-/// oriented *cut* out-neighborhood `A(v) \ V_i`. Lemma 1 of the paper:
-/// triangles of this graph (across all PEs) are exactly the type-3 triangles
-/// of `G`.
+/// oriented *cut* out-neighborhood `A(v) \ V_i`, in the oriented graph's
+/// dense ids. Lemma 1 of the paper: triangles of this graph (across all
+/// PEs) are exactly the type-3 triangles of `G`.
 #[derive(Debug, Clone)]
 pub struct ContractedGraph {
-    start: VertexId,
+    /// Dense id of the first owned vertex.
+    first: LocalId,
     off: Vec<usize>,
-    adj: Vec<VertexId>,
+    adj: Vec<LocalId>,
 }
 
 impl ContractedGraph {
-    /// Contracted `A(v)` of owned vertex `v`.
+    /// Contracted `A(l)` of the owned vertex with dense id `l`.
     #[inline]
-    pub fn a_of(&self, v: VertexId) -> &[VertexId] {
-        let l = (v - self.start) as usize;
-        &self.adj[self.off[l]..self.off[l + 1]]
+    pub fn a(&self, l: LocalId) -> &[LocalId] {
+        let i = (l - self.first) as usize;
+        &self.adj[self.off[i]..self.off[i + 1]]
     }
 
     /// Iterator over owned vertices with nonempty contracted neighborhoods,
-    /// as `(v, A(v))`.
-    pub fn nonempty(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
-        (0..self.off.len() - 1).filter_map(move |l| {
-            let a = &self.adj[self.off[l]..self.off[l + 1]];
-            (!a.is_empty()).then_some((self.start + l as VertexId, a))
+    /// as `(dense id, A(v))`.
+    pub fn nonempty(&self) -> impl Iterator<Item = (LocalId, &[LocalId])> + '_ {
+        (0..self.off.len() - 1).filter_map(move |i| {
+            let a = &self.adj[self.off[i]..self.off[i + 1]];
+            (!a.is_empty()).then_some((self.first + i as LocalId, a))
         })
     }
 
@@ -655,6 +813,13 @@ mod tests {
         assert_eq!(l0.known_degree(4), g.degree(4));
     }
 
+    /// `A(v)` of global id `v` in global ids.
+    fn a_global(o: &OrientedLocalGraph, v: VertexId) -> Vec<VertexId> {
+        let ids = o.ids();
+        let l = ids.local_of(v).expect("visible vertex");
+        o.a(l).iter().map(|&x| ids.global_of(x)).collect()
+    }
+
     #[test]
     fn orientation_with_ghosts() {
         let (g, part) = two_pe_graph();
@@ -663,15 +828,38 @@ mod tests {
         let o = dg.local(0).orient(OrderingKind::Degree, true);
         // degrees: d0=2 d1=3 d2=3 d3=3 d4=3 d5=2
         // A(0) = {1,2} (both deg 3 > 2)
-        assert_eq!(o.a_owned(0), &[1, 2]);
+        assert_eq!(a_global(&o, 0), [1, 2]);
         // A(1): nbrs {0,2,4}; key(1)=(3,1); 0=(2,0) no; 2=(3,2) yes; 4=(3,4) yes
-        assert_eq!(o.a_owned(1), &[2, 4]);
+        assert_eq!(a_global(&o, 1), [2, 4]);
         // A(2): nbrs {0,1,3}; key(2)=(3,2); 3=(3,3) yes only
-        assert_eq!(o.a_owned(2), &[3]);
+        assert_eq!(a_global(&o, 2), [3]);
         // ghosts of PE0: 3 and 4; A(3) local = owned nbrs ≻ 3 = {2?}: key(2)=(3,2) < (3,3) → none
-        assert_eq!(o.a_ghost(0), &[] as &[VertexId]);
+        assert_eq!(a_global(&o, 3), [] as [VertexId; 0]);
         // A(4) local: owned nbr 1, key(1)=(3,1) < (3,4) → none
-        assert_eq!(o.a_ghost(1), &[] as &[VertexId]);
+        assert_eq!(a_global(&o, 4), [] as [VertexId; 0]);
+        assert_eq!(o.sources(), 0..5);
+    }
+
+    /// Ghosts below the owned range take the first dense ids: on PE 1 the
+    /// ghosts 1 and 2 are numbered 0 and 1, its owned 3..6 are 2..5, and
+    /// the rewired ghost lists hold the owned heads that out-rank them.
+    #[test]
+    fn dense_ids_put_lower_ghosts_first() {
+        let (g, part) = two_pe_graph();
+        let mut dg = DistGraph::with_partition(&g, part);
+        dg.fill_ghost_degrees_centrally();
+        let o = dg.local(1).orient(OrderingKind::Degree, true);
+        let ids = o.ids();
+        assert_eq!(ids.owned(), 2..5);
+        assert_eq!(
+            (0..5).map(|l| ids.global_of(l)).collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5]
+        );
+        // A(1) local: owned nbr 4 with key (3,4) ≻ (3,1); A(2): owned 3 ≻ 2
+        assert_eq!(a_global(&o, 1), [4]);
+        assert_eq!(a_global(&o, 2), [3]);
+        assert_eq!(o.a(0), [3]);
+        assert_eq!(o.a(1), [2]);
     }
 
     #[test]
@@ -681,11 +869,16 @@ mod tests {
         dg.fill_ghost_degrees_centrally();
         let o = dg.local(0).orient(OrderingKind::Degree, true);
         let c = o.contracted();
-        assert_eq!(c.a_of(0), &[] as &[VertexId]);
-        assert_eq!(c.a_of(1), &[4]);
-        assert_eq!(c.a_of(2), &[3]);
+        let ids = o.ids();
+        let global = |a: &[LocalId]| a.iter().map(|&x| ids.global_of(x)).collect::<Vec<_>>();
+        assert_eq!(global(c.a(0)), [] as [VertexId; 0]);
+        assert_eq!(global(c.a(1)), [4]);
+        assert_eq!(global(c.a(2)), [3]);
         assert_eq!(c.num_entries(), 2);
-        let ne: Vec<_> = c.nonempty().map(|(v, a)| (v, a.to_vec())).collect();
+        let ne: Vec<_> = c
+            .nonempty()
+            .map(|(l, a)| (ids.global_of(l), global(a)))
+            .collect();
         assert_eq!(ne, vec![(1, vec![4]), (2, vec![3])]);
     }
 
@@ -694,9 +887,106 @@ mod tests {
         let (g, part) = two_pe_graph();
         let dg = DistGraph::with_partition(&g, part);
         let o = dg.local(0).orient(OrderingKind::Id, false);
-        assert_eq!(o.a_owned(0), &[1, 2]);
-        assert_eq!(o.a_owned(2), &[3]);
-        assert!(o.a_of(5).is_none());
+        assert_eq!(a_global(&o, 0), [1, 2]);
+        assert_eq!(a_global(&o, 2), [3]);
+        // without expansion a ghost's list is empty and the pass skips it
+        assert_eq!(a_global(&o, 3), [] as [VertexId; 0]);
+        assert_eq!(o.sources(), o.ids().owned());
+        assert!(o.ids().local_of(5).is_none());
+    }
+
+    /// A PE that sees more vertices than a `u32` numbers fails with an
+    /// error naming the PE and the count instead of truncating; no such
+    /// graph is built.
+    #[test]
+    fn dense_ids_refuse_to_wrap() {
+        assert_eq!(dense_id_count(3, 0), Ok(0));
+        assert_eq!(dense_id_count(3, u64::from(u32::MAX)), Ok(u32::MAX));
+        let err = dense_id_count(7, 1 << 32).unwrap_err();
+        assert_eq!(
+            err,
+            DenseIdOverflow {
+                rank: 7,
+                seen: 1 << 32
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("PE 7") && msg.contains("4294967296"), "{msg}");
+        assert_eq!(
+            dense_id_count(0, u64::MAX).unwrap_err().seen,
+            u64::MAX,
+            "the count is reported, not truncated"
+        );
+        // an owned range alone past the limit fails the same way
+        let err = DenseIds::new(2, 0..(1 << 32) + 5, vec![]).unwrap_err();
+        assert_eq!(
+            err,
+            DenseIdOverflow {
+                rank: 2,
+                seen: (1 << 32) + 5
+            }
+        );
+    }
+
+    /// Seeded property test over random partitions: the numbering is
+    /// monotone, `global_of(local_of(x)) == x` for every owned and ghost
+    /// id, and `local_of` is `None` for every other id, including ids
+    /// around `u32::MAX` that a truncating conversion would alias.
+    #[test]
+    fn dense_numbering_is_monotone_and_exact() {
+        let mut rng = 0x6465_6e73_u64; // "dens"
+        let mut next = |m: u64| {
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % m
+        };
+        for case in 0..200 {
+            // a universe near u32::MAX on every other case
+            let base = if case % 2 == 0 {
+                0
+            } else {
+                u64::from(u32::MAX) - 40
+            };
+            let n = 1 + next(80);
+            let (s, e) = {
+                let s = base + next(n);
+                (s, s + next(n - (s - base) + 1))
+            };
+            let mut ghosts: Vec<VertexId> = (base..base + n)
+                .filter(|x| !(s..e).contains(x) && next(3) == 0)
+                .collect();
+            ghosts.dedup();
+            let ids = DenseIds::new(0, s..e, ghosts.clone()).unwrap();
+            assert_eq!(ids.len() as u64, (e - s) + ghosts.len() as u64);
+            let globals: Vec<VertexId> = (0..ids.len() as LocalId)
+                .map(|l| ids.global_of(l))
+                .collect();
+            assert!(
+                globals.windows(2).all(|w| w[0] < w[1]),
+                "monotone, case {case}"
+            );
+            for x in base.saturating_sub(3)..base + n + 3 {
+                let visible = (s..e).contains(&x) || ghosts.contains(&x);
+                match ids.local_of(x) {
+                    Some(l) => {
+                        assert!(visible, "{x} numbered but not visible, case {case}");
+                        assert_eq!(ids.global_of(l), x, "round trip, case {case}");
+                        assert_eq!(ids.is_owned(l), (s..e).contains(&x));
+                    }
+                    None => assert!(!visible, "{x} visible but unnumbered, case {case}"),
+                }
+            }
+            // translate keeps exactly the visible ids of a sorted list, in order
+            let list: Vec<VertexId> = (base.saturating_sub(3)..base + n + 3)
+                .filter(|_| next(2) == 0)
+                .collect();
+            let mut out = Vec::new();
+            ids.translate(&list, &mut out);
+            let want: Vec<LocalId> = list.iter().filter_map(|&x| ids.local_of(x)).collect();
+            assert_eq!(out, want, "translate, case {case}");
+        }
     }
 
     #[test]

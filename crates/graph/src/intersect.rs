@@ -30,7 +30,7 @@ const TWO_CHAIN_MIN_LEN: usize = 64;
 /// alone took R-MAT 15 from 4.5 to 3.2 ns per op). Returns the matches
 /// and `i + j` where it stopped.
 #[inline(always)]
-fn chain_count(a: &[VertexId], b: &[VertexId]) -> (u64, usize) {
+fn chain_count<T: Copy + Ord>(a: &[T], b: &[T]) -> (u64, usize) {
     let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
@@ -45,7 +45,7 @@ fn chain_count(a: &[VertexId], b: &[VertexId]) -> (u64, usize) {
 /// (which must hold `min(|a|, |b|)` slots): every candidate is stored,
 /// the cursor only moves past it on a match.
 #[inline(always)]
-fn chain_collect(a: &[VertexId], b: &[VertexId], out: &mut [VertexId]) -> (usize, usize) {
+fn chain_collect<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) -> (usize, usize) {
     let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
     // `k` cannot reach `out.len()` before a list runs out; the test only
     // lets the compiler drop the bounds check on the store
@@ -68,7 +68,7 @@ fn chain_collect(a: &[VertexId], b: &[VertexId], out: &mut [VertexId]) -> (usize
 /// count — the metered `ops` — is this sum minus the matches, however the
 /// matches were actually found.
 #[inline]
-fn merge_stop(a: &[VertexId], b: &[VertexId]) -> usize {
+fn merge_stop<T: Copy + Ord>(a: &[T], b: &[T]) -> usize {
     let (la, lb) = (a[a.len() - 1], b[b.len() - 1]);
     if la <= lb {
         a.len() + b.partition_point(|&y| y <= la)
@@ -81,7 +81,7 @@ fn merge_stop(a: &[VertexId], b: &[VertexId]) -> usize {
 /// at the first element `≥ a[m]`. Every common element below `a[m]` lies
 /// in the first pair of halves, every other one in the second.
 #[inline]
-fn split_chains<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> [(&'a [VertexId], &'a [VertexId]); 2] {
+fn split_chains<'a, T: Copy + Ord>(a: &'a [T], b: &'a [T]) -> [(&'a [T], &'a [T]); 2] {
     let m = a.len() / 2;
     let k = b.partition_point(|&y| y < a[m]);
     let ((a1, a2), (b1, b2)) = (a.split_at(m), b.split_at(k));
@@ -89,7 +89,8 @@ fn split_chains<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> [(&'a [VertexId], &
 }
 
 /// Merge-based intersection count of two sorted, duplicate-free lists
-/// (the "merge phase of merge sort" procedure from §III).
+/// (the "merge phase of merge sort" procedure from §III). Generic over the
+/// id type: global `u64` ids and a PE's dense `u32` ids run the same code.
 ///
 /// `ops` is the number of comparisons the plain two-pointer merge makes
 /// on these lists, derived from where it stops (`merge_stop`) instead of
@@ -97,7 +98,7 @@ fn split_chains<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> [(&'a [VertexId], &
 /// in two and both halves advance in one loop, two load→compare→add chains
 /// that overlap in the pipeline.
 #[inline]
-pub fn merge_count(a: &[VertexId], b: &[VertexId]) -> (u64, u64) {
+pub fn merge_count<T: Copy + Ord>(a: &[T], b: &[T]) -> (u64, u64) {
     if a.len() + b.len() < TWO_CHAIN_MIN_LEN || a.is_empty() || b.is_empty() {
         let (count, stop) = chain_count(a, b);
         return (count, stop as u64 - count);
@@ -124,10 +125,10 @@ pub fn merge_count(a: &[VertexId], b: &[VertexId]) -> (u64, u64) {
 /// each triangle must be known). Appends them to `out` in ascending order
 /// and returns `ops` as [`merge_count`] defines it.
 #[inline]
-pub fn merge_collect(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) -> u64 {
+pub fn merge_collect<T: Copy + Ord + Default>(a: &[T], b: &[T], out: &mut Vec<T>) -> u64 {
     let base = out.len();
     // no intersection is longer than the shorter list
-    out.resize(base + a.len().min(b.len()), 0);
+    out.resize(base + a.len().min(b.len()), T::default());
     let (found, stop) = if a.len() + b.len() < TWO_CHAIN_MIN_LEN || a.is_empty() || b.is_empty() {
         chain_collect(a, b, &mut out[base..])
     } else {
@@ -221,109 +222,47 @@ where
     ops
 }
 
-/// Binary search over a sorted slice that charges one op per element
-/// comparison actually performed. Shared by the binary-probe and galloping
-/// kernels so both meter work in the same unit as [`merge_count`].
+/// Binary search over a sorted slice, its elements read through `key`,
+/// that charges one op per element comparison actually performed. Shared
+/// by the binary-probe and galloping kernels so both meter work in the
+/// same unit as [`merge_count`].
 #[inline]
-fn counted_binary_search(hay: &[VertexId], x: VertexId, ops: &mut u64) -> Result<usize, usize> {
+fn counted_binary_search<T: Copy, K: Ord>(
+    hay: &[T],
+    key: &impl Fn(T) -> K,
+    x: &K,
+    ops: &mut u64,
+) -> Result<usize, usize> {
     let (mut lo, mut hi) = (0usize, hay.len());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         *ops += 1;
-        let y = hay[mid];
-        if y == x {
+        let y = key(hay[mid]);
+        if y == *x {
             return Ok(mid);
         }
         // Which half follows is a coin flip the predictor cannot learn;
         // two selects instead of a branch on it.
-        let less = y < x;
+        let less = y < *x;
         lo = if less { mid + 1 } else { lo };
         hi = if less { hi } else { mid };
     }
     Err(lo)
 }
 
-/// Binary-search based intersection: probes each element of the smaller list
-/// in the larger one. Wins when the lists have very different lengths
-/// (GPU-style kernels in the paper's §III-C favour this shape).
-#[inline]
-pub fn binary_search_count(a: &[VertexId], b: &[VertexId]) -> (u64, u64) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if large.is_empty() || small.is_empty() {
-        return (0, 0);
-    }
-    let mut count = 0u64;
-    let mut ops = 0u64;
-    for &x in small {
-        if counted_binary_search(large, x, &mut ops).is_ok() {
-            count += 1;
-        }
-    }
-    (count, ops)
-}
-
-/// Binary-probe intersection that reports the common elements (in sorted
-/// order, since the probed side is sorted).
-#[inline]
-pub fn binary_search_collect(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) -> u64 {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if large.is_empty() || small.is_empty() {
-        return 0;
-    }
-    let mut ops = 0u64;
-    for &x in small {
-        if counted_binary_search(large, x, &mut ops).is_ok() {
-            out.push(x);
-        }
-    }
-    ops
-}
-
-/// Galloping (exponential-search) intersection — adaptive between merge and
-/// binary search. Probes each element of the smaller list into the larger
-/// one, but restarts from the previous match position so a full pass costs
-/// O(|small|·log(|large|/|small|)) instead of O(|small|·log|large|).
-#[inline]
-pub fn gallop_count(a: &[VertexId], b: &[VertexId]) -> (u64, u64) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut count = 0u64;
-    let mut ops = 0u64;
-    let mut cur = 0usize;
-    for &x in small {
-        if cur >= large.len() {
-            break;
-        }
-        if gallop_probe(large, &mut cur, x, &mut ops) {
-            count += 1;
-        }
-    }
-    (count, ops)
-}
-
-/// Galloping intersection that reports the common elements.
-#[inline]
-pub fn gallop_collect(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) -> u64 {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut ops = 0u64;
-    let mut cur = 0usize;
-    for &x in small {
-        if cur >= large.len() {
-            break;
-        }
-        if gallop_probe(large, &mut cur, x, &mut ops) {
-            out.push(x);
-        }
-    }
-    ops
-}
-
 /// One galloping probe: exponential search for an upper bound on `x`'s
 /// position in `large[*cur..]`, then a counted binary search inside the
 /// window. Advances `*cur` past the landing position so subsequent probes
-/// never re-scan. Each element comparison (doubling probe or bisection
-/// probe) costs one op.
+/// never re-scan, and returns the match's index. Each element comparison
+/// (doubling probe or bisection probe) costs one op.
 #[inline]
-fn gallop_probe(large: &[VertexId], cur: &mut usize, x: VertexId, ops: &mut u64) -> bool {
+fn gallop_probe<T: Copy, K: Ord>(
+    large: &[T],
+    key: &impl Fn(T) -> K,
+    cur: &mut usize,
+    x: &K,
+    ops: &mut u64,
+) -> Option<usize> {
     // Exponential search: each probe compares one element of `large`.
     let mut bound = 1usize;
     loop {
@@ -332,23 +271,101 @@ fn gallop_probe(large: &[VertexId], cur: &mut usize, x: VertexId, ops: &mut u64)
             break;
         }
         *ops += 1;
-        if large[idx] >= x {
+        if key(large[idx]) >= *x {
             break;
         }
         bound *= 2;
     }
     let lo = *cur + bound / 2;
     let hi = (*cur + bound + 1).min(large.len());
-    match counted_binary_search(&large[lo..hi], x, ops) {
+    match counted_binary_search(&large[lo..hi], key, x, ops) {
         Ok(pos) => {
             *cur = lo + pos + 1;
-            true
+            Some(lo + pos)
         }
         Err(pos) => {
             *cur = lo + pos;
-            false
+            None
         }
     }
+}
+
+/// The one loop of every probe kernel: searches each element of `probe`
+/// in the sorted `table` — galloping on from where the last search landed
+/// when `gallop`, else bisecting the whole table — and calls
+/// `hit(x, table[j])` for every match. The two sides are compared through
+/// `probe_key` and `table_key`, so they may be kept in different id
+/// spaces (the marker's received records against dense head lists).
+/// Returns the ops: one per element comparison.
+#[inline]
+pub(crate) fn probe_by<P: Copy, T: Copy, K: Ord>(
+    gallop: bool,
+    probe: impl Iterator<Item = P>,
+    probe_key: impl Fn(P) -> K,
+    table: &[T],
+    table_key: impl Fn(T) -> K,
+    mut hit: impl FnMut(P, T),
+) -> u64 {
+    let (mut ops, mut cur) = (0u64, 0usize);
+    for x in probe {
+        if cur >= table.len() {
+            break;
+        }
+        let k = probe_key(x);
+        let found = if gallop {
+            gallop_probe(table, &table_key, &mut cur, &k, &mut ops)
+        } else {
+            counted_binary_search(table, &table_key, &k, &mut ops).ok()
+        };
+        if let Some(j) = found {
+            hit(x, table[j]);
+        }
+    }
+    ops
+}
+
+/// `(smaller, larger)` of two lists, the first on a tie.
+#[inline]
+fn by_len<'a, T>(a: &'a [T], b: &'a [T]) -> (&'a [T], &'a [T]) {
+    if a.len() <= b.len() {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// Binary-search based intersection: probes each element of the smaller list
+/// in the larger one. Wins when the lists have very different lengths
+/// (GPU-style kernels in the paper's §III-C favour this shape).
+#[inline]
+pub fn binary_search_count<T: Copy + Ord>(a: &[T], b: &[T]) -> (u64, u64) {
+    let (small, large) = by_len(a, b);
+    binary_search_count_iter(small.iter().copied(), large)
+}
+
+/// Binary-probe intersection that reports the common elements (in sorted
+/// order, since the probed side is sorted).
+#[inline]
+pub fn binary_search_collect<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) -> u64 {
+    let (small, large) = by_len(a, b);
+    binary_search_collect_iter(small.iter().copied(), large, out)
+}
+
+/// Galloping (exponential-search) intersection — adaptive between merge and
+/// binary search. Probes each element of the smaller list into the larger
+/// one, but restarts from the previous match position so a full pass costs
+/// O(|small|·log(|large|/|small|)) instead of O(|small|·log|large|).
+#[inline]
+pub fn gallop_count<T: Copy + Ord>(a: &[T], b: &[T]) -> (u64, u64) {
+    let (small, large) = by_len(a, b);
+    gallop_count_iter(small.iter().copied(), large)
+}
+
+/// Galloping intersection that reports the common elements.
+#[inline]
+pub fn gallop_collect<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) -> u64 {
+    let (small, large) = by_len(a, b);
+    gallop_collect_iter(small.iter().copied(), large, out)
 }
 
 /// Binary-probe intersection of a sorted *iterator* against a sorted slice
@@ -357,80 +374,43 @@ fn gallop_probe(large: &[VertexId], cur: &mut usize, x: VertexId, ops: &mut u64)
 /// materialises. The table side must be a slice — random access is what the
 /// probes buy their speed with.
 #[inline]
-pub fn binary_search_count_iter<I>(probe: I, table: &[VertexId]) -> (u64, u64)
-where
-    I: Iterator<Item = VertexId>,
-{
+pub fn binary_search_count_iter<T: Copy + Ord>(
+    probe: impl Iterator<Item = T>,
+    table: &[T],
+) -> (u64, u64) {
     let mut count = 0u64;
-    let mut ops = 0u64;
-    if table.is_empty() {
-        return (0, 0);
-    }
-    for x in probe {
-        if counted_binary_search(table, x, &mut ops).is_ok() {
-            count += 1;
-        }
-    }
+    let ops = probe_by(false, probe, |x| x, table, |y| y, |_, _| count += 1);
     (count, ops)
 }
 
 /// Streaming twin of [`binary_search_collect`].
 #[inline]
-pub fn binary_search_collect_iter<I>(probe: I, table: &[VertexId], out: &mut Vec<VertexId>) -> u64
-where
-    I: Iterator<Item = VertexId>,
-{
-    let mut ops = 0u64;
-    if table.is_empty() {
-        return 0;
-    }
-    for x in probe {
-        if counted_binary_search(table, x, &mut ops).is_ok() {
-            out.push(x);
-        }
-    }
-    ops
+pub fn binary_search_collect_iter<T: Copy + Ord>(
+    probe: impl Iterator<Item = T>,
+    table: &[T],
+    out: &mut Vec<T>,
+) -> u64 {
+    probe_by(false, probe, |x| x, table, |y| y, |x, _| out.push(x))
 }
 
 /// Galloping intersection of a sorted *iterator* against a sorted slice
 /// table: the streaming twin of [`gallop_count`]. The probe side streams in
 /// ascending order, so the gallop cursor still advances monotonically.
 #[inline]
-pub fn gallop_count_iter<I>(probe: I, table: &[VertexId]) -> (u64, u64)
-where
-    I: Iterator<Item = VertexId>,
-{
+pub fn gallop_count_iter<T: Copy + Ord>(probe: impl Iterator<Item = T>, table: &[T]) -> (u64, u64) {
     let mut count = 0u64;
-    let mut ops = 0u64;
-    let mut cur = 0usize;
-    for x in probe {
-        if cur >= table.len() {
-            break;
-        }
-        if gallop_probe(table, &mut cur, x, &mut ops) {
-            count += 1;
-        }
-    }
+    let ops = probe_by(true, probe, |x| x, table, |y| y, |_, _| count += 1);
     (count, ops)
 }
 
 /// Streaming twin of [`gallop_collect`].
 #[inline]
-pub fn gallop_collect_iter<I>(probe: I, table: &[VertexId], out: &mut Vec<VertexId>) -> u64
-where
-    I: Iterator<Item = VertexId>,
-{
-    let mut ops = 0u64;
-    let mut cur = 0usize;
-    for x in probe {
-        if cur >= table.len() {
-            break;
-        }
-        if gallop_probe(table, &mut cur, x, &mut ops) {
-            out.push(x);
-        }
-    }
-    ops
+pub fn gallop_collect_iter<T: Copy + Ord>(
+    probe: impl Iterator<Item = T>,
+    table: &[T],
+    out: &mut Vec<T>,
+) -> u64 {
+    probe_by(true, probe, |x| x, table, |y| y, |x, _| out.push(x))
 }
 
 #[cfg(test)]

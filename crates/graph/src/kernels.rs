@@ -10,16 +10,22 @@
 //! * [`Dispatcher`] — the per-call-site chooser. Given two lists it picks a
 //!   kernel by the §III cost model `|small|·⌈log₂|large|⌉ < |small| + |large|`
 //!   and tallies the choice in [`KernelCounters`].
+//! * [`Marker`] — the same picks for one source list met by many others
+//!   (the local pass's `A(v)` against each `A(u)`, a received record against
+//!   each owned head): a flag array over a PE's dense ids is set from the
+//!   source once, and every merge pick scans the other list against it.
+//!   Counts, `ops` and tallies are the dispatcher's.
 //!
 //! The dispatch decision is a pure function of the two list lengths —
 //! never of schedule, chunk boundaries, or pool width — so counts and
 //! `ops` totals are bit-identical across pool sizes and schedule
 //! perturbations.
 
+use crate::dist::{DenseIds, LocalId};
 use crate::intersect::{
     binary_search_collect, binary_search_collect_iter, binary_search_count,
     binary_search_count_iter, gallop_collect, gallop_collect_iter, gallop_count, gallop_count_iter,
-    merge_collect, merge_collect_iter, merge_count, merge_count_iter,
+    merge_collect, merge_collect_iter, merge_count, merge_count_iter, probe_by,
 };
 use crate::VertexId;
 
@@ -139,11 +145,11 @@ impl Dispatcher {
     /// Count the intersection of two sorted lists, returning `(count, ops)`.
     /// The two key arguments are ignored compatibility arguments.
     #[inline]
-    pub fn count(
+    pub fn count<T: Copy + Ord>(
         &mut self,
-        a: &[VertexId],
+        a: &[T],
         _a_key: Option<VertexId>,
-        b: &[VertexId],
+        b: &[T],
         _b_key: Option<VertexId>,
     ) -> (u64, u64) {
         if a.is_empty() || b.is_empty() {
@@ -163,7 +169,7 @@ impl Dispatcher {
     /// Collect the intersection of two sorted lists into `out`, returning
     /// the op count. Output order is ascending for every kernel.
     #[inline]
-    pub fn collect(&mut self, a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) -> u64 {
+    pub fn collect<T: Copy + Ord + Default>(&mut self, a: &[T], b: &[T], out: &mut Vec<T>) -> u64 {
         if a.is_empty() || b.is_empty() {
             return 0;
         }
@@ -241,6 +247,219 @@ impl Dispatcher {
             Pick::Gallop => gallop_collect_iter(probe, table, out),
             Pick::Binary => binary_search_collect_iter(probe, table, out),
         }
+    }
+}
+
+/// How a [`Source`] list reads the dense ids of the lists it meets: the
+/// id space the source is kept in.
+pub trait IdSpace: Copy {
+    /// The source list's element type.
+    type Id: Copy + Ord;
+    /// Dense id `l` in this space.
+    fn id(self, l: LocalId) -> Self::Id;
+    /// Appends the dense ids of the elements of the sorted `list` this PE
+    /// can see.
+    fn visible(self, list: &[Self::Id], out: &mut Vec<LocalId>);
+}
+
+/// Dense ids themselves: the space of a local pass's sources.
+#[derive(Debug, Clone, Copy)]
+pub struct Dense;
+
+impl IdSpace for Dense {
+    type Id = LocalId;
+    #[inline]
+    fn id(self, l: LocalId) -> LocalId {
+        l
+    }
+    #[inline]
+    fn visible(self, list: &[LocalId], out: &mut Vec<LocalId>) {
+        out.extend_from_slice(list);
+    }
+}
+
+/// Global ids read through a PE's numbering: the space of a record the
+/// global pass received, which may hold ids this PE cannot see.
+impl IdSpace for &DenseIds {
+    type Id = VertexId;
+    #[inline]
+    fn id(self, l: LocalId) -> VertexId {
+        self.global_of(l)
+    }
+    #[inline]
+    fn visible(self, list: &[VertexId], out: &mut Vec<LocalId>) {
+        self.translate(list, out);
+    }
+}
+
+/// Mark once, probe many: a flag per dense id of one PE (one marker per PE
+/// and per pool worker) plus the dispatcher whose picks it serves. A
+/// [`Source`] sets the flags of its list on its first merge pick and
+/// clears them when dropped, so the marker holds no state between sources.
+///
+/// The metering contract is the dispatcher's, so counts, `ops`, modeled
+/// time and dispatch tallies do not depend on which of the two serves a
+/// pair:
+/// * the pick is the §III cost model on the two list lengths — for a
+///   received record, its full length, ids this PE cannot see included;
+/// * a merge pick counts by scanning the other list against the flags and
+///   meters the plain merge's `ops = i_stop + j_stop − count` on the global
+///   lists, with one `partition_point`;
+/// * gallop and binary picks run the probe kernels, comparing a received
+///   record with a dense list through [`DenseIds::global_of`].
+#[derive(Debug)]
+pub struct Marker {
+    flags: Vec<bool>,
+    marked: Vec<LocalId>,
+    dispatcher: Dispatcher,
+}
+
+impl Marker {
+    /// A marker over `len` dense ids, all clear.
+    pub fn new(len: usize) -> Self {
+        Self {
+            flags: vec![false; len],
+            marked: Vec::new(),
+            dispatcher: Dispatcher::default(),
+        }
+    }
+
+    /// The dispatch tallies of every pair served so far.
+    pub fn counters(&self) -> KernelCounters {
+        self.dispatcher.counters()
+    }
+
+    /// `list`, kept in `space`, as the source every following intersection
+    /// is taken against. Its flags are set on the first merge pick and
+    /// cleared when the source is dropped.
+    pub fn source<'m, S: IdSpace>(&'m mut self, space: S, list: &'m [S::Id]) -> Source<'m, S> {
+        Source {
+            marker: self,
+            space,
+            list,
+            marked: false,
+        }
+    }
+}
+
+/// One source list of a [`Marker`]; see there.
+#[derive(Debug)]
+pub struct Source<'m, S: IdSpace> {
+    marker: &'m mut Marker,
+    space: S,
+    list: &'m [S::Id],
+    marked: bool,
+}
+
+impl<S: IdSpace> Source<'_, S> {
+    /// `|source ∩ b|` for a sorted dense list `b`, as `(count, ops)`.
+    #[inline]
+    pub fn count(&mut self, b: &[LocalId]) -> (u64, u64) {
+        match self.pick(b) {
+            None => (0, 0),
+            Some(Pick::Merge) => {
+                let (stop, scan) = self.merge(b);
+                let flags = &self.marker.flags;
+                let count: u64 = scan.iter().map(|&y| u64::from(flags[y as usize])).sum();
+                (count, stop as u64 - count)
+            }
+            Some(pick) => {
+                let mut count = 0u64;
+                let ops = self.probe(pick, b, |_| count += 1);
+                (count, ops)
+            }
+        }
+    }
+
+    /// Appends `source ∩ b` for a sorted dense list `b` to `out` as dense
+    /// ids, ascending, and returns the ops.
+    #[inline]
+    pub fn collect(&mut self, b: &[LocalId], out: &mut Vec<LocalId>) -> u64 {
+        match self.pick(b) {
+            None => 0,
+            Some(Pick::Merge) => {
+                let (stop, scan) = self.merge(b);
+                let flags = &self.marker.flags;
+                let base = out.len();
+                out.resize(base + scan.len(), 0);
+                let mut k = base;
+                for &y in scan {
+                    out[k] = y;
+                    k += usize::from(flags[y as usize]);
+                }
+                out.truncate(k);
+                (stop - (k - base)) as u64
+            }
+            Some(pick) => self.probe(pick, b, |y| out.push(y)),
+        }
+    }
+
+    /// The dispatcher's pick for this source against `b`, tallied; `None`
+    /// (and no tally) when either list is empty.
+    #[inline]
+    fn pick(&mut self, b: &[LocalId]) -> Option<Pick> {
+        let (la, lb) = (self.list.len(), b.len());
+        (la > 0 && lb > 0).then(|| self.marker.dispatcher.pick(la.min(lb), la.max(lb)))
+    }
+
+    /// A merge pick: sets the source's flags if they are not yet set and
+    /// returns where the plain merge of the two lists stops (`i + j`) with
+    /// the part of `b` it passes, the only part that can hold a flag.
+    #[inline]
+    fn merge<'b>(&mut self, b: &'b [LocalId]) -> (usize, &'b [LocalId]) {
+        if !self.marked {
+            self.marked = true;
+            let m = &mut *self.marker;
+            self.space.visible(self.list, &mut m.marked);
+            for &l in &m.marked {
+                m.flags[l as usize] = true;
+            }
+        }
+        let (a, space) = (self.list, self.space);
+        let (la, lb) = (a[a.len() - 1], space.id(b[b.len() - 1]));
+        if la <= lb {
+            let j = b.partition_point(|&y| space.id(y) <= la);
+            (a.len() + j, &b[..j])
+        } else {
+            (b.len() + a.partition_point(|&x| x <= lb), b)
+        }
+    }
+
+    /// A gallop or binary pick: the smaller list (the source on a tie)
+    /// probes the larger, both compared in the source's space, and `hit`
+    /// gets every common element as a dense id. Returns the ops.
+    #[inline]
+    fn probe(&self, pick: Pick, b: &[LocalId], mut hit: impl FnMut(LocalId)) -> u64 {
+        let (a, space, gallop) = (self.list, self.space, pick == Pick::Gallop);
+        if a.len() <= b.len() {
+            probe_by(
+                gallop,
+                a.iter().copied(),
+                |x| x,
+                b,
+                |y| space.id(y),
+                |_, y| hit(y),
+            )
+        } else {
+            probe_by(
+                gallop,
+                b.iter().copied(),
+                |y| space.id(y),
+                a,
+                |x| x,
+                |y, _| hit(y),
+            )
+        }
+    }
+}
+
+impl<S: IdSpace> Drop for Source<'_, S> {
+    fn drop(&mut self) {
+        let m = &mut *self.marker;
+        for &l in &m.marked {
+            m.flags[l as usize] = false;
+        }
+        m.marked.clear();
     }
 }
 
@@ -462,6 +681,155 @@ mod tests {
                     "|small| = {small_len}, |large| = {large_len}"
                 );
             }
+        }
+    }
+
+    /// Seeded property test of the marker's contract: on every pair the
+    /// marker and the dispatcher return the same count, the same ops and
+    /// the same pick, and the marker's collect returns the dispatcher's
+    /// elements. Each source meets several head lists (mark once, probe
+    /// many) and all sources share one marker, so a flag left set by one
+    /// source would show in the next. Sources run both as a local pass's
+    /// dense list and as a received record in global ids that also holds
+    /// ids this PE cannot see — first, inside and last. Every other case
+    /// numbers a universe straddling `2^32`, where the global ids do not
+    /// fit a `u32` but their dense ids do.
+    #[test]
+    fn marker_matches_dispatcher() {
+        use crate::intersect::tests::{sorted_unique, splitmix};
+
+        let mut rng = 0x6d61_726b_u64; // "mark"
+                                       // (|a|, |b|): empty, single, 1000× skew either way, 63/64/65
+                                       // combined elements, the gallop and binary ranges, balanced
+        let shapes: [(usize, usize); 16] = [
+            (0, 5),
+            (5, 0),
+            (0, 0),
+            (1, 1),
+            (1, 60),
+            (2, 2000),
+            (2000, 2),
+            (31, 32),
+            (32, 32),
+            (32, 33),
+            (8, 256),
+            (9, 256),
+            (40, 300),
+            (300, 40),
+            (300, 300),
+            (700, 650),
+        ];
+        for case in 0..4u64 {
+            let base = if case % 2 == 0 {
+                0
+            } else {
+                u64::from(u32::MAX) - 5000
+            };
+            let span = 8000u64;
+            // owned [base + 2000, base + 5000); about half the rest of
+            // [base + 10, base + span) are ghosts
+            let owned = base + 2000..base + 5000;
+            let ghosts: Vec<VertexId> = (base + 10..base + span)
+                .filter(|x| !owned.contains(x) && splitmix(&mut rng) % 2 == 0)
+                .collect();
+            let ids = DenseIds::new(0, owned, ghosts).unwrap();
+            let n = ids.len() as u64;
+            let invisible: Vec<VertexId> = (base..base + span + 10)
+                .filter(|&x| ids.local_of(x).is_none())
+                .collect();
+            let global = |a: &[LocalId]| a.iter().map(|&l| ids.global_of(l)).collect::<Vec<_>>();
+            let dense = |len: usize, rng: &mut u64| -> Vec<LocalId> {
+                sorted_unique(rng, len.min(n as usize), n)
+                    .iter()
+                    .map(|&l| l as LocalId)
+                    .collect()
+            };
+
+            let mut marker = Marker::new(ids.len());
+            let mut d = Dispatcher::default();
+            let (mut out, mut want) = (Vec::new(), Vec::new());
+            for (la, lb) in shapes {
+                for rep in 0..6 {
+                    let a = dense(la, &mut rng);
+                    // received: a's global ids with unseen ids mixed in,
+                    // then forced first (rep 1, 3) and last (rep 2, 3)
+                    let mut rec = global(&a);
+                    if !rec.is_empty() {
+                        let k = 1 + la / 4;
+                        for _ in 0..k {
+                            rec.push(invisible[splitmix(&mut rng) as usize % invisible.len()]);
+                        }
+                        if rep % 4 == 1 || rep % 4 == 3 {
+                            rec.push(base);
+                        }
+                        if rep % 4 >= 2 {
+                            rec.push(base + span + 5);
+                        }
+                        rec.sort_unstable();
+                        rec.dedup();
+                    }
+                    let heads: Vec<Vec<LocalId>> = (0..4)
+                        .map(|h| {
+                            let mut b = dense(lb, &mut rng);
+                            match (h, rep) {
+                                // equal last elements
+                                (1, _) => {
+                                    if let (Some(&x), Some(y)) = (a.last(), b.last_mut()) {
+                                        *y = x;
+                                        b.sort_unstable();
+                                        b.dedup();
+                                    }
+                                }
+                                // disjoint, b above a or below it
+                                (2, 4) => b.retain(|&y| a.last().is_none_or(|&x| y > x)),
+                                (2, 5) => b.retain(|&y| a.first().is_none_or(|&x| y < x)),
+                                _ => {}
+                            }
+                            b
+                        })
+                        .collect();
+                    let at = |what: &str, b: &[LocalId]| {
+                        format!("{what} case {case} |a| {la} |b| {} rep {rep}", b.len())
+                    };
+
+                    // a local pass's source: dense ids on both sides
+                    let mut src = marker.source(Dense, &a);
+                    for b in &heads {
+                        let expect = d.count(&global(&a), None, &global(b), None);
+                        assert_eq!(src.count(b), expect, "{}", at("local count", b));
+                        want.clear();
+                        d.collect(&global(&a), &global(b), &mut want);
+                        out.clear();
+                        src.collect(b, &mut out);
+                        assert_eq!(global(&out), want, "{}", at("local collect", b));
+                    }
+                    drop(src);
+                    assert_eq!(marker.counters(), d.counters(), "local tally, case {case}");
+
+                    // the receiver's source: the global record
+                    let mut src = marker.source(&ids, &rec);
+                    for b in &heads {
+                        let expect = d.count(&rec, None, &global(b), None);
+                        assert_eq!(src.count(b), expect, "{}", at("received count", b));
+                        want.clear();
+                        let ops = d.collect(&rec, &global(b), &mut want);
+                        out.clear();
+                        assert_eq!(src.collect(b, &mut out), ops, "{}", at("received ops", b));
+                        assert_eq!(global(&out), want, "{}", at("received collect", b));
+                    }
+                    drop(src);
+                    assert_eq!(
+                        marker.counters(),
+                        d.counters(),
+                        "received tally, case {case}"
+                    );
+                }
+            }
+            let c = marker.counters();
+            assert!(
+                c.merge > 0 && c.gallop > 0 && c.binary > 0,
+                "every pick ran: {c:?}"
+            );
         }
     }
 

@@ -25,8 +25,12 @@
 //!   a size-ratio cost model, plus degree-aware chunk planning for intra-PE
 //!   parallel counting.
 //!
-//! Vertex ids are global `u64` machine words throughout, matching the
-//! machine-word based communication-volume accounting of the paper.
+//! Vertex ids are global `u64` machine words, matching the machine-word
+//! based communication-volume accounting of the paper, wherever they cross
+//! a PE boundary. Inside a PE the oriented and contracted graphs number
+//! the vertices they can see densely ([`dist::DenseIds`], `u32`), so a
+//! head lookup is an array index and a [`kernels::Marker`] flag array
+//! stays `O(|E_i|)`; the kernels are generic over both id types.
 
 #![warn(missing_docs)]
 
@@ -42,7 +46,7 @@ pub mod partition;
 pub mod stats;
 
 pub use csr::Csr;
-pub use dist::{DistGraph, GhostInfo, LocalGraph};
+pub use dist::{DenseIds, DistGraph, GhostInfo, LocalGraph, LocalId};
 pub use edgelist::EdgeList;
 pub use ordering::{OrdKey, OrderingKind};
 pub use partition::Partition;

@@ -125,24 +125,22 @@ fn contracted_neighborhoods_are_exactly_oriented_cut_edges() {
     for r in 0..4 {
         let o = dg.local(r).orient(OrderingKind::Degree, true);
         let c = o.contracted();
+        let ids = o.ids();
         // every contracted entry is a cut edge oriented outward
         let range = dg.partition().range(r);
         for (v, a) in c.nonempty() {
+            let v = ids.global_of(v);
             assert!(range.contains(&v));
             for &u in a {
+                let u = ids.global_of(u);
                 assert!(!range.contains(&u), "contracted entry ({v},{u}) not cut");
                 assert!(g.has_edge(v, u), "contracted entry not an edge");
             }
         }
         // and their count matches the oriented cut edges of the local graph
-        let oriented_cut: u64 = range
-            .clone()
-            .map(|v| {
-                o.a_owned(v)
-                    .iter()
-                    .filter(|&&u| !range.contains(&u))
-                    .count() as u64
-            })
+        let oriented_cut: u64 = ids
+            .owned()
+            .map(|v| o.a(v).iter().filter(|&&u| !ids.is_owned(u)).count() as u64)
             .sum();
         assert_eq!(c.num_entries(), oriented_cut);
     }
