@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the hot kernels: the set-intersection variants
 //! (§III / §III-C), sequential counting, the oriented preprocessing, the
-//! Bloom filters of the approximate extension, and the simulated
-//! distributed pipeline end to end.
+//! Bloom filters of the approximate extension, the local pass's
+//! intersection loop per metered op, and the simulated distributed
+//! pipeline end to end.
 //!
 //! A plain self-timing harness (median of repeated batches over a
 //! monotonic clock) — the workspace builds offline, so there is no
@@ -265,6 +266,53 @@ fn bench_bloom(reps: usize, rows: &mut Vec<Row>, report: &mut BenchReport) {
     });
 }
 
+/// The local pass's intersection loop in wall nanoseconds per metered op:
+/// `count_local` on each rank of a graph partitioned over p = 2 — CETRIC's
+/// expanded graph on RGG2D, DITRIC's plain orientation on R-MAT — one rank
+/// at a time in a one-PE runtime, with orientation and ghost degrees built
+/// outside the timer. A row is the summed median rank times over the summed
+/// ops, so it weighs the ranks by their work.
+fn bench_local_pass(scale: Scale, reps: usize, rows: &mut Vec<Row>, report: &mut BenchReport) {
+    use cetric::comm::{run_sim, SimOptions};
+    use cetric::core::dist::count_local;
+    use cetric::graph::kernels::KernelPolicy;
+    use cetric::graph::DistGraph;
+
+    let s = 13 + scale.shift();
+    let fixtures = [
+        ("rgg2d", cetric::gen::rgg2d_default(1 << (s + 1), 5), true),
+        ("rmat", cetric::gen::rmat_default(s, 5), false),
+    ];
+    for (name, g, expand) in fixtures {
+        let mut dg = DistGraph::new(&g, 2);
+        dg.fill_ghost_degrees_centrally();
+        let (mut seconds, mut ops) = (0.0, 0u64);
+        for r in 0..2 {
+            let o = dg.local(r).orient(OrderingKind::Degree, expand);
+            let (t, work) = run_sim(1, &SimOptions::default(), |ctx| {
+                let before = ctx.counters().work_ops;
+                count_local(ctx, &o, KernelPolicy::default());
+                let work = ctx.counters().work_ops - before;
+                let t = time_per_call(reps.max(5), 1, || {
+                    count_local(ctx, &o, KernelPolicy::default())
+                });
+                (t, work)
+            })
+            .output
+            .results[0];
+            seconds += t;
+            ops += work;
+        }
+        let ns = seconds * 1e9 / ops as f64;
+        let label = format!("local_pass/{name}/ns_per_op");
+        report.push_raw(&label, &tricount_bench::report::format_f64(ns));
+        rows.push(Row {
+            label,
+            cells: vec![format!("{ns:.2} ns/op")],
+        });
+    }
+}
+
 fn bench_distributed_end_to_end(rows: &mut Vec<Row>, report: &mut BenchReport) {
     // wall-clock of the whole simulated pipeline (not the modeled time):
     // useful to track regressions of the simulator itself
@@ -298,6 +346,7 @@ fn main() {
     bench_sequential_counting(reps, &mut rows, &mut report);
     bench_preprocessing(reps, &mut rows, &mut report);
     bench_bloom(reps, &mut rows, &mut report);
+    bench_local_pass(scale, reps, &mut rows, &mut report);
     bench_distributed_end_to_end(&mut rows, &mut report);
     print_table(
         "kernel micro-benchmarks (median wall time)",

@@ -52,6 +52,7 @@ const MEASURED_TIME_MARKERS: &[&str] = &[
     "amq/",
     "kernel_matrix/",
     "dist_e2e/",
+    "local_pass/",
 ];
 
 /// Classifies a flattened metric key by naming convention.
@@ -541,6 +542,10 @@ mod tests {
         );
         assert_eq!(
             classify("seq/compact_forward/rmat12"),
+            KeyClass::LowerIsBetter
+        );
+        assert_eq!(
+            classify("local_pass/rmat/ns_per_op"),
             KeyClass::LowerIsBetter
         );
         assert_eq!(
