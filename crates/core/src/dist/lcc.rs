@@ -17,12 +17,13 @@
 //! ([`crate::dist::enumerate`]) runs the same body with a different sink.
 //! The local pass is chunked on the `par` pool when
 //! `cfg.kernels.pool_workers > 1`, each chunk accumulating its own `Δ`
-//! vector which are summed element-wise in canonical chunk order (u64
-//! addition — bit-identical to sequential). Triangles are listed and
+//! vector; the vectors are summed element-wise in canonical chunk order
+//! (u64 addition — bit-identical to sequential). Triangles are listed and
 //! counted by dense id ([`tricount_graph::dist::DenseIds`]).
 
 use tricount_comm::{Ctx, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalId};
+use tricount_graph::kernels::Dense;
 use tricount_graph::Csr;
 
 use crate::config::DistConfig;
@@ -31,7 +32,6 @@ use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
 use crate::dist::{global_pass, local_pass, run_ranks};
 use crate::result::LccResult;
-use tricount_graph::kernels::Dense;
 
 /// Per-rank Δ accumulator: one counter per dense id, owned and ghost.
 struct DeltaAcc(Vec<u64>);

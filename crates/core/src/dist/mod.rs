@@ -236,8 +236,9 @@ pub fn count_local(
 /// heads, skipping the heads this PE owns; records travel in global ids,
 /// translated as they are built. The receiver makes the record's `A(v)` a
 /// [`Marker`] source once and calls `visit(v, u, source, A(u))` for each
-/// head `u` it owns, with `A(u)` from `head`. `visit` returns the
-/// intersection's kernel ops and each visit meters `ops + 1`.
+/// head it owns — `v` as its global id, the head `u` as its dense id —
+/// with `A(u)` from `head`. `visit` returns the intersection's kernel ops
+/// and each visit meters `ops + 1`.
 ///
 /// With `cfg.dedup` (the surrogate deduplication of Arifuzzaman et al.)
 /// `A(v)` travels at most once per destination PE as `[v, A(v)…]` and the

@@ -407,7 +407,7 @@ impl std::error::Error for DenseIdOverflow {}
 
 /// The dense id count of a PE that sees `seen` vertices, or the error that
 /// names the PE and the count when they do not fit a [`LocalId`].
-pub fn dense_id_count(rank: usize, seen: u64) -> Result<LocalId, DenseIdOverflow> {
+fn dense_id_count(rank: usize, seen: u64) -> Result<LocalId, DenseIdOverflow> {
     LocalId::try_from(seen).map_err(|_| DenseIdOverflow { rank, seen })
 }
 
@@ -467,7 +467,7 @@ impl DenseIds {
 
     /// Index in the sorted ghost ids of the ghost with dense id `l`.
     #[inline]
-    pub fn ghost_index(&self, l: LocalId) -> usize {
+    fn ghost_index(&self, l: LocalId) -> usize {
         debug_assert!(!self.is_owned(l));
         if l < self.below {
             l as usize
@@ -512,7 +512,7 @@ impl DenseIds {
     /// first ghost search bisects all ghosts; each later one gallops on
     /// from where the last one ended, so a long list costs about
     /// `log(g / |list|)` steps per element, not `log g`.
-    pub fn translate(&self, list: &[VertexId], out: &mut Vec<LocalId>) {
+    pub(crate) fn translate(&self, list: &[VertexId], out: &mut Vec<LocalId>) {
         let mut from = 0usize;
         for &x in list {
             if self.owned.contains(&x) {
