@@ -145,11 +145,11 @@ impl Dispatcher {
     /// Count the intersection of two sorted lists, returning `(count, ops)`.
     /// The two key arguments are ignored compatibility arguments.
     #[inline]
-    pub fn count<T: Copy + Ord>(
+    pub fn count(
         &mut self,
-        a: &[T],
+        a: &[VertexId],
         _a_key: Option<VertexId>,
-        b: &[T],
+        b: &[VertexId],
         _b_key: Option<VertexId>,
     ) -> (u64, u64) {
         if a.is_empty() || b.is_empty() {
@@ -169,7 +169,7 @@ impl Dispatcher {
     /// Collect the intersection of two sorted lists into `out`, returning
     /// the op count. Output order is ascending for every kernel.
     #[inline]
-    pub fn collect<T: Copy + Ord + Default>(&mut self, a: &[T], b: &[T], out: &mut Vec<T>) -> u64 {
+    pub fn collect(&mut self, a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) -> u64 {
         if a.is_empty() || b.is_empty() {
             return 0;
         }
