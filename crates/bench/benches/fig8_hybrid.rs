@@ -31,7 +31,7 @@ fn main() {
         // `hybrid::count_hybrid` on the paper's ID partition
         let out = run_ranks(
             id_partition(&g, cores / threads),
-            &SimOptions::on(cfg.transport),
+            &SimOptions::default(),
             |ctx, lg| hybrid::run_rank(ctx, lg, &cfg, threads),
         );
         let r = CountResult {

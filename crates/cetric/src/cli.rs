@@ -5,7 +5,7 @@
 
 use std::cell::Cell;
 
-use tricount_comm::{CostModel, Routing, SimOptions, TransportKind};
+use tricount_comm::{CostModel, Routing, SimOptions};
 use tricount_core::dist::{enumerate, lcc};
 use tricount_core::{run_on, seq, Aggregation, Algorithm, DistConfig};
 use tricount_gen::{Dataset, Family};
@@ -71,8 +71,6 @@ pub enum Command {
         p: usize,
         /// How many extreme vertices to print.
         top: usize,
-        /// Data plane carrying the run.
-        transport: TransportKind,
     },
     /// Enumerate triangles.
     Enumerate {
@@ -82,8 +80,6 @@ pub enum Command {
         p: usize,
         /// Print at most this many triples.
         limit: usize,
-        /// Data plane carrying the run.
-        transport: TransportKind,
     },
     /// Print instance statistics.
     Info {
@@ -105,8 +101,6 @@ pub enum Command {
         json: bool,
         /// Write the engine's Prometheus text exposition here after serving.
         metrics_out: Option<String>,
-        /// Data plane carrying the engine's runs.
-        transport: TransportKind,
         /// Serve this many tenants behind one `EngineHost` (1 = plain
         /// single-engine serving).
         tenants: usize,
@@ -128,8 +122,6 @@ pub enum Command {
         batch: String,
         /// Print the machine-readable stats snapshot after applying.
         json: bool,
-        /// Data plane carrying the engine's runs.
-        transport: TransportKind,
     },
     /// Run the concurrency checking suite: happens-before analysis and
     /// protocol conformance of a traced run, exhaustive pool-interleaving
@@ -157,8 +149,8 @@ pub enum Command {
         model: CostModel,
         /// Config overrides.
         config: DistConfig,
-        /// Write a Chrome-trace / Perfetto JSON file here. On the threads
-        /// transport this becomes a dual-clock export (modeled + measured).
+        /// Write a Chrome-trace / Perfetto JSON file here: a dual-clock
+        /// export (modeled + measured).
         chrome_trace: Option<String>,
         /// Print the per-phase modeled/wall breakdown and span summary.
         phase_report: bool,
@@ -260,16 +252,6 @@ fn resolve_calibration(explicit: Option<String>, source: &Source) -> Option<Stri
         }
     }
     None
-}
-
-/// Parses the `--transport` override (absent = [`TransportKind::Sim`]).
-fn parse_transport(s: Option<&str>) -> Result<TransportKind, String> {
-    match s {
-        None => Ok(TransportKind::Sim),
-        Some(t) => {
-            TransportKind::parse(t).ok_or_else(|| format!("unknown transport {t:?} (sim|threads)"))
-        }
-    }
 }
 
 fn parse_algorithm(s: &str) -> Result<Option<Algorithm>, String> {
@@ -423,7 +405,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 };
             }
             apply_pool_workers(&mut config, get("pool-workers"))?;
-            config.transport = parse_transport(get("transport"))?;
             let model = match get("model").unwrap_or("supermuc") {
                 "supermuc" => CostModel::supermuc(),
                 "cloud" => CostModel::cloud(),
@@ -442,13 +423,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             source,
             p,
             top: parse_u64("top", 10)? as usize,
-            transport: parse_transport(get("transport"))?,
         }),
         "enumerate" => Ok(Command::Enumerate {
             source,
             p,
             limit: parse_u64("limit", 20)? as usize,
-            transport: parse_transport(get("transport"))?,
         }),
         "info" => Ok(Command::Info { source }),
         "serve" => Ok(Command::Serve {
@@ -458,7 +437,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             seed: parse_u64("workload-seed", 42)?,
             json: get("json").is_some_and(|v| v == "true" || v == "1"),
             metrics_out: get("metrics-out").map(|v| v.to_string()),
-            transport: parse_transport(get("transport"))?,
             tenants: (parse_u64("tenants", 1)? as usize).max(1),
             updates: parse_u64("updates", 0)? as usize,
             host_workers: (parse_u64("host-workers", 2)? as usize).max(1),
@@ -470,7 +448,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .ok_or("update needs --batch FILE (`+ u v` / `- u v` lines)")?
                 .to_string(),
             json: get("json").is_some_and(|v| v == "true" || v == "1"),
-            transport: parse_transport(get("transport"))?,
         }),
         "check" => {
             let algorithm = parse_algorithm(get("alg").unwrap_or("cetric"))?
@@ -501,7 +478,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 };
             }
             apply_pool_workers(&mut config, get("pool-workers"))?;
-            config.transport = parse_transport(get("transport"))?;
             let model = match get("model").unwrap_or("supermuc") {
                 "supermuc" => CostModel::supermuc(),
                 "cloud" => CostModel::cloud(),
@@ -531,7 +507,7 @@ fn usage() -> String {
     "usage: tricount <generate|count|lcc|enumerate|info|serve|update|profile|check> \
      [--input FILE | --family gnm|rgg2d|rhg|rmat | --dataset NAME] \
      [--n N] [--seed S] [--p P] [--alg A] [--model supermuc|cloud] \
-     [--routing direct|grid] [--delta-factor F] [--transport sim|threads] \
+     [--routing direct|grid] [--delta-factor F] \
      [--pool-workers N] \
      [--top K] [--limit K] \
      [--queries Q] [--workload-seed S] [--batch UPDATES.txt] [--json 1] \
@@ -609,18 +585,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 }
             }
         }
-        Command::Lcc {
-            source,
-            p,
-            top,
-            transport,
-        } => {
+        Command::Lcc { source, p, top } => {
             let g = load_source(&source)?;
-            let cfg = DistConfig {
-                transport,
-                ..DistConfig::default()
-            };
-            let r = lcc::lcc(&g, p, &cfg);
+            let r = lcc::lcc(&g, p, &DistConfig::default());
             println!("triangles: {}", r.triangles);
             let mut by_degree: Vec<u64> = g.vertices().collect();
             by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
@@ -638,18 +605,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 );
             }
         }
-        Command::Enumerate {
-            source,
-            p,
-            limit,
-            transport,
-        } => {
+        Command::Enumerate { source, p, limit } => {
             let g = load_source(&source)?;
-            let cfg = DistConfig {
-                transport,
-                ..DistConfig::default()
-            };
-            let tris = enumerate::enumerate(&g, p, &cfg);
+            let tris = enumerate::enumerate(&g, p, &DistConfig::default());
             println!("{} triangles", tris.len());
             for (a, b, c) in tris.iter().take(limit) {
                 println!("{a} {b} {c}");
@@ -681,7 +639,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             p,
             batch,
             json,
-            transport,
         } => {
             use tricount_delta::parse_batches;
             use tricount_engine::{Engine, EngineConfig};
@@ -691,9 +648,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             if batches.is_empty() {
                 return Err(format!("{batch}: no update operations found"));
             }
-            let mut ecfg = EngineConfig::new(p);
-            ecfg.dist.transport = transport;
-            let engine = Engine::build(&g, ecfg);
+            let engine = Engine::build(&g, EngineConfig::new(p));
             println!(
                 "resident count before updates: {} (epoch {})",
                 engine.resident_triangles(),
@@ -774,11 +729,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             };
             let g = load_source(&source)?;
             let dg = tricount_graph::DistGraph::new(&g, p);
-            // the threads backend has a wall clock worth measuring; the
-            // simulator's schedule is a deterministic fiction
             let opts = SimOptions {
                 record_trace: true,
-                wall_profile: config.transport == TransportKind::Threads,
+                wall_profile: true,
                 ..SimOptions::default()
             };
             let (r, trace, dispatch, wall) =
@@ -860,15 +813,13 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             seed,
             json,
             metrics_out,
-            transport,
             tenants,
             updates,
             host_workers,
         } => {
             use tricount_engine::{scripted_workload, Engine, EngineConfig};
             let g = load_source(&source)?;
-            let mut ecfg = EngineConfig::new(p);
-            ecfg.dist.transport = transport;
+            let ecfg = EngineConfig::new(p);
             if tenants > 1 || updates > 0 {
                 return serve_host(
                     &g,
@@ -1156,7 +1107,6 @@ mod tests {
         assert!(parse(&args("count --family gnm --alg nope")).is_err());
         assert!(parse(&args("generate --input x.txt -o y.txt")).is_err());
         assert!(parse(&args("count --family gnm --model dialup")).is_err());
-        assert!(parse(&args("count --family gnm --transport carrier-pigeon")).is_err());
         assert!(parse(&[]).is_err());
     }
 
@@ -1298,34 +1248,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_transport_override() {
-        let cmd = parse(&args("count --family gnm --transport threads")).unwrap();
-        match cmd {
-            Command::Count { config, .. } => {
-                assert_eq!(config.transport, TransportKind::Threads)
-            }
-            _ => panic!("wrong command"),
-        }
-        // default stays on the simulator
-        let cmd = parse(&args("lcc --family gnm")).unwrap();
-        match cmd {
-            Command::Lcc { transport, .. } => assert_eq!(transport, TransportKind::Sim),
-            _ => panic!("wrong command"),
-        }
-    }
-
-    #[test]
     fn execute_count_on_generated_graph() {
         let cmd = parse(&args("count --family rgg2d --n 512 --p 4 --alg cetric")).unwrap();
         execute(cmd).unwrap();
     }
 
+    /// A grid-routed count at p = 9 on the threads mesh (every count runs
+    /// there).
     #[test]
     fn execute_count_on_threads_transport() {
-        let cmd = parse(&args(
-            "count --family rgg2d --n 512 --p 4 --alg cetric --transport threads",
-        ))
-        .unwrap();
+        let cmd = parse(&args("count --family rmat --n 512 --p 9 --alg ditric2")).unwrap();
         execute(cmd).unwrap();
     }
 
@@ -1440,7 +1372,7 @@ mod tests {
         let trace_path = dir.join("tricount_cli_profile_dual.json");
         let prom_path = dir.join("tricount_cli_profile_dual.prom");
         let cmd = parse(&args(&format!(
-            "profile --family rgg2d --n 512 --p 4 --alg cetric --transport threads \
+            "profile --family rgg2d --n 512 --p 4 --alg cetric \
              --chrome-trace {} --metrics-out {}",
             trace_path.display(),
             prom_path.display()

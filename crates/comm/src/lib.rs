@@ -5,14 +5,15 @@
 //! The paper's machine model (§II-B) is `p` PEs with full-duplex,
 //! single-ported communication where a message of `ℓ` words costs `α + βℓ`.
 //! This crate executes *real* message-passing programs — one thread per PE,
-//! real payloads over channels, results checked against ground truth — while
-//! metering every message, word, and unit of local work, and pricing the
-//! trace with exactly that model ([`CostModel`]).
+//! real payloads over the per-pair queues of the `tricount-net` threads
+//! mesh, results checked against ground truth — while metering every
+//! message, word, and unit of local work, and pricing the trace with
+//! exactly that model ([`CostModel`]).
 //!
 //! Components:
 //! * [`runtime::run_sim`] — spawn `p` PEs, run a rank program, collect
-//!   [`RunStats`]; [`SimOptions`] picks the backend, trace recording,
-//!   schedule perturbation and wall profiling.
+//!   [`RunStats`]; [`SimOptions`] picks trace recording, schedule
+//!   perturbation and wall profiling.
 //! * [`Ctx`] — the communicator: point-to-point sends, polling receives,
 //!   barrier / all-reduce / all-gather / dense all-to-all collectives, work
 //!   metering, phase boundaries.

@@ -10,17 +10,12 @@
 //! paper's algorithms would pay.
 //!
 //! All protocol code talks to the data plane through the
-//! [`tricount_net::Endpoint`] trait; [`SimOptions::transport`]
-//! selects the backend:
-//!
-//! * [`TransportKind::Sim`] (default) — the metered simulator data plane,
-//!   the substrate of the determinism/conformance/model-checking
-//!   harnesses;
-//! * [`TransportKind::Threads`] — a real parallel backend (per-pair SPSC
-//!   queues, spin barrier). The modeled meters keep running unchanged —
-//!   counts and counters match the simulator — while the recorded per-phase
-//!   **wall clock** ([`crate::PhaseStats::wall_per_rank`]) becomes honest
-//!   parallel time instead of simulator overhead.
+//! [`tricount_net::Endpoint`] trait, and every run executes on the one
+//! data plane there is: the thread-per-PE mesh of
+//! [`tricount_net::ThreadsTransport`] (per-pair SPSC queues, spin
+//! barrier). The modeled meters run above it unchanged, and the recorded
+//! per-phase **wall clock** ([`crate::PhaseStats::wall_per_rank`]) is
+//! honest parallel time.
 //!
 //! Through [`SimOptions`] and [`run_guarded`] the runtime also supports the
 //! verification harness of the `tricount-verify` crate:
@@ -41,8 +36,8 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tricount_net::Endpoint;
 pub use tricount_net::TransportKind;
+use tricount_net::{Endpoint, MeshPoison, ThreadsTransport, WallCollector};
 
 use crate::cost::ceil_log2;
 use crate::stats::{Counters, PhaseStats, RunStats};
@@ -139,12 +134,6 @@ pub trait DeliveryPick: Send + Sync {
 /// Options of a run beyond the rank program itself.
 #[derive(Clone, Default)]
 pub struct SimOptions {
-    /// Which data plane carries the run's communication. The default
-    /// [`TransportKind::Sim`] keeps the metered simulator semantics;
-    /// [`TransportKind::Threads`] executes the same protocol in real
-    /// parallel over shared memory (identical counts and comm meters,
-    /// honest wall clock).
-    pub transport: TransportKind,
     /// Record a [`Trace`] (requires the `trace` cargo feature; without it
     /// the returned trace is `None`).
     pub record_trace: bool,
@@ -154,21 +143,19 @@ pub struct SimOptions {
     /// Externally controlled message delivery order (model checking);
     /// overrides `perturb_seed` for delivery decisions when set.
     pub delivery: Option<Arc<dyn DeliveryPick>>,
-    /// Wall-clock profile the transport (threads backend only): per-PE
-    /// event rings and contention meters, drained into
-    /// [`SimOutput::wall`] and summarised on [`RunStats::contention`].
-    /// Strictly observational — the modeled meters are bit-identical with
-    /// this on or off. No effect on the sim backend.
+    /// Wall-clock profile the transport: per-PE event rings and
+    /// contention meters, drained into [`SimOutput::wall`] and summarised
+    /// on [`RunStats::contention`]. Strictly observational — the modeled
+    /// meters are bit-identical with this on or off.
     pub wall_profile: bool,
     /// Per-PE event-ring capacity for `wall_profile` runs; 0 selects the
-    /// backend default. Overflow degrades to a counted drop.
+    /// transport default. Overflow degrades to a counted drop.
     pub wall_ring_capacity: usize,
 }
 
 impl std::fmt::Debug for SimOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimOptions")
-            .field("transport", &self.transport)
             .field("record_trace", &self.record_trace)
             .field("perturb_seed", &self.perturb_seed)
             .field("delivery", &self.delivery.as_ref().map(|_| "<hook>"))
@@ -195,18 +182,16 @@ impl SimOptions {
         }
     }
 
-    /// Options running on the given transport backend.
-    pub fn on(transport: TransportKind) -> Self {
-        SimOptions {
-            transport,
-            ..SimOptions::default()
-        }
+    /// Inert: the default options. The threads mesh is the only data plane
+    /// ([`TransportKind`]); the name is kept only because the frozen
+    /// benchmark driver calls it.
+    pub fn on(_transport: TransportKind) -> Self {
+        SimOptions::default()
     }
 
-    /// Options for a wall-profiled threads run.
+    /// Options for a wall-profiled run.
     pub fn wall_profiled() -> Self {
         SimOptions {
-            transport: TransportKind::Threads,
             wall_profile: true,
             ..SimOptions::default()
         }
@@ -228,7 +213,7 @@ fn splitmix(state: &mut u64) -> u64 {
 pub struct Ctx<'s> {
     rank: usize,
     pub(crate) shared: &'s Shared,
-    /// This rank's handle on the data plane (sim or threads backend).
+    /// This rank's handle on the data plane.
     endpoint: Box<dyn Endpoint>,
     counters: Counters,
     phases: Vec<PhaseRecord>,
@@ -273,12 +258,6 @@ impl<'s> Ctx<'s> {
     #[inline]
     pub fn num_ranks(&self) -> usize {
         self.shared.p
-    }
-
-    /// Which transport backend carries this run's communication.
-    #[inline]
-    pub fn transport(&self) -> TransportKind {
-        self.endpoint.kind()
     }
 
     /// Read access to the running counters.
@@ -845,26 +824,37 @@ fn assemble<R>(
     }
 }
 
-/// The per-PE endpoints of `opts.transport` for `p` PEs, plus the wall
-/// collector when `opts.wall_profile` is on.
+/// The per-PE endpoints of a fresh mesh for `p` PEs, the wall collector
+/// when `opts.wall_profile` is on, and the handle that poisons the mesh.
 #[allow(clippy::type_complexity)]
 fn endpoints_for(
     p: usize,
     opts: &SimOptions,
 ) -> (
     Vec<Box<dyn Endpoint>>,
-    Option<Arc<tricount_net::WallCollector>>,
+    Option<Arc<WallCollector>>,
+    MeshPoison,
 ) {
-    assert!(p > 0, "need at least one PE");
-    if opts.wall_profile {
-        tricount_net::endpoints_profiled(opts.transport, p, opts.wall_ring_capacity)
+    let (endpoints, collector) = if opts.wall_profile {
+        let (eps, coll) = ThreadsTransport::endpoints_profiled(p, opts.wall_ring_capacity);
+        (eps, Some(coll))
     } else {
-        (tricount_net::endpoints(opts.transport, p), None)
-    }
+        (ThreadsTransport::endpoints(p), None)
+    };
+    let poison = endpoints[0].mesh_poison();
+    // Boxed on purpose: called through the trait object, the endpoint stays
+    // out of line in the queue's poll loops. Holding `ThreadsEndpoint`
+    // directly lets it inline there, and `count_s` on the comm-heavy R-MAT
+    // workload read 9 % slower (6 runs each, 2-core x86-64).
+    let endpoints = endpoints
+        .into_iter()
+        .map(|ep| Box::new(ep) as Box<dyn Endpoint>)
+        .collect();
+    (endpoints, collector, poison)
 }
 
-/// Runs `f` on `p` PEs under the given [`SimOptions`] (transport backend,
-/// trace recording, schedule perturbation).
+/// Runs `f` on `p` PEs under the given [`SimOptions`] (trace recording,
+/// schedule perturbation, wall profile).
 ///
 /// `f` is called once per rank with that rank's [`Ctx`]; any un-phased
 /// trailing activity is recorded as a final `"rest"` phase.
@@ -873,7 +863,7 @@ where
     R: Send,
     F: Fn(&mut Ctx) -> R + Send + Sync,
 {
-    let (endpoints, collector) = endpoints_for(p, opts);
+    let (endpoints, collector, _) = endpoints_for(p, opts);
     let shared = make_shared(p);
     let mut outcomes: Vec<RankOutcome<R>> = Vec::with_capacity(p);
     std::thread::scope(|scope| {
@@ -904,7 +894,7 @@ where
     });
     // Every rank thread is joined: the endpoints have dropped and each PE's
     // wall log (if profiling) has been deposited.
-    let wall = collector.map(tricount_net::WallCollector::drain);
+    let wall = collector.map(WallCollector::drain);
     assemble(p, outcomes, opts.record_trace, wall)
 }
 
@@ -1029,8 +1019,9 @@ fn snapshot(shared: &Shared, done: &[bool]) -> (Vec<PeSnapshot>, Vec<(usize, usi
 /// dumping per-PE state is returned instead of hanging forever.
 ///
 /// The rank program must be `'static` because stuck rank threads cannot be
-/// joined — on a diagnosed deadlock they are leaked (acceptable in a test
-/// harness; the owning process exits soon after). Pick `timeout` larger than
+/// joined. On a diagnosis the watchdog poisons the run's mesh and returns
+/// without them: each abandoned rank panics at its next barrier, send or
+/// receive and unwinds, so none is left spinning. Pick `timeout` larger than
 /// the longest stretch of purely local computation in the rank program:
 /// local work metered through [`Ctx::add_work`] counts as progress, unmetered
 /// busy loops do not.
@@ -1044,7 +1035,7 @@ where
     R: Send + 'static,
     F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
 {
-    let (endpoints, collector) = endpoints_for(p, opts);
+    let (endpoints, collector, poison) = endpoints_for(p, opts);
     let shared = Arc::new(make_shared(p));
     let f = Arc::new(f);
     let opts_copy = opts.clone();
@@ -1085,7 +1076,7 @@ where
                     // returned, i.e. after its endpoint dropped and (if
                     // profiling) deposited its wall log.
                     let outcomes: Vec<RankOutcome<R>> = slots.into_iter().flatten().collect();
-                    let wall = collector.map(tricount_net::WallCollector::drain);
+                    let wall = collector.map(WallCollector::drain);
                     return Ok(assemble(p, outcomes, opts.record_trace, wall));
                 }
             }
@@ -1104,12 +1095,16 @@ where
             last_change = Instant::now();
         } else if last_change.elapsed() >= timeout {
             let (pes, wait_edges) = snapshot(&shared, &done);
-            return Err(Box::new(DeadlockReport {
+            let report = DeadlockReport {
                 stalled_for: last_change.elapsed(),
                 pes,
                 wait_edges,
                 pool_workers: tricount_par::probe::snapshot_live(),
-            }));
+            };
+            // Release the abandoned ranks: each unwinds at its next
+            // barrier, send or receive instead of spinning forever.
+            poison.poison();
+            return Err(Box::new(report));
         }
     }
 }
@@ -1400,7 +1395,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_backend_matches_sim_on_collectives_and_p2p() {
+    fn collectives_and_p2p_meters_are_exact() {
         let body = |ctx: &mut Ctx| {
             let p = ctx.num_ranks();
             for d in 0..p {
@@ -1425,13 +1420,30 @@ mod tests {
             ctx.end_phase("coll");
             (red, aa.len() as u64)
         };
-        let sim = run_sim(4, &SimOptions::default(), body);
-        let thr = run_sim(4, &SimOptions::on(TransportKind::Threads), body);
-        assert_eq!(sim.output.results, thr.output.results);
-        // phase-by-phase, rank-by-rank: identical meters on both backends
-        for (ps, pt) in sim.output.stats.phases.iter().zip(&thr.output.stats.phases) {
-            assert_eq!(ps.name, pt.name);
-            assert_eq!(ps.per_rank, pt.per_rank);
+        let plain = run_sim(4, &SimOptions::default(), body).output;
+        // each rank sums the other three ids: Σ_r (6 − r) = 18
+        assert_eq!(plain.results, vec![(18, 4); 4]);
+        let names: Vec<&str> = plain
+            .stats
+            .phases
+            .iter()
+            .map(|ph| ph.name.as_str())
+            .collect();
+        assert_eq!(names, ["p2p", "coll"]);
+        for c in &plain.stats.phases[0].per_rank {
+            assert_eq!((c.sent_messages, c.sent_words), (3, 6));
+            assert_eq!((c.recv_messages, c.recv_words), (3, 6));
+            assert_eq!(c.work_ops, 5);
+        }
+        for c in &plain.stats.phases[1].per_rank {
+            assert_eq!((c.sent_messages, c.sent_words), (3, 3));
+            assert_eq!((c.recv_messages, c.recv_words), (3, 3));
+        }
+        // the meters are a function of the protocol, not of the schedule
+        let perturbed = run_sim(4, &SimOptions::perturbed(7), body).output;
+        assert_eq!(perturbed.results, plain.results);
+        for (a, b) in plain.stats.phases.iter().zip(&perturbed.stats.phases) {
+            assert_eq!(a.per_rank, b.per_rank, "phase {}", a.name);
         }
     }
 
@@ -1441,7 +1453,7 @@ mod tests {
         // release every sibling so the scope joins and re-raises (a hang
         // here would trip the test harness timeout, not pass).
         let result = std::panic::catch_unwind(|| {
-            run_sim(4, &SimOptions::on(TransportKind::Threads), |ctx| {
+            run_sim(4, &SimOptions::default(), |ctx| {
                 if ctx.rank() == 2 {
                     panic!("rank 2 dies");
                 }
@@ -1453,7 +1465,7 @@ mod tests {
 
     #[test]
     fn threads_backend_records_wall_time() {
-        let out = run_sim(2, &SimOptions::on(TransportKind::Threads), |ctx| {
+        let out = run_sim(2, &SimOptions::default(), |ctx| {
             ctx.add_work(1000);
             ctx.end_phase("work");
         });
@@ -1477,18 +1489,45 @@ mod tests {
 
     #[test]
     fn guarded_run_reports_stalled_collective() {
-        // rank 0 skips the barrier and exits; 1..3 wait forever
+        /// Reports a rank closure finished, by return or by unwind.
+        struct Finished(mpsc::Sender<usize>);
+        impl Drop for Finished {
+            fn drop(&mut self) {
+                let _ = self.0.send(1);
+            }
+        }
+        let (finished_tx, finished_rx) = mpsc::channel();
+        // rank 0 skips both barriers and exits: its end-of-run barrier
+        // releases the others' first one, and 1..3 wait forever in the
+        // second, inside the rank closure
         let report = run_guarded(
             4,
             &SimOptions::default(),
             Duration::from_millis(200),
-            |ctx: &mut Ctx| {
+            move |ctx: &mut Ctx| {
+                let _guard = Finished(finished_tx.clone());
                 if ctx.rank() != 0 {
+                    ctx.barrier();
                     ctx.barrier();
                 }
             },
         )
         .expect_err("must diagnose the deadlock");
+        // the watchdog poisoned the mesh: the three abandoned ranks unwind
+        // out of the barrier instead of spinning on
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut finished = 0;
+        while finished < 4 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match finished_rx.recv_timeout(left) {
+                Ok(n) => finished += n,
+                Err(_) => break,
+            }
+        }
+        assert_eq!(
+            finished, 4,
+            "abandoned ranks still running 2 s after the diagnosis"
+        );
         assert_eq!(report.pes.len(), 4);
         assert!(report.pes[0].done);
         for pe in &report.pes[1..] {

@@ -93,10 +93,8 @@ pub struct PhaseStats {
     pub per_rank: Vec<Counters>,
     /// Measured wall-clock seconds each PE spent in the phase, indexed by
     /// rank. Deliberately *not* part of [`Counters`]: counters are the
-    /// deterministic modeled record (bit-compared across backends and
-    /// schedules), while wall time is a property of the host machine. On
-    /// the simulator backend this is simulator overhead; on the threads
-    /// backend it is honest parallel execution time.
+    /// deterministic modeled record (bit-compared across schedules), while
+    /// wall time is honest parallel execution time on the host machine.
     pub wall_per_rank: Vec<f64>,
 }
 
@@ -187,8 +185,7 @@ impl RunStats {
     /// Measured wall-clock running time: the sum over phases of the slowest
     /// PE's wall seconds. The honest-parallel counterpart of
     /// [`RunStats::modeled_time`] — compare the two to see how far the
-    /// machine model is from this host's reality (threads backend), or what
-    /// the simulator's bookkeeping overhead is (sim backend).
+    /// machine model is from this host's reality.
     pub fn wall_time(&self) -> f64 {
         self.phases.iter().map(|ph| ph.max_wall()).sum()
     }

@@ -3,6 +3,11 @@
 //! The paper evaluates five of its own variants plus two competitors; all
 //! are expressible as settings of [`DistConfig`] (plus the contraction that
 //! distinguishes CETRIC from DITRIC, selected via [`Algorithm`]).
+//!
+//! The data plane is not a setting: every run executes on the thread-per-PE
+//! mesh of `tricount-net`, the one the benchmark measures, and
+//! [`DistConfig::transport`] is an inert field kept for the frozen
+//! benchmark driver.
 
 use tricount_comm::{Routing, TransportKind};
 use tricount_graph::kernels::KernelPolicy;
@@ -69,12 +74,9 @@ pub struct DistConfig {
     /// Intra-PE parallelism policy of the counting loops (chunked local
     /// pass on a worker pool).
     pub kernels: KernelPolicy,
-    /// Which data plane carries the run's communication:
-    /// [`TransportKind::Sim`] (default) is the metered simulator,
-    /// [`TransportKind::Threads`] executes the same protocol in real
-    /// parallel over shared memory. Counts and comm meters are identical on
-    /// both; the threads backend additionally yields honest per-phase wall
-    /// clock. Explicit `SimOptions.transport` overrides this field.
+    /// Inert: every run executes on the threads mesh, the one data plane
+    /// ([`TransportKind`]). The field is kept only because the frozen
+    /// benchmark driver sets it.
     pub transport: TransportKind,
 }
 
@@ -89,7 +91,7 @@ impl Default for DistConfig {
             delegate_threshold: None,
             memory_limit_words: None,
             kernels: KernelPolicy::default(),
-            transport: TransportKind::Sim,
+            transport: TransportKind::Threads,
         }
     }
 }

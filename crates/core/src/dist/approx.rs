@@ -200,7 +200,7 @@ pub fn approx_prepared(
 /// count.
 pub fn approx(g: &Csr, p: usize, cfg: &DistConfig, acfg: &ApproxConfig) -> ApproxResult {
     let dg = DistGraph::new(g, p);
-    let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
+    let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
         let prep = prepare_rank(ctx, lg, cfg);
         approx_prepared(ctx, &prep, cfg, acfg)
     });

@@ -40,9 +40,7 @@ pub(crate) fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> Vec<T
 /// the sorted, duplicate-free list of id-sorted triples.
 pub fn enumerate(g: &Csr, p: usize, cfg: &DistConfig) -> Vec<Triangle> {
     let dg = DistGraph::new(g, p);
-    let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
-        run_rank(ctx, lg, cfg)
-    });
+    let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| run_rank(ctx, lg, cfg));
     let mut all: Vec<Triangle> = out.output.results.into_iter().flatten().collect();
     all.sort_unstable();
     debug_assert!(

@@ -89,7 +89,7 @@ pub fn count_hybrid(
     );
     let p = cores / threads;
     let dg = DistGraph::new(g, p);
-    let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
+    let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
         run_rank(ctx, lg, cfg, threads)
     });
     CountResult {

@@ -190,7 +190,7 @@ pub fn normalize_lcc(per_vertex: &[u64], degrees: &[u64]) -> Vec<f64> {
 pub fn lcc(g: &Csr, p: usize, cfg: &DistConfig) -> LccResult {
     let degrees = g.degrees();
     let dg = DistGraph::new(g, p);
-    let out = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
+    let out = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
         let prep = prepare_rank(ctx, lg, cfg);
         lcc_prepared(ctx, &prep, cfg).0
     });

@@ -22,8 +22,7 @@ mod tests;
 use std::sync::Mutex;
 
 use tricount_comm::{
-    run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions, SimOutput, Trace, TransportKind,
-    WallProfile,
+    run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions, SimOutput, Trace, WallProfile,
 };
 use tricount_graph::dist::{DenseIds, DistGraph, LocalGraph, LocalId, OrientedLocalGraph};
 use tricount_graph::kernels::{
@@ -399,9 +398,7 @@ where
 /// the count with its statistics, the trace (when `opts.record_trace` and
 /// `tricount-comm`'s `trace` feature are on), every rank's kernel-dispatch
 /// tallies folded in rank order, and the wall profile (when
-/// `opts.wall_profile` is on a threads run). A non-default `opts.transport`
-/// wins over [`DistConfig::transport`], through which the CLI and the
-/// engine plumb `--transport`.
+/// `opts.wall_profile` is on).
 #[allow(clippy::type_complexity)]
 pub fn run_on_profiled(
     dg: DistGraph,
@@ -417,11 +414,7 @@ pub fn run_on_profiled(
     ),
     DistError,
 > {
-    let mut opts = opts.clone();
-    if opts.transport == TransportKind::Sim {
-        opts.transport = cfg.transport;
-    }
-    let sim = run_ranks(dg, &opts, |ctx, lg| count_rank(ctx, lg, alg, cfg));
+    let sim = run_ranks(dg, opts, |ctx, lg| count_rank(ctx, lg, alg, cfg));
     let (triangles, report) = fold_counts(sim.output.results)?;
     let result = CountResult {
         triangles,
@@ -432,8 +425,8 @@ pub fn run_on_profiled(
 
 /// [`run_on_profiled`] projected onto the count and the trace: the entry
 /// point of the CLI drivers and the `tricount-verify` conformance,
-/// determinism and transport-equivalence harnesses. Timing, tracing,
-/// schedule perturbation and the backend are all [`SimOptions`] fields.
+/// determinism and transport harnesses. Tracing, schedule perturbation and
+/// the wall profile are all [`SimOptions`] fields.
 pub fn run_on(
     dg: DistGraph,
     alg: Algorithm,

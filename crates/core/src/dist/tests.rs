@@ -73,7 +73,7 @@ fn gnm_all_algorithms_various_p() {
 #[test]
 fn rmat_skewed_all_algorithms() {
     let g = rmat_default(9, 7); // 512 vertices, hubs
-    check_all_algorithms(&g, &[4, 7]);
+    check_all_algorithms(&g, &[4, 7, 16]);
 }
 
 #[test]
@@ -241,6 +241,7 @@ fn lcc_matches_sequential() {
         (gnm(150, 900, 3), 4usize),
         (rmat_default(8, 9), 5),
         (rgg2d_default(300, 2), 3),
+        (rmat_default(8, 11), 16),
     ] {
         let truth_delta = seq::per_vertex_counts(&g, OrderingKind::Degree);
         let truth_lcc = seq::local_clustering_coefficients(&g, OrderingKind::Degree);
@@ -482,7 +483,7 @@ fn enumeration_runs_the_lcc_body() {
     for (g, p) in [(rmat_default(8, 9), 5usize), (rgg2d_default(300, 2), 3)] {
         let l = lcc::lcc(&g, p, &cfg);
         let dg = DistGraph::new(&g, p);
-        let e = run_ranks(dg, &SimOptions::on(cfg.transport), |ctx, lg| {
+        let e = run_ranks(dg, &SimOptions::default(), |ctx, lg| {
             enumerate::run_rank(ctx, lg, &cfg)
         });
         for phase in [PREPROCESSING, LOCAL, GLOBAL] {
@@ -541,6 +542,7 @@ fn undeduplicated_contracted_protocols_stay_exact() {
         (gnm(150, 900, 3), 4usize),
         (rmat_default(8, 9), 5),
         (rgg2d_default(300, 2), 3),
+        (rmat_default(8, 11), 16),
     ] {
         let c = count(&g, p, Algorithm::Cetric, &plain).unwrap();
         assert_eq!(c.triangles, seq::compact_forward(&g).triangles, "p={p}");

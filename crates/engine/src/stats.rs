@@ -61,8 +61,6 @@ pub struct AdjacencyWords {
 pub struct EngineStats {
     /// Number of PEs the resident graph is partitioned over.
     pub num_ranks: usize,
-    /// Transport backend carrying the engine's runs ("sim" or "threads").
-    pub transport: &'static str,
     /// Current epoch (bumped by [`advance_epoch`](crate::Engine::advance_epoch)).
     pub epoch: u64,
     /// Queries accepted by [`submit`](crate::Engine::submit).
@@ -137,7 +135,7 @@ pub struct EngineStats {
     /// Sum of wall times over all executed runs.
     pub wall_seconds_total: f64,
     /// Runs (setup, baseline, queries, updates, compactions) that carried
-    /// wall-clock contention meters (0 unless `wall_profile` on threads).
+    /// wall-clock contention meters (0 unless `wall_profile` is on).
     pub profiled_runs: u64,
     /// Summed transport queue lock-wait seconds over profiled runs.
     pub lock_wait_seconds_total: f64,
@@ -193,7 +191,6 @@ impl EngineStats {
         let mut s = String::with_capacity(1024);
         s.push('{');
         push_field(&mut s, "num_ranks", &self.num_ranks.to_string());
-        push_field(&mut s, "transport", &format!("\"{}\"", self.transport));
         push_field(&mut s, "epoch", &self.epoch.to_string());
         push_field(&mut s, "submitted", &self.submitted.to_string());
         push_field(&mut s, "rejected", &self.rejected.to_string());
@@ -387,7 +384,6 @@ mod tests {
     fn json_snapshot_is_wellformed_enough() {
         let stats = EngineStats {
             num_ranks: 4,
-            transport: "sim",
             epoch: 0,
             submitted: 3,
             rejected: 1,
@@ -471,7 +467,7 @@ mod tests {
             !j.contains("adj"),
             "the inert adjacency fields stay out of JSON"
         );
-        assert!(j.contains("\"transport\":\"sim\""));
+        assert!(!j.contains("transport"), "one data plane: no transport key");
         assert!(
             j.contains("\"kernel_dispatch\":{\"local\":{\"merge\":3,\"gallop\":2,\"binary\":1}}")
         );

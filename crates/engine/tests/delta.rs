@@ -291,36 +291,44 @@ fn common_neighbour_fixture(g: &Csr, p: usize) -> (u64, u64, u64) {
 
 /// Support of a cross-rank edge re-queried after an update ships the
 /// post-update `N(a)`: it equals the intersection on the edited graph, and
-/// the resident count equals a freshly built engine's.
+/// the resident count equals a freshly built engine's and the sequential
+/// count of the edited graph — at 4 and 16 PEs.
 #[test]
 fn cross_rank_support_sees_an_inserted_common_neighbour() {
     let g = tricount_gen::rgg2d_default(200, 11);
-    let p = 4;
-    let (a, b, x) = common_neighbour_fixture(&g, p);
-    let support = |e: &Engine| match e
-        .query(Query::EdgeSupport {
-            edges: vec![(a, b)],
-        })
-        .expect("query executes")
-    {
-        QueryAnswer::Support(pairs) => pairs[0].1,
-        other => panic!("expected Support, got {other:?}"),
-    };
-    let mut batch = UpdateBatch::new();
-    batch.insert(a, x);
-    let edited = apply_to_csr(&g, &batch.canonicalize());
-    let before = merge_count(g.neighbors(a), g.neighbors(b)).0;
-    let after = merge_count(edited.neighbors(a), edited.neighbors(b)).0;
-    assert_eq!(after, before + 1, "fixture: x becomes a common neighbour");
+    for p in [4usize, 16] {
+        let (a, b, x) = common_neighbour_fixture(&g, p);
+        let support = |e: &Engine| match e
+            .query(Query::EdgeSupport {
+                edges: vec![(a, b)],
+            })
+            .expect("query executes")
+        {
+            QueryAnswer::Support(pairs) => pairs[0].1,
+            other => panic!("expected Support, got {other:?}"),
+        };
+        let mut batch = UpdateBatch::new();
+        batch.insert(a, x);
+        let edited = apply_to_csr(&g, &batch.canonicalize());
+        let before = merge_count(g.neighbors(a), g.neighbors(b)).0;
+        let after = merge_count(edited.neighbors(a), edited.neighbors(b)).0;
+        assert_eq!(after, before + 1, "fixture: x becomes a common neighbour");
 
-    let e = engine_for(&g, p);
-    assert_eq!(support(&e), before);
-    e.apply_updates(&batch).expect("valid batch");
-    assert_eq!(support(&e), after);
-    assert_eq!(
-        e.resident_triangles(),
-        engine_for(&edited, p).resident_triangles()
-    );
+        let e = engine_for(&g, p);
+        assert_eq!(support(&e), before, "p={p}");
+        e.apply_updates(&batch).expect("valid batch");
+        assert_eq!(support(&e), after, "p={p}");
+        assert_eq!(
+            e.resident_triangles(),
+            seq::compact_forward(&edited).triangles,
+            "p={p}"
+        );
+        assert_eq!(
+            e.resident_triangles(),
+            engine_for(&edited, p).resident_triangles(),
+            "p={p}"
+        );
+    }
 }
 
 /// `EngineConfig::with_cache_budget` is inert: an engine built with it

@@ -5,13 +5,11 @@
 //! pending overlays into the live state and answered *waiting* queries
 //! against the post-update graph), a proptest driving random
 //! submit/update/tick interleavings (global counts, edge support and
-//! vertex LCC) at 1, 4 and 9 PEs over both transports against a serialized
-//! oracle, true cross-thread
-//! reads-during-writes, and the epoch retire-list lifecycle.
+//! vertex LCC) at 1, 4 and 9 PEs against a serialized oracle, true
+//! cross-thread reads-during-writes, and the epoch retire-list lifecycle.
 
 use proptest::prelude::*;
 use std::sync::Mutex;
-use tricount_comm::TransportKind;
 use tricount_core::config::Algorithm;
 use tricount_core::seq;
 use tricount_delta::{apply_to_csr, UpdateBatch};
@@ -335,7 +333,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random submit/update/tick interleavings across epochs, at 1, 4 and
-    /// 9 PEs over both transports: every answer bit-equals the value a
+    /// 9 PEs: every answer bit-equals the value a
     /// fully serialized execution produces on the query's admission-time
     /// graph — for all 7 global variants, edge-support probes and vertex
     /// LCC (the per-vertex oracle on the epoch's graph, so LCC after
@@ -350,16 +348,8 @@ proptest! {
         let g = tricount_gen::gnm(n, n * edge_factor, seed);
         let probe: Vec<(u64, u64)> = vec![(0, n / 2), (1, n - 1), (n / 3, n / 2 + 1)];
         let lcc_probe: Vec<u64> = vec![0, n / 3, n / 2, n - 1];
-        for (p, transport) in [
-            (1usize, TransportKind::Sim),
-            (4, TransportKind::Sim),
-            (9, TransportKind::Sim),
-            (1, TransportKind::Threads),
-            (4, TransportKind::Threads),
-            (9, TransportKind::Threads),
-        ] {
+        for p in [1usize, 4, 9] {
             let mut cfg = EngineConfig::new(p);
-            cfg.dist.transport = transport;
             cfg.batch_max = 4;
             let e = Engine::build(&g, cfg);
             // The serialized oracle: the graph as of each admission.
@@ -394,7 +384,7 @@ proptest! {
                         prop_assert_eq!(
                             r.triangles_after,
                             count_of(&serial),
-                            "receipt tracks the oracle, p {} {:?}", p, transport
+                            "receipt tracks the oracle, p {}", p
                         );
                     }
                     Op::Tick => {
@@ -414,15 +404,15 @@ proptest! {
                     got.push((id, a.expect("valid queries")));
                 }
             }
-            prop_assert_eq!(got.len(), expected.len(), "p {} {:?}", p, transport);
+            prop_assert_eq!(got.len(), expected.len(), "p {}", p);
             got.sort_by_key(|(id, _)| *id);
             expected.sort_by_key(|(id, _)| *id);
             for ((gid, ga), (eid, ea)) in got.iter().zip(&expected) {
-                prop_assert_eq!(gid, eid, "p {} {:?}", p, transport);
+                prop_assert_eq!(gid, eid, "p {}", p);
                 prop_assert_eq!(
                     ga, ea,
-                    "answer {:?} bit-equals serialized execution, p {} {:?}",
-                    gid, p, transport
+                    "answer {:?} bit-equals serialized execution, p {}",
+                    gid, p
                 );
             }
             prop_assert_eq!(e.resident_triangles(), count_of(&serial));

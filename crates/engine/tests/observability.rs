@@ -196,13 +196,10 @@ fn epoch_lifecycle_metrics_round_trip() {
 
 #[test]
 fn wall_profiled_engine_reports_contention() {
-    use tricount_comm::TransportKind;
     let g = tricount_gen::rgg2d_default(128, 3);
 
     // profiling off: nothing is profiled, the snapshot stays silent
-    let mut plain_cfg = EngineConfig::new(2);
-    plain_cfg.dist.transport = TransportKind::Threads;
-    let plain = Engine::build(&g, plain_cfg);
+    let plain = Engine::build(&g, EngineConfig::new(2));
     plain
         .submit(Query::GlobalTriangles {
             algorithm: Algorithm::Cetric,
@@ -216,7 +213,6 @@ fn wall_profiled_engine_reports_contention() {
     // profiling on: setup + baseline + the query run all carry meters,
     // and the modeled counters match the unprofiled engine exactly
     let mut cfg = EngineConfig::new(2);
-    cfg.dist.transport = TransportKind::Threads;
     cfg.wall_profile = true;
     let e = Engine::build(&g, cfg);
     e.submit(Query::GlobalTriangles {

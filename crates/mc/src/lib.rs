@@ -8,11 +8,11 @@
 //!   DFS branch — and walks the schedule tree with iterative preemption
 //!   bounding, asserting bit-identical task results and no deadlock on
 //!   every interleaving.
-//! * [`explore_delivery`] drives the `tricount-comm` simulator through
-//!   message delivery orders via the [`DeliveryPick`] hook, re-running a
-//!   rank program under every reachable per-rank delivery script and
-//!   asserting the same invariants (the comm watchdog supplies deadlock
-//!   diagnosis).
+//! * [`explore_delivery`] drives the `tricount-comm` runtime — on the
+//!   threads mesh every run uses — through message delivery orders via the
+//!   [`DeliveryPick`] hook, re-running a rank program under every reachable
+//!   per-rank delivery script and asserting the same invariants (the comm
+//!   watchdog supplies deadlock diagnosis).
 //!
 //! Both are exhaustive for the small fixtures they are meant for (pool
 //! width 2–3, p ∈ {1, 4}); the bounds in [`ExploreConfig`] keep larger

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use tricount_net::{endpoints, TransportKind};
+use tricount_net::{Endpoint, ThreadsTransport};
 
 /// PE counts swept (capped by available parallelism below).
 const PES: [usize; 4] = [2, 4, 8, 16];
@@ -33,7 +33,7 @@ const REPS: usize = 3;
 fn time_allgather(p: usize, words: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
-        let eps = endpoints(TransportKind::Threads, p);
+        let eps = ThreadsTransport::endpoints(p);
         let elapsed = std::thread::scope(|scope| {
             let handles: Vec<_> = eps
                 .into_iter()

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use tricount_net::{endpoints, Msg, TransportKind};
+use tricount_net::{Endpoint, Msg, ThreadsTransport};
 
 /// Payload sizes swept (machine words). Spans latency-dominated to
 /// bandwidth-dominated messages.
@@ -32,7 +32,7 @@ const REPS: usize = 5;
 fn time_size(words: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
-        let eps = endpoints(TransportKind::Threads, 2);
+        let eps = ThreadsTransport::endpoints(2);
         let elapsed = std::thread::scope(|scope| {
             let mut it = eps.into_iter();
             let mut a = match it.next() {

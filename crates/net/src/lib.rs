@@ -1,42 +1,31 @@
-//! `tricount-net` — the pluggable transport layer under the simulated
-//! runtime of `tricount-comm`.
+//! `tricount-net` — the data plane under the runtime of `tricount-comm`.
 //!
 //! Every distributed protocol in this workspace talks to a per-PE
-//! communicator (`tricount_comm::Ctx`). Historically that communicator was
-//! welded to one data plane: `std::sync::mpsc` channels, a `std::sync`
-//! [`Barrier`](std::sync::Barrier) and a mutex-guarded scratch area for
-//! shared-memory collectives. This crate extracts that data plane behind
-//! the [`Endpoint`] trait so the *same* protocol code runs over different
-//! transports:
-//!
-//! * [`TransportKind::Sim`] — the original metered simulator data plane,
-//!   bit-for-bit unchanged. It remains the substrate of the determinism,
-//!   conformance and model-checking harnesses: delivery hooks
-//!   (perturbation, `DeliveryPick`) and the blocking `Barrier` keep their
-//!   exact semantics.
-//! * [`TransportKind::Threads`] — a real parallel backend: one OS thread
-//!   per PE over shared memory, point-to-point traffic through per-pair
-//!   SPSC queues with an atomic occupancy hint (the poll path touches no
-//!   lock until a message is actually present), a sense-reversing spin
-//!   barrier, and per-slot deposit cells for the collectives. Peer panics
-//!   *poison* the transport so sibling PEs fail fast instead of spinning
-//!   forever — `tricount_comm::run_sim` then joins every thread and
-//!   re-raises the first panic (no leaked PEs), while `run_guarded` turns
-//!   a genuine stall into a watchdog report.
+//! communicator (`tricount_comm::Ctx`), and the communicator talks to one
+//! data plane: the thread-per-PE mesh of [`threads`]. One OS thread per PE
+//! shares memory with its siblings; point-to-point traffic flows through
+//! per-pair SPSC queues with an atomic occupancy hint (the poll path
+//! touches no lock until a message is actually present), barriers are a
+//! sense-reversing spin barrier, and collectives deposit into per-slot
+//! cells. A peer panic *poisons* the mesh so sibling PEs fail fast instead
+//! of spinning forever — `tricount_comm::run_sim` then joins every thread
+//! and re-raises the first panic, and `run_guarded` poisons the mesh
+//! itself when it gives up on a stalled run, so the ranks it abandons
+//! unwind instead of spinning on.
 //!
 //! The modeled α/β/t_op cost meters live *above* this layer (in the
-//! communicator), so both backends produce the same modeled seconds and
-//! comm counters; the threads backend additionally yields honest
+//! communicator), and so do the schedule hooks of the verification and
+//! model-checking harnesses (delivery perturbation and `DeliveryPick`
+//! drain the endpoint into a holding pen). The mesh yields honest
 //! wall-clock per phase, which the runtime records alongside the modeled
 //! time. The probe binaries (`tricount-pingpong`, `tricount-allgather`)
-//! measure the threads backend's real per-message latency and per-word
-//! bandwidth and emit a JSON calibration report whose constants feed
+//! measure its per-message latency and per-word bandwidth and emit a JSON
+//! calibration report whose constants feed
 //! `tricount_comm::CostModel::calibrated`.
 
 #![warn(missing_docs)]
 
 pub mod profile;
-pub mod sim;
 pub mod spin;
 pub mod threads;
 
@@ -44,41 +33,17 @@ pub use profile::{
     ContentionMeters, ContentionSummary, PeWallLog, WallCollector, WallEvent, WallEventKind,
     WallProfile,
 };
-pub use sim::SimTransport;
 pub use spin::SpinBarrier;
-pub use threads::ThreadsTransport;
+pub use threads::{MeshPoison, ThreadsEndpoint, ThreadsTransport};
 
-/// Which data plane carries a run's communication.
+/// Inert: the threads mesh is the only data plane, so there is nothing to
+/// choose. The name is kept only because the frozen benchmark driver
+/// names it (`DistConfig::transport`, `SimOptions::on`, [`endpoints`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransportKind {
-    /// The metered simulator data plane (`std::sync::mpsc` + blocking
-    /// barrier): deterministic substrate for verify/mc; supports delivery
-    /// perturbation and external delivery control.
+    /// Thread-per-PE over shared memory.
     #[default]
-    Sim,
-    /// Thread-per-PE over shared memory: SPSC pair queues, spin barrier,
-    /// wall-clock-faithful parallel execution. Panics poison the transport
-    /// so peers fail fast.
     Threads,
-}
-
-impl TransportKind {
-    /// Stable lowercase name (CLI flag values, JSON reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            TransportKind::Sim => "sim",
-            TransportKind::Threads => "threads",
-        }
-    }
-
-    /// Parses a CLI flag value (`"sim"` / `"threads"`).
-    pub fn parse(s: &str) -> Option<TransportKind> {
-        match s {
-            "sim" => Some(TransportKind::Sim),
-            "threads" => Some(TransportKind::Threads),
-            _ => None,
-        }
-    }
 }
 
 /// A raw point-to-point message: the sending rank and a word payload.
@@ -96,15 +61,15 @@ pub struct Msg {
     /// Payload machine words.
     pub words: Vec<u64>,
     /// Ignored: always `0.0`. Kept only so existing `Msg` literals (the
-    /// frozen benchmark driver builds one) still compile; no backend or
-    /// runtime reads it.
+    /// frozen benchmark driver builds one) still compile; neither the mesh
+    /// nor the runtime reads it.
     pub arrival: f64,
 }
 
 /// One PE's handle on the data plane. Handed to the rank thread that owns
 /// it; all methods are called from that thread only.
 ///
-/// The contract every backend must honour:
+/// The contract the mesh honours:
 ///
 /// * **Per-channel FIFO** — messages from a fixed `(src, dst)` pair are
 ///   received in send order (cross-channel order is unspecified, exactly
@@ -114,15 +79,16 @@ pub struct Msg {
 /// * **`exchange`/`exchange_matrix` are collectives** — every rank calls
 ///   them the same number of times in the same order; they synchronise
 ///   internally (deposit → barrier → collect → barrier).
+/// * **Fail fast** — once the mesh is poisoned (a peer panicked, or the
+///   deadlock watchdog abandoned the run) `send`, `try_recv` and every
+///   barrier panic, so the rank unwinds instead of waiting forever.
 pub trait Endpoint: Send {
-    /// Which backend this endpoint belongs to.
-    fn kind(&self) -> TransportKind;
     /// This endpoint's rank.
     fn rank(&self) -> usize;
     /// Number of PEs on the transport.
     fn peers(&self) -> usize;
-    /// Enqueues `msg` for delivery to `to`. Never blocks; a vanished
-    /// receiver (abandoned guarded run) swallows the message.
+    /// Enqueues `msg` for delivery to `to`. Never blocks; a message to a
+    /// PE that already finished stays queued unread until the mesh drops.
     fn send(&mut self, to: usize, msg: Msg);
     /// Non-blocking receive of one pending message, or `None`.
     fn try_recv(&mut self) -> Option<Msg>;
@@ -136,47 +102,24 @@ pub trait Endpoint: Send {
     fn exchange_matrix(&mut self, rows: Vec<Vec<u64>>) -> Vec<Vec<u64>>;
 }
 
-/// Builds the data plane for a `p`-PE run of the given backend and returns
-/// one endpoint per rank (indexed by rank), ready to be moved into the
-/// rank threads.
-pub fn endpoints(kind: TransportKind, p: usize) -> Vec<Box<dyn Endpoint>> {
-    assert!(p > 0, "need at least one PE");
-    match kind {
-        TransportKind::Sim => sim::SimTransport::endpoints(p),
-        TransportKind::Threads => threads::ThreadsTransport::endpoints(p),
-    }
-}
-
-/// Like [`endpoints`], but with wall-clock profiling where the backend
-/// supports it. The threads backend returns a [`WallCollector`] to drain
-/// after the rank threads are joined; the simulator has no wall clock
-/// worth measuring (its schedule is a deterministic fiction), so it
-/// returns plain endpoints and no collector.
-pub fn endpoints_profiled(
-    kind: TransportKind,
-    p: usize,
-    ring_capacity: usize,
-) -> (
-    Vec<Box<dyn Endpoint>>,
-    Option<std::sync::Arc<WallCollector>>,
-) {
-    assert!(p > 0, "need at least one PE");
-    match kind {
-        TransportKind::Sim => (sim::SimTransport::endpoints(p), None),
-        TransportKind::Threads => {
-            let (eps, coll) = threads::ThreadsTransport::endpoints_profiled(p, ring_capacity);
-            (eps, Some(coll))
-        }
-    }
+/// One boxed endpoint per rank (indexed by rank) over a fresh threads
+/// mesh, ready to be moved into the rank threads. `kind` is inert (see
+/// [`TransportKind`]); the runtime builds its mesh through
+/// [`ThreadsTransport`] directly.
+pub fn endpoints(_kind: TransportKind, p: usize) -> Vec<Box<dyn Endpoint>> {
+    ThreadsTransport::endpoints(p)
+        .into_iter()
+        .map(|ep| Box::new(ep) as Box<dyn Endpoint>)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(kind: TransportKind) {
+    fn roundtrip() {
         let p = 4;
-        let eps = endpoints(kind, p);
+        let eps = endpoints(TransportKind::Threads, p);
         let results: Vec<u64> = std::thread::scope(|scope| {
             let handles: Vec<_> = eps
                 .into_iter()
@@ -185,7 +128,6 @@ mod tests {
                     scope.spawn(move || {
                         assert_eq!(ep.rank(), rank);
                         assert_eq!(ep.peers(), p);
-                        assert_eq!(ep.kind(), kind);
                         for d in 0..p {
                             if d != rank {
                                 ep.send(
@@ -222,9 +164,9 @@ mod tests {
         }
     }
 
-    fn collectives(kind: TransportKind) {
+    fn collectives() {
         let p = 3;
-        let eps = endpoints(kind, p);
+        let eps = endpoints(TransportKind::Threads, p);
         std::thread::scope(|scope| {
             for (rank, mut ep) in eps.into_iter().enumerate() {
                 scope.spawn(move || {
@@ -247,15 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn sim_roundtrip_and_collectives() {
-        roundtrip(TransportKind::Sim);
-        collectives(TransportKind::Sim);
-    }
-
-    #[test]
     fn threads_roundtrip_and_collectives() {
-        roundtrip(TransportKind::Threads);
-        collectives(TransportKind::Threads);
+        roundtrip();
+        collectives();
     }
 
     #[test]
@@ -292,13 +228,5 @@ mod tests {
                 b.barrier();
             });
         });
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in [TransportKind::Sim, TransportKind::Threads] {
-            assert_eq!(TransportKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(TransportKind::parse("tcp"), None);
     }
 }

@@ -1,9 +1,9 @@
-//! Wall-clock profiling of the threads backend: per-PE event rings and
+//! Wall-clock profiling of the threads mesh: per-PE event rings and
 //! contention meters.
 //!
 //! The modeled meters of `tricount-comm` are deliberately blind to wall
-//! time — they are bit-compared across backends and schedules. This module
-//! is the complementary instrument: when a threads-backend run is built
+//! time — they are bit-compared across schedules. This module is the
+//! complementary instrument: when a run's mesh is built
 //! through [`crate::threads::ThreadsTransport::endpoints_profiled`], every
 //! endpoint carries a fixed-capacity [`ProbeRing`] recording sends,
 //! receives and barrier enter/exit with nanosecond wall stamps, plus a set

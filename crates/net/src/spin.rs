@@ -1,13 +1,12 @@
 //! A sense-reversing spin barrier with panic poisoning.
 //!
-//! The threads backend cannot use [`std::sync::Barrier`]: a PE that panics
-//! while its siblings wait would leave them parked forever (the simulator
-//! tolerates this because its harnesses run under the deadlock watchdog;
-//! a *real* parallel run must fail fast instead). This barrier spins on an
-//! atomic generation counter — checking a shared poison flag every
-//! iteration — so a peer panic propagates as a panic in every waiter
+//! The threads mesh cannot use [`std::sync::Barrier`]: a PE that panics
+//! while its siblings wait would leave them parked forever. This barrier
+//! spins on an atomic generation counter — checking a shared poison flag
+//! every iteration — so a peer panic propagates as a panic in every waiter
 //! within microseconds, letting the scoped runtime join all threads and
-//! re-raise the original payload.
+//! re-raise the original payload. The deadlock watchdog sets the same flag
+//! on a run it gives up on, so its stalled waiters unwind too.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -38,7 +37,8 @@ impl SpinBarrier {
 
     /// Marks the barrier poisoned: every current and future waiter panics.
     /// Called from the transport's unwind detection (endpoint `Drop` during
-    /// a panic).
+    /// a panic) and by the deadlock watchdog through
+    /// [`crate::MeshPoison`].
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
     }
@@ -48,12 +48,13 @@ impl SpinBarrier {
         self.poisoned.load(Ordering::SeqCst)
     }
 
-    /// Panics if the barrier is poisoned (peer PE panicked).
+    /// Panics if the barrier is poisoned (a peer PE panicked, or the
+    /// watchdog gave up on the run).
     #[inline]
     pub fn check_poison(&self) {
         assert!(
             !self.is_poisoned(),
-            "transport poisoned: a peer PE panicked"
+            "transport poisoned: a peer PE panicked or the watchdog abandoned the run"
         );
     }
 

@@ -12,15 +12,22 @@
 //! contended only during the actual hand-off.)
 //!
 //! Barriers are the sense-reversing spin barrier of [`crate::spin`];
-//! collectives deposit into per-rank mutex cells bracketed by barriers —
-//! the same deposit → barrier → collect → barrier rendezvous as the sim
-//! backend, with per-slot locks instead of one global scratch lock.
+//! collectives deposit into per-rank mutex cells bracketed by barriers
+//! (deposit → barrier → collect → barrier), one lock per slot.
 //!
-//! **Panic poisoning**: when a rank thread unwinds, its endpoint's `Drop`
+//! **What a mesh costs**: `p²` `PairQueue`s (one per ordered pair, the
+//! `p` self-pairs included but never used), plus `p` deposit slots, `p`
+//! all-to-all rows and one barrier. DESIGN §5g works the figure out at the
+//! CLI's 1024-PE cap.
+//!
+//! **Poisoning**: when a rank thread unwinds, its endpoint's `Drop`
 //! poisons the shared barrier. Every sibling blocked in a barrier — and
 //! every subsequent `try_recv`/`send` — panics immediately instead of
 //! spinning on a peer that will never arrive, so the scoped runtime can
-//! join all PEs and re-raise the first panic. No leaked threads.
+//! join all PEs and re-raise the first panic. A [`MeshPoison`] handle does
+//! the same from outside the rank threads: the deadlock watchdog poisons a
+//! run it gives up on, so the ranks it abandons unwind instead of spinning
+//! forever.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -30,7 +37,7 @@ use std::time::Instant;
 
 use crate::profile::{ContentionMeters, PeWallLog, ProbeRing, WallCollector, WallEventKind};
 use crate::spin::SpinBarrier;
-use crate::{Endpoint, Msg, TransportKind};
+use crate::{Endpoint, Msg};
 
 /// One directed SPSC channel: `src → dst`.
 struct PairQueue {
@@ -123,9 +130,22 @@ struct ThreadsShared {
 /// shared-memory mesh.
 pub struct ThreadsTransport;
 
+/// Poisons one mesh from outside its rank threads: every endpoint of the
+/// mesh then panics at its next barrier, send or receive. The deadlock
+/// watchdog holds one per guarded run and uses it on the ranks it gives up
+/// on.
+pub struct MeshPoison(Arc<ThreadsShared>);
+
+impl MeshPoison {
+    /// Poisons the mesh; idempotent.
+    pub fn poison(&self) {
+        self.0.barrier.poison();
+    }
+}
+
 impl ThreadsTransport {
     /// One endpoint per rank over a fresh data plane.
-    pub fn endpoints(p: usize) -> Vec<Box<dyn Endpoint>> {
+    pub fn endpoints(p: usize) -> Vec<ThreadsEndpoint> {
         Self::build(p, None)
     }
 
@@ -137,13 +157,14 @@ impl ThreadsTransport {
     pub fn endpoints_profiled(
         p: usize,
         ring_capacity: usize,
-    ) -> (Vec<Box<dyn Endpoint>>, Arc<WallCollector>) {
+    ) -> (Vec<ThreadsEndpoint>, Arc<WallCollector>) {
         let collector = Arc::new(WallCollector::new(p, ring_capacity));
         let eps = Self::build(p, Some(Arc::clone(&collector)));
         (eps, collector)
     }
 
-    fn build(p: usize, collector: Option<Arc<WallCollector>>) -> Vec<Box<dyn Endpoint>> {
+    fn build(p: usize, collector: Option<Arc<WallCollector>>) -> Vec<ThreadsEndpoint> {
+        assert!(p > 0, "need at least one PE");
         let shared = Arc::new(ThreadsShared {
             p,
             chan: (0..p * p).map(|_| PairQueue::new()).collect(),
@@ -162,12 +183,12 @@ impl ThreadsTransport {
                         collector: Arc::clone(coll),
                     })
                 });
-                Box::new(ThreadsEndpoint {
+                ThreadsEndpoint {
                     rank,
                     shared: Arc::clone(&shared),
                     cursor: 0,
                     probe,
-                }) as Box<dyn Endpoint>
+                }
             })
             .collect()
     }
@@ -202,6 +223,13 @@ pub struct ThreadsEndpoint {
     probe: Option<RefCell<ProbeState>>,
 }
 
+impl ThreadsEndpoint {
+    /// A handle that poisons this endpoint's whole mesh.
+    pub fn mesh_poison(&self) -> MeshPoison {
+        MeshPoison(Arc::clone(&self.shared))
+    }
+}
+
 impl Drop for ThreadsEndpoint {
     fn drop(&mut self) {
         // An endpoint dropped mid-unwind means its PE died with the
@@ -226,10 +254,6 @@ impl Drop for ThreadsEndpoint {
 }
 
 impl Endpoint for ThreadsEndpoint {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Threads
-    }
-
     fn rank(&self) -> usize {
         self.rank
     }

@@ -47,8 +47,8 @@ impl fmt::Display for Divergence {
 /// schedule, asserting bit-identical per-rank results. Returns the baseline
 /// results, or every diverging seed.
 ///
-/// `base_opts` carries transport/trace settings shared by all runs; its
-/// `perturb_seed` field is overridden per run.
+/// `base_opts` carries trace and wall-profile settings shared by all
+/// runs; its `perturb_seed` field is overridden per run.
 pub fn check_schedule_independence<R, F>(
     p: usize,
     seeds: &[u64],
