@@ -2,7 +2,10 @@
 //! on an RGG2D instance, then stream random mixed edge-update batches
 //! through `Engine::apply_updates` and report update throughput, modeled
 //! communication words per update, the incremental-vs-rebuild comm ratio,
-//! and the cost of overlay compaction. Results land in `BENCH_delta.json`.
+//! and the seconds each batch spends folding into the epoch it publishes
+//! (read off the engine's `seal` spans). Every graph-changing batch folds,
+//! so the throughput includes one fold per batch. Results land in
+//! `BENCH_delta.json`.
 
 use std::time::Instant;
 
@@ -57,7 +60,6 @@ fn main() {
     let mut ops_applied = 0u64;
     let mut update_words = 0u64;
     let mut update_modeled = 0.0f64;
-    let mut compactions = 0u64;
     let t0 = Instant::now();
     for i in 0..batches {
         // regenerate against the engine's current vertex set; the batch
@@ -67,9 +69,6 @@ fn main() {
         ops_applied += receipt.inserted + receipt.deleted + receipt.noops;
         update_words += receipt.comm.sent_words + receipt.comm.coll_word_units;
         update_modeled += receipt.modeled_seconds;
-        if receipt.compacted {
-            compactions += 1;
-        }
     }
     let serve = t0.elapsed().as_secs_f64();
 
@@ -121,23 +120,19 @@ fn main() {
         fmt_time(update_modeled / s.updates_applied.max(1) as f64),
         &format_f64(update_modeled / s.updates_applied.max(1) as f64),
     );
+    let folds: Vec<f64> = s
+        .spans
+        .iter()
+        .filter(|sp| sp.label == "seal")
+        .map(|sp| (sp.end_nanos - sp.begin_nanos) as f64 * 1e-9)
+        .collect();
+    let fold_per_batch = folds.iter().sum::<f64>() / folds.len().max(1) as f64;
     push(
         &mut rows,
         &mut report,
-        "delta/compactions",
-        format!("{compactions} (threshold) + read-your-writes"),
-        &format_f64(compactions as f64),
-    );
-
-    push(
-        &mut rows,
-        &mut report,
-        "delta/compaction_comm_words",
-        format!(
-            "{}",
-            s.compaction_comm.sent_words + s.compaction_comm.coll_word_units
-        ),
-        &format_f64((s.compaction_comm.sent_words + s.compaction_comm.coll_word_units) as f64),
+        "delta/fold_seconds_per_batch",
+        format!("{} ({} folds)", fmt_time(fold_per_batch), folds.len()),
+        &format_f64(fold_per_batch),
     );
     report.push_raw("delta/stats", &s.to_json());
 

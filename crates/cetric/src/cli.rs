@@ -658,7 +658,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 let r = engine.apply_updates(b).map_err(|e| e.to_string())?;
                 println!(
                     "batch {i}: {} ins, {} del, {} noop | triangles {} -> {} ({:+}) | \
-                     {} words moved | overlay {:.1}%{}",
+                     {} words moved",
                     r.inserted,
                     r.deleted,
                     r.noops,
@@ -666,8 +666,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     r.triangles_after,
                     r.delta(),
                     r.comm.sent_words + r.comm.coll_word_units,
-                    r.overlay_fraction * 100.0,
-                    if r.compacted { " | compacted" } else { "" }
                 );
             }
             let s = engine.stats();
@@ -675,9 +673,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 println!("{}", s.to_json());
             } else {
                 println!(
-                    "applied {} batch(es): {} insertions, {} deletions, {} no-ops, {} compaction(s)",
-                    s.updates_applied, s.edges_inserted, s.edges_deleted, s.update_noops,
-                    s.compactions
+                    "applied {} batch(es): {} insertions, {} deletions, {} no-ops",
+                    s.updates_applied, s.edges_inserted, s.edges_deleted, s.update_noops
                 );
                 println!(
                     "resident count after updates: {} (epoch {})",
@@ -738,7 +735,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 tricount_core::dist::run_on_profiled(dg, algorithm, &config, &opts)
                     .map_err(|e| e.to_string())?;
             let trace = trace.ok_or("run recorded no trace (trace feature missing?)")?;
-            let timeline = wall.as_ref().map(tricount_obs::WallTimeline::build);
+            let wall = wall.ok_or("run recorded no wall profile")?;
+            let timeline = tricount_obs::WallTimeline::build(&wall);
             println!("triangles: {}", r.triangles);
             println!(
                 "{} on {p} PEs: modeled {:.3} ms",
@@ -759,49 +757,37 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 );
                 print!("{}", tricount_obs::span_summary(&trace));
             }
-            if let Some(t) = &timeline {
-                print!("{}", t.report());
-                let fit = tricount_obs::ModelFitReport::compute(&r.stats, &model, 3.0);
-                print!("{}", fit.render());
-                if !fit.flagged().is_empty() {
-                    let cal = fit.calibrated(&model);
-                    println!(
-                        "suggested calibrated model: alpha {:.3e} s, beta {:.3e} s/word, \
-                         t_op {:.3e} s (or run tricount-pingpong for a measured fit)",
-                        cal.alpha, cal.beta, cal.t_op
-                    );
-                }
+            print!("{}", timeline.report());
+            let fit = tricount_obs::ModelFitReport::compute(&r.stats, &model, 3.0);
+            print!("{}", fit.render());
+            if !fit.flagged().is_empty() {
+                let cal = fit.calibrated(&model);
+                println!(
+                    "suggested calibrated model: alpha {:.3e} s, beta {:.3e} s/word, \
+                     t_op {:.3e} s (or run tricount-pingpong for a measured fit)",
+                    cal.alpha, cal.beta, cal.t_op
+                );
             }
             if let Some(path) = chrome_trace {
-                if let Some(t) = &timeline {
-                    let export = tricount_obs::export_dual(&trace, &r.stats, &model, t);
-                    std::fs::write(&path, &export.json).map_err(|e| e.to_string())?;
-                    println!(
-                        "wrote {path} (dual-clock: {} tracks, {} modeled + {} measured flow \
-                         arrows; open in ui.perfetto.dev)",
-                        export.tracks, export.modeled_flows, export.measured_flows
-                    );
-                } else {
-                    let export = tricount_obs::export_run(&trace, &r.stats, &model);
-                    let recv = r.stats.totals().recv_messages;
-                    if export.flow_arrows != recv {
-                        return Err(format!(
-                            "exporter invariant broken: {} flow arrows but {} delivered messages",
-                            export.flow_arrows, recv
-                        ));
-                    }
-                    std::fs::write(&path, &export.json).map_err(|e| e.to_string())?;
-                    println!(
-                        "wrote {path} ({} tracks, {} flow arrows; open in ui.perfetto.dev)",
-                        export.tracks, export.flow_arrows
-                    );
+                let export = tricount_obs::export_dual(&trace, &r.stats, &model, &timeline);
+                let recv = r.stats.totals().recv_messages;
+                if export.modeled_flows != recv {
+                    return Err(format!(
+                        "exporter invariant broken: {} modeled flow arrows but {} delivered \
+                         messages",
+                        export.modeled_flows, recv
+                    ));
                 }
+                std::fs::write(&path, &export.json).map_err(|e| e.to_string())?;
+                println!(
+                    "wrote {path} (dual-clock: {} tracks, {} modeled + {} measured flow \
+                     arrows; open in ui.perfetto.dev)",
+                    export.tracks, export.modeled_flows, export.measured_flows
+                );
             }
             if let Some(path) = metrics_out {
                 let mut reg = tricount_obs::run_metrics(&r.stats, &model, Some(&trace));
-                if let Some(t) = &timeline {
-                    tricount_obs::wall_metrics(&mut reg, t, r.stats.contention.as_ref());
-                }
+                tricount_obs::wall_metrics(&mut reg, &timeline, r.stats.contention.as_ref());
                 std::fs::write(&path, reg.render()).map_err(|e| e.to_string())?;
                 println!("wrote {path}");
             }
@@ -1378,11 +1364,31 @@ mod tests {
             prom_path.display()
         )))
         .unwrap();
+        // the modeled track draws one flow arrow per delivered message
+        let Command::Profile {
+            source,
+            algorithm,
+            p,
+            config,
+            ..
+        } = &cmd
+        else {
+            panic!("parsed {cmd:?}");
+        };
+        let dg = tricount_graph::DistGraph::new(&load_source(source).unwrap(), *p);
+        let (run, _) = run_on(dg, *algorithm, config, &SimOptions::default()).unwrap();
+        let delivered = run.stats.totals().recv_messages;
+        assert!(delivered > 0);
         execute(cmd).unwrap();
         let json = std::fs::read_to_string(&trace_path).unwrap();
         assert!(json.contains("traceEvents"));
         assert!(json.contains("measured (wall)"), "missing measured track");
         assert!(json.contains("simulated machine"), "missing modeled track");
+        let modeled_flows = json
+            .lines()
+            .filter(|l| l.contains("\"ph\":\"s\"") && l.contains("\"pid\":0,"))
+            .count();
+        assert_eq!(modeled_flows as u64, delivered);
         let prom = std::fs::read_to_string(&prom_path).unwrap();
         assert!(prom.contains("tricount_run_pes"));
         assert!(prom.contains("tricount_wall_queue_dwell_nanos"));

@@ -634,6 +634,11 @@ impl<'s> Ctx<'s> {
 
     fn end_phase_uncharged(&mut self, name: &str) {
         self.barrier_uncharged();
+        self.record_phase(name);
+    }
+
+    /// Records the counter deltas since the last phase end under `name`.
+    fn record_phase(&mut self, name: &str) {
         self.trace_with(|| TraceEvent::PhaseEnded {
             name: name.to_string(),
         });
@@ -723,8 +728,12 @@ where
         phase_mark: SpanStamp::default(),
     };
     let result = f(&mut ctx);
-    ctx.end_phase_uncharged("rest");
+    // The end-of-run sync is not a barrier: a peer still waiting in one
+    // fails, naming this rank, instead of being released by it.
     ctx.set_op(OP_DONE);
+    ctx.beat();
+    ctx.endpoint.finish();
+    ctx.record_phase("rest");
     ctx.beat();
     (result, ctx.phases, ctx.trace_buf, ctx.span_buf)
 }
@@ -903,7 +912,8 @@ where
 pub struct PeSnapshot {
     /// The PE's rank.
     pub rank: usize,
-    /// Whether the rank program returned.
+    /// Whether the rank program returned (the PE may still wait for its
+    /// peers to return too).
     pub done: bool,
     /// The operation the PE was last observed in ("running", a collective
     /// name, "sparse_finish", or "done").
@@ -936,6 +946,9 @@ pub struct DeadlockReport {
     /// stuck inside its thread pool" from "the pool is idle and the rank is
     /// stuck in the protocol".
     pub pool_workers: Vec<Vec<tricount_par::WorkerStats>>,
+    /// The diagnosis of a PE that found a barrier no finished peer can
+    /// complete (reported at once, without waiting out the timeout).
+    pub cause: Option<String>,
 }
 
 impl std::fmt::Display for DeadlockReport {
@@ -946,6 +959,9 @@ impl std::fmt::Display for DeadlockReport {
             self.stalled_for,
             self.pes.len()
         )?;
+        if let Some(cause) = &self.cause {
+            writeln!(f, "  {cause}")?;
+        }
         for pe in &self.pes {
             writeln!(
                 f,
@@ -988,6 +1004,7 @@ fn snapshot(shared: &Shared, done: &[bool]) -> (Vec<PeSnapshot>, Vec<(usize, usi
         .iter()
         .map(|s| s.load(Ordering::Relaxed))
         .collect();
+    let done: Vec<bool> = (0..p).map(|r| done[r] || ops[r] == OP_DONE).collect();
     let pes: Vec<PeSnapshot> = (0..p)
         .map(|r| PeSnapshot {
             rank: r,
@@ -1017,6 +1034,11 @@ fn snapshot(shared: &Shared, done: &[bool]) -> (Vec<PeSnapshot>, Vec<(usize, usi
 /// Like [`run_sim`], but supervised by a deadlock watchdog: if no PE makes
 /// progress for `timeout`, the run is abandoned and a [`DeadlockReport`]
 /// dumping per-PE state is returned instead of hanging forever.
+///
+/// A PE waiting in a barrier or collective that a returned peer skipped
+/// diagnoses the mismatch itself: it poisons the mesh, every rank unwinds,
+/// and the report, returned as soon as they have, carries the diagnosis as
+/// its `cause`.
 ///
 /// The rank program must be `'static` because stuck rank threads cannot be
 /// joined. On a diagnosis the watchdog poisons the run's mesh and returns
@@ -1081,9 +1103,21 @@ where
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("rank thread panicked before completing");
-            }
+            // Every rank thread has ended, some by unwinding: a diagnosed
+            // mismatch is reported, any other panic re-raised.
+            Err(RecvTimeoutError::Disconnected) => match poison.cause() {
+                Some(cause) => {
+                    let (pes, wait_edges) = snapshot(&shared, &done);
+                    return Err(Box::new(DeadlockReport {
+                        stalled_for: last_change.elapsed(),
+                        pes,
+                        wait_edges,
+                        pool_workers: Vec::new(),
+                        cause: Some(cause),
+                    }));
+                }
+                None => panic!("rank thread panicked before completing"),
+            },
         }
         let beats: Vec<u64> = shared
             .heartbeat
@@ -1100,6 +1134,7 @@ where
                 pes,
                 wait_edges,
                 pool_workers: tricount_par::probe::snapshot_live(),
+                cause: poison.cause(),
             };
             // Release the abandoned ranks: each unwinds at its next
             // barrier, send or receive instead of spinning forever.
@@ -1497,9 +1532,8 @@ mod tests {
             }
         }
         let (finished_tx, finished_rx) = mpsc::channel();
-        // rank 0 skips both barriers and exits: its end-of-run barrier
-        // releases the others' first one, and 1..3 wait forever in the
-        // second, inside the rank closure
+        // rank 0 skips both barriers and exits: 1..3 find it finished
+        // while they wait in the first, inside the rank closure
         let report = run_guarded(
             4,
             &SimOptions::default(),
@@ -1513,8 +1547,8 @@ mod tests {
             },
         )
         .expect_err("must diagnose the deadlock");
-        // the watchdog poisoned the mesh: the three abandoned ranks unwind
-        // out of the barrier instead of spinning on
+        // the mesh is poisoned: the three waiting ranks unwind out of the
+        // barrier instead of spinning on
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut finished = 0;
         while finished < 4 {
@@ -1539,5 +1573,37 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("deadlock"));
         assert!(rendered.contains("barrier"));
+        assert!(rendered.contains("rank 0 returned"), "{rendered}");
+    }
+
+    #[test]
+    fn skipped_barrier_fails_the_run_naming_the_rank() {
+        // rank 0 skips one of two barriers and returns: its end of run must
+        // not complete the others' second barrier, which they would then
+        // pass only to stall in the end-of-run sync with nobody to meet
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                run_sim(4, &SimOptions::default(), |ctx| {
+                    if ctx.rank() != 0 {
+                        ctx.barrier();
+                    }
+                    ctx.barrier();
+                })
+            });
+            let message = run.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run_sim hung instead of failing")
+            .expect("a skipped barrier must fail the run");
+        assert!(message.contains("rank 0 returned"), "{message}");
     }
 }

@@ -79,10 +79,6 @@ pub struct DeltaOutcome {
     /// exactly one rank's list, so consumers can fold degree changes
     /// without double counting.
     pub tail_effective: Vec<(bool, VertexId, VertexId)>,
-    /// Overlay entries on this rank after applying the batch.
-    pub overlay_entries: u64,
-    /// Base adjacency entries on this rank (the compaction denominator).
-    pub base_entries: u64,
     /// Kernel-dispatch tallies of this rank's counting passes (deletions +
     /// insertions), rank-local.
     pub kernels: KernelCounters,
@@ -260,8 +256,6 @@ pub fn apply_batch_rank(
         inserted: global[3],
         noops: global[4],
         tail_effective,
-        overlay_entries: ov.entries(),
-        base_entries: lg.num_local_entries(),
         kernels: disp.counters(),
     }
 }
@@ -271,10 +265,10 @@ pub fn apply_batch_rank(
 /// *current* merged neighborhoods, with the min-edge same-batch
 /// correction. Returns this rank's partial triangle count.
 ///
-/// Intersections dispatch adaptively where a side is *clean* (its merged
-/// view equals the base CSR slice, so probe kernels have a random-access
-/// table); dirty sides stream through the merge kernel. The clean/dirty
-/// verdict is overlay state — deterministic, schedule-independent.
+/// Every intersection is one [`Dispatcher::collect`] on two slices: a
+/// clean side is its base CSR slice, a dirty side's merged view is copied
+/// once into a reused buffer. The clean/dirty verdict is overlay state —
+/// deterministic, schedule-independent.
 fn count_pass(
     ctx: &mut Ctx,
     lg: &LocalGraph,
@@ -287,70 +281,41 @@ fn count_pass(
     let part = lg.partition().clone();
     let mut count = 0u64;
     let mut q = MessageQueue::new(ctx, queue_cfg);
+    let empty: &[VertexId] = &[];
+    let batch_of = |v: VertexId| batch_nbrs.get(&v).map_or(empty, |l| l.as_slice());
+    let mut bufs = Buffers::default();
 
     // Remote request `[u, v, |B(u)|, B(u)…, N(u)…]` — answered against the
     // receiver's merged N(v) and local B(v).
-    let handler = |ctx: &mut Ctx, env: Envelope<'_>, acc: &mut u64, d: &mut Dispatcher| {
+    let handler = |ctx: &mut Ctx,
+                   env: Envelope<'_>,
+                   acc: &mut u64,
+                   d: &mut Dispatcher,
+                   bufs: &mut Buffers| {
         let u = env.payload[0];
         let v = env.payload[1];
         let blen = env.payload[2] as usize;
         let (bu, nu) = (&env.payload[3..3 + blen], &env.payload[3 + blen..]);
-        let bv = batch_nbrs.get(&v).map(|l| l.as_slice()).unwrap_or(&[]);
-        let mut common = Vec::new();
-        let ops = if ov.is_clean_at(v) {
-            // N(v) is exactly the base slice — probe kernels are available.
-            d.collect(nu, lg.neighbors(v), &mut common)
-        } else {
-            // Merged N(v) only streams; probe the stream into the shipped
-            // slice (falls back to streaming merge when nu is the smaller).
-            d.collect_iter(
-                ov.merged_neighbors(lg, v),
-                ov.degree_after(lg, v) as usize,
-                nu,
-                &mut common,
-            )
-        };
-        let (delta, checks) = min_edge_filter(u, v, &common, bu, bv);
+        bufs.common.clear();
+        let nv = neighbors_now(lg, ov, v, &mut bufs.v);
+        let ops = d.collect(nu, nv, &mut bufs.common);
+        let (delta, checks) = min_edge_filter(u, v, &bufs.common, bu, batch_of(v));
         ctx.add_work(ops + checks + 1);
         *acc += delta;
     };
 
     let mut scratch: Vec<u64> = Vec::new();
-    let mut common: Vec<VertexId> = Vec::new();
-    let empty: &[VertexId] = &[];
     for &(u, v) in tail_edges {
         let bu = batch_nbrs
             .get(&u)
             .map(|l| l.as_slice())
             .expect("tail of an effective edge has a batch-neighbor list");
         if lg.is_owned(v) {
-            let bv = batch_nbrs.get(&v).map(|l| l.as_slice()).unwrap_or(empty);
-            common.clear();
-            let (u_clean, v_clean) = (ov.is_clean_at(u), ov.is_clean_at(v));
-            let ops = if u_clean && v_clean {
-                disp.collect(lg.neighbors(u), lg.neighbors(v), &mut common)
-            } else if v_clean {
-                disp.collect_iter(
-                    ov.merged_neighbors(lg, u),
-                    ov.degree_after(lg, u) as usize,
-                    lg.neighbors(v),
-                    &mut common,
-                )
-            } else if u_clean {
-                disp.collect_iter(
-                    ov.merged_neighbors(lg, v),
-                    ov.degree_after(lg, v) as usize,
-                    lg.neighbors(u),
-                    &mut common,
-                )
-            } else {
-                disp.merge_iters_collect(
-                    ov.merged_neighbors(lg, u),
-                    ov.merged_neighbors(lg, v),
-                    &mut common,
-                )
-            };
-            let (d, checks) = min_edge_filter(u, v, &common, bu, bv);
+            bufs.common.clear();
+            let nu = neighbors_now(lg, ov, u, &mut bufs.u);
+            let nv = neighbors_now(lg, ov, v, &mut bufs.v);
+            let ops = disp.collect(nu, nv, &mut bufs.common);
+            let (d, checks) = min_edge_filter(u, v, &bufs.common, bu, batch_of(v));
             ctx.add_work(ops + checks + 1);
             count += d;
         } else {
@@ -360,13 +325,43 @@ fn count_pass(
             scratch.push(v);
             scratch.push(bu.len() as u64);
             scratch.extend_from_slice(bu);
-            scratch.extend(ov.merged_neighbors(lg, u));
+            scratch.extend_from_slice(neighbors_now(lg, ov, u, &mut bufs.u));
             q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| handler(ctx, env, &mut count, disp)) {}
+            while q.poll(ctx, &mut |ctx, env| {
+                handler(ctx, env, &mut count, disp, &mut bufs)
+            }) {}
         }
     }
-    q.finish(ctx, &mut |ctx, env| handler(ctx, env, &mut count, disp));
+    q.finish(ctx, &mut |ctx, env| {
+        handler(ctx, env, &mut count, disp, &mut bufs)
+    });
     count
+}
+
+/// The reused buffers of one counting pass: the merged views of a dirty
+/// `u` and `v`, and the common neighbors of the current intersection.
+#[derive(Default)]
+struct Buffers {
+    u: Vec<VertexId>,
+    v: Vec<VertexId>,
+    common: Vec<VertexId>,
+}
+
+/// `N(v)` of owned vertex `v` in the current (base ⊕ overlay) graph as a
+/// slice: the base CSR slice where `v` is clean, else its merged view
+/// copied into `buf`.
+fn neighbors_now<'a>(
+    lg: &'a LocalGraph,
+    ov: &Overlay,
+    v: VertexId,
+    buf: &'a mut Vec<VertexId>,
+) -> &'a [VertexId] {
+    if ov.is_clean_at(v) {
+        lg.neighbors(v)
+    } else {
+        ov.merge_into(lg, v, buf);
+        buf
+    }
 }
 
 /// The same-batch correction: of the triangle `(u, v, w)` discovered via

@@ -5,7 +5,8 @@
 //! in the base) and `removed` (base edges logically deleted) — so the
 //! *merged* neighborhood `(base \ removed) ∪ added` is available as a
 //! sorted stream ([`Overlay::merged_neighbors`]) without rewriting the
-//! CSR. The stream feeds the `graph::intersect` iterator kernels directly.
+//! CSR; [`Overlay::merge_into`] copies it into a slice for the
+//! `graph::intersect` kernels.
 //!
 //! The overlay also carries **ghost-degree overrides**: the targeted
 //! refresh of the update protocol records the new global degree of every
@@ -62,8 +63,7 @@ impl Overlay {
         (v - self.start) as usize
     }
 
-    /// Total overlay entries (added + removed directed slots) on this PE —
-    /// the numerator of the compaction trigger fraction.
+    /// Total overlay entries (added + removed directed slots) on this PE.
     pub fn entries(&self) -> u64 {
         self.added_entries + self.removed_entries
     }
@@ -76,9 +76,8 @@ impl Overlay {
 
     /// Whether owned vertex `v`'s neighborhood carries no pending deltas —
     /// i.e. its merged view equals the base CSR slice exactly. Lets callers
-    /// use slice (random-access) intersection kernels for clean vertices
-    /// and fall back to the streamed merged view only where the overlay is
-    /// actually dirty.
+    /// intersect the base slice of a clean vertex in place and copy the
+    /// merged view only where the overlay is actually dirty.
     pub fn is_clean_at(&self, v: VertexId) -> bool {
         let s = self.slot(v);
         self.added[s].is_empty() && self.removed[s].is_empty()
@@ -146,9 +145,7 @@ impl Overlay {
     }
 
     /// The merged neighborhood `(base(v) \ removed(v)) ∪ added(v)` of an
-    /// owned vertex as a sorted stream, suitable for
-    /// [`merge_count_iter`](tricount_graph::intersect::merge_count_iter) /
-    /// [`merge_collect_iter`](tricount_graph::intersect::merge_collect_iter).
+    /// owned vertex as a sorted stream.
     pub fn merged_neighbors<'a>(&'a self, lg: &'a LocalGraph, v: VertexId) -> MergedNeighbors<'a> {
         let s = self.slot(v);
         MergedNeighbors {
@@ -161,7 +158,7 @@ impl Overlay {
     }
 
     /// Materialises the merged neighborhood of `v` into `out` (cleared
-    /// first) — for protocol payloads, which ship slices.
+    /// first) — for the slice intersection kernels and protocol payloads.
     pub fn merge_into(&self, lg: &LocalGraph, v: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
         out.extend(self.merged_neighbors(lg, v));

@@ -1,117 +1,37 @@
 //! MVCC epoch snapshots and their lifecycle.
 //!
 //! Every committed graph state is an immutable [`EpochSnapshot`]: the
-//! prepared per-rank bases (CSR + orientation + contraction + hub
-//! indexes), the frozen update overlays on top of them, the degree
-//! vector and the resident triangle count. Queries *pin* the snapshot
-//! they were admitted on and run against it to completion, no matter how
-//! many update batches commit in the meantime — reads never block on
-//! writes, and never observe a mid-batch state.
+//! prepared per-rank state (CSR + orientation + contraction), the degree
+//! vector and the resident triangle count. Every snapshot is published
+//! sealed — an update folds its deltas into fresh prepared state before
+//! publication — so queries run on it as it stands. Queries *pin* the
+//! snapshot they were admitted on and run against it to completion, no
+//! matter how many update batches commit in the meantime — reads never
+//! block on writes, and never observe a mid-batch state.
 //!
 //! The [`EpochTable`] tracks the live snapshots with a reader count per
 //! epoch. A superseded epoch is retired — dropped from the table, its
 //! lifetime recorded — the moment its last reader drains; the current
-//! epoch is never retired. Compaction only ever *builds new* prepared
-//! state (for the next epoch, or memoized inside a snapshot by
-//! [`EpochSnapshot::seal`]); it never mutates a published snapshot, so
-//! folding is automatically restricted to state no pinned reader can
-//! still observe.
+//! epoch is never retired.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tricount_core::dist::residency::PreparedRank;
-use tricount_delta::Overlay;
 use tricount_obs::{LogHistogram, Summary};
-
-use crate::query::EngineError;
 
 /// One immutable committed graph state.
 pub(crate) struct EpochSnapshot {
     /// The epoch this snapshot was published as.
     pub epoch: u64,
-    /// Per-rank prepared bases (shared with older epochs until a
-    /// compaction rebuilds them).
+    /// Per-rank prepared state serving this epoch (shared with older
+    /// epochs until an update folds a batch into new state).
     pub ranks: Arc<Vec<PreparedRank>>,
-    /// Frozen per-rank overlays holding the deltas not folded into
-    /// `ranks`. Never mutated after publication.
-    pub overlay: Arc<Vec<Overlay>>,
     /// Degree vector of the snapshot's graph.
     pub degrees: Arc<Vec<u64>>,
     /// Exact global triangle count of the snapshot's graph.
     pub triangles: u64,
-    /// Summed overlay entries across ranks (0 = clean: `ranks` alone
-    /// serves this epoch).
-    pub overlay_entries: u64,
-    /// Memoized sealed state: `ranks` with `overlay` folded in, built
-    /// lazily by the first query that needs to serve this epoch. Also
-    /// promoted into the base of the *next* epoch so the fold is never
-    /// repeated.
-    sealed: Mutex<Option<Arc<Vec<PreparedRank>>>>,
-}
-
-impl EpochSnapshot {
-    pub(crate) fn new(
-        epoch: u64,
-        ranks: Arc<Vec<PreparedRank>>,
-        overlay: Arc<Vec<Overlay>>,
-        degrees: Arc<Vec<u64>>,
-        triangles: u64,
-    ) -> EpochSnapshot {
-        let overlay_entries = overlay.iter().map(Overlay::entries).sum();
-        EpochSnapshot {
-            epoch,
-            ranks,
-            overlay,
-            degrees,
-            triangles,
-            overlay_entries,
-            sealed: Mutex::new(None),
-        }
-    }
-
-    /// Whether `ranks` alone serves this epoch (no frozen deltas).
-    pub(crate) fn is_clean(&self) -> bool {
-        self.overlay_entries == 0
-    }
-
-    /// The memoized sealed ranks, if a query already folded the overlay.
-    pub(crate) fn sealed_peek(&self) -> Option<Arc<Vec<PreparedRank>>> {
-        self.sealed.lock().expect("sealed lock").clone()
-    }
-
-    /// Serving state without any folding work: the bases when clean, the
-    /// memoized seal when present.
-    pub(crate) fn serving_if_ready(&self) -> Option<Arc<Vec<PreparedRank>>> {
-        if self.is_clean() {
-            Some(self.ranks.clone())
-        } else {
-            self.sealed_peek()
-        }
-    }
-
-    /// Returns prepared state serving this epoch, folding the frozen
-    /// overlay via `fold` exactly once per snapshot (the first caller
-    /// folds under the seal lock; concurrent callers block briefly and
-    /// reuse the memoized result). The second tuple field reports
-    /// whether *this* call performed the fold — the caller accounts the
-    /// compaction then.
-    pub(crate) fn seal<F>(&self, fold: F) -> Result<(Arc<Vec<PreparedRank>>, bool), EngineError>
-    where
-        F: FnOnce(Arc<Vec<PreparedRank>>, Vec<Overlay>) -> Result<Vec<PreparedRank>, EngineError>,
-    {
-        if self.is_clean() {
-            return Ok((self.ranks.clone(), false));
-        }
-        let mut slot = self.sealed.lock().expect("sealed lock");
-        if let Some(ranks) = slot.as_ref() {
-            return Ok((ranks.clone(), false));
-        }
-        let folded = Arc::new(fold(self.ranks.clone(), (*self.overlay).clone())?);
-        *slot = Some(folded.clone());
-        Ok((folded, true))
-    }
 }
 
 struct EpochEntry {

@@ -26,27 +26,26 @@
 //! # MVCC epochs: reads never wait on writes
 //!
 //! Every committed graph state is an immutable
-//! `EpochSnapshot`: the prepared bases, the frozen update
-//! overlays on top of them, the degree vector and the resident triangle
-//! count. [`Engine::submit`] **pins** the snapshot current at admission;
+//! `EpochSnapshot`: the prepared per-rank state, the degree vector and the
+//! resident triangle count. [`Engine::submit`] **pins** the snapshot
+//! current at admission;
 //! the query runs against exactly that state no matter how many
 //! [`Engine::apply_updates`] batches commit in the meantime — a waiting
 //! query never observes a mid-batch epoch, and an update never blocks a
 //! read (the engine handle is `Clone` + `Send` + `Sync`; ticks and updates
 //! may run from different threads concurrently). A retire list
 //! (`EpochTable`) frees a superseded epoch the moment its
-//! last reader drains. Compaction — folding overlays into fresh prepared
-//! state once they exceed [`EngineConfig::compaction_fraction`] of the
-//! base, or lazily "sealing" a dirty snapshot the first time a query must
-//! serve it — always *builds new* state; published snapshots are never
-//! mutated, so folding is automatically restricted to state no pinned
-//! reader can still observe.
+//! last reader drains. Every epoch is published sealed: an update folds
+//! its batch into *new* prepared state before publishing it, so no tick
+//! ever folds, published snapshots are never mutated, and a failed fold
+//! publishes nothing — the previous epoch keeps serving.
 //!
 //! The graph itself is **dynamic**: [`Engine::apply_updates`] applies a
 //! batched set of edge insertions/deletions through the distributed delta
 //! protocol (`tricount_core::dist::delta`), maintaining the resident
 //! triangle count ([`Engine::resident_triangles`]) incrementally instead
-//! of recounting, and publishing the result as the next epoch. Queries
+//! of recounting, folding the batch into fresh prepared state, and
+//! publishing the result as the next epoch. Queries
 //! submitted afterwards see the updated graph; queries already admitted
 //! keep their pinned pre-update snapshot.
 //!
@@ -117,11 +116,6 @@ pub struct EngineConfig {
     /// this seed (`None` = natural schedule). Answers are schedule
     /// independent; the determinism tests exercise exactly this knob.
     pub perturb_seed: Option<u64>,
-    /// Compaction trigger: once the summed per-rank overlay entries exceed
-    /// this fraction of the base adjacency entries,
-    /// [`Engine::apply_updates`] folds the overlays into the next epoch's
-    /// prepared state (a communication-free re-orient + re-contract).
-    pub compaction_fraction: f64,
     /// Record wall-clock transport events and contention meters on every
     /// run. Strictly additive: the modeled counters are bit-identical
     /// either way.
@@ -139,7 +133,6 @@ impl EngineConfig {
             workers: 4,
             watchdog: Duration::from_secs(30),
             perturb_seed: None,
-            compaction_fraction: 0.25,
             wall_profile: false,
         }
     }
@@ -169,17 +162,12 @@ pub struct UpdateReceipt {
     pub triangles_before: u64,
     /// Resident triangle count after the batch.
     pub triangles_after: u64,
-    /// Overlay size as a fraction of the base after the batch (before any
-    /// triggered compaction).
-    pub overlay_fraction: f64,
-    /// Whether this batch triggered a compaction.
-    pub compacted: bool,
-    /// Communication totals of the update run (route + count + refresh;
-    /// excludes any compaction).
+    /// Communication totals of the update run (route + count + refresh,
+    /// plus the fold, which sends nothing).
     pub comm: Counters,
-    /// Modeled α+β+t_op time of the update run.
+    /// Modeled α+β+t_op time of the update run, fold included.
     pub modeled_seconds: f64,
-    /// Wall time of the update run on the host.
+    /// Wall time of the update run on the host, fold included.
     pub wall_seconds: f64,
 }
 
@@ -219,9 +207,7 @@ struct Metrics {
     edges_inserted: u64,
     edges_deleted: u64,
     update_noops: u64,
-    compactions: u64,
     update_comm: Counters,
-    compaction_comm: Counters,
     update_modeled_seconds: f64,
     update_wall_seconds: f64,
     per_query: Vec<QueryRecord>,
@@ -245,7 +231,8 @@ struct Metrics {
     barrier_spin_seconds_total: f64,
     /// Wall events dropped to ring overflow over all profiled runs.
     wall_events_dropped: u64,
-    /// Lifecycle spans (batch/admit/run/answer per tick).
+    /// Lifecycle spans (batch/admit/run/answer per tick, update/seal per
+    /// graph-changing update).
     spans: Vec<EngineSpan>,
     /// Per-phase kernel-dispatch tallies over every query and update run,
     /// folded in canonical (phase, rank) order.
@@ -336,15 +323,12 @@ impl Engine {
         let baseline = run_sim(cfg.num_ranks, &opts, move |ctx: &mut Ctx| {
             cetric::count_prepared(ctx, &baseline_ranks[ctx.rank()], &dist).0
         });
-        let resident_triangles = baseline.output.results[0];
-        let overlay: Vec<Overlay> = ranks.iter().map(|r| Overlay::for_local(&r.local)).collect();
-        let first = EpochSnapshot::new(
-            0,
+        let first = EpochSnapshot {
+            epoch: 0,
             ranks,
-            Arc::new(overlay),
-            Arc::new(degrees),
-            resident_triangles,
-        );
+            degrees: Arc::new(degrees),
+            triangles: baseline.output.results[0],
+        };
         Engine {
             inner: Arc::new(EngineInner {
                 num_vertices: g.num_vertices(),
@@ -393,26 +377,6 @@ impl Engine {
     /// graph — exact at every epoch (bit-equal to a from-scratch recount).
     pub fn resident_triangles(&self) -> u64 {
         self.inner.epochs.current().triangles
-    }
-
-    /// Whether the current epoch's overlay holds deltas not yet folded
-    /// into prepared serving state. Queries seal the snapshot they pin
-    /// (folding once, memoized), so this being `true` never makes an
-    /// answer stale.
-    pub fn is_dirty(&self) -> bool {
-        let tip = self.inner.epochs.current();
-        !tip.is_clean() && tip.sealed_peek().is_none()
-    }
-
-    /// Summed overlay entries across ranks awaiting a fold (0 when clean
-    /// or already sealed into serving state).
-    pub fn overlay_entries(&self) -> u64 {
-        let tip = self.inner.epochs.current();
-        if tip.is_clean() || tip.sealed_peek().is_some() {
-            0
-        } else {
-            tip.overlay_entries
-        }
     }
 
     /// Enqueues a query, pinning the **current** epoch snapshot: the
@@ -469,8 +433,8 @@ impl Engine {
     /// (epoch, key) jobs execute concurrently on the engine's
     /// work-stealing pool. Freshly computed values enter the epoch-keyed
     /// cache, so an identical later query at the same epoch is a cache
-    /// hit. A dirty pinned snapshot is sealed first (its frozen overlay
-    /// folded into serving state, once, memoized in the snapshot).
+    /// hit. Every pinned snapshot was published sealed, so a tick only
+    /// runs queries — it never folds.
     pub fn tick_pinned(&self) -> Vec<(TicketId, u64, Result<QueryAnswer, EngineError>)> {
         let inner = &self.inner;
         let batch: Vec<Ticket> = {
@@ -501,41 +465,18 @@ impl Engine {
             })
             .collect();
 
-        // Seal every distinct pinned snapshot up front, so all jobs of
-        // this tick run against folded serving state. A failed seal (watchdog-killed fold)
-        // fails only the tickets pinned to that epoch — tickets on other
-        // epochs, sealed or already clean, still get answers.
-        let mut serving: BTreeMap<u64, Arc<Vec<PreparedRank>>> = BTreeMap::new();
-        let mut seal_failures: BTreeMap<u64, EngineError> = BTreeMap::new();
-        for (t, key) in &keyed {
-            let e = t.snapshot.epoch;
-            if key.is_ok() && !serving.contains_key(&e) && !seal_failures.contains_key(&e) {
-                match inner.serving_ranks(&t.snapshot, batch_index) {
-                    Ok(r) => {
-                        serving.insert(e, r);
-                    }
-                    Err(err) => {
-                        seal_failures.insert(e, err);
-                    }
-                }
-            }
-        }
-
         // The batch's distinct, uncached (epoch, key) jobs — each computed
         // exactly once.
-        let mut jobs: Vec<(Arc<EpochSnapshot>, Arc<Vec<PreparedRank>>, QueryKey)> = Vec::new();
+        let mut jobs: Vec<(Arc<EpochSnapshot>, QueryKey)> = Vec::new();
         {
             let results = inner.results.lock().expect("results lock");
             for (t, key) in &keyed {
                 if let Ok(k) = key {
                     let e = t.snapshot.epoch;
-                    let Some(ranks) = serving.get(&e) else {
-                        continue; // this epoch's seal failed
-                    };
                     if !results.contains_key(&(e, k.clone()))
-                        && !jobs.iter().any(|(s, _, jk)| s.epoch == e && jk == k)
+                        && !jobs.iter().any(|(s, jk)| s.epoch == e && jk == k)
                     {
-                        jobs.push((t.snapshot.clone(), ranks.clone(), k.clone()));
+                        jobs.push((t.snapshot.clone(), k.clone()));
                     }
                 }
             }
@@ -546,9 +487,7 @@ impl Engine {
         // closure only borrows the resident state).
         let (task_results, pool_stats) = inner
             .pool
-            .run_tasks_stats(jobs.clone(), |_, (snap, ranks, key)| {
-                inner.compute(&snap, &ranks, &key)
-            });
+            .run_tasks_stats(jobs.clone(), |_, (snap, key)| inner.compute(&snap, &key));
         let computed: Vec<_> = task_results.into_iter().map(|tr| tr.result).collect();
         let run_end = inner.now_nanos();
 
@@ -565,7 +504,7 @@ impl Engine {
             for (acc, w) in m.pool_workers.iter_mut().zip(&pool_stats.workers) {
                 acc.absorb(w);
             }
-            for ((snap, _ranks, key), outcome) in jobs.into_iter().zip(computed) {
+            for ((snap, key), outcome) in jobs.into_iter().zip(computed) {
                 match outcome {
                     Ok((value, stats, wall, dispatch)) => {
                         let modeled = stats.modeled_time(&cost);
@@ -614,9 +553,7 @@ impl Engine {
                 let answer = match key {
                     Err(e) => Err(e),
                     Ok(k) => {
-                        if let Some(e) = seal_failures.get(&epoch) {
-                            Err(e.clone())
-                        } else if let Some(e) = failures.get(&(epoch, k.clone())) {
+                        if let Some(e) = failures.get(&(epoch, k.clone())) {
                             Err(e.clone())
                         } else {
                             match run_costs.remove(&(epoch, k.clone())) {
@@ -699,28 +636,12 @@ impl Engine {
         let inner = &self.inner;
         let _w = inner.writer.lock().expect("writer lock");
         let tip = inner.epochs.current();
-        // Promote a memoized seal: the new epoch starts from the folded
-        // state with a clean overlay, so the fold is never repeated.
-        let (ranks, overlay) = match tip.sealed_peek() {
-            Some(sealed) if !tip.is_clean() => {
-                let fresh: Vec<Overlay> = sealed
-                    .iter()
-                    .map(|r| Overlay::for_local(&r.local))
-                    .collect();
-                (sealed, Arc::new(fresh))
-            }
-            _ => (tip.ranks.clone(), tip.overlay.clone()),
-        };
-        let next_epoch = tip.epoch + 1;
-        let next = EpochSnapshot::new(
-            next_epoch,
-            ranks,
-            overlay,
-            tip.degrees.clone(),
-            tip.triangles,
-        );
-        let retired = inner.epochs.publish(next);
-        inner.prune_results(&retired);
+        inner.publish(EpochSnapshot {
+            epoch: tip.epoch + 1,
+            ranks: tip.ranks.clone(),
+            degrees: tip.degrees.clone(),
+            triangles: tip.triangles,
+        });
     }
 
     /// Applies a batch of edge insertions/deletions to the resident graph
@@ -728,13 +649,14 @@ impl Engine {
     /// [`resident_triangles`](Engine::resident_triangles) incrementally:
     /// the batch is canonicalised, routed to the owning ranks, filtered
     /// for no-ops, and the exact triangle delta is counted as distributed
-    /// intersections with same-batch corrections — no recount. The result
-    /// is **published as a new epoch** iff the graph changed: queries
-    /// admitted earlier keep their pinned snapshot and never observe the
-    /// mid-batch state, queries admitted later see the update. Overlays
-    /// exceeding [`EngineConfig::compaction_fraction`] of the base are
-    /// folded into the new epoch's prepared state before publication
-    /// (never into a published snapshot).
+    /// intersections with same-batch corrections — no recount. Iff the
+    /// graph changed, the same guarded run then folds the batch into fresh
+    /// prepared state (a communication-free re-orient + re-contract,
+    /// recorded as one `seal` span) and the result is **published as a
+    /// new, sealed epoch**: queries admitted earlier keep their pinned
+    /// snapshot and never observe the mid-batch state, queries admitted
+    /// later see the update. A failed run (watchdog kill) publishes
+    /// nothing: the previous epoch keeps serving.
     ///
     /// Vertex ids must be in range ([`EngineError::UnknownVertex`]
     /// otherwise — the vertex set is fixed at build). An empty or fully
@@ -758,8 +680,6 @@ impl Engine {
                 noops: 0,
                 triangles_before,
                 triangles_after: triangles_before,
-                overlay_fraction: 0.0,
-                compacted: false,
                 comm: Counters::default(),
                 modeled_seconds: 0.0,
                 wall_seconds: 0.0,
@@ -769,64 +689,37 @@ impl Engine {
         let opts = inner.run_opts();
         let update_begin = inner.now_nanos();
         let started = Instant::now();
-        // Base state of the next epoch: the tip's memoized seal when a
-        // query already folded its overlay (the fold is never repeated —
-        // tip-seal promotion), otherwise the tip's bases plus a thawed
-        // copy of its frozen overlay. The tip snapshot itself is never
-        // touched: pinned readers keep serving from it.
-        let (base_ranks, thawed): (Arc<Vec<PreparedRank>>, Vec<Overlay>) = match tip.sealed_peek() {
-            Some(sealed) if !tip.is_clean() => {
-                let fresh = sealed
-                    .iter()
-                    .map(|r| Overlay::for_local(&r.local))
-                    .collect();
-                (sealed, fresh)
-            }
-            _ => (tip.ranks.clone(), (*tip.overlay).clone()),
-        };
-        let overlays: Arc<Vec<Mutex<Overlay>>> =
-            Arc::new(thawed.into_iter().map(Mutex::new).collect());
+        // Each rank overlays the batch on the tip's prepared state and, iff
+        // the allreduced totals say the graph changed, folds it into new
+        // prepared state. The tip itself is never touched: pinned readers
+        // keep serving from it.
         let dist = inner.cfg.dist;
         let canonical = Arc::new(canonical);
-        let run_ranks = base_ranks.clone();
-        let run_overlays = overlays.clone();
+        let ranks = tip.ranks.clone();
+        let born = inner.born;
         let out = run_guarded(p, &opts, inner.cfg.watchdog, move |ctx: &mut Ctx| {
-            let mut ov = run_overlays[ctx.rank()].lock().expect("overlay lock");
-            delta_dist::apply_batch_rank(
-                ctx,
-                &run_ranks[ctx.rank()].local,
-                &mut ov,
-                &canonical,
-                &dist,
-            )
+            let prep = &ranks[ctx.rank()];
+            let mut ov = Overlay::for_local(&prep.local);
+            let outcome =
+                delta_dist::apply_batch_rank(ctx, &prep.local, &mut ov, &canonical, &dist);
+            if outcome.inserted + outcome.deleted == 0 {
+                return (outcome, None);
+            }
+            let begin = born.elapsed().as_nanos() as u64;
+            let folded = delta_dist::compact_rank(ctx, prep, &mut ov, &dist);
+            let end = born.elapsed().as_nanos() as u64;
+            (outcome, Some((folded, begin, end)))
         })
         .map_err(DistError::from)?;
         let wall = started.elapsed().as_secs_f64();
         let stats = out.output.stats;
-        let outcomes = out.output.results;
-
-        // Degree maintenance: each effective edge appears in exactly one
-        // rank's tail list; both endpoint degrees move by one. The next
-        // epoch gets its own vector — the tip's stays frozen.
-        let mut degrees = (*tip.degrees).clone();
-        for o in &outcomes {
-            for &(ins, u, v) in &o.tail_effective {
-                for x in [u, v] {
-                    let d = &mut degrees[x as usize];
-                    *d = if ins { *d + 1 } else { *d - 1 };
-                }
-            }
-        }
+        let (outcomes, folds): (Vec<_>, Vec<_>) = out.output.results.into_iter().unzip();
 
         let global = &outcomes[0];
         let triangles_after = triangles_before + global.triangles_added - global.triangles_removed;
-        let changed = global.inserted + global.deleted > 0;
-        let overlay_entries: u64 = outcomes.iter().map(|o| o.overlay_entries).sum();
-        let base_entries: u64 = outcomes.iter().map(|o| o.base_entries).sum();
-        let overlay_fraction = overlay_entries as f64 / base_entries.max(1) as f64;
-
         let totals = stats.totals();
         let modeled = stats.modeled_time(&CostModel::default());
+        let folds: Option<Vec<(PreparedRank, u64, u64)>> = folds.into_iter().collect();
         {
             let mut m = inner.metrics.lock().expect("metrics lock");
             m.absorb_contention(&stats);
@@ -850,91 +743,54 @@ impl Engine {
                 begin_nanos: update_begin,
                 end_nanos: end,
             });
+            // The fold, from the first rank to start it to the last to
+            // finish it.
+            if let Some(folds) = &folds {
+                m.spans.push(EngineSpan {
+                    label: "seal",
+                    batch: batch_index,
+                    begin_nanos: folds.iter().map(|f| f.1).min().unwrap_or(end),
+                    end_nanos: folds.iter().map(|f| f.2).max().unwrap_or(end),
+                });
+            }
         }
 
-        let receipt = |epoch: u64, compacted: bool| UpdateReceipt {
-            epoch,
+        let mut receipt = UpdateReceipt {
+            epoch: tip.epoch,
             inserted: global.inserted,
             deleted: global.deleted,
             noops: global.noops,
             triangles_before,
             triangles_after,
-            overlay_fraction,
-            compacted,
             comm: totals,
             modeled_seconds: modeled,
             wall_seconds: wall,
         };
-
-        if !changed {
-            // Every op was a no-op: the graph and overlays are unchanged,
-            // so no new epoch.
-            return Ok(receipt(tip.epoch, false));
-        }
-
-        // Take the worked overlays back out of their run cells (rank
-        // threads may outlive the run for a few microseconds, so sole
-        // ownership cannot be assumed — fall back to clone).
-        let worked: Vec<Overlay> = match Arc::try_unwrap(overlays) {
-            Ok(cells) => cells
-                .into_iter()
-                .map(|c| c.into_inner().expect("overlay cell"))
-                .collect(),
-            Err(shared) => shared
-                .iter()
-                .map(|c| c.lock().expect("overlay cell").clone())
-                .collect(),
+        // Every op was a no-op: the graph is unchanged, so no new epoch.
+        let Some(folds) = folds else {
+            return Ok(receipt);
         };
 
-        // Fold into the next epoch's bases when over threshold. Published
-        // snapshots are never mutated: the fold output only ever becomes
-        // the *new* epoch.
-        let compacted = overlay_entries > 0 && overlay_fraction > inner.cfg.compaction_fraction;
-        let (next_ranks, next_overlay) = if compacted {
-            let begin = inner.now_nanos();
-            let folded = match inner.fold_overlays(base_ranks.clone(), worked.clone()) {
-                Ok(r) => Arc::new(r),
-                Err(e) => {
-                    // The update itself committed; publish it uncompacted
-                    // and surface the fold failure (watchdog kill) as the
-                    // call's error, mirroring the pre-MVCC behaviour.
-                    inner.publish_update(
-                        tip.epoch + 1,
-                        base_ranks,
-                        worked,
-                        &degrees,
-                        triangles_after,
-                    );
-                    return Err(e);
+        // Degree maintenance: each effective edge appears in exactly one
+        // rank's tail list; both endpoint degrees move by one. The next
+        // epoch gets its own vector — the tip's stays frozen.
+        let mut degrees = (*tip.degrees).clone();
+        for o in &outcomes {
+            for &(ins, u, v) in &o.tail_effective {
+                for x in [u, v] {
+                    let d = &mut degrees[x as usize];
+                    *d = if ins { *d + 1 } else { *d - 1 };
                 }
-            };
-            let fresh: Vec<Overlay> = folded
-                .iter()
-                .map(|r| Overlay::for_local(&r.local))
-                .collect();
-            let mut m = inner.metrics.lock().expect("metrics lock");
-            m.compactions += 1;
-            let end = inner.now_nanos();
-            let batch_index = m.batches;
-            m.spans.push(EngineSpan {
-                label: "compaction",
-                batch: batch_index,
-                begin_nanos: begin,
-                end_nanos: end,
-            });
-            (folded, fresh)
-        } else {
-            (base_ranks, worked)
-        };
-
-        inner.publish_update(
-            tip.epoch + 1,
-            next_ranks,
-            next_overlay,
-            &degrees,
-            triangles_after,
-        );
-        Ok(receipt(tip.epoch + 1, compacted))
+            }
+        }
+        receipt.epoch = tip.epoch + 1;
+        inner.publish(EpochSnapshot {
+            epoch: receipt.epoch,
+            ranks: Arc::new(folds.into_iter().map(|f| f.0).collect()),
+            degrees: Arc::new(degrees),
+            triangles: triangles_after,
+        });
+        Ok(receipt)
     }
 
     /// Snapshots aggregate and per-query serving statistics.
@@ -944,12 +800,6 @@ impl Engine {
         let tip = inner.epochs.current();
         let queue_depth = self.queue_depth();
         let cache_entries = inner.results.lock().expect("results lock").len();
-        // Read before taking the metrics lock: overlay_entries peeks the
-        // tip's sealed mutex, which a lazy seal holds across its fold —
-        // and the fold records into metrics (sealed → metrics). Holding
-        // metrics while touching sealed would invert that order and
-        // deadlock against an in-flight seal.
-        let overlay_entries = self.overlay_entries();
         let epoch_lifetime = inner.epochs.lifetime_summary();
         let m = inner.metrics.lock().expect("metrics lock");
         EngineStats {
@@ -971,14 +821,11 @@ impl Engine {
             edges_inserted: m.edges_inserted,
             edges_deleted: m.edges_deleted,
             update_noops: m.update_noops,
-            compactions: m.compactions,
-            overlay_entries,
             epochs_live: epochs.live,
             epochs_retired: epochs.retired,
             readers_pinned: epochs.readers_pinned,
             epoch_lifetime,
             update_comm: m.update_comm,
-            compaction_comm: m.compaction_comm,
             update_modeled_seconds: m.update_modeled_seconds,
             update_wall_seconds: m.update_wall_seconds,
             query_comm: m.query_comm,
@@ -1085,20 +932,10 @@ impl Engine {
             "Update operations that were no-ops against the live graph",
             snapshot.update_noops,
         );
-        reg.counter(
-            "tricount_engine_compactions_total",
-            "Overlay folds performed (threshold-triggered or lazy seals)",
-            snapshot.compactions,
-        );
         reg.gauge(
             "tricount_engine_resident_triangles",
             "Incrementally maintained global triangle count",
             snapshot.resident_triangles as f64,
-        );
-        reg.gauge(
-            "tricount_engine_overlay_entries",
-            "Summed per-rank overlay entries awaiting a fold",
-            snapshot.overlay_entries as f64,
         );
         reg.gauge(
             "tricount_engine_queue_depth",
@@ -1239,23 +1076,9 @@ impl EngineInner {
         }
     }
 
-    /// Publishes the update's result as epoch `next_epoch` and prunes
-    /// result-cache entries of epochs retired by the publication.
-    fn publish_update(
-        &self,
-        next_epoch: u64,
-        ranks: Arc<Vec<PreparedRank>>,
-        overlay: Vec<Overlay>,
-        degrees: &[u64],
-        triangles: u64,
-    ) {
-        let snap = EpochSnapshot::new(
-            next_epoch,
-            ranks,
-            Arc::new(overlay),
-            Arc::new(degrees.to_vec()),
-            triangles,
-        );
+    /// Publishes `snap` as the current epoch and prunes result-cache
+    /// entries of epochs retired by the publication.
+    fn publish(&self, snap: EpochSnapshot) {
         let retired = self.epochs.publish(snap);
         self.prune_results(&retired);
     }
@@ -1274,62 +1097,6 @@ impl EngineInner {
     fn release_pin(&self, epoch: u64) {
         let retired = self.epochs.unpin(epoch);
         self.prune_results(&retired);
-    }
-
-    /// Prepared state serving `snap`: the bases when clean, the memoized
-    /// seal when present, otherwise folds the frozen overlay now (exactly
-    /// once per snapshot — concurrent callers block on the seal lock and
-    /// reuse the result). A fresh fold counts as a compaction and records a
-    /// "seal" span.
-    fn serving_ranks(
-        &self,
-        snap: &Arc<EpochSnapshot>,
-        batch_index: u64,
-    ) -> Result<Arc<Vec<PreparedRank>>, EngineError> {
-        if let Some(ready) = snap.serving_if_ready() {
-            return Ok(ready);
-        }
-        let begin = self.now_nanos();
-        let (serving, sealed_now) =
-            snap.seal(|ranks, overlays| self.fold_overlays(ranks, overlays))?;
-        if sealed_now {
-            let mut m = self.metrics.lock().expect("metrics lock");
-            m.compactions += 1;
-            let end = self.now_nanos();
-            m.spans.push(EngineSpan {
-                label: "seal",
-                batch: batch_index,
-                begin_nanos: begin,
-                end_nanos: end,
-            });
-        }
-        Ok(serving)
-    }
-
-    /// Folds every rank's overlay into fresh prepared state: merge the
-    /// delta lists into a new base, re-orient, re-contract. No
-    /// communication — the update protocol kept ghost degrees current for
-    /// every touched vertex. The inputs are owned/shared copies; no
-    /// published state is mutated.
-    fn fold_overlays(
-        &self,
-        ranks: Arc<Vec<PreparedRank>>,
-        overlays: Vec<Overlay>,
-    ) -> Result<Vec<PreparedRank>, EngineError> {
-        let p = self.cfg.num_ranks;
-        let opts = self.run_opts();
-        let cells: Arc<Vec<Mutex<Overlay>>> =
-            Arc::new(overlays.into_iter().map(Mutex::new).collect());
-        let dist = self.cfg.dist;
-        let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
-            let mut ov = cells[ctx.rank()].lock().expect("overlay lock");
-            delta_dist::compact_rank(ctx, &ranks[ctx.rank()], &mut ov, &dist)
-        })
-        .map_err(DistError::from)?;
-        let mut m = self.metrics.lock().expect("metrics lock");
-        m.absorb_contention(&out.output.stats);
-        m.compaction_comm.absorb(&out.output.stats.totals());
-        Ok(out.output.results)
     }
 
     /// Folds a contention accessor over the setup and baseline runs (the
@@ -1379,13 +1146,12 @@ impl EngineInner {
     }
 
     /// Executes one (epoch, key) job as a guarded distributed run against
-    /// the pinned snapshot's serving state. Returns the value, the run's
+    /// the pinned snapshot's prepared state. Returns the value, the run's
     /// statistics, its wall time and the per-rank kernel-dispatch tallies
     /// folded in rank order.
     fn compute(
         &self,
         snap: &EpochSnapshot,
-        serving: &Arc<Vec<PreparedRank>>,
         key: &QueryKey,
     ) -> Result<(CachedValue, RunStats, f64, DispatchReport), EngineError> {
         let p = self.cfg.num_ranks;
@@ -1398,7 +1164,7 @@ impl EngineInner {
                 // but the serving-side kernel policy is the engine's.
                 let mut cfg = alg.config();
                 cfg.kernels = self.cfg.dist.kernels;
-                let ranks = serving.clone();
+                let ranks = snap.ranks.clone();
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
                     exec_global(ctx, &ranks[ctx.rank()], alg, &cfg)
                 })
@@ -1408,7 +1174,7 @@ impl EngineInner {
                 Ok((CachedValue::Count(count), out.output.stats, wall, report))
             }
             QueryKey::LccFull => {
-                let ranks = serving.clone();
+                let ranks = snap.ranks.clone();
                 let cfg = self.cfg.dist;
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
                     lcc::lcc_prepared(ctx, &ranks[ctx.rank()], &cfg)
@@ -1425,7 +1191,7 @@ impl EngineInner {
                 Ok((CachedValue::LccFull(full), out.output.stats, wall, report))
             }
             QueryKey::Support(edges) => {
-                let ranks = serving.clone();
+                let ranks = snap.ranks.clone();
                 let edges = Arc::new(edges.clone());
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
                     edge_support_rank(ctx, &ranks[ctx.rank()].local, &edges)
@@ -1448,7 +1214,7 @@ impl EngineInner {
                 ))
             }
             QueryKey::Approx(bits) => {
-                let ranks = serving.clone();
+                let ranks = snap.ranks.clone();
                 let cfg = self.cfg.dist;
                 let acfg = ApproxConfig {
                     bits_per_key: *bits as f64,

@@ -26,14 +26,12 @@ pub struct QueryRecord {
 }
 
 /// One engine lifecycle span: a tick stage (`admit` → `run` → `answer`,
-/// under an enclosing `batch`, plus `seal` when a tick
-/// lazily folded a dirty pinned snapshot) or a graph-mutation stage
-/// (`update`, `compaction`), in wall nanoseconds since the engine was
-/// built.
+/// under an enclosing `batch`) or a graph-mutation stage (`update`, and
+/// `seal` inside it when the update folded a graph-changing batch into the
+/// epoch it published), in wall nanoseconds since the engine was built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSpan {
-    /// Stage label: "batch", "admit", "run", "answer", "seal", "update" or
-    /// "compaction".
+    /// Stage label: "batch", "admit", "run", "answer", "update" or "seal".
     pub label: &'static str,
     /// Tick index the span belongs to (0-based).
     pub batch: u64,
@@ -98,11 +96,6 @@ pub struct EngineStats {
     pub edges_deleted: u64,
     /// Canonical update operations that were no-ops against the live graph.
     pub update_noops: u64,
-    /// Overlay compactions performed (threshold-triggered or
-    /// read-your-writes before a tick).
-    pub compactions: u64,
-    /// Summed per-rank overlay entries right now (0 when clean).
-    pub overlay_entries: u64,
     /// Epoch snapshots alive right now (the current epoch plus every
     /// superseded epoch still pinned by an admitted reader).
     pub epochs_live: u64,
@@ -115,11 +108,8 @@ pub struct EngineStats {
     /// Lifetime distribution of retired epochs (publish → retire).
     pub epoch_lifetime: Summary,
     /// Communication totals over every update run (route + count +
-    /// ghost refresh).
+    /// ghost refresh + fold; the fold sends nothing).
     pub update_comm: Counters,
-    /// Communication totals over every compaction — all zeros when the
-    /// targeted ghost refresh works as intended (compaction never talks).
-    pub compaction_comm: Counters,
     /// Sum of modeled times over all update runs.
     pub update_modeled_seconds: f64,
     /// Sum of wall times over all update runs.
@@ -134,7 +124,7 @@ pub struct EngineStats {
     pub modeled_seconds_total: f64,
     /// Sum of wall times over all executed runs.
     pub wall_seconds_total: f64,
-    /// Runs (setup, baseline, queries, updates, compactions) that carried
+    /// Runs (setup, baseline, queries, updates) that carried
     /// wall-clock contention meters (0 unless `wall_profile` is on).
     pub profiled_runs: u64,
     /// Summed transport queue lock-wait seconds over profiled runs.
@@ -213,8 +203,6 @@ impl EngineStats {
         push_field(&mut s, "edges_inserted", &self.edges_inserted.to_string());
         push_field(&mut s, "edges_deleted", &self.edges_deleted.to_string());
         push_field(&mut s, "update_noops", &self.update_noops.to_string());
-        push_field(&mut s, "compactions", &self.compactions.to_string());
-        push_field(&mut s, "overlay_entries", &self.overlay_entries.to_string());
         push_field(&mut s, "epochs_live", &self.epochs_live.to_string());
         push_field(&mut s, "epochs_retired", &self.epochs_retired.to_string());
         push_field(&mut s, "readers_pinned", &self.readers_pinned.to_string());
@@ -224,11 +212,6 @@ impl EngineStats {
             &summary_json(&self.epoch_lifetime),
         );
         push_field(&mut s, "update_comm", &counters_json(&self.update_comm));
-        push_field(
-            &mut s,
-            "compaction_comm",
-            &counters_json(&self.compaction_comm),
-        );
         push_field(
             &mut s,
             "update_modeled_seconds",
@@ -401,14 +384,11 @@ mod tests {
             edges_inserted: 3,
             edges_deleted: 1,
             update_noops: 1,
-            compactions: 1,
-            overlay_entries: 0,
             epochs_live: 1,
             epochs_retired: 2,
             readers_pinned: 0,
             epoch_lifetime: Summary::default(),
             update_comm: Counters::default(),
-            compaction_comm: Counters::default(),
             update_modeled_seconds: 0.01,
             update_wall_seconds: 0.02,
             query_comm: Counters::default(),

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use std::sync::Mutex;
+use std::time::Duration;
 use tricount_comm::SimOptions;
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::delta as delta_dist;
@@ -83,17 +84,15 @@ proptest! {
     }
 }
 
-/// Chained batches with a low compaction threshold: the resident count
-/// tracks the evolving graph exactly, queries see the updated topology
-/// (read-your-writes through tick-time compaction), and epochs advance
-/// only when the graph changes.
+/// Chained batches: the resident count tracks the evolving graph exactly,
+/// queries see the updated topology (read-your-writes), epochs advance
+/// only when the graph changes, and every graph-changing update folds
+/// exactly once, inside its own update span — no tick folds.
 #[test]
 fn chained_batches_track_evolving_graph() {
     let mut g = tricount_gen::rgg2d_default(200, 11);
-    let mut cfg = EngineConfig::new(4);
-    cfg.compaction_fraction = 0.001; // compact eagerly
-    let e = Engine::build(&g, cfg);
-    let mut compactions = 0;
+    let e = Engine::build(&g, EngineConfig::new(4));
+    let mut changed = 0;
     for round in 0..6u64 {
         let batch = random_batch(&g, 12, 1000 + round);
         g = apply_to_csr(&g, &batch.canonicalize());
@@ -107,11 +106,9 @@ fn chained_batches_track_evolving_graph() {
         );
         if receipt.inserted + receipt.deleted > 0 {
             assert_eq!(e.epoch(), epoch_before + 1, "round {round} epoch");
+            changed += 1;
         } else {
             assert_eq!(e.epoch(), epoch_before);
-        }
-        if receipt.compacted {
-            compactions += 1;
         }
         // queries run against the updated graph, not the stale base
         match e.query(Query::GlobalTriangles {
@@ -120,24 +117,62 @@ fn chained_batches_track_evolving_graph() {
             Ok(QueryAnswer::Count(c)) => assert_eq!(c, expected, "round {round} query"),
             other => panic!("expected Count, got {other:?}"),
         }
-        assert!(!e.is_dirty(), "tick must leave the engine compacted");
     }
-    assert!(compactions > 0, "threshold was set to trigger compaction");
+    assert!(changed > 0, "the batches change the graph");
     let s = e.stats();
     assert_eq!(s.updates_applied, 6);
-    assert!(s.compactions >= compactions);
     assert_eq!(s.resident_triangles, seq::compact_forward(&g).triangles);
-    // compaction is communication-free: the targeted ghost refresh already
-    // delivered every degree it needs
-    assert_eq!(s.compaction_comm.sent_messages, 0);
-    assert_eq!(s.compaction_comm.sent_words, 0);
-    assert_eq!(s.compaction_comm.coll_word_units, 0);
+    let spans = |label| s.spans.iter().filter(move |sp| sp.label == label);
+    assert_eq!(
+        spans("seal").count(),
+        changed,
+        "one fold per changing update"
+    );
+    for seal in spans("seal") {
+        assert!(
+            spans("update")
+                .any(|u| u.begin_nanos <= seal.begin_nanos && seal.end_nanos <= u.end_nanos),
+            "a fold runs inside its update, never in a tick: {seal:?}"
+        );
+    }
     let json = s.to_json();
     assert!(json.contains("\"updates_applied\":6"));
     assert!(json.contains("\"resident_triangles\":"));
     let prom = e.prometheus();
     assert!(prom.contains("tricount_engine_updates_applied_total 6"));
     assert!(prom.contains("tricount_engine_resident_triangles"));
+}
+
+/// A watchdog-killed update publishes nothing: it returns `Err`, and the
+/// epoch and the resident count stay those of the previous epoch. A zero
+/// watchdog kills a run at the first poll that sees no heartbeat, which the
+/// fold's unmetered re-orientation on this graph all but guarantees; an
+/// update that slips through publishes normally and becomes the new
+/// reference.
+#[test]
+fn killed_update_leaves_the_previous_epoch_serving() {
+    let g = tricount_gen::rgg2d_default(1 << 13, 3);
+    let mut cfg = EngineConfig::new(2);
+    cfg.watchdog = Duration::ZERO;
+    let e = Engine::build(&g, cfg);
+    let mut killed = 0;
+    for seed in 0..64u64 {
+        if killed == 3 {
+            break;
+        }
+        let (epoch, triangles) = (e.epoch(), e.resident_triangles());
+        match e.apply_updates(&random_batch(&g, 64, seed)) {
+            Err(EngineError::Dist(_)) => {
+                killed += 1;
+                assert_eq!(e.epoch(), epoch, "seed {seed}: a killed update publishes");
+                assert_eq!(e.resident_triangles(), triangles, "seed {seed}");
+            }
+            Ok(receipt) => assert_eq!(receipt.epoch, e.epoch()),
+            Err(other) => panic!("expected a watchdog kill, got {other}"),
+        }
+    }
+    assert!(killed > 0, "a zero watchdog must kill some update");
+    assert_eq!(e.stats().epochs_live, 1);
 }
 
 /// The delta rank program is schedule independent: perturbed message
@@ -167,7 +202,6 @@ fn update_protocol_is_schedule_independent() {
                 out.noops,
                 out.triangles_added,
                 out.triangles_removed,
-                out.overlay_entries,
             )
         },
     )
@@ -239,8 +273,9 @@ fn degenerate_batches_and_validation() {
     }
 }
 
-/// `apply_batch_sim` (the harness entry) agrees with the engine path and
-/// leaves overlays consistent for a follow-up compaction.
+/// `apply_batch_sim` (the harness entry) agrees with the engine path, and
+/// the fold the engine's update run adds sends no message, no word and no
+/// collective word.
 #[test]
 fn sim_entry_matches_engine_path() {
     let g = tricount_gen::rgg2d_default(180, 9);
@@ -254,7 +289,7 @@ fn sim_entry_matches_engine_path() {
         .collect();
     let batch = random_batch(&g, 15, 33);
     let canonical = batch.canonicalize();
-    let (outcomes, _, _) =
+    let (outcomes, stats, _) =
         delta_dist::apply_batch_sim(&ranks, &overlays, &canonical, &cfg, &SimOptions::default());
 
     let e = engine_for(&g, p);
@@ -266,6 +301,10 @@ fn sim_entry_matches_engine_path() {
         outcomes[0].triangles_added as i64 - outcomes[0].triangles_removed as i64,
         receipt.delta(),
     );
+    assert!(receipt.inserted + receipt.deleted > 0, "the engine folded");
+    let apply_only = stats.totals();
+    let words = |c: &tricount_comm::Counters| (c.sent_messages, c.sent_words, c.coll_word_units);
+    assert_eq!(words(&receipt.comm), words(&apply_only));
 }
 
 /// A cross-rank query edge `(a, b)` plus a vertex `x ∈ N(b) \ (N(a) ∪ {a})`:

@@ -244,47 +244,49 @@ fn concurrent_reads_match_their_pinned_epoch() {
     assert_eq!(e.resident_triangles(), *truth.last().expect("nonempty"));
 }
 
-/// Regression: `stats()`/`prometheus()` racing a tick's lazy seal must
-/// not deadlock. The old `stats()` held the metrics mutex while peeking
-/// the tip's sealed mutex, while the seal held the sealed mutex across a
-/// fold that records into metrics — opposite acquisition orders, so a
-/// stats call during an in-flight fold wedged both threads forever (this
-/// test then hangs until the harness timeout).
+/// `stats()`/`prometheus()` racing `apply_updates` and `tick()` on one
+/// engine must not deadlock. Between them the three threads take every
+/// engine lock — `writer`, `metrics`, `results`, `pending` and the epoch
+/// table — on every path that takes more than one, so two paths acquiring
+/// any two of them in opposite orders wedge here and the test hangs until
+/// the harness timeout.
 #[test]
-fn stats_never_deadlock_against_a_lazy_seal() {
+fn stats_never_deadlock_against_updates_and_ticks() {
     let g = tricount_gen::rgg2d_default(220, 11);
     let e = Engine::build(&g, EngineConfig::new(4));
-    for round in 0..4u64 {
-        // Dirty the tip: an effective batch small enough to stay below
-        // the compaction threshold, so the next tick must lazily seal.
-        let mut b = UpdateBatch::new();
-        b.insert(round, round + 19);
-        b.insert(round + 1, round + 43);
-        e.apply_updates(&b).expect("valid batch");
-        assert!(e.is_dirty(), "tip carries a frozen overlay");
-        e.submit(Query::GlobalTriangles {
-            algorithm: Algorithm::Cetric,
-        })
-        .expect("admitted");
-
-        let done = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let stats_handle = e.clone();
-            let ticker = e.clone();
-            let done = &done;
-            let observer = s.spawn(move || {
-                while !done.load(std::sync::atomic::Ordering::Relaxed) {
-                    let st = stats_handle.stats();
-                    assert!(st.submitted >= st.answered);
-                    let _ = stats_handle.prometheus();
-                }
-            });
-            let answers = s.spawn(move || ticker.tick()).join().expect("ticker");
-            assert_eq!(answers.len(), 1);
-            done.store(true, std::sync::atomic::Ordering::Relaxed);
-            observer.join().expect("observer");
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let done = &done;
+        let observer = e.clone();
+        let observer = s.spawn(move || {
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                let st = observer.stats();
+                assert!(st.submitted >= st.answered);
+                let _ = observer.prometheus();
+            }
         });
-    }
+        let ticker = e.clone();
+        let ticker = s.spawn(move || {
+            for _ in 0..8 {
+                ticker
+                    .submit(Query::GlobalTriangles {
+                        algorithm: Algorithm::Cetric,
+                    })
+                    .expect("admitted");
+                assert_eq!(ticker.tick().len(), 1);
+            }
+        });
+        for round in 0..8u64 {
+            let mut b = UpdateBatch::new();
+            b.insert(round, round + 19);
+            b.insert(round + 1, round + 43);
+            e.apply_updates(&b).expect("valid batch");
+        }
+        ticker.join().expect("ticker");
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        observer.join().expect("observer");
+    });
+    assert_eq!(e.stats().readers_pinned, 0);
 }
 
 /// One interleaving op of the proptest script.

@@ -11,8 +11,6 @@
 //! derived from where it stops ([`merge_count`]), and are free to execute
 //! fewer.
 
-use crate::VertexId;
-
 /// Combined list length from which the slice merges run as two chains:
 /// below it the split (a `partition_point` each for the pivot and the stop
 /// position, and two loop tails) costs more than the overlap returns.
@@ -166,62 +164,6 @@ pub fn merge_collect<T: Copy + Ord + Default>(a: &[T], b: &[T], out: &mut Vec<T>
     (stop - found) as u64
 }
 
-/// Merge-based intersection count over two sorted, duplicate-free
-/// *iterators* — the streaming twin of [`merge_count`], so callers holding
-/// composed neighborhood views (e.g. a base list with an overlay of
-/// insertions and deletions) can intersect without materialising either
-/// side.
-#[inline]
-pub fn merge_count_iter<I, J>(mut a: I, mut b: J) -> (u64, u64)
-where
-    I: Iterator<Item = VertexId>,
-    J: Iterator<Item = VertexId>,
-{
-    let mut x = a.next();
-    let mut y = b.next();
-    let mut count = 0u64;
-    let mut ops = 0u64;
-    while let (Some(u), Some(v)) = (x, y) {
-        ops += 1;
-        match u.cmp(&v) {
-            std::cmp::Ordering::Less => x = a.next(),
-            std::cmp::Ordering::Greater => y = b.next(),
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                x = a.next();
-                y = b.next();
-            }
-        }
-    }
-    (count, ops)
-}
-
-/// Streaming twin of [`merge_collect`]: intersects two sorted iterators and
-/// pushes the common elements into `out`, returning the comparison count.
-#[inline]
-pub fn merge_collect_iter<I, J>(mut a: I, mut b: J, out: &mut Vec<VertexId>) -> u64
-where
-    I: Iterator<Item = VertexId>,
-    J: Iterator<Item = VertexId>,
-{
-    let mut x = a.next();
-    let mut y = b.next();
-    let mut ops = 0u64;
-    while let (Some(u), Some(v)) = (x, y) {
-        ops += 1;
-        match u.cmp(&v) {
-            std::cmp::Ordering::Less => x = a.next(),
-            std::cmp::Ordering::Greater => y = b.next(),
-            std::cmp::Ordering::Equal => {
-                out.push(u);
-                x = a.next();
-                y = b.next();
-            }
-        }
-    }
-    ops
-}
-
 /// Binary search over a sorted slice, its elements read through `key`,
 /// that charges one op per element comparison actually performed. Shared
 /// by the binary-probe and galloping kernels so both meter work in the
@@ -340,7 +282,16 @@ fn by_len<'a, T>(a: &'a [T], b: &'a [T]) -> (&'a [T], &'a [T]) {
 #[inline]
 pub fn binary_search_count<T: Copy + Ord>(a: &[T], b: &[T]) -> (u64, u64) {
     let (small, large) = by_len(a, b);
-    binary_search_count_iter(small.iter().copied(), large)
+    let mut count = 0u64;
+    let ops = probe_by(
+        false,
+        small.iter().copied(),
+        |x| x,
+        large,
+        |y| y,
+        |_, _| count += 1,
+    );
+    (count, ops)
 }
 
 /// Binary-probe intersection that reports the common elements (in sorted
@@ -348,7 +299,14 @@ pub fn binary_search_count<T: Copy + Ord>(a: &[T], b: &[T]) -> (u64, u64) {
 #[inline]
 pub fn binary_search_collect<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) -> u64 {
     let (small, large) = by_len(a, b);
-    binary_search_collect_iter(small.iter().copied(), large, out)
+    probe_by(
+        false,
+        small.iter().copied(),
+        |x| x,
+        large,
+        |y| y,
+        |x, _| out.push(x),
+    )
 }
 
 /// Galloping (exponential-search) intersection — adaptive between merge and
@@ -358,64 +316,36 @@ pub fn binary_search_collect<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) 
 #[inline]
 pub fn gallop_count<T: Copy + Ord>(a: &[T], b: &[T]) -> (u64, u64) {
     let (small, large) = by_len(a, b);
-    gallop_count_iter(small.iter().copied(), large)
+    let mut count = 0u64;
+    let ops = probe_by(
+        true,
+        small.iter().copied(),
+        |x| x,
+        large,
+        |y| y,
+        |_, _| count += 1,
+    );
+    (count, ops)
 }
 
 /// Galloping intersection that reports the common elements.
 #[inline]
 pub fn gallop_collect<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) -> u64 {
     let (small, large) = by_len(a, b);
-    gallop_collect_iter(small.iter().copied(), large, out)
-}
-
-/// Binary-probe intersection of a sorted *iterator* against a sorted slice
-/// table: the streaming twin of [`binary_search_count`], for callers whose
-/// probe side is a composed view (base list + overlay) that never
-/// materialises. The table side must be a slice — random access is what the
-/// probes buy their speed with.
-#[inline]
-pub fn binary_search_count_iter<T: Copy + Ord>(
-    probe: impl Iterator<Item = T>,
-    table: &[T],
-) -> (u64, u64) {
-    let mut count = 0u64;
-    let ops = probe_by(false, probe, |x| x, table, |y| y, |_, _| count += 1);
-    (count, ops)
-}
-
-/// Streaming twin of [`binary_search_collect`].
-#[inline]
-pub fn binary_search_collect_iter<T: Copy + Ord>(
-    probe: impl Iterator<Item = T>,
-    table: &[T],
-    out: &mut Vec<T>,
-) -> u64 {
-    probe_by(false, probe, |x| x, table, |y| y, |x, _| out.push(x))
-}
-
-/// Galloping intersection of a sorted *iterator* against a sorted slice
-/// table: the streaming twin of [`gallop_count`]. The probe side streams in
-/// ascending order, so the gallop cursor still advances monotonically.
-#[inline]
-pub fn gallop_count_iter<T: Copy + Ord>(probe: impl Iterator<Item = T>, table: &[T]) -> (u64, u64) {
-    let mut count = 0u64;
-    let ops = probe_by(true, probe, |x| x, table, |y| y, |_, _| count += 1);
-    (count, ops)
-}
-
-/// Streaming twin of [`gallop_collect`].
-#[inline]
-pub fn gallop_collect_iter<T: Copy + Ord>(
-    probe: impl Iterator<Item = T>,
-    table: &[T],
-    out: &mut Vec<T>,
-) -> u64 {
-    probe_by(true, probe, |x| x, table, |y| y, |x, _| out.push(x))
+    probe_by(
+        true,
+        small.iter().copied(),
+        |x| x,
+        large,
+        |y| y,
+        |x, _| out.push(x),
+    )
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::VertexId;
 
     fn naive(a: &[VertexId], b: &[VertexId]) -> u64 {
         a.iter().filter(|x| b.contains(x)).count() as u64
@@ -559,106 +489,61 @@ pub(crate) mod tests {
         assert_eq!(merge_count(&a, &b).0, naive(&a, &b));
     }
 
+    /// List pairs of the kernel agreement tests: empty sides, identical,
+    /// disjoint and interleaved lists, and skewed pairs with the shorter
+    /// list on either side.
+    const CASES: &[(&[VertexId], &[VertexId])] = &[
+        (&[], &[]),
+        (&[1], &[]),
+        (&[], &[1]),
+        (&[], &[1, 2, 3]),
+        (&[1, 2, 3], &[1, 2, 3]),
+        (&[1, 5, 9], &[2, 6, 10]),
+        (&[1, 3, 5, 7], &[3, 4, 7, 8]),
+        (&[0, 2, 4, 6, 8, 10, 12], &[5, 6]),
+        (&[5, 6], &[0, 2, 4, 6, 8, 10, 12]),
+        (&[7], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        (&[2], &[1, 2, 3, 4, 5, 6, 7, 8]),
+        (&[1, 5, 9], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]),
+    ];
+
+    /// Every counting kernel returns the naive count, and each probe
+    /// kernel probes the shorter list into the longer whichever comes
+    /// first: count and ops are the same for `(a, b)` and `(b, a)`.
     #[test]
     fn all_kernels_agree() {
-        let cases: &[(&[VertexId], &[VertexId])] = &[
-            (&[], &[]),
-            (&[1], &[]),
-            (&[], &[1]),
-            (&[1, 2, 3], &[1, 2, 3]),
-            (&[1, 5, 9], &[2, 6, 10]),
-            (&[0, 2, 4, 6, 8, 10, 12], &[5, 6]),
-            (&[7], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
-        ];
-        for (a, b) in cases {
+        for (a, b) in CASES {
             let expect = naive(a, b);
             assert_eq!(merge_count(a, b).0, expect, "merge {a:?} {b:?}");
             assert_eq!(binary_search_count(a, b).0, expect, "bsearch {a:?} {b:?}");
             assert_eq!(gallop_count(a, b).0, expect, "gallop {a:?} {b:?}");
+            if a.len() != b.len() {
+                assert_eq!(binary_search_count(a, b), binary_search_count(b, a));
+                assert_eq!(gallop_count(a, b), gallop_count(b, a));
+            }
         }
     }
 
+    /// Every collecting kernel returns the merge's elements, ascending,
+    /// and reports the ops of its counting twin.
     #[test]
     fn collect_kernels_agree() {
-        let cases: &[(&[VertexId], &[VertexId])] = &[
-            (&[], &[]),
-            (&[1, 2, 3], &[1, 2, 3]),
-            (&[1, 3, 5, 7], &[3, 4, 7, 8]),
-            (&[0, 2, 4, 6, 8, 10, 12], &[5, 6]),
-            (&[7], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        type Count = fn(&[VertexId], &[VertexId]) -> (u64, u64);
+        type Collect = fn(&[VertexId], &[VertexId], &mut Vec<VertexId>) -> u64;
+        let kernels: [(&str, Count, Collect); 3] = [
+            ("merge", merge_count, merge_collect),
+            ("bsearch", binary_search_count, binary_search_collect),
+            ("gallop", gallop_count, gallop_collect),
         ];
-        for (a, b) in cases {
+        for (a, b) in CASES {
             let mut expect = Vec::new();
             merge_collect(a, b, &mut expect);
-            let mut got_b = Vec::new();
-            binary_search_collect(a, b, &mut got_b);
-            assert_eq!(got_b, expect, "bsearch collect {a:?} {b:?}");
-            let mut got_g = Vec::new();
-            gallop_collect(a, b, &mut got_g);
-            assert_eq!(got_g, expect, "gallop collect {a:?} {b:?}");
-        }
-    }
-
-    #[test]
-    fn iter_kernels_match_slice_kernels() {
-        let cases: &[(&[VertexId], &[VertexId])] = &[
-            (&[], &[]),
-            (&[1], &[]),
-            (&[1, 2, 3], &[1, 2, 3]),
-            (&[1, 5, 9], &[2, 6, 10]),
-            (&[0, 2, 4, 6, 8, 10, 12], &[5, 6]),
-            (&[7], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
-        ];
-        for (a, b) in cases {
-            let (c, ops) = merge_count(a, b);
-            assert_eq!(
-                merge_count_iter(a.iter().copied(), b.iter().copied()),
-                (c, ops),
-                "count {a:?} {b:?}"
-            );
-            let mut out_slice = Vec::new();
-            let slice_ops = merge_collect(a, b, &mut out_slice);
-            let mut out_iter = Vec::new();
-            let iter_ops = merge_collect_iter(a.iter().copied(), b.iter().copied(), &mut out_iter);
-            assert_eq!(out_iter, out_slice, "collect {a:?} {b:?}");
-            assert_eq!(iter_ops, slice_ops);
-        }
-    }
-
-    #[test]
-    fn probe_iter_twins_match_probe_order() {
-        // The iter twins probe the *first* argument into the second (no
-        // small/large swap — the caller has no slice to swap). Check they
-        // agree with the slice kernels when the probe side is the smaller.
-        let cases: &[(&[VertexId], &[VertexId])] = &[
-            (&[], &[1, 2, 3]),
-            (&[2], &[1, 2, 3, 4, 5, 6, 7, 8]),
-            (&[1, 5, 9], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]),
-            (&[5, 6], &[0, 2, 4, 6, 8, 10, 12]),
-        ];
-        for (probe, table) in cases {
-            let bs = binary_search_count(probe, table);
-            assert_eq!(
-                binary_search_count_iter(probe.iter().copied(), table),
-                bs,
-                "bsearch iter {probe:?} {table:?}"
-            );
-            let gl = gallop_count(probe, table);
-            assert_eq!(
-                gallop_count_iter(probe.iter().copied(), table),
-                gl,
-                "gallop iter {probe:?} {table:?}"
-            );
-            let mut s1 = Vec::new();
-            let o1 = binary_search_collect(probe, table, &mut s1);
-            let mut s2 = Vec::new();
-            let o2 = binary_search_collect_iter(probe.iter().copied(), table, &mut s2);
-            assert_eq!((s1, o1), (s2, o2));
-            let mut g1 = Vec::new();
-            let p1 = gallop_collect(probe, table, &mut g1);
-            let mut g2 = Vec::new();
-            let p2 = gallop_collect_iter(probe.iter().copied(), table, &mut g2);
-            assert_eq!((g1, p1), (g2, p2));
+            for (kernel, count, collect) in kernels {
+                let mut got = Vec::new();
+                let ops = collect(a, b, &mut got);
+                assert_eq!(got, expect, "{kernel} collect {a:?} {b:?}");
+                assert_eq!(ops, count(a, b).1, "{kernel} ops {a:?} {b:?}");
+            }
         }
     }
 

@@ -23,9 +23,8 @@
 
 use crate::dist::{DenseIds, LocalId};
 use crate::intersect::{
-    binary_search_collect, binary_search_collect_iter, binary_search_count,
-    binary_search_count_iter, gallop_collect, gallop_collect_iter, gallop_count, gallop_count_iter,
-    merge_collect, merge_collect_iter, merge_count, merge_count_iter, probe_by,
+    binary_search_collect, binary_search_count, gallop_collect, gallop_count, merge_collect,
+    merge_count, probe_by,
 };
 use crate::VertexId;
 
@@ -178,74 +177,6 @@ impl Dispatcher {
             Pick::Merge => merge_collect(table, probe, out),
             Pick::Gallop => gallop_collect(probe, table, out),
             Pick::Binary => binary_search_collect(probe, table, out),
-        }
-    }
-
-    /// Picks for a sorted probe *iterator* of `probe_len` elements against
-    /// a slice table. The iterator can only be the probe side; when the
-    /// table is the smaller side, probing it would be the wrong way round,
-    /// so it streams the merge.
-    #[inline]
-    fn pick_iter(&mut self, probe_len: usize, table_len: usize) -> Pick {
-        if table_len < probe_len {
-            self.counters.merge += 1;
-            Pick::Merge
-        } else {
-            self.pick(probe_len, table_len)
-        }
-    }
-
-    /// Count a sorted probe *iterator* of known length against a sorted
-    /// slice table — the streaming entry point for the delta overlay path,
-    /// where the probe side is a merged base+overlay view that never
-    /// materialises.
-    #[inline]
-    pub fn count_iter<I>(&mut self, probe: I, probe_len: usize, table: &[VertexId]) -> (u64, u64)
-    where
-        I: Iterator<Item = VertexId>,
-    {
-        if probe_len == 0 || table.is_empty() {
-            return (0, 0);
-        }
-        match self.pick_iter(probe_len, table.len()) {
-            Pick::Merge => merge_count_iter(probe, table.iter().copied()),
-            Pick::Gallop => gallop_count_iter(probe, table),
-            Pick::Binary => binary_search_count_iter(probe, table),
-        }
-    }
-
-    /// Streaming merge-collect of two composed iterators — the only kernel
-    /// shape available when *both* sides are unmaterialised views (e.g.
-    /// two dirty overlay neighborhoods). Tallied as a merge dispatch.
-    #[inline]
-    pub fn merge_iters_collect<I, J>(&mut self, a: I, b: J, out: &mut Vec<VertexId>) -> u64
-    where
-        I: Iterator<Item = VertexId>,
-        J: Iterator<Item = VertexId>,
-    {
-        self.counters.merge += 1;
-        merge_collect_iter(a, b, out)
-    }
-
-    /// Collect twin of [`Dispatcher::count_iter`].
-    #[inline]
-    pub fn collect_iter<I>(
-        &mut self,
-        probe: I,
-        probe_len: usize,
-        table: &[VertexId],
-        out: &mut Vec<VertexId>,
-    ) -> u64
-    where
-        I: Iterator<Item = VertexId>,
-    {
-        if probe_len == 0 || table.is_empty() {
-            return 0;
-        }
-        match self.pick_iter(probe_len, table.len()) {
-            Pick::Merge => merge_collect_iter(probe, table.iter().copied(), out),
-            Pick::Gallop => gallop_collect_iter(probe, table, out),
-            Pick::Binary => binary_search_collect_iter(probe, table, out),
         }
     }
 }
@@ -498,9 +429,8 @@ pub fn balanced_chunks(weights: &[u64], chunks: usize) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::intersect::{
-        binary_search_collect, binary_search_collect_iter, binary_search_count,
-        binary_search_count_iter, gallop_collect, gallop_collect_iter, gallop_count,
-        gallop_count_iter, merge_collect, merge_collect_iter, merge_count, merge_count_iter,
+        binary_search_collect, binary_search_count, gallop_collect, gallop_count, merge_collect,
+        merge_count,
     };
 
     fn list(vals: &[u64]) -> Vec<VertexId> {
@@ -532,20 +462,15 @@ mod tests {
             let mut out = Vec::new();
             d.collect(small, &big, &mut out);
             assert_eq!(out, expect_out, "{kernel} collect");
-            let (ci, _) = d.count_iter(small.iter().copied(), small.len(), &big);
-            assert_eq!(ci, expect, "{kernel} iter");
-            let mut out = Vec::new();
-            d.collect_iter(small.iter().copied(), small.len(), &big, &mut out);
-            assert_eq!(out, expect_out, "{kernel} collect_iter");
             let c = d.counters();
-            assert_eq!(c.total(), 4, "{kernel}");
+            assert_eq!(c.total(), 2, "{kernel}");
             let picked = c.named().iter().find(|&&(_, n)| n > 0).unwrap().0;
             assert_eq!(picked, *kernel);
         }
     }
 
     /// Property test over adversarial list shapes: every kernel function
-    /// (slice and streaming, count and collect) and the dispatcher must
+    /// (count and collect) and the dispatcher must
     /// agree with the slice merge on count *and* elements, for
     /// 1000×-skewed, empty, disjoint, identical and randomly-overlapping
     /// pairs. Lists are drawn from a seeded SplitMix64 walk so failures
@@ -597,33 +522,11 @@ mod tests {
                     collect(&a, &b, &mut out);
                     assert_eq!(out, expect_out, "{kernel} collect, {at}");
                 }
-                let probe = || a.iter().copied();
-                for kernel in ["merge", "gallop", "binary"] {
-                    let (c, _) = match kernel {
-                        "merge" => merge_count_iter(probe(), b.iter().copied()),
-                        "gallop" => gallop_count_iter(probe(), &b),
-                        _ => binary_search_count_iter(probe(), &b),
-                    };
-                    assert_eq!(c, expect, "{kernel} count_iter, {at}");
-                    out.clear();
-                    match kernel {
-                        "merge" => merge_collect_iter(probe(), b.iter().copied(), &mut out),
-                        "gallop" => gallop_collect_iter(probe(), &b, &mut out),
-                        _ => binary_search_collect_iter(probe(), &b, &mut out),
-                    };
-                    assert_eq!(out, expect_out, "{kernel} collect_iter, {at}");
-                }
-
                 let mut d = Dispatcher::default();
                 assert_eq!(d.count(&a, None, &b, None).0, expect, "auto count, {at}");
                 out.clear();
                 d.collect(&a, &b, &mut out);
                 assert_eq!(out, expect_out, "auto collect, {at}");
-                let (ci, _) = d.count_iter(probe(), a.len(), &b);
-                assert_eq!(ci, expect, "auto count_iter, {at}");
-                out.clear();
-                d.collect_iter(probe(), a.len(), &b, &mut out);
-                assert_eq!(out, expect_out, "auto collect_iter, {at}");
             }
         }
     }

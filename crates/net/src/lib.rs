@@ -79,6 +79,9 @@ pub struct Msg {
 /// * **`exchange`/`exchange_matrix` are collectives** — every rank calls
 ///   them the same number of times in the same order; they synchronise
 ///   internally (deposit → barrier → collect → barrier).
+/// * **The end of a run is not a barrier** — `finish` waits for every PE
+///   to finish and completes no `barrier` or collective: a PE waiting in
+///   one when a peer finishes panics, naming that peer.
 /// * **Fail fast** — once the mesh is poisoned (a peer panicked, or the
 ///   deadlock watchdog abandoned the run) `send`, `try_recv` and every
 ///   barrier panic, so the rank unwinds instead of waiting forever.
@@ -94,6 +97,8 @@ pub trait Endpoint: Send {
     fn try_recv(&mut self) -> Option<Msg>;
     /// Synchronises all PEs (no cost accounting at this layer).
     fn barrier(&self);
+    /// Ends this PE's run: waits until every PE has called `finish`.
+    fn finish(&self);
     /// All-gather rendezvous: deposits `data`, returns every rank's
     /// contribution indexed by rank.
     fn exchange(&mut self, data: Vec<u64>) -> Vec<Vec<u64>>;

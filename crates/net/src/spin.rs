@@ -7,8 +7,15 @@
 //! within microseconds, letting the scoped runtime join all threads and
 //! re-raise the original payload. The deadlock watchdog sets the same flag
 //! on a run it gives up on, so its stalled waiters unwind too.
+//!
+//! The end of a run is not a barrier: [`SpinBarrier::finish`] waits for
+//! every party to *finish*, and never completes a [`SpinBarrier::wait`]. A
+//! waiter that sees a finished party knows its barrier can never complete
+//! and poisons the barrier naming that party, so a party that skips a
+//! barrier and returns fails the run at the barrier it skipped.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Spin iterations between `yield_now` calls while waiting: stay hot for
 /// short waits, stay polite when oversubscribed (more PE threads than
@@ -22,6 +29,11 @@ pub struct SpinBarrier {
     arrived: AtomicUsize,
     generation: AtomicUsize,
     poisoned: AtomicBool,
+    /// Per party: whether it entered [`SpinBarrier::finish`].
+    finished: Vec<AtomicBool>,
+    finished_count: AtomicUsize,
+    /// Why a waiter poisoned the barrier, when it could tell.
+    cause: OnceLock<String>,
 }
 
 impl SpinBarrier {
@@ -32,6 +44,9 @@ impl SpinBarrier {
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
+            finished: (0..parties).map(|_| AtomicBool::new(false)).collect(),
+            finished_count: AtomicUsize::new(0),
+            cause: OnceLock::new(),
         }
     }
 
@@ -48,14 +63,25 @@ impl SpinBarrier {
         self.poisoned.load(Ordering::SeqCst)
     }
 
-    /// Panics if the barrier is poisoned (a peer PE panicked, or the
-    /// watchdog gave up on the run).
+    /// The diagnosis a waiter poisoned the barrier with (a barrier no
+    /// finished party can complete), if any.
+    pub fn cause(&self) -> Option<&str> {
+        self.cause.get().map(String::as_str)
+    }
+
+    /// Panics if the barrier is poisoned (a peer PE panicked, the watchdog
+    /// gave up on the run, or a waiter found a finished party), with the
+    /// waiter's diagnosis when there is one.
     #[inline]
     pub fn check_poison(&self) {
-        assert!(
-            !self.is_poisoned(),
-            "transport poisoned: a peer PE panicked or the watchdog abandoned the run"
-        );
+        if self.is_poisoned() {
+            match self.cause() {
+                Some(cause) => panic!("{cause}"),
+                None => panic!(
+                    "transport poisoned: a peer PE panicked or the watchdog abandoned the run"
+                ),
+            }
+        }
     }
 
     /// Waits until all `parties` threads arrive. Panics if a peer poisons
@@ -72,13 +98,60 @@ impl SpinBarrier {
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == gen {
             self.check_poison();
-            spins += 1;
-            if spins % SPINS_PER_YIELD == 0 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
+            // A party finishes only after passing every barrier it enters,
+            // so once one has finished, re-reading the generation tells
+            // whether this barrier completed or never can.
+            if self.finished_count.load(Ordering::Acquire) > 0
+                && self.generation.load(Ordering::Acquire) == gen
+            {
+                let _ = self.cause.set(self.mismatch());
+                self.poison();
+                self.check_poison();
             }
+            spin(&mut spins);
         }
+    }
+
+    /// The end of party `rank`'s run: waits until every party has
+    /// finished. Completes no [`SpinBarrier::wait`] — a party still waiting
+    /// in one panics instead, naming `rank`. Panics if the barrier is
+    /// poisoned while waiting.
+    pub fn finish(&self, rank: usize) {
+        self.check_poison();
+        self.finished[rank].store(true, Ordering::Release);
+        self.finished_count.fetch_add(1, Ordering::AcqRel);
+        let mut spins = 0u32;
+        while self.finished_count.load(Ordering::Acquire) < self.parties {
+            self.check_poison();
+            spin(&mut spins);
+        }
+    }
+
+    /// Names the finished parties a waiter can never meet.
+    fn mismatch(&self) -> String {
+        let ranks: Vec<String> = (0..self.parties)
+            .filter(|&r| self.finished[r].load(Ordering::Acquire))
+            .map(|r| r.to_string())
+            .collect();
+        let who = match ranks.as_slice() {
+            [one] => format!("rank {one}"),
+            many => format!("ranks {}", many.join(", ")),
+        };
+        format!(
+            "barrier mismatch: {who} returned from the rank program while a peer \
+             waits in a barrier or collective it never entered"
+        )
+    }
+}
+
+/// One step of a wait loop: spin, yielding every [`SPINS_PER_YIELD`].
+#[inline]
+fn spin(spins: &mut u32) {
+    *spins += 1;
+    if *spins % SPINS_PER_YIELD == 0 {
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
     }
 }
 
@@ -128,5 +201,21 @@ mod tests {
         for _ in 0..10 {
             b.wait();
         }
+        b.finish(0);
+    }
+
+    #[test]
+    fn finish_never_completes_a_barrier() {
+        // party 0 skips the barrier and finishes: party 1's barrier can
+        // never complete, so it panics naming party 0 — and party 0,
+        // released by the poison, panics with the same diagnosis
+        let barrier = Arc::new(SpinBarrier::new(2));
+        let waiter = Arc::clone(&barrier);
+        let handle = std::thread::spawn(move || waiter.wait());
+        let finisher = std::panic::catch_unwind(|| barrier.finish(0));
+        assert!(handle.join().is_err(), "waiter must panic, not hang");
+        assert!(finisher.is_err(), "finisher must panic, not hang");
+        let cause = barrier.cause().expect("the waiter diagnosed the mismatch");
+        assert!(cause.contains("rank 0 returned"), "{cause}");
     }
 }

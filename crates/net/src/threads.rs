@@ -13,7 +13,9 @@
 //!
 //! Barriers are the sense-reversing spin barrier of [`crate::spin`];
 //! collectives deposit into per-rank mutex cells bracketed by barriers
-//! (deposit → barrier → collect → barrier), one lock per slot.
+//! (deposit → barrier → collect → barrier), one lock per slot. The
+//! end-of-run sync is the barrier's `finish`, which completes none of
+//! them.
 //!
 //! **What a mesh costs**: `p²` `PairQueue`s (one per ordered pair, the
 //! `p` self-pairs included but never used), plus `p` deposit slots, `p`
@@ -141,6 +143,12 @@ impl MeshPoison {
     pub fn poison(&self) {
         self.0.barrier.poison();
     }
+
+    /// Why a rank poisoned the mesh, when it diagnosed a barrier that can
+    /// never complete (see [`SpinBarrier::finish`]).
+    pub fn cause(&self) -> Option<String> {
+        self.0.barrier.cause().map(str::to_string)
+    }
 }
 
 impl ThreadsTransport {
@@ -227,6 +235,32 @@ impl ThreadsEndpoint {
     /// A handle that poisons this endpoint's whole mesh.
     pub fn mesh_poison(&self) -> MeshPoison {
         MeshPoison(Arc::clone(&self.shared))
+    }
+
+    /// Runs one barrier wait, stamped as a barrier interval on a profiled
+    /// endpoint.
+    fn timed(&self, wait: impl FnOnce(&SpinBarrier)) {
+        match &self.probe {
+            None => wait(&self.shared.barrier),
+            Some(cell) => {
+                // Stamp the enter event and release the borrow *before*
+                // spinning: the barrier itself never touches the probe, but
+                // holding a RefCell borrow across a blocking wait would be
+                // a latent trap.
+                let t_enter = {
+                    let mut st = cell.borrow_mut();
+                    let t = st.now_nanos();
+                    st.ring.record(WallEventKind::BarrierEnter, t);
+                    t
+                };
+                wait(&self.shared.barrier);
+                let mut st = cell.borrow_mut();
+                let t_exit = st.now_nanos();
+                st.ring.record(WallEventKind::BarrierExit, t_exit);
+                st.meters.barrier_spin_nanos += t_exit.saturating_sub(t_enter);
+                st.meters.barrier_waits += 1;
+            }
+        }
     }
 }
 
@@ -320,27 +354,11 @@ impl Endpoint for ThreadsEndpoint {
     }
 
     fn barrier(&self) {
-        match &self.probe {
-            None => self.shared.barrier.wait(),
-            Some(cell) => {
-                // Stamp the enter event and release the borrow *before*
-                // spinning: the barrier itself never touches the probe, but
-                // holding a RefCell borrow across a blocking wait would be
-                // a latent trap.
-                let t_enter = {
-                    let mut st = cell.borrow_mut();
-                    let t = st.now_nanos();
-                    st.ring.record(WallEventKind::BarrierEnter, t);
-                    t
-                };
-                self.shared.barrier.wait();
-                let mut st = cell.borrow_mut();
-                let t_exit = st.now_nanos();
-                st.ring.record(WallEventKind::BarrierExit, t_exit);
-                st.meters.barrier_spin_nanos += t_exit.saturating_sub(t_enter);
-                st.meters.barrier_waits += 1;
-            }
-        }
+        self.timed(|b| b.wait());
+    }
+
+    fn finish(&self) {
+        self.timed(|b| b.finish(self.rank));
     }
 
     fn exchange(&mut self, data: Vec<u64>) -> Vec<Vec<u64>> {

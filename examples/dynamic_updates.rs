@@ -2,8 +2,8 @@
 //! resident engine, maintaining the global triangle count incrementally —
 //! each batch is routed to its owning PEs, the exact triangle delta is
 //! counted as distributed intersections with same-batch corrections, and
-//! per-PE adjacency overlays are compacted back into the prepared state
-//! once they grow past a configurable fraction of the base.
+//! the batch is folded into fresh prepared state before the new epoch is
+//! published, so every epoch queries see is sealed.
 //!
 //! Run with:
 //! ```text
@@ -19,9 +19,7 @@ fn main() {
     //    triangle count that apply_updates maintains from here on.
     let g = cetric::gen::rgg2d_default(3_000, 42);
     let p = 4;
-    let mut cfg = EngineConfig::new(p);
-    cfg.compaction_fraction = 0.05; // fold overlays at 5% of the base
-    let engine = Engine::build(&g, cfg);
+    let engine = Engine::build(&g, EngineConfig::new(p));
     println!(
         "resident: n = {}, m = {} on {p} PEs, {} triangles",
         g.num_vertices(),
@@ -61,15 +59,14 @@ fn main() {
         let r = engine.apply_updates(&batch).expect("ids are in range");
         let words = r.comm.sent_words + r.comm.coll_word_units;
         println!(
-            "round {round}: {:+} triangles, {words} words ({:.1}% of build){}",
+            "round {round}: {:+} triangles, {words} words ({:.1}% of build)",
             r.delta(),
             100.0 * words as f64 / build_words as f64,
-            if r.compacted { ", compacted" } else { "" }
         );
     }
 
-    // 4. Queries see the updated graph (a tick compacts pending overlays
-    //    first), and the incremental count matches the full recount.
+    // 4. Queries see the updated graph (each update published its epoch
+    //    sealed), and the incremental count matches the full recount.
     let answer = engine
         .query(Query::GlobalTriangles {
             algorithm: Algorithm::Cetric,
@@ -87,8 +84,9 @@ fn main() {
         engine.apply_updates(b).expect("ids are in range");
     }
     let s = engine.stats();
+    let folds = s.spans.iter().filter(|sp| sp.label == "seal").count();
     println!(
-        "total: {} batches applied, {} ins / {} del / {} noop, {} compaction(s)",
-        s.updates_applied, s.edges_inserted, s.edges_deleted, s.update_noops, s.compactions
+        "total: {} batches applied, {} ins / {} del / {} noop, {folds} fold(s)",
+        s.updates_applied, s.edges_inserted, s.edges_deleted, s.update_noops
     );
 }

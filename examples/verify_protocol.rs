@@ -71,8 +71,9 @@ fn main() {
         }
     }
 
-    // 3. The deadlock watchdog: a PE that skips a collective stalls the
-    //    rest; instead of hanging, the run returns a wait-for report.
+    // 3. The deadlock watchdog: a PE that skips a barrier and returns
+    //    strands the rest in it; instead of hanging, the run returns a
+    //    wait-for report naming the rank that returned.
     let report = run_guarded(
         4,
         &SimOptions::default(),
