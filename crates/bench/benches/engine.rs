@@ -134,15 +134,6 @@ fn main() {
             &format_f64(sum.p99),
         );
     }
-    let executed: u64 = s.pool.iter().map(|w| w.executed).sum();
-    let steals: u64 = s.pool.iter().map(|w| w.steals_succeeded).sum();
-    push(
-        &mut rows,
-        &mut report,
-        "engine/pool_tasks_executed",
-        format!("{executed} ({steals} stolen)"),
-        &format_f64(executed as f64),
-    );
     report.push_raw("engine/stats", &s.to_json());
 
     print_table(

@@ -54,3 +54,4 @@ pub use trace::{hash_words, CollKind, SpanKind, SpanRecord, SpanStamp, Trace, Tr
 pub use tricount_net::{
     ContentionMeters, ContentionSummary, PeWallLog, WallEvent, WallEventKind, WallProfile,
 };
+pub use tricount_par::Executor;

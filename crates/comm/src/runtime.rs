@@ -26,7 +26,8 @@
 //! * **schedule perturbation** ([`SimOptions::perturb_seed`]) — message
 //!   delivery order and thread interleavings are permuted under a seeded
 //!   RNG, so schedule-dependent results can be flushed out;
-//! * **deadlock guarding** ([`run_guarded`]) — a watchdog observes per-PE
+//! * **deadlock guarding** ([`run_guarded`], on the resident threads of a
+//!   [`tricount_par::Executor`]) — a watchdog observes per-PE
 //!   progress heartbeats and, instead of hanging, returns a
 //!   [`DeadlockReport`] dumping each PE's state (buffered volume, pending
 //!   collective, delivered/expected envelopes) plus a wait-for graph.
@@ -38,6 +39,7 @@ use std::time::{Duration, Instant};
 
 pub use tricount_net::TransportKind;
 use tricount_net::{Endpoint, MeshPoison, ThreadsTransport, WallCollector};
+use tricount_par::Executor;
 
 use crate::cost::ceil_log2;
 use crate::stats::{Counters, PhaseStats, RunStats};
@@ -1040,14 +1042,17 @@ fn snapshot(shared: &Shared, done: &[bool]) -> (Vec<PeSnapshot>, Vec<(usize, usi
 /// and the report, returned as soon as they have, carries the diagnosis as
 /// its `cause`.
 ///
-/// The rank program must be `'static` because stuck rank threads cannot be
-/// joined. On a diagnosis the watchdog poisons the run's mesh and returns
-/// without them: each abandoned rank panics at its next barrier, send or
-/// receive and unwinds, so none is left spinning. Pick `timeout` larger than
-/// the longest stretch of purely local computation in the rank program:
+/// The ranks run as jobs on `exec`'s resident threads, so a run starts no
+/// thread while `p` of them are idle. The rank program must be `'static`
+/// because stuck ranks cannot be joined. On a diagnosis the watchdog
+/// poisons the run's mesh and returns without them: each abandoned rank
+/// panics at its next barrier, send or receive and unwinds, and its thread
+/// parks in `exec` again, so none is left spinning. Pick `timeout` larger
+/// than the longest stretch of purely local computation in the rank program:
 /// local work metered through [`Ctx::add_work`] counts as progress, unmetered
 /// busy loops do not.
 pub fn run_guarded<R, F>(
+    exec: &Executor,
     p: usize,
     opts: &SimOptions,
     timeout: Duration,
@@ -1067,11 +1072,18 @@ where
         let f = Arc::clone(&f);
         let done_tx = done_tx.clone();
         let opts_copy = opts_copy.clone();
-        std::thread::spawn(move || {
-            let outcome = drive_rank(rank, &shared, endpoint, &opts_copy, &*f);
-            // the supervisor may have given up already; ignore send errors
-            let _ = done_tx.send((rank, outcome));
-        });
+        exec.spawn(
+            move || drive_rank(rank, &shared, endpoint, &opts_copy, &*f),
+            // Runs once the rank's thread is idle again, so the next run
+            // finds it. A panicked rank sends nothing: dropping its sender
+            // is what the supervisor's `Disconnected` arm waits for. The
+            // supervisor may have given up already; ignore send errors.
+            move |outcome| {
+                if let Ok(outcome) = outcome {
+                    let _ = done_tx.send((rank, outcome));
+                }
+            },
+        );
     }
     drop(done_tx);
 
@@ -1513,6 +1525,7 @@ mod tests {
     #[test]
     fn guarded_run_completes_normally() {
         let out = run_guarded(
+            &Executor::new(),
             4,
             &SimOptions::default(),
             Duration::from_secs(5),
@@ -1535,6 +1548,7 @@ mod tests {
         // rank 0 skips both barriers and exits: 1..3 find it finished
         // while they wait in the first, inside the rank closure
         let report = run_guarded(
+            &Executor::new(),
             4,
             &SimOptions::default(),
             Duration::from_millis(200),
@@ -1605,5 +1619,91 @@ mod tests {
             .expect("run_sim hung instead of failing")
             .expect("a skipped barrier must fail the run");
         assert!(message.contains("rank 0 returned"), "{message}");
+    }
+
+    #[test]
+    fn guarded_run_reraises_a_panicking_rank_and_keeps_its_threads() {
+        let exec = Executor::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_guarded(
+                &exec,
+                3,
+                &SimOptions::default(),
+                Duration::from_secs(5),
+                |ctx: &mut Ctx| {
+                    if ctx.rank() == 1 {
+                        panic!("rank 1 dies");
+                    }
+                    ctx.barrier();
+                },
+            )
+        }));
+        let payload = caught.expect_err("a panicking rank fails the run");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            message.contains("rank thread panicked before completing"),
+            "{message}"
+        );
+        // The supervisor re-raises only once every rank has ended, so all
+        // three threads are idle: the next run starts none.
+        assert_eq!(exec.jobs_run(), 3);
+        let out = run_guarded(
+            &exec,
+            3,
+            &SimOptions::default(),
+            Duration::from_secs(5),
+            |ctx: &mut Ctx| ctx.rank(),
+        )
+        .expect("no deadlock");
+        assert_eq!(out.output.results, vec![0, 1, 2]);
+        assert_eq!(exec.threads_started(), 3);
+    }
+
+    #[test]
+    fn abandoned_ranks_return_their_threads_once_they_unwind() {
+        let exec = Executor::new();
+        // rank 0 skips the barrier and spins, metering no progress, until
+        // the watchdog gives up; the others wait in the barrier.
+        let release = Arc::new(AtomicUsize::new(0));
+        let spin = Arc::clone(&release);
+        let report = run_guarded(
+            &exec,
+            3,
+            &SimOptions::default(),
+            Duration::from_millis(100),
+            move |ctx: &mut Ctx| {
+                if ctx.rank() == 0 {
+                    while spin.load(Ordering::Acquire) == 0 {
+                        std::hint::spin_loop();
+                    }
+                } else {
+                    ctx.barrier();
+                }
+            },
+        )
+        .expect_err("must diagnose the stall");
+        assert!(report.cause.is_none(), "a stall, not a mismatch");
+        // Ranks 1 and 2 unwind out of the poisoned barrier; rank 0 returns
+        // once released. Every thread is idle again after its job counts.
+        release.store(1, Ordering::Release);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while exec.jobs_run() < 3 {
+            assert!(Instant::now() < deadline, "abandoned ranks never ended");
+            std::thread::yield_now();
+        }
+        let out = run_guarded(
+            &exec,
+            3,
+            &SimOptions::default(),
+            Duration::from_secs(5),
+            |ctx: &mut Ctx| ctx.allreduce_sum(&[1])[0],
+        )
+        .expect("no deadlock");
+        assert_eq!(out.output.results, vec![3, 3, 3]);
+        assert_eq!(exec.threads_started(), 3, "the abandoned ranks' threads");
     }
 }

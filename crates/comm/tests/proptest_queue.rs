@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use tricount_comm::{
-    run_guarded, run_sim, Counters, MessageQueue, QueueConfig, Routing, SimOptions, HEADER_WORDS,
-    INBOX_FACTOR,
+    run_guarded, run_sim, Counters, Executor, MessageQueue, QueueConfig, Routing, SimOptions,
+    HEADER_WORDS, INBOX_FACTOR,
 };
 
 /// A post schedule: per source rank, a list of (dest, payload) envelopes.
@@ -301,6 +301,7 @@ proptest! {
         let cfg = QueueConfig { delta: Some(delta), routing };
         let body_sched = sched.clone();
         let out = run_guarded(
+            &Executor::new(),
             p,
             &SimOptions::default(),
             Duration::from_secs(30),

@@ -1,9 +1,11 @@
 //! Multi-tenant serving: many resident graphs per process behind one
-//! shared worker pool.
+//! shared executor.
 //!
-//! An [`EngineHost`] maps tenant names to [`Engine`]s that all execute on
-//! a single `tricount-par` pool, so one process can hold many resident
-//! graphs without `tenants × workers` thread explosion. Admission is
+//! An [`EngineHost`] maps tenant names to [`Engine`]s that all run on a
+//! single `tricount-par` [`Executor`], so one process can hold many
+//! resident graphs without `tenants × workers × p` parked threads: the
+//! executor grows to the most runs in flight at once, not to the number of
+//! tenants. Admission is
 //! two-level: a **global** in-flight budget protects the process, a
 //! **per-tenant quota** stops one tenant from starving the rest — both
 //! reject with [`HostError::Overloaded`] (explicit backpressure) rather
@@ -24,7 +26,7 @@ use std::thread::JoinHandle;
 use tricount_delta::UpdateBatch;
 use tricount_graph::Csr;
 use tricount_obs::MetricsRegistry;
-use tricount_par::Pool;
+use tricount_par::Executor;
 
 use crate::query::{EngineError, Query, QueryAnswer, TicketId};
 use crate::{Engine, EngineConfig, UpdateReceipt};
@@ -32,7 +34,9 @@ use crate::{Engine, EngineConfig, UpdateReceipt};
 /// Configuration of an [`EngineHost`].
 #[derive(Debug, Clone)]
 pub struct HostConfig {
-    /// Workers of the single pool shared by every tenant engine.
+    /// Runners per tenant tick: replaces each tenant's
+    /// [`EngineConfig::workers`], so every tenant ticks on the same width
+    /// of the shared executor.
     pub pool_workers: usize,
     /// Threads of the background [`serve`](EngineHost::serve) loop. With
     /// two or more, one tenant's update batch and another tenant's (or
@@ -46,7 +50,7 @@ pub struct HostConfig {
 }
 
 impl HostConfig {
-    /// A sensible default host: 4 pool workers, 2 serve workers, a global
+    /// A sensible default host: 4 runners per tick, 2 serve workers, a global
     /// budget of 64 in-flight queries with a per-tenant quota of 16.
     pub fn new() -> HostConfig {
         HostConfig {
@@ -230,7 +234,7 @@ enum Job {
 
 struct HostInner {
     cfg: HostConfig,
-    pool: Arc<Pool>,
+    exec: Executor,
     tenants: Mutex<BTreeMap<String, Tenant>>,
     jobs: Mutex<VecDeque<Job>>,
     /// Signals serve workers that a job (or stop) is available.
@@ -241,7 +245,7 @@ struct HostInner {
     stop: AtomicBool,
 }
 
-/// Many tenant engines behind one pool, one admission policy and one
+/// Many tenant engines behind one executor, one admission policy and one
 /// serve loop. Cheap to clone; clones share the host.
 #[derive(Clone)]
 pub struct EngineHost {
@@ -249,12 +253,11 @@ pub struct EngineHost {
 }
 
 impl EngineHost {
-    /// Creates an empty host: no tenants, a fresh shared pool.
+    /// Creates an empty host: no tenants, a fresh shared executor.
     pub fn new(cfg: HostConfig) -> EngineHost {
-        let pool = Arc::new(Pool::new(cfg.pool_workers.max(1)));
         EngineHost {
             inner: Arc::new(HostInner {
-                pool,
+                exec: Executor::new(),
                 tenants: Mutex::new(BTreeMap::new()),
                 jobs: Mutex::new(VecDeque::new()),
                 available: Condvar::new(),
@@ -266,10 +269,15 @@ impl EngineHost {
         }
     }
 
-    /// Registers `name` with its own resident graph, built on the shared
-    /// pool. The engine pays its one-time setup here.
+    /// Registers `name` with its own resident graph, served on the shared
+    /// executor with [`HostConfig::pool_workers`] runners per tick. The
+    /// engine pays its one-time setup here.
     pub fn add_tenant(&self, name: &str, g: &Csr, cfg: EngineConfig) -> Result<(), HostError> {
-        let engine = Engine::build_with_pool(g, cfg, self.inner.pool.clone());
+        let cfg = EngineConfig {
+            workers: self.inner.cfg.pool_workers,
+            ..cfg
+        };
+        let engine = Engine::build_on(g, cfg, self.inner.exec.clone());
         let mut tenants = self.inner.tenants.lock().expect("tenants lock");
         if tenants.contains_key(name) {
             return Err(HostError::DuplicateTenant {

@@ -17,11 +17,20 @@
 //! batches per [`Engine::tick`]: queries normalising to the same
 //! `QueryKey` share one distributed run (every `VertexLcc`
 //! query rides the same full-vector computation), distinct keys run
-//! concurrently on a `tricount-par` work-stealing pool, and results land in
-//! an **epoch-keyed cache**. Each distributed run executes under the
+//! concurrently on up to [`EngineConfig::workers`] runners — the ticking
+//! thread and helpers drawn from the engine's executor — and results land
+//! in an **epoch-keyed cache**. Each distributed run executes under the
 //! deadlock watchdog (`tricount_comm::run_guarded`), so a wedged query
 //! surfaces as [`EngineError::Dist`] carrying the wait-for-graph report
 //! instead of taking the server down.
+//!
+//! # Resident threads: a read starts no thread
+//!
+//! Every serving-path run — query, update, tick helper — runs on the
+//! engine's [`Executor`]: OS threads started once, at build, and parked
+//! between runs. A sub-millisecond read then costs a few wake-ups rather
+//! than `p` thread spawns. [`EngineStats::threads_started`] stays constant
+//! while the engine serves; [`EngineStats::jobs_run`] counts the jobs.
 //!
 //! # MVCC epochs: reads never wait on writes
 //!
@@ -49,7 +58,7 @@
 //! submitted afterwards see the updated graph; queries already admitted
 //! keep their pinned pre-update snapshot.
 //!
-//! Many tenants can share one process (and one worker pool) through an
+//! Many tenants can share one process (and one executor) through an
 //! [`EngineHost`]: a tenant → engine map behind global admission budgets
 //! with per-tenant quotas and a concurrent serve loop.
 
@@ -63,11 +72,13 @@ mod stats;
 pub mod workload;
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tricount_comm::{run_guarded, run_sim, CostModel, Counters, Ctx, RunStats, SimOptions};
+use tricount_comm::{
+    run_guarded, run_sim, CostModel, Counters, Ctx, RunStats, SimOptions, SimOutput,
+};
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::approx::{approx_prepared, ApproxConfig, FilterKind};
 use tricount_core::dist::delta as delta_dist;
@@ -80,7 +91,7 @@ use tricount_delta::{Overlay, UpdateBatch};
 use tricount_graph::dist::DistGraph;
 use tricount_graph::{Csr, VertexId};
 use tricount_obs::{LogHistogram, MetricsRegistry};
-use tricount_par::{Pool, WorkerStats};
+use tricount_par::Executor;
 
 pub use check::{check_concurrency, CheckOptions, CheckReport};
 pub use host::{
@@ -107,8 +118,8 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Maximum queries drained per [`Engine::tick`].
     pub batch_max: usize,
-    /// Workers of the intra-engine pool executing distinct cache keys
-    /// concurrently.
+    /// Runners executing a tick's distinct cache keys concurrently: the
+    /// ticking thread plus up to `workers − 1` executor helpers.
     pub workers: usize,
     /// Deadlock-watchdog timeout for every distributed query run.
     pub watchdog: Duration,
@@ -221,8 +232,6 @@ struct Metrics {
     queue_depth_at_submit: LogHistogram,
     /// Tickets drained per tick.
     batch_sizes: LogHistogram,
-    /// Accumulated intra-engine pool counters.
-    pool_workers: Vec<WorkerStats>,
     /// Runs that carried wall-clock contention meters.
     profiled_runs: u64,
     /// Summed queue lock-wait seconds over all profiled runs.
@@ -263,7 +272,8 @@ struct EngineInner {
     /// Result cache keyed by `(epoch, key)`; entries of an epoch are
     /// pruned when it retires.
     results: Mutex<BTreeMap<(u64, QueryKey), CachedValue>>,
-    pool: Arc<Pool>,
+    /// Resident threads for every run the engine serves.
+    exec: Executor,
     next_ticket: AtomicU64,
     metrics: Mutex<Metrics>,
     /// Serializes graph mutations (updates, epoch advances) against each
@@ -293,17 +303,19 @@ impl Engine {
     /// (`DistGraph::new`) and performs the whole distributed setup exactly
     /// once. Everything queries need afterwards is resident.
     pub fn build(g: &Csr, cfg: EngineConfig) -> Engine {
-        let pool = Arc::new(Pool::new(cfg.workers.max(1)));
-        Self::build_with_pool(g, cfg, pool)
+        Self::build_on(g, cfg, Executor::new())
     }
 
-    /// Like [`build`](Engine::build), but executing on a caller-provided
-    /// pool — the multi-tenant [`EngineHost`] shares one pool across every
-    /// tenant engine.
-    pub fn build_with_pool(g: &Csr, cfg: EngineConfig, pool: Arc<Pool>) -> Engine {
+    /// Like [`build`](Engine::build), but serving on `exec` — the
+    /// multi-tenant [`EngineHost`] shares one executor across every tenant
+    /// engine. Starts the threads a tick needs at most, `workers − 1`
+    /// helpers and `p` ranks per runner, unless `exec` already has them.
+    pub(crate) fn build_on(g: &Csr, cfg: EngineConfig, exec: Executor) -> Engine {
         assert!(cfg.num_ranks >= 1, "need at least one PE");
         assert!(cfg.queue_capacity >= 1, "queue capacity must be positive");
         assert!(cfg.batch_max >= 1, "batch size must be positive");
+        let runners = cfg.workers.max(1);
+        exec.reserve(runners - 1 + runners * cfg.num_ranks);
         let degrees = g.degrees();
         let dg = DistGraph::new(g, cfg.num_ranks);
         let opts = SimOptions {
@@ -335,7 +347,7 @@ impl Engine {
                 epochs: EpochTable::new(first),
                 pending: Mutex::new(VecDeque::new()),
                 results: Mutex::new(BTreeMap::new()),
-                pool,
+                exec,
                 next_ticket: AtomicU64::new(0),
                 metrics: Mutex::new(Metrics::default()),
                 writer: Mutex::new(()),
@@ -430,8 +442,9 @@ impl Engine {
     ///
     /// Within a batch, queries normalising to the same cache key **at the
     /// same pinned epoch** share one distributed run; distinct
-    /// (epoch, key) jobs execute concurrently on the engine's
-    /// work-stealing pool. Freshly computed values enter the epoch-keyed
+    /// (epoch, key) jobs execute concurrently on up to `workers` runners:
+    /// the calling thread, plus executor helpers when there is more than
+    /// one job. Freshly computed values enter the epoch-keyed
     /// cache, so an identical later query at the same epoch is a cache
     /// hit. Every pinned snapshot was published sealed, so a tick only
     /// runs queries — it never folds.
@@ -483,12 +496,7 @@ impl Engine {
         }
         let admit_end = inner.now_nanos();
 
-        // Concurrent execution of distinct jobs (scoped threads; the
-        // closure only borrows the resident state).
-        let (task_results, pool_stats) = inner
-            .pool
-            .run_tasks_stats(jobs.clone(), |_, (snap, key)| inner.compute(&snap, &key));
-        let computed: Vec<_> = task_results.into_iter().map(|tr| tr.result).collect();
+        let computed = run_jobs(inner, jobs.clone());
         let run_end = inner.now_nanos();
 
         // Fold results into cache and metrics.
@@ -497,13 +505,6 @@ impl Engine {
         let mut run_costs: BTreeMap<(u64, QueryKey), (f64, f64)> = BTreeMap::new();
         {
             let mut m = inner.metrics.lock().expect("metrics lock");
-            if m.pool_workers.len() < pool_stats.workers.len() {
-                m.pool_workers
-                    .resize(pool_stats.workers.len(), WorkerStats::default());
-            }
-            for (acc, w) in m.pool_workers.iter_mut().zip(&pool_stats.workers) {
-                acc.absorb(w);
-            }
             for ((snap, key), outcome) in jobs.into_iter().zip(computed) {
                 match outcome {
                     Ok((value, stats, wall, dispatch)) => {
@@ -685,8 +686,6 @@ impl Engine {
                 wall_seconds: 0.0,
             });
         }
-        let p = inner.cfg.num_ranks;
-        let opts = inner.run_opts();
         let update_begin = inner.now_nanos();
         let started = Instant::now();
         // Each rank overlays the batch on the tip's prepared state and, iff
@@ -697,7 +696,7 @@ impl Engine {
         let canonical = Arc::new(canonical);
         let ranks = tip.ranks.clone();
         let born = inner.born;
-        let out = run_guarded(p, &opts, inner.cfg.watchdog, move |ctx: &mut Ctx| {
+        let out = inner.run_ranks(move |ctx: &mut Ctx| {
             let prep = &ranks[ctx.rank()];
             let mut ov = Overlay::for_local(&prep.local);
             let outcome =
@@ -709,8 +708,7 @@ impl Engine {
             let folded = delta_dist::compact_rank(ctx, prep, &mut ov, &dist);
             let end = born.elapsed().as_nanos() as u64;
             (outcome, Some((folded, begin, end)))
-        })
-        .map_err(DistError::from)?;
+        })?;
         let wall = started.elapsed().as_secs_f64();
         let stats = out.output.stats;
         let (outcomes, folds): (Vec<_>, Vec<_>) = out.output.results.into_iter().unzip();
@@ -852,7 +850,8 @@ impl Engine {
             queue_wait: m.queue_wait.summary_seconds(),
             run_wall: m.run_wall.summary_seconds(),
             run_modeled: m.run_modeled.summary_seconds(),
-            pool: m.pool_workers.clone(),
+            threads_started: inner.exec.threads_started(),
+            jobs_run: inner.exec.jobs_run(),
             spans: m.spans.clone(),
             per_query: m.per_query.clone(),
             kernel_dispatch: m.kernel_dispatch.clone(),
@@ -865,8 +864,8 @@ impl Engine {
     /// Renders the engine's serving metrics in the Prometheus text
     /// exposition format: counters from the snapshot, latency histograms
     /// (with quantile gauges) from the live log-bucketed recorders, and
-    /// per-worker pool counters. Suitable for `serve --metrics-out` or a
-    /// scrape endpoint.
+    /// the executor's thread and job counters. Suitable for
+    /// `serve --metrics-out` or a scrape endpoint.
     pub fn prometheus(&self) -> String {
         let inner = &self.inner;
         let snapshot = self.stats();
@@ -1034,27 +1033,16 @@ impl Engine {
                 );
             }
         }
-        for (i, w) in snapshot.pool.iter().enumerate() {
-            let worker = [("worker", i.to_string())];
-            reg.counter_with(
-                "tricount_engine_pool_executed_total",
-                "Query tasks executed per pool worker",
-                &worker,
-                w.executed,
-            );
-            reg.counter_with(
-                "tricount_engine_pool_steals_attempted_total",
-                "Steal probes per pool worker",
-                &worker,
-                w.steals_attempted,
-            );
-            reg.counter_with(
-                "tricount_engine_pool_steals_succeeded_total",
-                "Successful steals per pool worker",
-                &worker,
-                w.steals_succeeded,
-            );
-        }
+        reg.counter(
+            "tricount_engine_executor_threads_started_total",
+            "Resident threads started by the executor the engine serves on",
+            snapshot.threads_started,
+        );
+        reg.counter(
+            "tricount_engine_executor_jobs_run_total",
+            "Jobs (rank programs and tick helpers) the executor has run",
+            snapshot.jobs_run,
+        );
         reg.render()
     }
 }
@@ -1064,6 +1052,18 @@ impl EngineInner {
     #[inline]
     fn now_nanos(&self) -> u64 {
         self.born.elapsed().as_nanos() as u64
+    }
+
+    /// Runs `f` on every rank under the watchdog, on the engine's resident
+    /// threads.
+    fn run_ranks<R, F>(&self, f: F) -> Result<SimOutput<R>, DistError>
+    where
+        R: Send + 'static,
+        F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
+    {
+        let opts = self.run_opts();
+        run_guarded(&self.exec, self.cfg.num_ranks, &opts, self.cfg.watchdog, f)
+            .map_err(DistError::from)
     }
 
     /// The options every serving-path distributed run executes under.
@@ -1154,8 +1154,6 @@ impl EngineInner {
         snap: &EpochSnapshot,
         key: &QueryKey,
     ) -> Result<(CachedValue, RunStats, f64, DispatchReport), EngineError> {
-        let p = self.cfg.num_ranks;
-        let opts = self.run_opts();
         let started = Instant::now();
         match key {
             QueryKey::Global(idx) => {
@@ -1165,10 +1163,9 @@ impl EngineInner {
                 let mut cfg = alg.config();
                 cfg.kernels = self.cfg.dist.kernels;
                 let ranks = snap.ranks.clone();
-                let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
+                let out = self.run_ranks(move |ctx: &mut Ctx| {
                     exec_global(ctx, &ranks[ctx.rank()], alg, &cfg)
-                })
-                .map_err(DistError::from)?;
+                })?;
                 let wall = started.elapsed().as_secs_f64();
                 let (count, report) = fold_counts(out.output.results)?;
                 Ok((CachedValue::Count(count), out.output.stats, wall, report))
@@ -1176,10 +1173,9 @@ impl EngineInner {
             QueryKey::LccFull => {
                 let ranks = snap.ranks.clone();
                 let cfg = self.cfg.dist;
-                let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
+                let out = self.run_ranks(move |ctx: &mut Ctx| {
                     lcc::lcc_prepared(ctx, &ranks[ctx.rank()], &cfg)
-                })
-                .map_err(DistError::from)?;
+                })?;
                 let wall = started.elapsed().as_secs_f64();
                 let mut per_vertex = Vec::with_capacity(snap.degrees.len());
                 let mut report = DispatchReport::new();
@@ -1193,10 +1189,9 @@ impl EngineInner {
             QueryKey::Support(edges) => {
                 let ranks = snap.ranks.clone();
                 let edges = Arc::new(edges.clone());
-                let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
+                let out = self.run_ranks(move |ctx: &mut Ctx| {
                     edge_support_rank(ctx, &ranks[ctx.rank()].local, &edges)
-                })
-                .map_err(DistError::from)?;
+                })?;
                 let wall = started.elapsed().as_secs_f64();
                 let mut support = Vec::new();
                 let mut report = DispatchReport::new();
@@ -1220,10 +1215,9 @@ impl EngineInner {
                     bits_per_key: *bits as f64,
                     filter: FilterKind::Bloom,
                 };
-                let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
+                let out = self.run_ranks(move |ctx: &mut Ctx| {
                     approx_prepared(ctx, &ranks[ctx.rank()], &cfg, &acfg)
-                })
-                .map_err(DistError::from)?;
+                })?;
                 let wall = started.elapsed().as_secs_f64();
                 let exact: u64 = out.output.results.iter().map(|r| r.exact_local).sum();
                 let corrected: f64 = out
@@ -1242,6 +1236,69 @@ impl EngineInner {
             }
         }
     }
+}
+
+/// A tick's distinct jobs, claimed in order by its runners.
+struct TickJobs {
+    jobs: Vec<(Arc<EpochSnapshot>, QueryKey)>,
+    next: AtomicUsize,
+}
+
+/// What [`EngineInner::compute`] returns for one job.
+type JobOutcome = Result<(CachedValue, RunStats, f64, DispatchReport), EngineError>;
+
+impl TickJobs {
+    /// Claims and computes jobs until none is left; returns each with its
+    /// index.
+    fn drain(&self, inner: &EngineInner) -> Vec<(usize, JobOutcome)> {
+        let mut out = Vec::new();
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some((snap, key)) = self.jobs.get(i) else {
+                return out;
+            };
+            out.push((i, inner.compute(snap, key)));
+        }
+    }
+}
+
+/// Computes a tick's jobs on up to `workers` runners — the calling thread
+/// and `runners − 1` executor helpers — and returns the outcomes in job
+/// order. A one-job tick hands nothing off. A helper's panic is re-raised
+/// here.
+fn run_jobs(
+    inner: &Arc<EngineInner>,
+    jobs: Vec<(Arc<EpochSnapshot>, QueryKey)>,
+) -> Vec<JobOutcome> {
+    let runners = inner.cfg.workers.clamp(1, jobs.len().max(1));
+    let tick = Arc::new(TickJobs {
+        jobs,
+        next: AtomicUsize::new(0),
+    });
+    let (tx, rx) = mpsc::channel();
+    for _ in 1..runners {
+        let (helper, tick, tx) = (Arc::clone(inner), Arc::clone(&tick), tx.clone());
+        inner.exec.spawn(
+            move || tick.drain(&helper),
+            move |done| {
+                let _ = tx.send(done);
+            },
+        );
+    }
+    let mut done = tick.drain(inner);
+    for _ in 1..runners {
+        // Every helper's completion runs, whether its jobs returned or
+        // panicked, and each job is a run under the watchdog: this wait
+        // ends.
+        // lint: allow(TC-L003)
+        match rx.recv() {
+            Ok(Ok(more)) => done.extend(more),
+            Ok(Err(payload)) => std::panic::resume_unwind(payload),
+            Err(_) => unreachable!("the tick holds a sender until every helper has sent"),
+        }
+    }
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// One rank's program for a global-count query: the contraction variants

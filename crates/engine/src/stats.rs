@@ -4,7 +4,6 @@
 use tricount_comm::Counters;
 use tricount_core::dist::dispatch::DispatchReport;
 use tricount_obs::Summary;
-use tricount_par::WorkerStats;
 
 /// One served query, as recorded by [`Engine::tick`](crate::Engine::tick).
 #[derive(Debug, Clone)]
@@ -139,8 +138,14 @@ pub struct EngineStats {
     pub run_wall: Summary,
     /// Modeled latency distribution of executed runs.
     pub run_modeled: Summary,
-    /// Accumulated intra-engine pool counters, indexed by worker.
-    pub pool: Vec<WorkerStats>,
+    /// Threads the engine's executor has started. Constant while the
+    /// engine serves: every run reuses threads started at build. Engines
+    /// of one [`EngineHost`](crate::EngineHost) share the executor, so
+    /// they report the same host-wide count.
+    pub threads_started: u64,
+    /// Jobs the executor has run: one per rank of every query and update
+    /// run, plus one per tick helper.
+    pub jobs_run: u64,
     /// Lifecycle spans of every tick (batch/admit/run/answer stages).
     pub spans: Vec<EngineSpan>,
     /// Per-query records, in answer order.
@@ -257,19 +262,8 @@ impl EngineStats {
         push_field(&mut s, "queue_wait", &summary_json(&self.queue_wait));
         push_field(&mut s, "run_wall", &summary_json(&self.run_wall));
         push_field(&mut s, "run_modeled", &summary_json(&self.run_modeled));
-        let workers: Vec<String> = self
-            .pool
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"executed\":{},\"steals_attempted\":{},\"steals_succeeded\":{}}}",
-                    w.executed, w.steals_attempted, w.steals_succeeded
-                )
-            })
-            .collect();
-        s.push_str("\"pool\":[");
-        s.push_str(&workers.join(","));
-        s.push_str("],");
+        push_field(&mut s, "threads_started", &self.threads_started.to_string());
+        push_field(&mut s, "jobs_run", &self.jobs_run.to_string());
         push_field(&mut s, "lifecycle_spans", &self.spans.len().to_string());
         push_field(
             &mut s,
@@ -409,11 +403,8 @@ mod tests {
             },
             run_wall: Summary::default(),
             run_modeled: Summary::default(),
-            pool: vec![WorkerStats {
-                executed: 1,
-                steals_attempted: 2,
-                steals_succeeded: 1,
-            }],
+            threads_started: 5,
+            jobs_run: 9,
             spans: vec![EngineSpan {
                 label: "batch",
                 batch: 0,
@@ -453,7 +444,8 @@ mod tests {
         );
         assert!(j.contains("\"per_query\":[{\"kind\":\"global\""));
         assert!(j.contains("\"queue_wait\":{\"count\":1"));
-        assert!(j.contains("\"pool\":[{\"executed\":1"));
+        assert!(j.contains("\"threads_started\":5,\"jobs_run\":9,"));
+        assert!(!j.contains("\"pool\""));
         assert!(j.contains("\"queue_seconds\":0.001"));
         assert!(j.contains("\"profiled_runs\":2"));
         assert!(j.contains("\"lock_wait_seconds_total\":0.003"));

@@ -1,5 +1,5 @@
 //! Multi-tenant serving acceptance: tenant isolation over one shared
-//! pool, two-level admission (global budget + per-tenant quota), the
+//! executor, two-level admission (global budget + per-tenant quota), the
 //! background serve loop, and the per-tenant-labelled Prometheus surface.
 
 use tricount_core::config::Algorithm;
@@ -24,7 +24,7 @@ fn global(tenant: &str) -> HostRequest {
     }
 }
 
-/// Two tenants with different graphs on one shared pool: answers route to
+/// Two tenants with different graphs on one shared executor: answers route to
 /// the right tenant and bit-match each tenant's own graph.
 #[test]
 fn tenants_are_isolated_over_one_pool() {

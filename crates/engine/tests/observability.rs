@@ -1,4 +1,4 @@
-//! Engine observability: queue-wait latency records, pool statistics,
+//! Engine observability: queue-wait latency records, executor counters,
 //! lifecycle spans, and the Prometheus exposition endpoint.
 
 use tricount_core::config::Algorithm;
@@ -38,7 +38,9 @@ fn per_query_records_carry_queue_wait() {
 
 #[test]
 fn pool_stats_accumulate_across_ticks() {
-    let e = small_engine(2);
+    let p = 2;
+    let e = small_engine(p);
+    let started = e.stats().threads_started;
     for _ in 0..2 {
         e.submit(Query::GlobalTriangles {
             algorithm: Algorithm::Cetric,
@@ -52,14 +54,13 @@ fn pool_stats_accumulate_across_ticks() {
         e.advance_epoch();
     }
     let s = e.stats();
-    let executed: u64 = s.pool.iter().map(|w| w.executed).sum();
+    // Two distinct keys per tick, two ticks: four runs of p rank jobs,
+    // plus the one helper runner each two-job tick hands a key to.
+    assert_eq!(s.jobs_run as usize, 2 * 2 * p + 2);
     assert_eq!(
-        executed, 4,
-        "two distinct keys per tick, two ticks, all executed on the pool"
+        s.threads_started, started,
+        "every job ran on a thread started at build"
     );
-    for w in &s.pool {
-        assert!(w.steals_succeeded <= w.steals_attempted);
-    }
 }
 
 #[test]
@@ -122,12 +123,9 @@ fn prometheus_exposition_parses_and_carries_quantiles() {
         })
         .expect("p99 quantile gauge");
     assert!(p99.value >= 0.0);
-    assert!(
-        samples
-            .iter()
-            .any(|s| s.name == "tricount_engine_pool_executed_total"),
-        "per-worker pool counters present"
-    );
+    // One run of two ranks; the cache hit ran nothing.
+    assert_eq!(get("tricount_engine_executor_jobs_run_total"), 2.0);
+    assert!(get("tricount_engine_executor_threads_started_total") >= 2.0);
 }
 
 /// Epoch-lifecycle observability round-trip: the MVCC gauges appear in

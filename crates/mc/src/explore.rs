@@ -7,7 +7,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use tricount_comm::{run_guarded, Ctx, DeliveryPick, SimOptions};
+use tricount_comm::{run_guarded, Ctx, DeliveryPick, Executor, SimOptions};
 use tricount_par::Pool;
 
 use crate::controller::{next_script, AbortReason, Controller, McAbort};
@@ -264,6 +264,7 @@ impl DeliveryReport {
 /// re-runs the program with every [`DeliveryPick`] schedule reachable
 /// within `max_schedules`, asserting bit-identical per-rank results and no
 /// deadlock (each run is supervised by the comm watchdog with `timeout`).
+/// Every schedule runs on the same resident threads.
 pub fn explore_delivery<R, F>(
     p: usize,
     f: F,
@@ -275,6 +276,7 @@ where
     F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
 {
     let f = Arc::new(f);
+    let exec = Executor::new();
     let mut report = DeliveryReport {
         schedules: 0,
         exhausted: true,
@@ -299,7 +301,7 @@ where
             ..SimOptions::default()
         };
         let fa = Arc::clone(&f);
-        let outcome = run_guarded(p, &opts, timeout, move |ctx| fa(ctx));
+        let outcome = run_guarded(&exec, p, &opts, timeout, move |ctx| fa(ctx));
         report.schedules += 1;
         match outcome {
             Ok(sim) => match &baseline {

@@ -15,12 +15,18 @@
 //! thieves pop the back). Tasks on the target workloads are whole-vertex
 //! set intersections, so lock traffic is negligible against task cost and
 //! the pool needs nothing beyond `std`.
+//!
+//! [`Executor`] is the other half: resident threads for `'static` jobs,
+//! parked between them. The engine runs every serving-path distributed run
+//! on one, so answering a read starts no thread.
 
 #![warn(missing_docs)]
 
+pub mod executor;
 pub mod probe;
 pub mod sched;
 
+pub use executor::Executor;
 pub use sched::{OsScheduler, Scheduler};
 
 use std::collections::VecDeque;

@@ -12,7 +12,8 @@
 //! [`check_schedule_independence`] runs the natural schedule once as the
 //! baseline, then `seeds.len()` perturbed schedules
 //! ([`SimOptions::perturb_seed`]), comparing full per-rank results. For
-//! hang-prone code, [`run_guarded`] (re-exported from `tricount-comm`)
+//! hang-prone code, [`run_guarded`] (re-exported from `tricount-comm`,
+//! with the [`Executor`] whose resident threads it runs the ranks on)
 //! wraps any of these runs with the wait-for-graph deadlock watchdog that
 //! returns a [`DeadlockReport`] instead of blocking forever.
 
@@ -20,7 +21,7 @@ use std::fmt;
 
 use tricount_comm::{run_sim, Ctx, SimOptions};
 
-pub use tricount_comm::{run_guarded, DeadlockReport, PeSnapshot};
+pub use tricount_comm::{run_guarded, DeadlockReport, Executor, PeSnapshot};
 
 /// One seed whose schedule produced different results than the baseline.
 #[derive(Debug, Clone)]

@@ -11,7 +11,7 @@ use tricount_core::dist::run_on;
 use tricount_core::seq::compact_forward;
 use tricount_gen::rmat::rmat_default;
 use tricount_graph::dist::DistGraph;
-use tricount_verify::determinism::{check_schedule_independence, run_guarded};
+use tricount_verify::determinism::{check_schedule_independence, run_guarded, Executor};
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
@@ -88,6 +88,7 @@ fn queue_exchange_schedule_independent() {
 #[test]
 fn stalled_collective_is_reported() {
     let report = run_guarded(
+        &Executor::new(),
         4,
         &SimOptions::default(),
         Duration::from_millis(300),
@@ -112,6 +113,7 @@ fn stalled_collective_is_reported() {
 #[test]
 fn stalled_sparse_exchange_is_reported() {
     let report = run_guarded(
+        &Executor::new(),
         4,
         &SimOptions::default(),
         Duration::from_millis(300),

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use tricount_comm::{run_guarded, run_sim, SimOptions};
+use tricount_comm::{run_guarded, run_sim, Executor, SimOptions};
 use tricount_core::config::Algorithm;
 use tricount_core::dist::{count_rank, fold_counts, run_on};
 use tricount_core::seq::compact_forward;
@@ -49,6 +49,7 @@ fn run_guarded_on_threads_backend() {
     // the guarded rank program must be 'static, so it owns the partition
     let dg = DistGraph::new(&g, 4);
     let out = run_guarded(
+        &Executor::new(),
         4,
         &SimOptions::default(),
         Duration::from_secs(30),

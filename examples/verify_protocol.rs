@@ -12,7 +12,7 @@ use std::time::Duration;
 use cetric::core::dist::run_on;
 use cetric::core::seq;
 use cetric::prelude::*;
-use tricount_comm::{run_guarded, Ctx, SimOptions};
+use tricount_comm::{run_guarded, Ctx, Executor, SimOptions};
 use tricount_graph::dist::DistGraph;
 use tricount_verify::check_trace;
 use tricount_verify::conformance::check_meters;
@@ -75,6 +75,7 @@ fn main() {
     //    strands the rest in it; instead of hanging, the run returns a
     //    wait-for report naming the rank that returned.
     let report = run_guarded(
+        &Executor::new(),
         4,
         &SimOptions::default(),
         Duration::from_millis(250),
