@@ -51,11 +51,6 @@ impl BloomFilter {
         self.inserted
     }
 
-    /// Size of the bit array in machine words.
-    pub fn num_words(&self) -> usize {
-        self.bits.len()
-    }
-
     #[inline]
     fn bit_index(&self, key: u64, i: u32) -> u64 {
         // k independent hashes per key. Double hashing (h1 + i·h2) would be

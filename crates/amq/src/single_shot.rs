@@ -46,11 +46,6 @@ impl SingleShotBloom {
         self.inserted
     }
 
-    /// Size in machine words.
-    pub fn num_words(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The 64-bit mask a key sets/tests within its block.
     #[inline]
     fn mask_and_block(&self, key: u64) -> (usize, u64) {

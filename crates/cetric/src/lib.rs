@@ -18,7 +18,8 @@
 //! * [`gen`] — deterministic GNM / RGG2D / RHG / R-MAT / road generators and
 //!   the Table-I proxy datasets.
 //! * [`amq`] — Bloom filters for the approximate extension.
-//! * [`par`] — the work-stealing pool for hybrid mode.
+//! * [`par`] — the work-stealing pool of the chunked local pass (hybrid
+//!   ranks × threads runs) and the engine's resident threads.
 //! * [`core`] — the algorithms: sequential COMPACT-FORWARD, DITRIC(²),
 //!   CETRIC(²), TriC-like and HavoqGT-like baselines, distributed LCC, and
 //!   AMQ-approximate counting.

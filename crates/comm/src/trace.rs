@@ -240,11 +240,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total number of recorded spans.
-    pub fn num_spans(&self) -> usize {
-        self.spans.iter().map(Vec::len).sum()
-    }
 }
 
 /// Order-sensitive Fx-style hash of a word slice, used to match posted

@@ -16,7 +16,6 @@
 use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig};
 use tricount_graph::dist::LocalGraph;
 use tricount_graph::intersect::merge_count;
-use tricount_graph::OrderingKind;
 
 use crate::config::DistConfig;
 use crate::dist::phases;
@@ -267,10 +266,4 @@ pub fn havoqgt_like_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) ->
     let total = ctx.allreduce_sum(&[count])[0];
     ctx.end_phase(phases::GLOBAL);
     total
-}
-
-/// Sanity helper used by tests: the wedge-visitor scheme requires the
-/// degree ordering to know both endpoint degrees; id ordering works too.
-pub fn supported_orderings() -> [OrderingKind; 2] {
-    [OrderingKind::Degree, OrderingKind::Id]
 }

@@ -9,7 +9,6 @@ pub mod delta;
 pub mod dispatch;
 pub mod ditric;
 pub mod enumerate;
-pub mod hybrid;
 pub mod lcc;
 pub mod matrix2d;
 pub mod phases;
@@ -146,7 +145,9 @@ pub fn preprocess(ctx: &mut Ctx, lg: &mut LocalGraph, cfg: &DistConfig) {
 /// one sum; each running chunk borrows one of `pool_workers` markers.
 /// Otherwise the loop runs inline with one marker and meters each item as
 /// it goes. Results, dispatch tallies and work totals are bit-identical
-/// either way.
+/// either way. This chunked loop is the paper's hybrid mode (§IV-D,
+/// Fig. 8): `cores / t` ranks with `pool_workers = t`, the global pass
+/// staying on the rank's own thread (MPI's funneled model).
 pub(crate) fn local_pass<A: Send>(
     ctx: &mut Ctx,
     o: &OrientedLocalGraph,
@@ -228,12 +229,12 @@ pub fn count_local(
     local_pass(ctx, o, policy, || 0, |t, c| *t += c, visit)
 }
 
-/// The global pass every exact protocol runs (DITRIC, CETRIC, LCC,
-/// enumeration and the hybrid's funneled phase; Algorithm 2 lines 5–7,
-/// Algorithm 3 lines 9–16). Each source `(l, A(l))`, in `ids`' dense ids,
-/// is streamed through the buffered sparse all-to-all to the owners of its
-/// heads, skipping the heads this PE owns; records travel in global ids,
-/// translated as they are built. The receiver makes the record's `A(v)` a
+/// The global pass every exact protocol runs (DITRIC, CETRIC, LCC and
+/// enumeration; Algorithm 2 lines 5–7, Algorithm 3 lines 9–16). Each
+/// source `(l, A(l))`, in `ids`' dense ids, is streamed through the
+/// buffered sparse all-to-all to the owners of its heads, skipping the
+/// heads this PE owns; records travel in global ids, translated as they
+/// are built. The receiver makes the record's `A(v)` a
 /// [`Marker`] source once and calls `visit(v, u, source, A(u))` for each
 /// head it owns — `v` as its global id, the head `u` as its dense id —
 /// with `A(u)` from `head`. `visit` returns the intersection's kernel ops
@@ -311,7 +312,7 @@ pub(crate) fn global_pass<'g>(
     m.counters()
 }
 
-/// The counting global pass of DITRIC, CETRIC and the hybrid: [`global_pass`]
+/// The counting global pass of DITRIC and CETRIC: [`global_pass`]
 /// summing `|A(v) ∩ A(u)|` over every visit. Returns this PE's remote count
 /// and the dispatch tallies.
 pub(crate) fn count_global<'g>(

@@ -3,11 +3,12 @@
 
 use tricount_comm::{Counters, RunStats, SimOptions};
 use tricount_gen::{gnm, rgg2d_default, rhg_default, rmat_default, road_default, Dataset};
+use tricount_graph::kernels::KernelPolicy;
 use tricount_graph::{Csr, DistGraph, EdgeList, OrderingKind};
 
 use crate::config::{Aggregation, Algorithm, DistConfig};
 use crate::dist::phases::{GLOBAL, LOCAL, PREPROCESSING};
-use crate::dist::{approx, count, enumerate, hybrid, lcc, run_on, run_ranks};
+use crate::dist::{approx, count, enumerate, lcc, run_on, run_ranks};
 use crate::result::CountResult;
 use crate::seq;
 
@@ -302,11 +303,19 @@ fn approx_volume_below_exact_for_large_neighborhoods() {
 
 #[test]
 fn hybrid_counts_correctly_and_cuts_volume() {
+    // 8 cores as 8 ranks × 1 thread (flat) or 2 ranks × 4 pool workers
     let g = rgg2d_default(1500, 4);
     let truth = seq::compact_forward(&g).triangles;
-    let cfg = DistConfig::default();
-    let flat = hybrid::count_hybrid(&g, 8, 1, &cfg);
-    let hy = hybrid::count_hybrid(&g, 8, 4, &cfg);
+    let hybrid = |threads: usize| {
+        let cfg = DistConfig {
+            kernels: KernelPolicy {
+                pool_workers: threads,
+            },
+            ..DistConfig::default()
+        };
+        count(&g, 8 / threads, Algorithm::Ditric, &cfg).unwrap()
+    };
+    let (flat, hy) = (hybrid(1), hybrid(4));
     assert_eq!(flat.triangles, truth);
     assert_eq!(hy.triangles, truth);
     // fewer ranks (2 instead of 8) → smaller cut → less communication
@@ -494,22 +503,6 @@ fn enumeration_runs_the_lcc_body() {
             );
         }
         assert_eq!(e.output.results.concat().len() as u64, l.triangles);
-    }
-}
-
-#[test]
-fn hybrid_global_phase_is_ditrics() {
-    let g = rmat_default(9, 4);
-    let cfg = Algorithm::Ditric.config();
-    for (cores, threads) in [(8usize, 2usize), (8, 4), (6, 3)] {
-        let hy = hybrid::count_hybrid(&g, cores, threads, &cfg);
-        let di = count(&g, cores / threads, Algorithm::Ditric, &cfg).unwrap();
-        assert_eq!(hy.triangles, di.triangles);
-        assert_eq!(
-            phase_counters(&hy.stats, GLOBAL),
-            phase_counters(&di.stats, GLOBAL),
-            "cores={cores} threads={threads}"
-        );
     }
 }
 

@@ -36,7 +36,10 @@
 //! * [`dist::approx`] — AMQ-approximate counting with the truthful
 //!   estimator (§IV-E).
 //! * [`dist::enumerate`] — distributed triangle enumeration (§IV-E).
-//! * [`dist::hybrid`] — hybrid thread × rank execution (§IV-D, Fig. 8).
+//! * Hybrid thread × rank execution (§IV-D, Fig. 8) is DITRIC on
+//!   `cores / t` ranks with `t` pool workers per rank
+//!   ([`config::DistConfig::kernels`]): the chunked local pass, then the
+//!   funneled global pass on the rank's own thread.
 
 #![warn(missing_docs)]
 

@@ -49,11 +49,6 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Consumes the list, returning the raw pairs.
-    pub fn into_pairs(self) -> Vec<(VertexId, VertexId)> {
-        self.edges
-    }
-
     /// Normalises to a canonical undirected simple graph edge list:
     /// each edge appears exactly once as `(min, max)`, self loops are
     /// removed, and the list is sorted.

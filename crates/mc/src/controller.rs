@@ -333,7 +333,7 @@ mod tests {
         use tricount_par::Pool;
         let pool = Pool::new(2);
         let ctrl = Controller::new(2, 2, Vec::new(), None, 10_000);
-        let (results, _) = pool.run_tasks_sched((0..4u64).collect(), |_i, x| x * 2, &ctrl);
+        let results = pool.run_tasks_sched((0..4u64).collect(), |_i, x| x * 2, &ctrl);
         assert_eq!(results.len(), 4);
         assert!(ctrl.abort_reason().is_none());
         // at least the initial who-runs-first decision had arity 2
@@ -346,7 +346,7 @@ mod tests {
         let run = |script: Vec<usize>| {
             let pool = Pool::new(3);
             let ctrl = Controller::new(3, 3, script, None, 10_000);
-            let (r, _) = pool.run_tasks_sched((0..5u64).collect(), |_i, x| x + 7, &ctrl);
+            let r = pool.run_tasks_sched((0..5u64).collect(), |_i, x| x + 7, &ctrl);
             (
                 r.into_iter()
                     .map(|t| (t.task_index, t.result))

@@ -137,7 +137,7 @@ where
             let ctrl = Controller::new(workers, workers, script.clone(), bound, cfg.max_steps);
             let tasks = make_tasks();
             let outcome = catch_unwind(AssertUnwindSafe(|| match mode {
-                PoolMode::Correct => pool.run_tasks_sched(tasks, &f, &ctrl).0,
+                PoolMode::Correct => pool.run_tasks_sched(tasks, &f, &ctrl),
                 #[cfg(feature = "mc-regressions")]
                 PoolMode::Buggy => pool.run_tasks_buggy_sched(tasks, &f, &ctrl),
             }));

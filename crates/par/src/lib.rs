@@ -1,20 +1,19 @@
 //! A from-scratch work-stealing task pool — the reproduction's stand-in for
 //! the Intel TBB task scheduler the paper's hybrid mode uses (§IV-D).
 //!
-//! The hybrid variant of the paper parallelises the *local phase* over the
-//! edge list ("edge-centric parallelisation", after Green et al.) and runs
-//! the global phase with MPI's *funneled* threading model: worker threads
-//! produce/consume set-intersection tasks while a single thread talks to the
-//! network. [`Pool::run_tasks`] provides exactly the scheduling primitive
-//! both need: a batch of tasks executed by `t` workers with work stealing,
-//! with the executing worker recorded per task so callers can compute
-//! per-worker work distributions (the modeled parallel time is the max over
-//! workers).
+//! The paper's hybrid mode runs fewer MPI ranks with `t` threads each: the
+//! *local phase* is cut into tasks for the workers, and the global phase
+//! runs with MPI's *funneled* threading model (one thread talks to the
+//! network). Here that is DITRIC with `KernelPolicy::pool_workers = t`:
+//! `core::dist::local_pass` cuts its sources into degree-balanced chunks and
+//! runs them on [`Pool::run_tasks`], a batch of tasks executed by `t`
+//! workers with work stealing, results returned in task order so the fold
+//! is schedule-independent.
 //!
 //! The deques are plain mutex-guarded `VecDeque`s (owner pops the front,
-//! thieves pop the back). Tasks on the target workloads are whole-vertex
-//! set intersections, so lock traffic is negligible against task cost and
-//! the pool needs nothing beyond `std`.
+//! thieves pop the back). Tasks on the target workloads are chunks of
+//! whole-vertex set intersections, so lock traffic is negligible against
+//! task cost and the pool needs nothing beyond `std`.
 //!
 //! [`Executor`] is the other half: resident threads for `'static` jobs,
 //! parked between them. The engine runs every serving-path distributed run
@@ -32,7 +31,6 @@ pub use sched::{OsScheduler, Scheduler};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 /// The result of one task: which worker ran it and what it returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,55 +54,6 @@ pub struct WorkerStats {
     pub steals_succeeded: u64,
 }
 
-impl WorkerStats {
-    /// Folds another worker's counters into this one.
-    pub fn absorb(&mut self, other: &WorkerStats) {
-        self.executed += other.executed;
-        self.steals_attempted += other.steals_attempted;
-        self.steals_succeeded += other.steals_succeeded;
-    }
-}
-
-/// One task's execution interval, in wall nanoseconds from the batch start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskSpan {
-    /// Index of the task in the submitted batch.
-    pub task_index: usize,
-    /// Worker that executed the task.
-    pub worker: usize,
-    /// Start of execution.
-    pub begin_nanos: u64,
-    /// End of execution.
-    pub end_nanos: u64,
-}
-
-/// Scheduling observability for one batch: per-worker counters plus the
-/// per-task execution spans (sorted by task index).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Counters per worker, indexed by worker id.
-    pub workers: Vec<WorkerStats>,
-    /// Execution span of every task.
-    pub task_spans: Vec<TaskSpan>,
-}
-
-impl PoolStats {
-    /// Total tasks executed across workers.
-    pub fn tasks_executed(&self) -> u64 {
-        self.workers.iter().map(|w| w.executed).sum()
-    }
-
-    /// Total steal probes across workers.
-    pub fn steals_attempted(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals_attempted).sum()
-    }
-
-    /// Total successful steals across workers.
-    pub fn steals_succeeded(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals_succeeded).sum()
-    }
-}
-
 /// A work-stealing pool of a fixed number of workers. Threads are spawned
 /// per batch (scoped), which keeps the pool trivially free of lifetime
 /// hazards; on the target workloads batch sizes dwarf spawn cost.
@@ -126,23 +75,12 @@ impl Pool {
     }
 
     /// Executes `f` on every task with work stealing and returns one
-    /// [`TaskResult`] per task (sorted by task index).
+    /// [`TaskResult`] per task (sorted by task index). Per-worker
+    /// executed/steal counters live in a [`probe::BatchProbe`] (relaxed
+    /// atomics) while the batch runs, so in-flight batches are observable
+    /// from outside — the comm watchdog reads them when it diagnoses a
+    /// stall.
     pub fn run_tasks<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<TaskResult<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.run_tasks_stats(tasks, f).0
-    }
-
-    /// Like [`Pool::run_tasks`], but also returns the batch's [`PoolStats`]:
-    /// per-worker executed/steal counters and per-task execution spans
-    /// (wall nanoseconds from the batch start). Counters live in a
-    /// [`probe::BatchProbe`] (relaxed atomics) so in-flight batches are
-    /// observable from outside — the comm watchdog reads them when it
-    /// diagnoses a stall.
-    pub fn run_tasks_stats<T, R, F>(&self, tasks: Vec<T>, f: F) -> (Vec<TaskResult<R>>, PoolStats)
     where
         T: Send,
         R: Send,
@@ -151,18 +89,13 @@ impl Pool {
         self.run_tasks_sched(tasks, f, &OsScheduler)
     }
 
-    /// Like [`Pool::run_tasks_stats`], but every scheduling decision —
+    /// Like [`Pool::run_tasks`], but every scheduling decision —
     /// worker start/retire, deque lock acquire/release, idle spin — is
     /// routed through `sched` (see [`sched::Scheduler`] for the calling
     /// contract). With [`OsScheduler`] this is the production path; a model
     /// checker passes a controlling scheduler to serialise workers and
     /// enumerate interleavings.
-    pub fn run_tasks_sched<T, R, F, S>(
-        &self,
-        tasks: Vec<T>,
-        f: F,
-        sched: &S,
-    ) -> (Vec<TaskResult<R>>, PoolStats)
+    pub fn run_tasks_sched<T, R, F, S>(&self, tasks: Vec<T>, f: F, sched: &S) -> Vec<TaskResult<R>>
     where
         T: Send,
         R: Send,
@@ -170,29 +103,17 @@ impl Pool {
         S: Scheduler + ?Sized,
     {
         let total = tasks.len();
-        let mut stats = PoolStats {
-            workers: vec![WorkerStats::default(); self.num_workers],
-            task_spans: Vec::with_capacity(total),
-        };
         if total == 0 {
-            return (Vec::new(), stats);
+            return Vec::new();
         }
-        let epoch = Instant::now();
         let probe = probe::BatchProbe::register(self.num_workers);
         if self.num_workers == 1 {
-            let results = tasks
+            return tasks
                 .into_iter()
                 .enumerate()
                 .map(|(i, t)| {
-                    let begin = epoch.elapsed().as_nanos() as u64;
                     let result = f(i, t);
                     probe.task_executed(0);
-                    stats.task_spans.push(TaskSpan {
-                        task_index: i,
-                        worker: 0,
-                        begin_nanos: begin,
-                        end_nanos: epoch.elapsed().as_nanos() as u64,
-                    });
                     TaskResult {
                         task_index: i,
                         worker: 0,
@@ -200,8 +121,6 @@ impl Pool {
                     }
                 })
                 .collect();
-            stats.workers[0].executed = total as u64;
-            return (results, stats);
         }
 
         // Pre-distribute tasks round-robin; imbalance is corrected by
@@ -214,8 +133,7 @@ impl Pool {
         let queues: Vec<Mutex<VecDeque<(usize, T)>>> = deques.into_iter().map(Mutex::new).collect();
         let remaining = AtomicUsize::new(total);
 
-        type WorkerOutcome<R> = (Vec<TaskResult<R>>, Vec<TaskSpan>);
-        let mut partials: Vec<WorkerOutcome<R>> = Vec::with_capacity(n);
+        let mut partials: Vec<Vec<TaskResult<R>>> = Vec::with_capacity(n);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for wid in 0..n {
@@ -226,7 +144,6 @@ impl Pool {
                 handles.push(scope.spawn(move || {
                     sched.actor_started(wid);
                     let mut out: Vec<TaskResult<R>> = Vec::new();
-                    let mut spans: Vec<TaskSpan> = Vec::new();
                     loop {
                         // Own deque front, then steal from peers' backs. The
                         // own-deque pop must be a separate statement: chaining
@@ -261,14 +178,7 @@ impl Pool {
                         });
                         match job {
                             Some((idx, task)) => {
-                                let begin = epoch.elapsed().as_nanos() as u64;
                                 let result = f(idx, task);
-                                spans.push(TaskSpan {
-                                    task_index: idx,
-                                    worker: wid,
-                                    begin_nanos: begin,
-                                    end_nanos: epoch.elapsed().as_nanos() as u64,
-                                });
                                 probe.task_executed(wid);
                                 out.push(TaskResult {
                                     task_index: idx,
@@ -287,7 +197,7 @@ impl Pool {
                         }
                     }
                     sched.actor_finished(wid);
-                    (out, spans)
+                    out
                 }));
             }
             // Join everything before re-raising a worker panic: unwinding
@@ -300,7 +210,6 @@ impl Pool {
                 match h.join() {
                     Ok(part) => partials.push(part),
                     Err(payload) => {
-                        partials.push((Vec::new(), Vec::new()));
                         if first_panic.is_none() {
                             first_panic = Some(payload);
                         }
@@ -312,15 +221,9 @@ impl Pool {
             }
         });
 
-        let mut all: Vec<TaskResult<R>> = Vec::with_capacity(total);
-        for (out, spans) in partials {
-            all.extend(out);
-            stats.task_spans.extend(spans);
-        }
-        stats.workers = probe.stats();
+        let mut all: Vec<TaskResult<R>> = partials.into_iter().flatten().collect();
         all.sort_by_key(|r| r.task_index);
-        stats.task_spans.sort_by_key(|s| s.task_index);
-        (all, stats)
+        all
     }
 
     /// The pre-PR 2 fetch discipline, resurrected verbatim for model-checker
@@ -431,32 +334,6 @@ impl Pool {
         all.sort_by_key(|r| r.task_index);
         all
     }
-
-    /// Map-reduce over tasks: applies `map` with stealing, folds the results
-    /// with `reduce` starting from `init`. Returns the folded value and the
-    /// per-worker count of tasks executed (the load distribution).
-    pub fn map_reduce<T, R, A, FM, FR>(
-        &self,
-        tasks: Vec<T>,
-        map: FM,
-        init: A,
-        reduce: FR,
-    ) -> (A, Vec<usize>)
-    where
-        T: Send,
-        R: Send,
-        FM: Fn(usize, T) -> R + Sync,
-        FR: Fn(A, R) -> A,
-    {
-        let results = self.run_tasks(tasks, map);
-        let mut loads = vec![0usize; self.num_workers];
-        let mut acc = init;
-        for r in results {
-            loads[r.worker] += 1;
-            acc = reduce(acc, r.result);
-        }
-        (acc, loads)
-    }
 }
 
 #[cfg(test)]
@@ -494,14 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_sums() {
-        let pool = Pool::new(4);
-        let (sum, loads) = pool.map_reduce((1..=100u64).collect(), |_i, x| x, 0u64, |a, b| a + b);
-        assert_eq!(sum, 5050);
-        assert_eq!(loads.iter().sum::<usize>(), 100);
-    }
-
-    #[test]
     fn uneven_tasks_complete() {
         // a few heavy tasks among many light ones — all must finish
         let pool = Pool::new(4);
@@ -536,57 +405,61 @@ mod tests {
 
     #[test]
     fn stats_account_for_every_task() {
-        let pool = Pool::new(4);
-        let (results, stats) = pool.run_tasks_stats((0..200u64).collect(), |_i, x| x + 1);
-        assert_eq!(results.len(), 200);
-        assert_eq!(stats.workers.len(), 4);
-        assert_eq!(stats.tasks_executed(), 200);
-        assert_eq!(stats.task_spans.len(), 200);
-        assert!(stats.steals_succeeded() <= stats.steals_attempted());
-        for (i, span) in stats.task_spans.iter().enumerate() {
-            assert_eq!(span.task_index, i);
-            assert!(span.end_nanos >= span.begin_nanos);
-            assert!(span.worker < 4);
+        // The live probe, read as the last worker retires (the batch is still
+        // registered then), counts every task and every steal: each steal
+        // probe locks a peer's deque, and each task that ran off the deque it
+        // was dealt to round-robin was stolen exactly once. One heavy task
+        // leaves its worker's deque for the idle workers to steal from.
+        const WORKERS: usize = 5;
+        #[derive(Default)]
+        struct ReadProbeAtRetire {
+            finished: AtomicUsize,
+            peer_locks: AtomicUsize,
+            seen: Mutex<Vec<WorkerStats>>,
         }
-        // executed counters agree with the per-result worker attribution
-        let mut per_worker = [0u64; 4];
-        for r in &results {
-            per_worker[r.worker] += 1;
-        }
-        for (w, ws) in stats.workers.iter().enumerate() {
-            assert_eq!(ws.executed, per_worker[w], "worker {w}");
-        }
-    }
-
-    #[test]
-    fn single_worker_stats() {
-        let pool = Pool::new(1);
-        let (_, stats) = pool.run_tasks_stats(vec![1u32, 2, 3], |_i, x| x);
-        assert_eq!(stats.workers[0].executed, 3);
-        assert_eq!(stats.steals_attempted(), 0);
-        assert_eq!(stats.task_spans.len(), 3);
-    }
-
-    #[test]
-    fn imbalanced_batch_records_steals() {
-        // All heavy work lands on worker 0's deque (round-robin with
-        // n tasks ≫ workers keeps everyone busy, so force imbalance by a
-        // batch where one task dwarfs the rest): the idle workers must
-        // probe peers. Steal *attempts* are guaranteed by the end-of-batch
-        // drain even when every probe misses.
-        let pool = Pool::new(4);
-        let (_, stats) = pool.run_tasks_stats((0..4u64).collect(), |_i, x| {
-            if x == 0 {
-                let mut acc = 0u64;
-                for k in 0..2_000_000u64 {
-                    acc = acc.wrapping_add(k ^ (acc << 1));
+        impl Scheduler for ReadProbeAtRetire {
+            fn lock_acquire(&self, actor: usize, lock: usize) {
+                if actor != lock {
+                    self.peer_locks.fetch_add(1, Ordering::Relaxed);
                 }
-                acc
-            } else {
-                x
             }
-        });
-        assert!(stats.steals_attempted() > 0);
+            fn actor_finished(&self, _actor: usize) {
+                if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == WORKERS {
+                    *self.seen.lock().unwrap() = probe::snapshot_live()
+                        .into_iter()
+                        .find(|b| b.len() == WORKERS)
+                        .expect("the batch's probe is live until it returns");
+                }
+            }
+        }
+
+        let s = ReadProbeAtRetire::default();
+        let results = Pool::new(WORKERS).run_tasks_sched(
+            (0..200u64).collect(),
+            |_i, x| {
+                let rounds = if x == 0 { 2_000_000u64 } else { 10 };
+                (0..rounds).fold(x, |acc, k| acc.wrapping_add(k ^ (acc << 1)))
+            },
+            &s,
+        );
+        assert_eq!(results.len(), 200);
+        let seen = s.seen.into_inner().unwrap();
+        let mut executed = [0u64; WORKERS];
+        for r in &results {
+            executed[r.worker] += 1;
+        }
+        let stolen = results
+            .iter()
+            .filter(|r| r.worker != r.task_index % WORKERS)
+            .count() as u64;
+        let attempted: u64 = seen.iter().map(|w| w.steals_attempted).sum();
+        assert_eq!(
+            seen.iter().map(|w| w.executed).collect::<Vec<_>>(),
+            executed
+        );
+        assert_eq!(seen.iter().map(|w| w.steals_succeeded).sum::<u64>(), stolen);
+        assert_eq!(attempted, s.peer_locks.load(Ordering::Relaxed) as u64);
+        assert!(attempted > 0);
     }
 
     #[test]
@@ -621,9 +494,8 @@ mod tests {
 
         let pool = Pool::new(3);
         let s = CountingSched::default();
-        let (results, stats) = pool.run_tasks_sched((0..50u64).collect(), |_i, x| x + 1, &s);
+        let results = pool.run_tasks_sched((0..50u64).collect(), |_i, x| x + 1, &s);
         assert_eq!(results.len(), 50);
-        assert_eq!(stats.tasks_executed(), 50);
         assert_eq!(s.started.load(Ordering::Relaxed), 3);
         assert_eq!(s.finished.load(Ordering::Relaxed), 3);
         assert_eq!(s.progressed.load(Ordering::Relaxed), 50);
@@ -633,15 +505,6 @@ mod tests {
         );
         // Every fetch takes at least the own-deque lock once per task.
         assert!(s.acquires.load(Ordering::Relaxed) >= 50);
-    }
-
-    #[test]
-    fn stats_visible_through_live_probe_registry() {
-        // A finished batch's probe is pruned; counters while live equal the
-        // final PoolStats (checked indirectly: totals conserved).
-        let pool = Pool::new(2);
-        let (_, stats) = pool.run_tasks_stats((0..40u64).collect(), |_i, x| x);
-        assert_eq!(stats.tasks_executed(), 40);
     }
 
     #[test]

@@ -3,21 +3,26 @@
 //!
 //! * for a *fixed* policy, chunked counting is bit-identical to sequential
 //!   counting — counts, `work_ops`, comm counters, and the per-phase
-//!   dispatch report all match across pool sizes {1, 2, 8};
+//!   dispatch report all match across pool sizes {1, 2, 3, 8, 12};
 //! * a fixed chunked policy stays bit-identical under ≥8 seeded schedule
-//!   perturbations (the determinism contract of PR 3 extends to the
-//!   parallel counting path).
+//!   perturbations (the determinism contract extends to the parallel
+//!   counting path);
+//! * Fig. 8's hybrid configuration (DITRIC² on the ID partition, 12 cores
+//!   as ranks × pool workers) counts exactly and meters the same local
+//!   work and volume under every schedule.
 
 use tricount_comm::stats::Counters;
 use tricount_comm::SimOptions;
 use tricount_core::config::Algorithm;
 use tricount_core::dist::dispatch::DispatchReport;
+use tricount_core::dist::phases::LOCAL;
 use tricount_core::dist::run_on_profiled;
 use tricount_core::seq::compact_forward;
 use tricount_gen::rmat::rmat_default;
+use tricount_gen::Dataset;
 use tricount_graph::dist::DistGraph;
 use tricount_graph::kernels::KernelPolicy;
-use tricount_graph::Csr;
+use tricount_graph::{Csr, Partition};
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
@@ -62,7 +67,7 @@ fn chunked_counting_bit_identical_to_sequential() {
         for alg in [Algorithm::Cetric, Algorithm::Ditric] {
             let sequential = run_with_policy(&g, p, alg, policy(1), &SimOptions::default());
             assert_eq!(sequential.0, truth, "{} p={p} miscounted", alg.name());
-            for pool_workers in [2usize, 8] {
+            for pool_workers in [2usize, 3, 8, 12] {
                 let chunked =
                     run_with_policy(&g, p, alg, policy(pool_workers), &SimOptions::default());
                 assert_eq!(
@@ -95,6 +100,50 @@ fn chunked_policy_schedule_independent() {
                     alg.name()
                 );
             }
+        }
+    }
+}
+
+/// Fig. 8's configuration: DITRIC² on the paper's ID partition with a
+/// 12-core budget as `12 / t` ranks × `t` pool workers. The count is
+/// exact, and the local phase's per-rank `work_ops` and the run's total
+/// sent words are the same in two natural runs and under four seeded
+/// perturbations: the local phase meters every op its workers ran, not
+/// the busiest worker's share.
+#[test]
+fn hybrid_fig8_meters_are_schedule_free() {
+    let g = Dataset::Orkut.generate(1 << 10, 42);
+    let truth = compact_forward(&g).triangles;
+    let alg = Algorithm::Ditric2;
+    for threads in [1usize, 2, 3, 4, 6, 12] {
+        let p = 12 / threads;
+        let cfg = tricount_core::DistConfig {
+            kernels: policy(threads),
+            ..alg.config()
+        };
+        let run = |opts: &SimOptions| {
+            let dg =
+                DistGraph::with_partition(&g, Partition::balanced_vertices(g.num_vertices(), p));
+            let (res, ..) = run_on_profiled(dg, alg, &cfg, opts)
+                .unwrap_or_else(|e| panic!("{p} x {threads}t failed: {e}"));
+            assert_eq!(res.triangles, truth, "{p} x {threads}t miscounted");
+            let local: Vec<u64> = res
+                .stats
+                .phases
+                .iter()
+                .filter(|ph| ph.name == LOCAL)
+                .flat_map(|ph| ph.per_rank.iter().map(|c| c.work_ops))
+                .collect();
+            (local, res.stats.total_volume())
+        };
+        let natural = run(&SimOptions::default());
+        assert_eq!(run(&SimOptions::default()), natural, "{p} x {threads}t");
+        for seed in &SEEDS[..4] {
+            assert_eq!(
+                run(&SimOptions::perturbed(*seed)),
+                natural,
+                "{p} x {threads}t diverged under schedule seed {seed}"
+            );
         }
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end correctness: every distributed variant must produce the exact
 //! sequential count on every graph family, partitioning, and PE count.
 
-use cetric::core::dist::{approx, hybrid, lcc};
+use cetric::core::dist::{approx, lcc};
 use cetric::core::seq;
+use cetric::graph::kernels::KernelPolicy;
 use cetric::prelude::*;
 
 fn check(g: &Csr, ps: &[usize]) {
@@ -92,8 +93,15 @@ fn distributed_lcc_equals_sequential_on_every_family() {
 fn hybrid_matches_flat_for_all_thread_counts() {
     let g = cetric::gen::rgg2d_default(1200, 3);
     let truth = seq::compact_forward(&g).triangles;
+    // 12 cores as `12 / t` DITRIC ranks with `t` pool workers each
     for threads in [1usize, 2, 3, 4, 6, 12] {
-        let r = hybrid::count_hybrid(&g, 12, threads, &DistConfig::default());
+        let cfg = DistConfig {
+            kernels: KernelPolicy {
+                pool_workers: threads,
+            },
+            ..DistConfig::default()
+        };
+        let r = count(&g, 12 / threads, Algorithm::Ditric, &cfg).unwrap();
         assert_eq!(r.triangles, truth, "threads={threads}");
     }
 }
