@@ -403,16 +403,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_account_for_every_task() {
-        // The live probe, read as the last worker retires (the batch is still
-        // registered then), counts every task and every steal: each steal
-        // probe locks a peer's deque, and each task that ran off the deque it
-        // was dealt to round-robin was stolen exactly once. One heavy task
-        // leaves its worker's deque for the idle workers to steal from.
-        const WORKERS: usize = 5;
-        #[derive(Default)]
+    /// Runs `tasks` on `workers` workers and reads the batch's live probe as
+    /// the last worker retires (the batch is still registered then). Returns
+    /// the results, the probe's per-worker counters and the number of peer
+    /// deque locks taken (each steal probe locks exactly one peer's deque).
+    /// The batch is found in the registry by its width, so each caller uses
+    /// a width no other test in this crate registers concurrently.
+    fn run_reading_live_probe(
+        workers: usize,
+        tasks: Vec<u64>,
+        f: impl Fn(usize, u64) -> u64 + Sync,
+    ) -> (Vec<TaskResult<u64>>, Vec<WorkerStats>, u64) {
         struct ReadProbeAtRetire {
+            workers: usize,
             finished: AtomicUsize,
             peer_locks: AtomicUsize,
             seen: Mutex<Vec<WorkerStats>>,
@@ -424,26 +427,69 @@ mod tests {
                 }
             }
             fn actor_finished(&self, _actor: usize) {
-                if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == WORKERS {
+                if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == self.workers {
                     *self.seen.lock().unwrap() = probe::snapshot_live()
                         .into_iter()
-                        .find(|b| b.len() == WORKERS)
+                        .find(|b| b.len() == self.workers)
                         .expect("the batch's probe is live until it returns");
                 }
             }
         }
 
-        let s = ReadProbeAtRetire::default();
-        let results = Pool::new(WORKERS).run_tasks_sched(
-            (0..200u64).collect(),
-            |_i, x| {
+        let s = ReadProbeAtRetire {
+            workers,
+            finished: AtomicUsize::new(0),
+            peer_locks: AtomicUsize::new(0),
+            seen: Mutex::new(Vec::new()),
+        };
+        let results = Pool::new(workers).run_tasks_sched(tasks, f, &s);
+        let peer_locks = s.peer_locks.load(Ordering::Relaxed) as u64;
+        (results, s.seen.into_inner().unwrap(), peer_locks)
+    }
+
+    #[test]
+    fn stats_account_for_every_task() {
+        // The live probe counts every task against the worker that ran it.
+        const WORKERS: usize = 6;
+        let (results, seen, _) =
+            run_reading_live_probe(WORKERS, (0..200u64).collect(), |_i, x| x + 1);
+        assert_eq!(results.len(), 200);
+        assert_eq!(seen.len(), WORKERS);
+        let mut per_worker = [0u64; WORKERS];
+        for r in &results {
+            per_worker[r.worker] += 1;
+        }
+        for (w, ws) in seen.iter().enumerate() {
+            assert_eq!(ws.executed, per_worker[w], "worker {w}");
+            assert!(ws.steals_succeeded <= ws.steals_attempted, "worker {w}");
+        }
+    }
+
+    #[test]
+    fn stats_visible_through_live_probe_registry() {
+        // A batch's counters are readable from the registry while it runs,
+        // and their total is every task of the batch.
+        const WORKERS: usize = 7;
+        let (results, seen, _) = run_reading_live_probe(WORKERS, (0..40u64).collect(), |_i, x| x);
+        assert_eq!(results.len(), 40);
+        assert_eq!(seen.len(), WORKERS);
+        assert_eq!(seen.iter().map(|w| w.executed).sum::<u64>(), 40);
+    }
+
+    #[test]
+    fn imbalanced_batch_records_steals() {
+        // One heavy task leaves its worker's deque for the idle workers to
+        // steal from. The live probe counts every steal: each steal probe
+        // locks a peer's deque, and each task that ran off the deque it was
+        // dealt to round-robin was stolen exactly once. Steal *attempts* are
+        // guaranteed by the end-of-batch drain even when every probe misses.
+        const WORKERS: usize = 5;
+        let (results, seen, peer_locks) =
+            run_reading_live_probe(WORKERS, (0..200u64).collect(), |_i, x| {
                 let rounds = if x == 0 { 2_000_000u64 } else { 10 };
                 (0..rounds).fold(x, |acc, k| acc.wrapping_add(k ^ (acc << 1)))
-            },
-            &s,
-        );
+            });
         assert_eq!(results.len(), 200);
-        let seen = s.seen.into_inner().unwrap();
         let mut executed = [0u64; WORKERS];
         for r in &results {
             executed[r.worker] += 1;
@@ -458,7 +504,7 @@ mod tests {
             executed
         );
         assert_eq!(seen.iter().map(|w| w.steals_succeeded).sum::<u64>(), stolen);
-        assert_eq!(attempted, s.peer_locks.load(Ordering::Relaxed) as u64);
+        assert_eq!(attempted, peer_locks);
         assert!(attempted > 0);
     }
 
