@@ -234,11 +234,12 @@ pub fn count_local(
 /// source `(l, A(l))`, in `ids`' dense ids, is streamed through the
 /// buffered sparse all-to-all to the owners of its heads, skipping the
 /// heads this PE owns; records travel in global ids, translated as they
-/// are built. The receiver makes the record's `A(v)` a
-/// [`Marker`] source once and calls `visit(v, u, source, A(u))` for each
-/// head it owns — `v` as its global id, the head `u` as its dense id —
-/// with `A(u)` from `head`. `visit` returns the intersection's kernel ops
-/// and each visit meters `ops + 1`.
+/// are built. The receiver makes the record's `A(v)` a [`Marker`] source,
+/// which translates it to dense ids (one ghost-directory lookup per id,
+/// [`DenseIds::local_of`]) only on its first merge pick, and calls
+/// `visit(v, u, source, A(u))` for each head it owns — `v` as its global
+/// id, the head `u` as its dense id — with `A(u)` from `head`. `visit`
+/// returns the intersection's kernel ops and each visit meters `ops + 1`.
 ///
 /// With `cfg.dedup` (the surrogate deduplication of Arifuzzaman et al.)
 /// `A(v)` travels at most once per destination PE as `[v, A(v)…]` and the

@@ -99,11 +99,11 @@ pub struct PhaseFit {
     pub modeled_seconds: f64,
     /// Measured wall phase time (max over ranks, seconds).
     pub measured_seconds: f64,
-    /// `measured / modeled` (∞ when the model predicts zero but the wall
-    /// clock disagrees).
-    pub ratio: f64,
+    /// `measured / modeled`; `None` when the phase is unmodeled (see
+    /// [`ModelFitReport::compute`]), so no ratio says anything.
+    pub ratio: Option<f64>,
     /// Whether the discrepancy factor `max(ratio, 1/ratio)` exceeds the
-    /// report's threshold.
+    /// report's threshold; never set on an unmodeled phase.
     pub flagged: bool,
 }
 
@@ -121,9 +121,9 @@ pub struct ModelFitReport {
     pub phases: Vec<PhaseFit>,
     /// Discrepancy factor above which a phase is flagged.
     pub threshold: f64,
-    /// Total modeled seconds over the compared phases.
+    /// Total modeled seconds over the compared phases that are modeled.
     pub modeled_total: f64,
-    /// Total measured wall seconds over the compared phases.
+    /// Total measured wall seconds over the same phases.
     pub measured_total: f64,
 }
 
@@ -132,6 +132,13 @@ impl ModelFitReport {
     /// flagging phases whose discrepancy factor exceeds `threshold`
     /// (i.e. measured/modeled outside `[1/threshold, threshold]`). Phases
     /// with no wall measurement (synthetic stats) are skipped.
+    ///
+    /// A phase is unmodeled, neither flagged nor counted in the totals,
+    /// when the model prices none of its work: its modeled time is 0, or
+    /// no PE metered a work op or a point-to-point message in it, so all
+    /// it is charged are collectives. On one PE preprocessing and the
+    /// global phase are such: their collectives move nothing, yet an
+    /// all-gather still charges its own words.
     pub fn compute(stats: &RunStats, cost: &CostModel, threshold: f64) -> ModelFitReport {
         let threshold = threshold.max(1.0);
         let mut phases = Vec::new();
@@ -143,24 +150,21 @@ impl ModelFitReport {
                 continue;
             }
             let modeled = ph.modeled_time(cost);
-            let ratio = if modeled > 0.0 {
-                measured / modeled
-            } else {
-                f64::INFINITY
-            };
-            let factor = if ratio > 0.0 {
-                ratio.max(1.0 / ratio)
-            } else {
-                f64::INFINITY
-            };
-            modeled_total += modeled;
-            measured_total += measured;
+            let priced = ph
+                .per_rank
+                .iter()
+                .any(|c| c.work_ops > 0 || c.sent_messages > 0 || c.recv_messages > 0);
+            let ratio = (modeled > 0.0 && priced).then(|| measured / modeled);
+            if ratio.is_some() {
+                modeled_total += modeled;
+                measured_total += measured;
+            }
             phases.push(PhaseFit {
                 name: ph.name.clone(),
                 modeled_seconds: modeled,
                 measured_seconds: measured,
                 ratio,
-                flagged: factor > threshold,
+                flagged: ratio.is_some_and(|r| r.max(1.0 / r) > threshold),
             });
         }
         ModelFitReport {
@@ -204,20 +208,26 @@ impl ModelFitReport {
             self.threshold, "phase", "modeled ms", "wall ms", "wall/model", "verdict"
         ));
         for f in &self.phases {
+            let (ratio, verdict) = match f.ratio {
+                None => ("-".to_string(), "unmodeled"),
+                Some(r) => (format!("{r:.2}"), if f.flagged { "FLAGGED" } else { "ok" }),
+            };
             out.push_str(&format!(
-                "{:<16} {:>12.3} {:>12.3} {:>10.2}  {}\n",
+                "{:<16} {:>12.3} {:>12.3} {:>10}  {}\n",
                 f.name,
                 f.modeled_seconds * 1e3,
                 f.measured_seconds * 1e3,
-                f.ratio,
-                if f.flagged { "FLAGGED" } else { "ok" }
+                ratio,
+                verdict
             ));
         }
+        let unmodeled = self.phases.iter().filter(|f| f.ratio.is_none()).count();
         out.push_str(&format!(
-            "overall wall/model: {:.2} ({} of {} phases flagged)\n",
+            "overall wall/model: {:.2} ({} of {} phases flagged, {} unmodeled)\n",
             self.overall_ratio(),
             self.flagged().len(),
-            self.phases.len()
+            self.phases.len(),
+            unmodeled
         ));
         out
     }
@@ -401,7 +411,7 @@ mod tests {
         let fit = ModelFitReport::compute(&s, &cost, 3.0);
         assert_eq!(fit.phases.len(), 1);
         assert!(fit.phases[0].flagged);
-        assert!((fit.phases[0].ratio - 20.0).abs() < 1e-9);
+        assert!((fit.phases[0].ratio.unwrap() - 20.0).abs() < 1e-9);
         assert_eq!(fit.flagged().len(), 1);
         let rendered = fit.render();
         assert!(rendered.contains("FLAGGED"), "{rendered}");
@@ -417,6 +427,69 @@ mod tests {
         // synthetic stats (no wall measurements) compare nothing
         let fit = ModelFitReport::compute(&stats(), &cost, 3.0);
         assert!(fit.phases.is_empty());
+        assert_eq!(fit.overall_ratio(), 1.0);
+    }
+
+    /// A phase the model prices at 0, or prices only for collectives, is
+    /// unmodeled: no ratio, not flagged, not in the totals; a priced phase
+    /// beside it is judged as before.
+    #[test]
+    fn model_fit_marks_unpriced_phases_unmodeled() {
+        let cost = CostModel::supermuc();
+        let collectives_only = Counters {
+            coll_word_units: 2,
+            ..Counters::default()
+        };
+        let mut s = stats(); // "local": 10 ops, 2 messages of 8 words
+        s.phases.insert(
+            0,
+            PhaseStats::unmeasured("preprocessing", vec![collectives_only]),
+        );
+        s.phases
+            .push(PhaseStats::unmeasured("global", vec![Counters::default()]));
+        let local = s.phases[1].modeled_time(&cost);
+        for ph in &mut s.phases {
+            ph.wall_per_rank = vec![2.0 * local];
+        }
+        let fit = ModelFitReport::compute(&s, &cost, 3.0);
+        let verdicts: Vec<_> = fit
+            .phases
+            .iter()
+            .map(|f| (f.name.as_str(), f.ratio.is_some(), f.flagged))
+            .collect();
+        assert_eq!(
+            verdicts,
+            [
+                ("preprocessing", false, false),
+                ("local", true, false),
+                ("global", false, false)
+            ]
+        );
+        assert!(fit.phases[0].modeled_seconds > 0.0, "2 words are priced");
+        assert!(fit.flagged().is_empty());
+        assert!((fit.overall_ratio() - 2.0).abs() < 1e-9);
+        assert_eq!(fit.measured_total, 2.0 * local);
+        let rendered = fit.render();
+        for line in rendered.lines().filter(|l| !l.starts_with("local")) {
+            assert!(!line.contains("inf") && !line.contains("FLAGGED"), "{line}");
+        }
+        assert!(
+            rendered.contains("(0 of 3 phases flagged, 2 unmodeled)"),
+            "{rendered}"
+        );
+        let unmodeled = rendered.lines().filter(|l| l.ends_with("  unmodeled"));
+        assert_eq!(unmodeled.count(), 2, "{rendered}");
+
+        // the one priced phase, 20x off, is still flagged alone
+        s.phases[1].wall_per_rank = vec![20.0 * local];
+        let fit = ModelFitReport::compute(&s, &cost, 3.0);
+        assert_eq!(fit.flagged().len(), 1);
+        assert_eq!(fit.flagged()[0].name, "local");
+
+        // a model that prices nothing leaves every phase unmodeled
+        let free = CostModel::calibrated(0.0, 0.0, 0.0);
+        let fit = ModelFitReport::compute(&s, &free, 3.0);
+        assert!(fit.phases.iter().all(|f| f.ratio.is_none() && !f.flagged));
         assert_eq!(fit.overall_ratio(), 1.0);
     }
 
