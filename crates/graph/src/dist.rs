@@ -524,6 +524,23 @@ impl DenseIds {
         Some(self.dense_ghost(i))
     }
 
+    /// The number of visible vertices whose id is at most `x`, which is
+    /// also the first dense id above `x`: one bucket of the ghost
+    /// directory is bisected, as in [`DenseIds::local_of`].
+    pub(crate) fn count_at_most(&self, x: VertexId) -> usize {
+        let owned = x.saturating_add(1).clamp(self.owned.start, self.owned.end) - self.owned.start;
+        let ghosts = match x.checked_sub(self.first) {
+            None => 0,
+            Some(d) if d >> self.shift >= (self.dir.len() - 1) as u64 => self.ghosts.len(),
+            Some(d) => {
+                let b = (d >> self.shift) as usize;
+                let (lo, hi) = (self.dir[b] as usize, self.dir[b + 1] as usize);
+                lo + self.ghosts[lo..hi].partition_point(|&g| g <= x)
+            }
+        };
+        owned as usize + ghosts
+    }
+
     /// Dense id of the `i`-th ghost.
     #[inline]
     fn dense_ghost(&self, i: usize) -> LocalId {
@@ -1033,9 +1050,10 @@ mod tests {
     /// Seeded property test of the ghost directory on the ghost sets that
     /// stress it: none, one, only 0 and `u64::MAX`, all but one in one
     /// bucket, spread over `2^40`, on both sides of the owned range, and at
-    /// and next to `u32::MAX` and `u64::MAX`. `local_of` and `translate` agree with a
-    /// bisection of all the ghosts on every id in and around the set, and
-    /// the directory holds at most `2·g + 2` entries.
+    /// and next to `u32::MAX` and `u64::MAX`. `local_of`, `translate` and
+    /// `count_at_most` agree with a bisection of all the ghosts on every id
+    /// in and around the set, and the directory holds at most `2·g + 2`
+    /// entries.
     #[test]
     fn ghost_directory_agrees_with_bisection() {
         let mut rng = 0x6469_7265_u64; // "dire"
@@ -1124,6 +1142,13 @@ mod tests {
             probes.dedup();
             for &x in &probes {
                 assert_eq!(ids.local_of(x), oracle(x), "local_of({x}), case {case}");
+                let at_most = ghosts.partition_point(|&y| y <= x) as u64
+                    + (x.saturating_add(1).clamp(owned.start, owned.end) - owned.start);
+                assert_eq!(
+                    ids.count_at_most(x) as u64,
+                    at_most,
+                    "count_at_most({x}), case {case}"
+                );
             }
             let mut out = Vec::new();
             ids.translate(&probes, &mut out);

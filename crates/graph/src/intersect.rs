@@ -164,10 +164,78 @@ pub fn merge_collect<T: Copy + Ord + Default>(a: &[T], b: &[T], out: &mut Vec<T>
     (stop - found) as u64
 }
 
-/// Binary search over a sorted slice, its elements read through `key`,
-/// that charges one op per element comparison actually performed. Shared
-/// by the binary-probe and galloping kernels so both meter work in the
-/// same unit as [`merge_count`].
+/// Ops of the metered bisection on `n` elements that stops at position
+/// `p`: the textbook loop (`mid = lo + (hi − lo)/2`, one op per element
+/// read, stop on an equal one) replayed on indices, where element `mid`
+/// is below the key iff `mid < p` and equal to it iff `found` and
+/// `mid == p`.
+const fn replay_bisection(n: usize, p: usize, found: bool) -> u8 {
+    let (mut lo, mut hi, mut ops) = (0usize, n, 0u8);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        ops += 1;
+        if found && mid == p {
+            return ops;
+        }
+        if mid < p {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    ops
+}
+
+/// Lengths below which a bisection's ops are read from [`BISECT_OPS`].
+const BISECT_TABLE_LEN: usize = 128;
+
+/// [`replay_bisection`] for every `n < BISECT_TABLE_LEN`, position
+/// `p ≤ n` and `found`, at `n·(n + 1) + 2p + found` (16.5 KB).
+static BISECT_OPS: [u8; BISECT_TABLE_LEN * (BISECT_TABLE_LEN + 1)] = {
+    let mut t = [0u8; BISECT_TABLE_LEN * (BISECT_TABLE_LEN + 1)];
+    let mut n = 0;
+    while n < BISECT_TABLE_LEN {
+        let mut p = 0;
+        while p <= n {
+            t[n * (n + 1) + 2 * p] = replay_bisection(n, p, false);
+            t[n * (n + 1) + 2 * p + 1] = replay_bisection(n, p, true);
+            p += 1;
+        }
+        n += 1;
+    }
+    t
+};
+
+/// [`replay_bisection`] for any `n`: the steps that leave a range of
+/// [`BISECT_TABLE_LEN`] or more are replayed on indices, the rest are one
+/// read of [`BISECT_OPS`].
+#[inline]
+fn bisection_ops(n: usize, p: usize, found: bool) -> u64 {
+    let (mut lo, mut hi, mut ops) = (0usize, n, 0u64);
+    while hi - lo >= BISECT_TABLE_LEN {
+        let mid = lo + (hi - lo) / 2;
+        ops += 1;
+        if found && mid == p {
+            return ops;
+        }
+        let right = mid < p;
+        lo = if right { mid + 1 } else { lo };
+        hi = if right { hi } else { mid };
+    }
+    let m = hi - lo;
+    ops + u64::from(BISECT_OPS[m * (m + 1) + 2 * (p - lo) + usize::from(found)])
+}
+
+/// Binary search over a sorted, duplicate-free slice, its elements read
+/// through `key`, metered as the textbook bisection that stops on an
+/// equal element: one op per element it compares. Shared by the
+/// binary-probe and galloping kernels so both meter work in the same unit
+/// as [`merge_count`]. It runs as the library's lower bound, whose steps
+/// depend on `|hay|` alone and pick each half with a select, not a
+/// branch: which half follows is a coin flip the predictor cannot learn,
+/// and without the textbook loop's exit on an equal element the searches
+/// of consecutive probes overlap. That loop's ops depend only on `|hay|`,
+/// where `x` lands and whether it is there ([`bisection_ops`]).
 #[inline]
 fn counted_binary_search<T: Copy, K: Ord>(
     hay: &[T],
@@ -175,21 +243,14 @@ fn counted_binary_search<T: Copy, K: Ord>(
     x: &K,
     ops: &mut u64,
 ) -> Result<usize, usize> {
-    let (mut lo, mut hi) = (0usize, hay.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        *ops += 1;
-        let y = key(hay[mid]);
-        if y == *x {
-            return Ok(mid);
-        }
-        // Which half follows is a coin flip the predictor cannot learn;
-        // two selects instead of a branch on it.
-        let less = y < *x;
-        lo = if less { mid + 1 } else { lo };
-        hi = if less { hi } else { mid };
+    let p = hay.partition_point(|&y| key(y) < *x);
+    let found = hay.get(p).is_some_and(|&y| key(y) == *x);
+    *ops += bisection_ops(hay.len(), p, found);
+    if found {
+        Ok(p)
+    } else {
+        Err(p)
     }
-    Err(lo)
 }
 
 /// One galloping probe: exponential search for an upper bound on `x`'s
@@ -563,6 +624,122 @@ pub(crate) mod tests {
         let (_, ops) = merge_count(&a, &b);
         assert!(ops <= (a.len() + b.len()) as u64);
         assert!(ops >= a.len().min(b.len()) as u64);
+    }
+
+    /// The bisection `counted_binary_search` replaced: the textbook loop
+    /// with a branch on each element read, counting one op per read. Kept
+    /// here only, as the oracle of the table-counted search.
+    fn reference_binary_search(
+        hay: &[VertexId],
+        x: VertexId,
+        ops: &mut u64,
+    ) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0usize, hay.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            *ops += 1;
+            match hay[mid].cmp(&x) {
+                std::cmp::Ordering::Equal => return Ok(mid),
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Err(lo)
+    }
+
+    /// `(result, ops)` of the table-counted search and of the oracle.
+    fn both_searches(hay: &[VertexId], x: VertexId) -> [(Result<usize, usize>, u64); 2] {
+        let (mut ops, mut want_ops) = (0u64, 0u64);
+        let got = counted_binary_search(hay, &|y| y, &x, &mut ops);
+        let want = reference_binary_search(hay, x, &mut want_ops);
+        [(got, ops), (want, want_ops)]
+    }
+
+    /// Every length up to 300 (the table's range, its edge at 128 and the
+    /// replayed steps above it), probed at every element and every gap:
+    /// the same result and the same ops as the textbook bisection.
+    #[test]
+    fn bisection_matches_the_textbook_loop_at_every_position() {
+        for n in 0..=300u64 {
+            let hay: Vec<VertexId> = (0..n).map(|i| 2 * i + 1).collect();
+            for x in 0..=2 * n + 1 {
+                let [got, want] = both_searches(&hay, x);
+                assert_eq!(got, want, "n {n} x {x}");
+            }
+        }
+    }
+
+    /// Lists up to `10^5` long, probed at random elements and gaps and
+    /// past both ends: the same result and ops as the textbook bisection.
+    #[test]
+    fn bisection_matches_the_textbook_loop_on_long_lists() {
+        let mut rng = 0x6269_7365_u64; // "bise"
+        for _ in 0..40 {
+            let n = (splitmix(&mut rng) % 100_001) as usize;
+            let hay = sorted_unique(&mut rng, n, 4 * n as u64 + 8);
+            for _ in 0..200 {
+                let x = match splitmix(&mut rng) % 4 {
+                    0 if n > 0 => hay[splitmix(&mut rng) as usize % n],
+                    1 => u64::MAX,
+                    _ => splitmix(&mut rng) % (4 * n as u64 + 16),
+                };
+                let [got, want] = both_searches(&hay, x);
+                assert_eq!(got, want, "n {n} x {x}");
+            }
+        }
+    }
+
+    /// The galloping probe with the oracle's bisection in its window: the
+    /// loop `gallop_probe` ran before the bisection became table-counted.
+    fn reference_gallop(
+        large: &[VertexId],
+        cur: &mut usize,
+        x: VertexId,
+        ops: &mut u64,
+    ) -> Option<usize> {
+        let mut bound = 1usize;
+        while *cur + bound < large.len() {
+            *ops += 1;
+            if large[*cur + bound] >= x {
+                break;
+            }
+            bound *= 2;
+        }
+        let lo = *cur + bound / 2;
+        let hi = (*cur + bound + 1).min(large.len());
+        match reference_binary_search(&large[lo..hi], x, ops) {
+            Ok(pos) => {
+                *cur = lo + pos + 1;
+                Some(lo + pos)
+            }
+            Err(pos) => {
+                *cur = lo + pos;
+                None
+            }
+        }
+    }
+
+    /// Every gallop window: from every cursor of every list up to 64
+    /// long, a probe at every element and gap lands where the oracle's
+    /// does, with the same match, cursor and ops.
+    #[test]
+    fn gallop_windows_match_the_textbook_bisection() {
+        for n in 1..=64u64 {
+            let large: Vec<VertexId> = (0..n).map(|i| 2 * i + 1).collect();
+            for start in 0..n as usize {
+                for x in 0..=2 * n + 1 {
+                    let (mut cur, mut ops) = (start, 0u64);
+                    let got = gallop_probe(&large, &|y| y, &mut cur, &x, &mut ops);
+                    let (mut want_cur, mut want_ops) = (start, 0u64);
+                    let want = reference_gallop(&large, &mut want_cur, x, &mut want_ops);
+                    assert_eq!(
+                        (got, cur, ops),
+                        (want, want_cur, want_ops),
+                        "n {n} cursor {start} x {x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -191,6 +191,9 @@ pub trait IdSpace: Copy {
     /// Appends the dense ids of the elements of the sorted `list` this PE
     /// can see.
     fn visible(self, list: &[Self::Id], out: &mut Vec<LocalId>);
+    /// The first dense id above `last`: the dense ids below it are those
+    /// of the visible ids at or below `last`.
+    fn bound(self, last: Self::Id) -> usize;
 }
 
 /// Dense ids themselves: the space of a local pass's sources.
@@ -207,6 +210,10 @@ impl IdSpace for Dense {
     fn visible(self, list: &[LocalId], out: &mut Vec<LocalId>) {
         out.extend_from_slice(list);
     }
+    #[inline]
+    fn bound(self, last: LocalId) -> usize {
+        last as usize + 1
+    }
 }
 
 /// Global ids read through a PE's numbering: the space of a record the
@@ -220,6 +227,10 @@ impl IdSpace for &DenseIds {
     #[inline]
     fn visible(self, list: &[VertexId], out: &mut Vec<LocalId>) {
         self.translate(list, out);
+    }
+    #[inline]
+    fn bound(self, last: VertexId) -> usize {
+        self.count_at_most(last)
     }
 }
 
@@ -268,7 +279,7 @@ impl Marker {
             marker: self,
             space,
             list,
-            marked: false,
+            bound: None,
         }
     }
 }
@@ -279,7 +290,8 @@ pub struct Source<'m, S: IdSpace> {
     marker: &'m mut Marker,
     space: S,
     list: &'m [S::Id],
-    marked: bool,
+    /// The dense bound of the source's last id, once its flags are set.
+    bound: Option<usize>,
 }
 
 impl<S: IdSpace> Source<'_, S> {
@@ -289,10 +301,21 @@ impl<S: IdSpace> Source<'_, S> {
         match self.pick(b) {
             None => (0, 0),
             Some(Pick::Merge) => {
-                let (stop, scan) = self.merge(b);
+                let bound = self.mark();
                 let flags = &self.marker.flags;
-                let count: u64 = scan.iter().map(|&y| u64::from(flags[y as usize])).sum();
-                (count, stop as u64 - count)
+                let (mut count, mut j) = (0u64, b.len());
+                if (b[b.len() - 1] as usize) < bound {
+                    count = b.iter().map(|&y| u64::from(flags[y as usize])).sum();
+                } else {
+                    for (k, &y) in b.iter().enumerate() {
+                        if y as usize >= bound {
+                            j = k;
+                            break;
+                        }
+                        count += u64::from(flags[y as usize]);
+                    }
+                }
+                (count, self.merge_stop(b, j) as u64 - count)
             }
             Some(pick) => {
                 let mut count = 0u64;
@@ -309,17 +332,21 @@ impl<S: IdSpace> Source<'_, S> {
         match self.pick(b) {
             None => 0,
             Some(Pick::Merge) => {
-                let (stop, scan) = self.merge(b);
+                let bound = self.mark();
                 let flags = &self.marker.flags;
                 let base = out.len();
-                out.resize(base + scan.len(), 0);
-                let mut k = base;
-                for &y in scan {
+                out.resize(base + b.len(), 0);
+                let (mut k, mut j) = (base, b.len());
+                for (i, &y) in b.iter().enumerate() {
+                    if y as usize >= bound {
+                        j = i;
+                        break;
+                    }
                     out[k] = y;
                     k += usize::from(flags[y as usize]);
                 }
                 out.truncate(k);
-                (stop - (k - base)) as u64
+                (self.merge_stop(b, j) - (k - base)) as u64
             }
             Some(pick) => self.probe(pick, b, |y| out.push(y)),
         }
@@ -333,26 +360,36 @@ impl<S: IdSpace> Source<'_, S> {
         (la > 0 && lb > 0).then(|| self.marker.dispatcher.pick(la.min(lb), la.max(lb)))
     }
 
-    /// A merge pick: sets the source's flags if they are not yet set and
-    /// returns where the plain merge of the two lists stops (`i + j`) with
-    /// the part of `b` it passes, the only part that can hold a flag.
+    /// A merge pick: sets the source's flags and its dense bound if they
+    /// are not yet set, and returns the bound. A merge scans `b` only
+    /// below it: the dense ids below the bound are the visible ids up to
+    /// the source's last, the only part of `b` the plain merge passes.
     #[inline]
-    fn merge<'b>(&mut self, b: &'b [LocalId]) -> (usize, &'b [LocalId]) {
-        if !self.marked {
-            self.marked = true;
-            let m = &mut *self.marker;
-            self.space.visible(self.list, &mut m.marked);
-            for &l in &m.marked {
-                m.flags[l as usize] = true;
-            }
+    fn mark(&mut self) -> usize {
+        if let Some(bound) = self.bound {
+            return bound;
         }
-        let (a, space) = (self.list, self.space);
-        let (la, lb) = (a[a.len() - 1], space.id(b[b.len() - 1]));
-        if la <= lb {
-            let j = b.partition_point(|&y| space.id(y) <= la);
-            (a.len() + j, &b[..j])
+        let m = &mut *self.marker;
+        self.space.visible(self.list, &mut m.marked);
+        for &l in &m.marked {
+            m.flags[l as usize] = true;
+        }
+        let bound = self.space.bound(self.list[self.list.len() - 1]);
+        self.bound = Some(bound);
+        bound
+    }
+
+    /// Where the plain merge of the source and `b` stops (`i + j`), given
+    /// the `j` elements of `b` at or below the source's last: short of
+    /// `|b|`, the source runs out first; else `b` does, past the source's
+    /// elements at or below `b`'s last.
+    #[inline]
+    fn merge_stop(&self, b: &[LocalId], j: usize) -> usize {
+        if j < b.len() {
+            self.list.len() + j
         } else {
-            (b.len() + a.partition_point(|&x| x <= lb), b)
+            let lb = self.space.id(b[b.len() - 1]);
+            b.len() + self.list.partition_point(|&x| x <= lb)
         }
     }
 
@@ -470,11 +507,11 @@ mod tests {
     }
 
     /// Property test over adversarial list shapes: every kernel function
-    /// (count and collect) and the dispatcher must
-    /// agree with the slice merge on count *and* elements, for
-    /// 1000×-skewed, empty, disjoint, identical and randomly-overlapping
-    /// pairs. Lists are drawn from a seeded SplitMix64 walk so failures
-    /// reproduce exactly.
+    /// (count and collect) and the dispatcher must agree with the slice
+    /// merge on count *and* elements, and the marker in both id spaces
+    /// with the dispatcher, for 1000×-skewed, empty, disjoint, identical
+    /// and randomly-overlapping pairs. Lists are drawn from a seeded
+    /// SplitMix64 walk so failures reproduce exactly.
     #[test]
     fn adversarial_shapes_all_kernels_agree() {
         use crate::intersect::tests::sorted_unique;
@@ -527,8 +564,55 @@ mod tests {
                 out.clear();
                 d.collect(&a, &b, &mut out);
                 assert_eq!(out, expect_out, "auto collect, {at}");
+                marker_agrees(&a, &b, span, &at);
             }
         }
+    }
+
+    /// The marker on one adversarial pair, in both id spaces, against the
+    /// dispatcher: counts, ops, elements and picks. The PE sees all of `b`,
+    /// an owned range and every other element of `a`; as a local pass's
+    /// source `a` is cut to what the PE sees, as a received record it keeps
+    /// the ids the PE cannot see.
+    fn marker_agrees(a: &[VertexId], b: &[VertexId], span: u64, at: &str) {
+        let owned = span / 2..span / 2 + (span / 4).min(2000);
+        let mut ghosts: Vec<VertexId> = b
+            .iter()
+            .chain(a.iter().step_by(2))
+            .copied()
+            .filter(|x| !owned.contains(x))
+            .collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        let ids = DenseIds::new(0, owned, ghosts).unwrap();
+        let dense = |list: &[VertexId]| -> Vec<LocalId> {
+            list.iter().filter_map(|&x| ids.local_of(x)).collect()
+        };
+        let global = |list: &[LocalId]| -> Vec<VertexId> {
+            list.iter().map(|&l| ids.global_of(l)).collect()
+        };
+        let (seen, b) = (dense(a), dense(b));
+        let (mut marker, mut d) = (Marker::new(ids.len()), Dispatcher::default());
+        let (mut out, mut want) = (Vec::new(), Vec::new());
+
+        let mut src = marker.source(Dense, &seen);
+        let expect = d.count(&global(&seen), None, &global(&b), None);
+        assert_eq!(src.count(&b), expect, "marker local count, {at}");
+        let ops = d.collect(&global(&seen), &global(&b), &mut want);
+        assert_eq!(src.collect(&b, &mut out), ops, "marker local ops, {at}");
+        assert_eq!(global(&out), want, "marker local collect, {at}");
+        drop(src);
+
+        let mut src = marker.source(&ids, a);
+        let expect = d.count(a, None, &global(&b), None);
+        assert_eq!(src.count(&b), expect, "marker received count, {at}");
+        want.clear();
+        out.clear();
+        let ops = d.collect(a, &global(&b), &mut want);
+        assert_eq!(src.collect(&b, &mut out), ops, "marker received ops, {at}");
+        assert_eq!(global(&out), want, "marker received collect, {at}");
+        drop(src);
+        assert_eq!(marker.counters(), d.counters(), "marker picks, {at}");
     }
 
     #[test]
