@@ -80,43 +80,62 @@ fn op_name(code: u64) -> &'static str {
     }
 }
 
+/// One per-PE slot of [`Shared`] on a cache line of its own, so a PE
+/// bumping its slot never invalidates the line a peer bumps its own on.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct Slot<T>(T);
+
+impl<T> std::ops::Deref for Slot<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// `p` fresh slots.
+fn slots<T: Default>(p: usize) -> Vec<Slot<T>> {
+    (0..p).map(|_| Slot::default()).collect()
+}
+
 /// Control-plane state shared by all PEs of one run: meters and watchdog
 /// signals. The data plane (queues, barrier, collective
-/// scratch) lives behind each PE's [`Endpoint`].
+/// scratch) lives behind each PE's [`Endpoint`]. Every per-PE atomic is a
+/// [`Slot`]: each metered source bumps its PE's heartbeat.
 pub(crate) struct Shared {
     p: usize,
     /// Wall-clock origin of the run; span stamps and per-phase wall times
     /// are relative to this.
     epoch: Instant,
     /// Sparse-exchange termination: envelopes expected per destination.
-    pub(crate) expected: Vec<AtomicU64>,
+    pub(crate) expected: Vec<Slot<AtomicU64>>,
     /// Ranks that finished producing in the current sparse exchange.
     pub(crate) producers_done: AtomicUsize,
     /// Ranks whose inbox is fully drained in the current sparse exchange.
     pub(crate) satisfied: AtomicUsize,
     /// Per-PE progress heartbeat for the deadlock watchdog: bumped on every
     /// send, receive, delivery, collective step and metered work batch.
-    heartbeat: Vec<AtomicU64>,
+    heartbeat: Vec<Slot<AtomicU64>>,
     /// Per-PE current operation ([`OP_RUNNING`], a collective code, or
     /// [`OP_DONE`]) for the watchdog's wait-for graph.
-    op_state: Vec<AtomicU64>,
+    op_state: Vec<Slot<AtomicU64>>,
     /// Per-PE currently buffered queue words (watchdog state dump).
-    buffered_now: Vec<AtomicU64>,
+    buffered_now: Vec<Slot<AtomicU64>>,
     /// Per-PE envelopes delivered in the current exchange (watchdog dump).
-    delivered_now: Vec<AtomicU64>,
+    delivered_now: Vec<Slot<AtomicU64>>,
 }
 
 fn make_shared(p: usize) -> Shared {
     Shared {
         p,
         epoch: Instant::now(),
-        expected: (0..p).map(|_| AtomicU64::new(0)).collect(),
+        expected: slots(p),
         producers_done: AtomicUsize::new(0),
         satisfied: AtomicUsize::new(0),
-        heartbeat: (0..p).map(|_| AtomicU64::new(0)).collect(),
-        op_state: (0..p).map(|_| AtomicU64::new(OP_RUNNING)).collect(),
-        buffered_now: (0..p).map(|_| AtomicU64::new(0)).collect(),
-        delivered_now: (0..p).map(|_| AtomicU64::new(0)).collect(),
+        heartbeat: slots(p),
+        op_state: (0..p).map(|_| Slot(AtomicU64::new(OP_RUNNING))).collect(),
+        buffered_now: slots(p),
+        delivered_now: slots(p),
     }
 }
 
@@ -397,8 +416,14 @@ impl<'s> Ctx<'s> {
     }
 
     /// Records a collective's analytic α/β charge (the message queue also
-    /// charges its sparse-exchange termination consensus here).
+    /// charges its sparse-exchange termination consensus here). On one PE
+    /// a collective moves no word and waits on no peer, so nothing is
+    /// charged: `allgatherv` would otherwise charge its own words and
+    /// `alltoallv` its counts exchange.
     pub(crate) fn charge_collective(&mut self, alpha_units: u64, word_units: u64) {
+        if self.shared.p == 1 {
+            return;
+        }
         self.counters.coll_alpha_units += alpha_units;
         self.counters.coll_word_units += word_units;
     }
@@ -1340,6 +1365,45 @@ mod tests {
         // even an empty alltoallv pays the counts exchange
         assert!(c.coll_alpha_units >= ceil_log2(p));
         assert!(c.coll_word_units >= p as u64);
+    }
+
+    /// On one PE nothing moves: every collective charges 0 units, though
+    /// `allgatherv` carries words and `alltoallv` has a counts exchange.
+    #[test]
+    fn one_pe_collectives_charge_nothing() {
+        let out = run_sim(1, &SimOptions::default(), |ctx| {
+            ctx.barrier();
+            assert_eq!(ctx.allgatherv(vec![1, 2, 3]), vec![vec![1, 2, 3]]);
+            assert_eq!(ctx.allreduce_sum(&[4, 5]), vec![4, 5]);
+            assert_eq!(ctx.allreduce_max(6), 6);
+            assert_eq!(ctx.exscan_sum(7), 0);
+            assert_eq!(ctx.alltoallv(vec![vec![8, 9]]), vec![vec![8, 9]]);
+        })
+        .output;
+        let c = out.stats.totals();
+        assert_eq!((c.coll_alpha_units, c.coll_word_units), (0, 0));
+        assert_eq!(out.stats.modeled_time(&CostModel::default()), 0.0);
+    }
+
+    /// Each per-PE slot of `Shared` sits on a cache line of its own.
+    #[test]
+    fn shared_slots_own_a_cache_line_each() {
+        assert_eq!(std::mem::align_of::<Slot<AtomicU64>>(), 64);
+        assert_eq!(std::mem::size_of::<Slot<AtomicU64>>(), 64);
+        let shared = make_shared(3);
+        for v in [
+            &shared.expected,
+            &shared.heartbeat,
+            &shared.op_state,
+            &shared.buffered_now,
+            &shared.delivered_now,
+        ] {
+            for w in v.windows(2) {
+                let (a, b) = (&*w[0] as *const AtomicU64, &*w[1] as *const AtomicU64);
+                assert_eq!(a as usize % 64, 0);
+                assert_eq!(b as usize - a as usize, 64);
+            }
+        }
     }
 
     #[test]
