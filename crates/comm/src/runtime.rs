@@ -82,7 +82,7 @@ fn op_name(code: u64) -> &'static str {
 
 /// One per-PE slot of [`Shared`] on a cache line of its own, so a PE
 /// bumping its slot never invalidates the line a peer bumps its own on.
-#[derive(Debug, Default)]
+#[derive(Default)]
 #[repr(align(64))]
 pub(crate) struct Slot<T>(T);
 

@@ -244,9 +244,11 @@ impl IdSpace for &DenseIds {
 /// pair:
 /// * the pick is the §III cost model on the two list lengths — for a
 ///   received record, its full length, ids this PE cannot see included;
-/// * a merge pick counts by scanning the other list against the flags and
+/// * a merge pick counts by scanning the other list against the flags once,
+///   in dense ids up to the source's dense bound ([`IdSpace::bound`]), and
 ///   meters the plain merge's `ops = i_stop + j_stop − count` on the global
-///   lists, with one `partition_point`;
+///   lists, with a `partition_point` over the source only when the other
+///   list ends first;
 /// * gallop and binary picks run the probe kernels, comparing a received
 ///   record with a dense list through [`DenseIds::global_of`].
 #[derive(Debug)]
