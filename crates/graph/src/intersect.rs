@@ -206,15 +206,24 @@ static BISECT_OPS: [u8; BISECT_TABLE_LEN * (BISECT_TABLE_LEN + 1)] = {
     t
 };
 
-/// [`replay_bisection`] for any `n`: one read of [`BISECT_OPS`] below
-/// [`BISECT_TABLE_LEN`], the replay itself above.
+/// [`replay_bisection`] for any `n`: the steps that leave a range of
+/// [`BISECT_TABLE_LEN`] or more are replayed on indices, the rest are one
+/// read of [`BISECT_OPS`].
 #[inline]
 fn bisection_ops(n: usize, p: usize, found: bool) -> u64 {
-    u64::from(if n < BISECT_TABLE_LEN {
-        BISECT_OPS[n * (n + 1) + 2 * p + usize::from(found)]
-    } else {
-        replay_bisection(n, p, found)
-    })
+    let (mut lo, mut hi, mut ops) = (0usize, n, 0u64);
+    while hi - lo >= BISECT_TABLE_LEN {
+        let mid = lo + (hi - lo) / 2;
+        ops += 1;
+        if found && mid == p {
+            return ops;
+        }
+        let right = mid < p;
+        lo = if right { mid + 1 } else { lo };
+        hi = if right { hi } else { mid };
+    }
+    let m = hi - lo;
+    ops + u64::from(BISECT_OPS[m * (m + 1) + 2 * (p - lo) + usize::from(found)])
 }
 
 /// Binary search over a sorted, duplicate-free slice, its elements read
@@ -647,7 +656,7 @@ pub(crate) mod tests {
     }
 
     /// Every length up to 300 (the table's range, its edge at 128 and the
-    /// replay above it), probed at every element and every gap:
+    /// replayed steps above it), probed at every element and every gap:
     /// the same result and the same ops as the textbook bisection.
     #[test]
     fn bisection_matches_the_textbook_loop_at_every_position() {
