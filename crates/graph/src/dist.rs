@@ -76,23 +76,26 @@ pub struct LocalGraph {
 impl LocalGraph {
     /// Extracts PE `rank`'s local graph from a global CSR. (In a real
     /// deployment each PE loads only its slice; centralised extraction is the
-    /// simulator's stand-in and happens outside every timed region, matching
-    /// the paper's exclusion of input loading.)
+    /// simulator's stand-in and happens outside the count's timed region,
+    /// matching the paper's exclusion of input loading. A file-to-answer
+    /// set-up times it.) The owned block is copied at its exact length, and
+    /// each sorted list's ghosts are read off its two ends.
     pub fn from_global(g: &Csr, part: &Partition, rank: usize) -> Self {
         let range = part.range(rank);
-        let mut offsets = Vec::with_capacity((range.end - range.start) as usize + 1);
-        offsets.push(0usize);
-        let mut targets = Vec::new();
+        let global_offsets = g.offsets_of(range.clone());
+        let base = global_offsets[0];
+        let offsets: Vec<usize> = global_offsets.iter().map(|&o| o - base).collect();
+        let mut targets = Vec::with_capacity(offsets[offsets.len() - 1]);
+        // a sorted list holds its ghosts at its two ends: the ids below the
+        // owned range first, the ids above it last
         let mut ghost_ids = Vec::new();
         for v in range.clone() {
             let ns = g.neighbors(v);
             targets.extend_from_slice(ns);
-            offsets.push(targets.len());
-            for &u in ns {
-                if !range.contains(&u) {
-                    ghost_ids.push(u);
-                }
-            }
+            let below = ns.partition_point(|&u| u < range.start);
+            let above = below + ns[below..].partition_point(|&u| u < range.end);
+            ghost_ids.extend_from_slice(&ns[..below]);
+            ghost_ids.extend_from_slice(&ns[above..]);
         }
         ghost_ids.sort_unstable();
         ghost_ids.dedup();
@@ -1211,5 +1214,42 @@ mod tests {
             })
             .sum();
         assert_eq!(total, g.num_edges());
+    }
+
+    #[test]
+    fn ghosts_are_the_out_of_range_neighbours() {
+        use crate::intersect::tests::splitmix;
+        let mut rng = 0x9057_u64;
+        for case in 0..120 {
+            let n = 1 + splitmix(&mut rng) % 60;
+            let pairs = (0..splitmix(&mut rng) % 200)
+                .map(|_| (splitmix(&mut rng) % n, splitmix(&mut rng) % n))
+                .collect();
+            let g = Csr::from_edges(n, &EdgeList::from_pairs(pairs));
+            for p in 1..=9 {
+                for part in [
+                    Partition::balanced_vertices(n, p),
+                    Partition::balanced_edges(&g, p),
+                ] {
+                    for rank in 0..p {
+                        let range = part.range(rank);
+                        let mut want: Vec<_> = range
+                            .clone()
+                            .flat_map(|v| g.neighbors(v).iter().copied())
+                            .filter(|u| !range.contains(u))
+                            .collect();
+                        want.sort_unstable();
+                        want.dedup();
+                        let lg = LocalGraph::from_global(&g, &part, rank);
+                        assert_eq!(lg.ghosts().ids(), want, "case {case}, p {p}, rank {rank}");
+                        for v in range.clone() {
+                            assert_eq!(lg.neighbors(v), g.neighbors(v), "case {case}, v {v}");
+                        }
+                        let entries: u64 = range.map(|v| g.degree(v)).sum();
+                        assert_eq!(lg.num_local_entries(), entries);
+                    }
+                }
+            }
+        }
     }
 }
