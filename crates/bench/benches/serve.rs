@@ -2,9 +2,9 @@
 //! discipline (reads submitted before an update wait for it) against the
 //! MVCC engine (reads pin their admission-time epoch and are ticked from
 //! another thread while the update runs). Reports queue-wait p50/p99 and
-//! read throughput for both paths, the p99 speedup, and a multi-tenant
-//! host section — with every answer checked bit-identical to the serial
-//! per-epoch oracle across all 7 algorithm variants.
+//! read throughput for both paths and the p99 speedup — with every answer
+//! checked bit-identical to the serial per-epoch oracle across all 7
+//! algorithm variants.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -13,9 +13,7 @@ use std::time::Instant;
 use cetric::core::config::Algorithm;
 use cetric::core::seq;
 use cetric::delta::{apply_to_csr, random_batch, UpdateBatch};
-use cetric::engine::{
-    Engine, EngineConfig, EngineHost, HostConfig, HostReply, HostRequest, Query, QueryAnswer,
-};
+use cetric::engine::{Engine, EngineConfig, Query, QueryAnswer};
 use cetric::graph::Csr;
 use tricount_bench::report::{format_f64, BenchReport};
 use tricount_bench::{fmt_time, print_table, Row, Scale};
@@ -252,61 +250,6 @@ fn main() {
         "serve/epochs_retired",
         format!("{}", s_mvcc.epochs_retired),
         &format_f64(s_mvcc.epochs_retired as f64),
-    );
-
-    // ---- Multi-tenant host: two tenants behind one pool and a
-    // background serve loop, mixed reads and updates per tenant.
-    let host_reads_per_tenant = 2 * Algorithm::all().len();
-    let mut hcfg = HostConfig::new();
-    hcfg.serve_workers = 3;
-    hcfg.global_inflight = 4 * host_reads_per_tenant;
-    hcfg.tenant_quota = 2 * host_reads_per_tenant;
-    let host = EngineHost::new(hcfg);
-    host.add_tenant("alpha", &g, EngineConfig::new(p))
-        .expect("fresh name");
-    let gb = cetric::gen::rgg2d_default(n / 2, 7);
-    host.add_tenant("beta", &gb, EngineConfig::new(2))
-        .expect("fresh name");
-    let t0 = Instant::now();
-    let handle = host.serve();
-    for i in 0..host_reads_per_tenant {
-        for tenant in ["alpha", "beta"] {
-            host.submit(HostRequest::Query {
-                tenant: tenant.to_string(),
-                query: read_query(i),
-            })
-            .expect("under quota");
-        }
-        if i == 2 {
-            host.submit(HostRequest::Update {
-                tenant: "alpha".to_string(),
-                batch: batches[0].clone(),
-            })
-            .expect("updates always enqueue");
-        }
-    }
-    handle.stop();
-    host.drain();
-    let host_seconds = t0.elapsed().as_secs_f64();
-    let replies = host.poll();
-    let host_answers = replies
-        .iter()
-        .filter(|r| matches!(r, HostReply::Answer { .. }))
-        .count();
-    assert_eq!(host_answers, 2 * host_reads_per_tenant);
-    push(
-        &mut rows,
-        &mut report,
-        "serve/host_answered",
-        format!("{host_answers}"),
-        &format_f64(host_answers as f64),
-    );
-    push(
-        &mut rows,
-        &mut report,
-        "serve/host_wall_seconds",
-        fmt_time(host_seconds),
-        &format_f64(host_seconds),
     );
 
     print_table(

@@ -101,14 +101,6 @@ pub enum Command {
         json: bool,
         /// Write the engine's Prometheus text exposition here after serving.
         metrics_out: Option<String>,
-        /// Serve this many tenants behind one `EngineHost` (1 = plain
-        /// single-engine serving).
-        tenants: usize,
-        /// Interleave this many random update batches with the reads
-        /// (host mode only).
-        updates: usize,
-        /// Background serve-loop workers in host mode.
-        host_workers: usize,
     },
     /// Load the graph into a resident engine and stream batched edge
     /// updates through the incremental triangle-maintenance path.
@@ -437,9 +429,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             seed: parse_u64("workload-seed", 42)?,
             json: get("json").is_some_and(|v| v == "true" || v == "1"),
             metrics_out: get("metrics-out").map(|v| v.to_string()),
-            tenants: (parse_u64("tenants", 1)? as usize).max(1),
-            updates: parse_u64("updates", 0)? as usize,
-            host_workers: (parse_u64("host-workers", 2)? as usize).max(1),
         }),
         "update" => Ok(Command::Update {
             source,
@@ -511,7 +500,6 @@ fn usage() -> String {
      [--pool-workers N] \
      [--top K] [--limit K] \
      [--queries Q] [--workload-seed S] [--batch UPDATES.txt] [--json 1] \
-     [--tenants N] [--updates U] [--host-workers W] \
      [--lint-root DIR] \
      [-o OUT] [--chrome-trace OUT.json] [--phase-report 1] \
      [--metrics-out OUT.prom] [--calibration PROBE.json]\n\
@@ -799,27 +787,10 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             seed,
             json,
             metrics_out,
-            tenants,
-            updates,
-            host_workers,
         } => {
             use tricount_engine::{scripted_workload, Engine, EngineConfig};
             let g = load_source(&source)?;
-            let ecfg = EngineConfig::new(p);
-            if tenants > 1 || updates > 0 {
-                return serve_host(
-                    &g,
-                    ecfg,
-                    queries,
-                    seed,
-                    json,
-                    metrics_out,
-                    tenants,
-                    updates,
-                    host_workers,
-                );
-            }
-            let engine = Engine::build(&g, ecfg);
+            let engine = Engine::build(&g, EngineConfig::new(p));
             let workload = scripted_workload(queries, g.num_vertices(), seed);
             let mut answered = 0usize;
             let mut failed = 0usize;
@@ -879,132 +850,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 println!("wrote {path}");
             }
         }
-    }
-    Ok(())
-}
-
-/// Host-mode serving: the scripted workload round-robins across `tenants`
-/// resident engines behind one `EngineHost`, with `updates` random edge
-/// batches interleaved, all drained by a background serve loop.
-#[allow(clippy::too_many_arguments)]
-fn serve_host(
-    g: &Csr,
-    mut ecfg: tricount_engine::EngineConfig,
-    queries: usize,
-    seed: u64,
-    json: bool,
-    metrics_out: Option<String>,
-    tenants: usize,
-    updates: usize,
-    host_workers: usize,
-) -> Result<(), String> {
-    use tricount_delta::random_batch;
-    use tricount_engine::{scripted_workload, EngineHost, HostConfig, HostReply, HostRequest};
-    // Every admission bound is sized to hold the whole workload (queries go
-    // round-robin, so a tenant receives at most ⌈queries / tenants⌉; updates
-    // are not budgeted), so no submission is ever refused for load and any
-    // submit error is a real error.
-    let mut hcfg = HostConfig::new();
-    hcfg.pool_workers = ecfg.workers;
-    hcfg.serve_workers = host_workers;
-    hcfg.tenant_quota = hcfg.tenant_quota.max(queries / tenants.max(1) + 1);
-    hcfg.global_inflight = hcfg.global_inflight.max(queries + tenants);
-    ecfg.queue_capacity = ecfg.queue_capacity.max(queries);
-    let host = EngineHost::new(hcfg);
-    let names: Vec<String> = (0..tenants).map(|i| format!("t{i}")).collect();
-    for name in &names {
-        host.add_tenant(name, g, ecfg.clone())
-            .map_err(|e| e.to_string())?;
-    }
-    let workload = scripted_workload(queries, g.num_vertices(), seed);
-    let stride = (queries / updates.max(1)).max(1);
-    let handle = host.serve();
-    let mut sent_updates = 0usize;
-    for (i, q) in workload.into_iter().enumerate() {
-        if updates > 0 && i % stride == 0 && sent_updates < updates {
-            host.submit(HostRequest::Update {
-                tenant: names[sent_updates % tenants].clone(),
-                batch: random_batch(g, 16, seed ^ (0x9e37 + sent_updates as u64)),
-            })
-            .map_err(|e| e.to_string())?;
-            sent_updates += 1;
-        }
-        host.submit(HostRequest::Query {
-            tenant: names[i % tenants].clone(),
-            query: q,
-        })
-        .map_err(|e| e.to_string())?;
-    }
-    handle.stop();
-    host.drain();
-    let mut answers = 0usize;
-    let mut receipts = 0usize;
-    let mut failed = 0usize;
-    for reply in host.poll() {
-        match reply {
-            HostReply::Answer { result, .. } => {
-                answers += 1;
-                failed += usize::from(result.is_err());
-            }
-            HostReply::Receipt { result, .. } => {
-                receipts += 1;
-                failed += usize::from(result.is_err());
-            }
-        }
-    }
-    let s = host.stats();
-    if json {
-        let per_tenant: Vec<String> = s
-            .per_tenant
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"tenant\":\"{}\",\"submitted\":{},\"rejected\":{},\"answered\":{},\
-                     \"updates\":{},\"epoch\":{},\"epochs_live\":{},\"readers_pinned\":{},\
-                     \"resident_triangles\":{}}}",
-                    t.tenant,
-                    t.submitted,
-                    t.rejected,
-                    t.answered,
-                    t.updates,
-                    t.epoch,
-                    t.epochs_live,
-                    t.readers_pinned,
-                    t.resident_triangles
-                )
-            })
-            .collect();
-        println!(
-            "{{\"tenants\":{},\"answers\":{answers},\"receipts\":{receipts},\"failed\":{failed},\
-             \"per_tenant\":[{}]}}",
-            s.tenants,
-            per_tenant.join(",")
-        );
-    } else {
-        println!(
-            "host served {answers} answers across {} tenant(s) \
-             ({receipts} update receipts, {failed} failed)",
-            s.tenants
-        );
-        for t in &s.per_tenant {
-            println!(
-                "tenant {}: {} submitted, {} answered, {} rejected, {} updates | \
-                 epoch {} ({} live, {} pinned readers) | {} resident triangles",
-                t.tenant,
-                t.submitted,
-                t.answered,
-                t.rejected,
-                t.updates,
-                t.epoch,
-                t.epochs_live,
-                t.readers_pinned,
-                t.resident_triangles
-            );
-        }
-    }
-    if let Some(path) = metrics_out {
-        std::fs::write(&path, host.prometheus()).map_err(|e| e.to_string())?;
-        println!("wrote {path}");
     }
     Ok(())
 }
@@ -1162,6 +1007,9 @@ mod tests {
             ("count --family gnm --bogus 3", "--bogus"),
             ("info --family gnm --alg cetric", "--alg"),
             ("lcc --input g.txt --n 64", "--n"),
+            ("serve --family gnm --tenants 2", "--tenants"),
+            ("serve --family gnm --updates 2", "--updates"),
+            ("serve --family gnm --host-workers 2", "--host-workers"),
         ] {
             let err = parse(&args(line)).unwrap_err();
             assert!(
@@ -1508,44 +1356,6 @@ mod tests {
             None
         );
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn parse_and_execute_serve_host_mode() {
-        let cmd = parse(&args(
-            "serve --family rgg2d --n 160 --p 2 --queries 12 --tenants 2 --updates 2 \
-             --host-workers 2",
-        ))
-        .unwrap();
-        match &cmd {
-            Command::Serve {
-                tenants,
-                updates,
-                host_workers,
-                ..
-            } => {
-                assert_eq!(*tenants, 2);
-                assert_eq!(*updates, 2);
-                assert_eq!(*host_workers, 2);
-            }
-            _ => panic!("wrong command"),
-        }
-        execute(cmd).unwrap();
-
-        // host-mode exposition carries per-tenant labels
-        let dir = std::env::temp_dir();
-        let path = dir.join("tricount_cli_serve_host.prom");
-        let cmd = parse(&args(&format!(
-            "serve --family rgg2d --n 160 --p 2 --queries 8 --tenants 2 --updates 1 \
-             --json 1 --metrics-out {}",
-            path.display()
-        )))
-        .unwrap();
-        execute(cmd).unwrap();
-        let prom = std::fs::read_to_string(&path).unwrap();
-        assert!(prom.contains("tricount_host_submitted_total{tenant=\"t0\"}"));
-        assert!(prom.contains("tricount_host_tenant_epochs_live"));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

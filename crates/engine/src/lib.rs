@@ -58,9 +58,9 @@
 //! submitted afterwards see the updated graph; queries already admitted
 //! keep their pinned pre-update snapshot.
 //!
-//! Many tenants can share one process (and one executor) through an
-//! [`EngineHost`]: a tenant → engine map behind global admission budgets
-//! with per-tenant quotas and a concurrent serve loop.
+//! [`EngineHost`] names several engines behind one reply queue. It is kept
+//! only for the benchmark driver's round-trip probe; each of its tenants is
+//! an ordinary engine with its own executor.
 
 #![warn(missing_docs)]
 
@@ -94,9 +94,7 @@ use tricount_obs::{LogHistogram, MetricsRegistry};
 use tricount_par::Executor;
 
 pub use check::{check_concurrency, CheckOptions, CheckReport};
-pub use host::{
-    EngineHost, HostConfig, HostError, HostReply, HostRequest, HostStats, ServeHandle, TenantStats,
-};
+pub use host::{EngineHost, HostConfig, HostError, HostReply, HostRequest};
 pub use query::{EngineError, Query, QueryAnswer, TicketId};
 pub use stats::{AdjacencyWords, EngineSpan, EngineStats, QueryRecord};
 pub use workload::scripted_workload;
@@ -301,20 +299,15 @@ pub struct Engine {
 impl Engine {
     /// Loads `g` into the engine: partitions it over `cfg.num_ranks` PEs
     /// (`DistGraph::new`) and performs the whole distributed setup exactly
-    /// once. Everything queries need afterwards is resident.
+    /// once. Everything queries need afterwards is resident. Starts the
+    /// threads a tick needs at most, `workers − 1` helpers and `p` ranks
+    /// per runner.
     pub fn build(g: &Csr, cfg: EngineConfig) -> Engine {
-        Self::build_on(g, cfg, Executor::new())
-    }
-
-    /// Like [`build`](Engine::build), but serving on `exec` — the
-    /// multi-tenant [`EngineHost`] shares one executor across every tenant
-    /// engine. Starts the threads a tick needs at most, `workers − 1`
-    /// helpers and `p` ranks per runner, unless `exec` already has them.
-    pub(crate) fn build_on(g: &Csr, cfg: EngineConfig, exec: Executor) -> Engine {
         assert!(cfg.num_ranks >= 1, "need at least one PE");
         assert!(cfg.queue_capacity >= 1, "queue capacity must be positive");
         assert!(cfg.batch_max >= 1, "batch size must be positive");
         let runners = cfg.workers.max(1);
+        let exec = Executor::new();
         exec.reserve(runners - 1 + runners * cfg.num_ranks);
         let degrees = g.degrees();
         let dg = DistGraph::new(g, cfg.num_ranks);
@@ -662,8 +655,10 @@ impl Engine {
     /// Vertex ids must be in range ([`EngineError::UnknownVertex`]
     /// otherwise — the vertex set is fixed at build). An empty or fully
     /// cancelling batch returns a zero receipt without advancing the
-    /// epoch. Concurrent writers serialize on an internal lock; readers
-    /// are never blocked.
+    /// epoch. Concurrent writers serialize on an internal lock and apply in
+    /// the order they take it, not in the order they were called: two
+    /// batches passed from two threads at once may land in either order.
+    /// Readers are never blocked.
     pub fn apply_updates(&self, batch: &UpdateBatch) -> Result<UpdateReceipt, EngineError> {
         let inner = &self.inner;
         if let Some(mx) = batch.max_vertex() {

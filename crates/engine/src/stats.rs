@@ -139,9 +139,7 @@ pub struct EngineStats {
     /// Modeled latency distribution of executed runs.
     pub run_modeled: Summary,
     /// Threads the engine's executor has started. Constant while the
-    /// engine serves: every run reuses threads started at build. Engines
-    /// of one [`EngineHost`](crate::EngineHost) share the executor, so
-    /// they report the same host-wide count.
+    /// engine serves: every run reuses threads started at build.
     pub threads_started: u64,
     /// Jobs the executor has run: one per rank of every query and update
     /// run, plus one per tick helper.

@@ -2,9 +2,7 @@
 //! updates run on threads it already has.
 
 use tricount_delta::{apply_to_csr, UpdateBatch};
-use tricount_engine::{
-    Engine, EngineConfig, EngineHost, HostConfig, HostRequest, Query, QueryAnswer,
-};
+use tricount_engine::{Engine, EngineConfig, Query, QueryAnswer};
 use tricount_graph::Csr;
 
 /// Triangles through edge `{u, v}`, counted directly.
@@ -80,46 +78,4 @@ fn reads_start_no_threads_after_warm_up() {
     // many-job tick added `workers − 1` helpers.
     let expected = (reads + 1) * p + many_job_ticks * (workers - 1);
     assert_eq!(s.jobs_run as usize, expected);
-}
-
-#[test]
-fn host_tenants_share_one_executors_threads() {
-    let p = 2;
-    let mut hcfg = HostConfig::new();
-    hcfg.pool_workers = 2;
-    let host = EngineHost::new(hcfg);
-    let graphs = [
-        tricount_gen::rgg2d_default(256, 1),
-        tricount_gen::rgg2d_default(300, 2),
-    ];
-    for (i, g) in graphs.iter().enumerate() {
-        host.add_tenant(&format!("t{i}"), g, EngineConfig::new(p))
-            .expect("fresh tenant");
-    }
-    let started = host.tenant_engine("t0").unwrap().stats().threads_started;
-    assert_eq!(
-        started,
-        (2 * (p + 1) - 1) as u64,
-        "the second tenant's reservation is already met"
-    );
-    for round in 0..20 {
-        for (i, g) in graphs.iter().enumerate() {
-            let (u, v) = g.edges().nth(round).unwrap();
-            host.submit(HostRequest::Query {
-                tenant: format!("t{i}"),
-                query: Query::EdgeSupport {
-                    edges: vec![(u, v)],
-                },
-            })
-            .expect("admitted");
-        }
-        host.drain();
-    }
-    assert_eq!(host.poll().len(), 40);
-    for t in ["t0", "t1"] {
-        assert_eq!(
-            host.tenant_engine(t).unwrap().stats().threads_started,
-            started
-        );
-    }
 }

@@ -2,41 +2,19 @@
 //! of KaGen (Funke et al.), which the paper relies on for its weak-scaling
 //! experiments ("without the need to load them from the file system").
 //!
-//! Every PE deterministically (re)computes exactly the part of the graph it
-//! owns, with **zero communication**:
-//!
-//! * [`gnm_local`] / [`rmat_local`] — *recomputation-based*: the edge stream
-//!   is a pure function of the seed, so each PE replays it and keeps the
-//!   edges incident to its own vertex range. Work is O(m) per PE (KaGen
-//!   avoids this with divide-and-conquer stream splitting; at simulation
-//!   scale replaying is simpler and bit-identical to the central
-//!   generators — asserted by tests).
-//! * [`rgg2d_distributed`] — *genuinely scalable*: the unit square is cut
-//!   into cells with side ≥ r, each cell's points come from an independent
-//!   substream (Poissonized occupancy, standard for distributed RGG
-//!   generation), ids are cell-major, and a PE generates only its own cells
-//!   plus a one-cell halo. Per-PE work is proportional to its own subgraph.
-//!   The result is partition-count-independent: the same seed yields the
-//!   same global graph for every `p` (asserted by tests).
+//! [`rgg2d_distributed`] lets every PE compute exactly the part of the graph
+//! it owns, with **zero communication**: the unit square is cut into cells
+//! with side ≥ r, each cell's points come from an independent substream
+//! (Poissonized occupancy, standard for distributed RGG generation), ids are
+//! cell-major, and a PE generates only its own cells plus a one-cell halo.
+//! Per-PE work is proportional to its own subgraph. The result is
+//! partition-count-independent: the same seed yields the same global graph
+//! for every `p` (asserted by tests).
 
 use tricount_graph::dist::LocalGraph;
 use tricount_graph::{Partition, VertexId};
 
 use crate::rng::Rng;
-use crate::{gnm, rmat, RmatParams};
-
-/// Recomputation-based local generation: builds PE `rank`'s [`LocalGraph`]
-/// of `G(n, m)` without communication by replaying the central generator.
-pub fn gnm_local(n: u64, m: u64, seed: u64, part: &Partition, rank: usize) -> LocalGraph {
-    let g = gnm(n, m, seed);
-    LocalGraph::from_global(&g, part, rank)
-}
-
-/// Recomputation-based local generation for R-MAT.
-pub fn rmat_local(params: &RmatParams, seed: u64, part: &Partition, rank: usize) -> LocalGraph {
-    let g = rmat(params, seed);
-    LocalGraph::from_global(&g, part, rank)
-}
 
 /// Deterministic cell geometry of the distributed RGG.
 #[derive(Debug, Clone)]
@@ -237,31 +215,7 @@ mod tests {
                 }
             }
         }
-        el.canonicalize();
         Csr::from_edges(n, &el)
-    }
-
-    #[test]
-    fn recomputed_locals_match_central_generation() {
-        let n = 256u64;
-        let part = Partition::balanced_vertices(n, 4);
-        let g = gnm(n, 2048, 7);
-        for rank in 0..4 {
-            let local = gnm_local(n, 2048, 7, &part, rank);
-            let reference = LocalGraph::from_global(&g, &part, rank);
-            for v in local.owned_vertices() {
-                assert_eq!(local.neighbors(v), reference.neighbors(v));
-            }
-        }
-        let params = RmatParams::graph500(8);
-        let g = rmat(&params, 7);
-        let part = Partition::balanced_vertices(g.num_vertices(), 3);
-        for rank in 0..3 {
-            let local = rmat_local(&params, 7, &part, rank);
-            for v in local.owned_vertices() {
-                assert_eq!(local.neighbors(v), g.neighbors(v));
-            }
-        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub fn gnm(n: u64, m: u64, seed: u64) -> Csr {
             el.push(e.0, e.1);
         }
     }
-    el.canonicalize();
     Csr::from_edges(n, &el)
 }
 

@@ -27,7 +27,7 @@ pub mod rng;
 pub mod road;
 
 pub use datasets::{Dataset, PaperStats};
-pub use distributed::{gnm_local, rgg2d_distributed, rmat_local, RggLayout};
+pub use distributed::{rgg2d_distributed, RggLayout};
 pub use gnm::gnm;
 pub use rgg::{radius_for_avg_degree, rgg2d, rgg2d_default};
 pub use rhg::{rhg, rhg_default, RhgParams};

@@ -92,7 +92,6 @@ pub fn rgg2d(n: u64, r: f64, seed: u64) -> Csr {
             }
         }
     }
-    el.canonicalize();
     Csr::from_edges(n, &el)
 }
 

@@ -148,7 +148,6 @@ pub fn rhg(params: &RhgParams, seed: u64) -> Csr {
             }
         }
     }
-    el.canonicalize();
     Csr::from_edges(n, &el)
 }
 
@@ -199,7 +198,6 @@ mod tests {
                 }
             }
         }
-        el.canonicalize();
         Csr::from_edges(n, &el)
     }
 

@@ -5,7 +5,6 @@
 //! heavily skewed degree distribution (hubs at low ids) on which the paper
 //! reports the worst scaling behaviour of all synthetic families.
 
-use tricount_graph::hash::FxHashSet;
 use tricount_graph::{Csr, EdgeList};
 
 use crate::rng::Rng;
@@ -62,7 +61,6 @@ pub fn rmat(params: &RmatParams, seed: u64) -> Csr {
     let mut rng = Rng::new(seed ^ 0x524d_4154); // "RMAT"
     let (pa, pb, pc) = (params.a, params.b, params.c);
     assert!(pa + pb + pc <= 1.0 + 1e-9);
-    let mut seen: FxHashSet<(u64, u64)> = FxHashSet::default();
     let mut el = EdgeList::new();
     for _ in 0..params.edges {
         let (mut u, mut v) = (0u64, 0u64);
@@ -80,15 +78,9 @@ pub fn rmat(params: &RmatParams, seed: u64) -> Csr {
             u = (u << 1) | du;
             v = (v << 1) | dv;
         }
-        if u == v {
-            continue;
-        }
-        let e = (u.min(v), u.max(v));
-        if seen.insert(e) {
-            el.push(e.0, e.1);
-        }
+        // the builder drops self loops and repeated pairs
+        el.push(u, v);
     }
-    el.canonicalize();
     Csr::from_edges(n, &el)
 }
 

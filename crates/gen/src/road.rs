@@ -63,7 +63,6 @@ pub fn road(params: &RoadParams, seed: u64) -> Csr {
             }
         }
     }
-    el.canonicalize();
     Csr::from_edges(n, &el)
 }
 

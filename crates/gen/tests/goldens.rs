@@ -53,3 +53,50 @@ fn dataset_checksums_are_stable() {
         assert_eq!(got, want, "{ds:?} changed: 0x{got:016x}");
     }
 }
+
+/// `m` and one hash over the CSR's offsets and targets: pins the built
+/// adjacency arrays themselves, not just the edge set.
+fn fingerprint(g: &Csr) -> (u64, u64) {
+    let mut acc = 0u64;
+    let mut offset = 0u64;
+    for v in g.vertices() {
+        let list = g.neighbors(v);
+        offset += list.len() as u64;
+        acc = mix(acc ^ offset);
+        for &u in list {
+            acc = mix(acc ^ u);
+        }
+    }
+    (g.num_edges(), acc)
+}
+
+/// Every generator family's CSR at two seeds. Handing the builder raw,
+/// repeated or reversed pairs instead of a canonical list must not change
+/// any of these.
+#[test]
+fn csr_fingerprints_are_stable() {
+    let build = |fam: &str, seed: u64| match fam {
+        "rgg2d" => tricount_gen::rgg2d_default(2048, seed),
+        "rhg" => tricount_gen::rhg_default(2048, seed),
+        "gnm" => tricount_gen::gnm(2048, 16 * 2048, seed),
+        "rmat" => tricount_gen::rmat_default(11, seed),
+        "road" => tricount_gen::road_default(2048, seed),
+        _ => unreachable!(),
+    };
+    let goldens = [
+        ("rgg2d", 1, (30646, 0xf27d4dd6a6eef095)),
+        ("rgg2d", 2, (30437, 0x9cf3b0d8cddde2b8)),
+        ("rhg", 1, (29793, 0x1237e4fdddac87f0)),
+        ("rhg", 2, (32493, 0x3c19e6ef3263551a)),
+        ("gnm", 1, (32768, 0xed73a62b2b85c37b)),
+        ("gnm", 2, (32768, 0x90f6edc522561f0b)),
+        ("rmat", 1, (22725, 0x16db7bb429e91c91)),
+        ("rmat", 2, (22603, 0x466186fdc04a0558)),
+        ("road", 1, (3919, 0x69dc8084f2e4f9d8)),
+        ("road", 2, (3919, 0x54daa42e3ae7ee6c)),
+    ];
+    for (fam, seed, want) in goldens {
+        let got = fingerprint(&build(fam, seed));
+        assert_eq!(got, want, "{fam} at seed {seed} changed: {got:?}");
+    }
+}

@@ -2,11 +2,11 @@
 //! a [`Csr`](crate::Csr).
 //!
 //! The paper's preprocessing (§V-C): directed inputs are interpreted as
-//! undirected, duplicate edges and self-loops are dropped, and vertices with
-//! no neighbors are removed. [`EdgeList::canonicalize`] implements exactly
-//! that pipeline.
+//! undirected, and duplicate edges and self-loops are dropped.
+//! [`EdgeList::canonicalize`] implements that pipeline.
+//! [`Csr::from_edges`](crate::Csr::from_edges) applies it on its own, so a
+//! list need not be canonical to be built.
 
-use crate::hash::FxHashMap;
 use crate::VertexId;
 
 /// An undirected edge list. Edges are stored as `(u, v)` pairs; the list may
@@ -73,26 +73,6 @@ impl EdgeList {
             .max()
             .map_or(Some(0), |max| max.checked_add(1))
     }
-
-    /// Compacts vertex ids so that only vertices incident to at least one
-    /// edge keep an id, renumbered `0..n'` preserving relative order (the
-    /// paper: "We remove vertices with no neighbors from the input").
-    ///
-    /// Returns the mapping from new id to original id.
-    pub fn remove_isolated_vertices(&mut self) -> Vec<VertexId> {
-        let mut used: Vec<VertexId> = self.edges.iter().flat_map(|&(u, v)| [u, v]).collect();
-        used.sort_unstable();
-        used.dedup();
-        let remap: FxHashMap<VertexId, VertexId> = used
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new as VertexId))
-            .collect();
-        for e in &mut self.edges {
-            *e = (remap[&e.0], remap[&e.1]);
-        }
-        used
-    }
 }
 
 impl FromIterator<(VertexId, VertexId)> for EdgeList {
@@ -120,15 +100,6 @@ mod tests {
         el.canonicalize();
         assert!(el.is_empty());
         assert_eq!(el.num_vertices(), Some(0));
-    }
-
-    #[test]
-    fn remove_isolated_compacts_ids() {
-        let mut el = EdgeList::from_pairs(vec![(10, 20), (20, 30)]);
-        el.canonicalize();
-        let back = el.remove_isolated_vertices();
-        assert_eq!(el.pairs(), &[(0, 1), (1, 2)]);
-        assert_eq!(back, vec![10, 20, 30]);
     }
 
     #[test]
